@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, Gate, cnot
-from .gf2 import BinaryMatrix, RowOp, SingularMatrixError, is_invertible
+from .gf2 import BinaryMatrix, RowOp, SingularMatrixError, check_invertible
 from .graphs import ConnectivityGraph, SteinerTree, distances_from, shortest_path, steiner_approx
 
 
@@ -359,11 +359,16 @@ def synthesize_constrained(
     repeats with the direction-restricted plans.  The output simulates to
     `a` exactly and every CNOT lies on an edge of `g`.
     """
+    t0 = time.perf_counter()
+    circuit, trees_per_column = _synthesize_constrained(a, g)
+    return circuit, _report("steiner", g.name, circuit, t0, column_trees=trees_per_column)
+
+
+def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circuit, list[int]]:
+    """The circuit of `synthesize_constrained` and its Steiner trees per column."""
     if a.dim != g.node_count:
         raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
-    if not is_invertible(a):
-        raise SingularMatrixError(0)
-    t0 = time.perf_counter()
+    check_invertible(a)
     n = a.dim
     rows = list(a.rows)
     trees_per_column: list[int] = []
@@ -418,9 +423,7 @@ def synthesize_constrained(
 
     gates = [cnot(op.target, op.control) for op in ops_b]
     gates += [cnot(op.control, op.target) for op in reversed(ops_a)]
-    circuit = Circuit(n, tuple(gates))
-    report = _report("steiner", g.name, circuit, t0, column_trees=trees_per_column)
-    return circuit, report
+    return Circuit(n, tuple(gates)), trees_per_column
 
 
 def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
@@ -493,8 +496,7 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
     and target flipped, in order, then the first-pass ops unchanged but in
     reverse order.
     """
-    if not is_invertible(a):
-        raise SingularMatrixError(0)
+    check_invertible(a)
     n = a.dim
 
     def run(width: int | None) -> tuple[list[RowOp], list[RowOp]]:

@@ -130,11 +130,14 @@ def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(a.dim, tuple(out))
 
 
-def _eliminate(rows: list[int], n: int, companion: list[int] | None) -> int:
+def _eliminate(
+    rows: list[int], n: int, companion: list[int] | None, strict: bool = False
+) -> int:
     """In-place forward elimination; returns rank.
 
     When companion is given, the same row ops are mirrored onto it
-    (Gauss-Jordan, producing the inverse if rows started full-rank).
+    (Gauss-Jordan, producing the inverse if rows started full-rank).  With
+    strict, a column without a pivot raises SingularMatrixError naming it.
     """
     rank = 0
     for col in range(n):
@@ -144,7 +147,7 @@ def _eliminate(rows: list[int], n: int, companion: list[int] | None) -> int:
                 pivot = i
                 break
         if pivot is None:
-            if companion is not None:
+            if strict:
                 raise SingularMatrixError(col)
             continue
         if pivot != rank:
@@ -169,11 +172,16 @@ def is_invertible(m: BinaryMatrix) -> bool:
     return rank(m) == m.dim
 
 
+def check_invertible(m: BinaryMatrix) -> None:
+    """Raise SingularMatrixError naming the first column without a pivot."""
+    _eliminate(list(m.rows), m.dim, None, strict=True)
+
+
 def invert(m: BinaryMatrix) -> BinaryMatrix:
     """Inverse over GF(2); raises SingularMatrixError with the failing column."""
     rows = list(m.rows)
     companion = [1 << i for i in range(m.dim)]
-    _eliminate(rows, m.dim, companion)
+    _eliminate(rows, m.dim, companion, strict=True)
     return BinaryMatrix(m.dim, tuple(companion))
 
 
@@ -196,7 +204,8 @@ def random_invertible(n: int, seed: int, max_tries: int = 1000) -> BinaryMatrix:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the matrix text format: a line "n", then n rows of n '0'/'1' chars."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty matrix file")
     try:

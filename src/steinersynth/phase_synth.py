@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .circuits import Angle, Circuit, Gate, cnot, rz
-from .cnot_synth import SynthesisReport, _report, plan_pre_transpose, synthesize_constrained
+from .cnot_synth import SynthesisReport, _report, _synthesize_constrained, plan_pre_transpose
 from .gf2 import BinaryMatrix, invert, is_invertible, multiply, simulate_cnot_circuit
 from .graphs import ConnectivityGraph, steiner_approx
 
@@ -237,9 +237,13 @@ def synthesize_cnot_rz(
     circuit applies exactly the requested linear part A.
     """
     t0 = time.perf_counter()
+    circuit = _synthesize_cnot_rz(s, g)
+    return circuit, _report("steiner_rz", g.name, circuit, t0)
+
+
+def _synthesize_cnot_rz(s: SumOverPaths, g: ConnectivityGraph) -> Circuit:
+    """The circuit of `synthesize_cnot_rz`, without building a report."""
     network, c_matrix = synth_parity_network_constrained(s, g)
     fixup_target = multiply(s.linear, invert(c_matrix))
-    fixup, _ = synthesize_constrained(fixup_target, g)
-    circuit = network.extended(fixup.gates)
-    report = _report("steiner_rz", g.name, circuit, t0)
-    return circuit, report
+    fixup, _ = _synthesize_constrained(fixup_target, g)
+    return network.extended(fixup.gates)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _report
 from .graphs import ConnectivityGraph
-from .phase_synth import extract_sum_over_paths, synthesize_cnot_rz
+from .phase_synth import _synthesize_cnot_rz, extract_sum_over_paths
 
 _S = Angle(1, 4)
 _SDG = Angle(3, 4)
@@ -29,7 +29,8 @@ def commutes(a: Gate, b: Gate) -> bool:
     wire and with a CNOT through the CNOT's control; H commutes only on
     disjoint wires.
     """
-    if not set(a.qubits) & set(b.qubits):
+    aq, bq = a.qubits, b.qubits
+    if aq[0] not in bq and aq[-1] not in bq:
         return True
     if a.kind == "cnot" and b.kind == "cnot":
         return a.control == b.control or a.target == b.target
@@ -101,58 +102,65 @@ def partition_segments(c: Circuit) -> list[Segment]:
     After the naive cut, every CNOT+RZ gate is commuted forward as far as
     possible and dropped into the largest reachable segment (ties go to the
     earlier one); a second pass repeats the process commuting backward.
+    Each mover scans only until its first non-commuting gate, so the cost
+    is the total length of those scans rather than quadratic in the circuit.
     """
-    # blocks[i] = (uid, gate) list; kinds[i] alternates between block kinds.
+    gates = c.gates
+    # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
     kinds: list[str] = []
-    blocks: list[list[tuple[int, Gate]]] = []
-    for uid, g in enumerate(c.gates):
+    blocks: list[list[int]] = []
+    where: list[int] = []  # uid -> index of the block holding it
+    for g in gates:
         kind = "h_block" if g.kind == "h" else "cnot_block"
         if not kinds or kinds[-1] != kind:
             kinds.append(kind)
             blocks.append([])
-        blocks[-1].append((uid, g))
+        blocks[-1].append(len(where))
+        where.append(len(blocks) - 1)
 
-    def locate(uid: int) -> tuple[int, int]:
-        for bi, blk in enumerate(blocks):
-            for gi, (u, _) in enumerate(blk):
-                if u == uid:
-                    return bi, gi
-        raise AssertionError(f"lost track of gate {uid}")
+    def destination(v: Gate, bi: int, gi: int, forward: bool) -> int:
+        """Largest CNOT block v reaches before its first blocker.
+
+        A block counts once its first gate in scan order has been passed, so
+        empty blocks never count and the blocker's block only with a
+        commuting gate ahead of the blocker.  Ties go to the earlier block.
+        """
+        own = blocks[bi]
+        if not all(commutes(v, gates[u]) for u in (own[gi + 1 :] if forward else own[:gi])):
+            return bi
+        best, best_key = bi, (len(own), -bi)
+        for ob in range(bi + 1, len(blocks)) if forward else range(bi - 1, -1, -1):
+            blk = blocks[ob]
+            for k, u in enumerate(blk if forward else reversed(blk)):
+                if not commutes(v, gates[u]):
+                    return best
+                if k == 0 and kinds[ob] == "cnot_block" and (len(blk), -ob) > best_key:
+                    best, best_key = ob, (len(blk), -ob)
+        return best
 
     def relocate(movers: list[int], forward: bool) -> None:
         for uid in movers:
-            bi, gi = locate(uid)
-            v = blocks[bi][gi][1]
-            positions = [
-                (obi, ogi) for obi, blk in enumerate(blocks) for ogi in range(len(blk))
-            ]
-            at = positions.index((bi, gi))
-            span = positions[at + 1 :] if forward else positions[:at][::-1]
-            candidates = [bi]
-            for obi, ogi in span:
-                if not commutes(v, blocks[obi][ogi][1]):
-                    break
-                if kinds[obi] == "cnot_block" and obi != candidates[-1]:
-                    candidates.append(obi)
-            best = max(candidates, key=lambda b: (len(blocks[b]), -b))
+            bi = where[uid]
+            gi = blocks[bi].index(uid)
+            best = destination(gates[uid], bi, gi, forward)
             if best == bi:
                 continue
-            item = blocks[bi].pop(gi)
+            del blocks[bi][gi]
             if forward:
-                blocks[best].insert(0, item)
+                blocks[best].insert(0, uid)
             else:
-                blocks[best].append(item)
+                blocks[best].append(uid)
+            where[uid] = best
 
-    movers = [uid for uid, g in enumerate(c.gates) if g.kind != "h"]
+    movers = [uid for uid, g in enumerate(gates) if g.kind != "h"]
     relocate(movers[::-1], forward=True)
     relocate(movers, forward=False)
 
-    segments = [
-        Segment(kind, tuple(g for _, g in blk))
+    return [
+        Segment(kind, tuple(gates[uid] for uid in blk))
         for kind, blk in zip(kinds, blocks)
         if blk
     ]
-    return segments
 
 
 def segments_to_circuit(segments: list[Segment], num_qubits: int) -> Circuit:
@@ -182,7 +190,6 @@ def route_universal(
             gates.extend(seg.gates)
             continue
         sop = extract_sum_over_paths(Circuit(c.num_qubits, seg.gates))
-        synth, _ = synthesize_cnot_rz(sop, g)
-        gates.extend(synth.gates)
+        gates.extend(_synthesize_cnot_rz(sop, g).gates)
     circuit = Circuit(c.num_qubits, tuple(gates))
     return circuit, _report("route", g.name, circuit, t0)

@@ -64,6 +64,20 @@ def test_bench_h_ratio_smoke():
     assert out == bench_h_ratio(cfg, line_graph(5), h_values=(0.0, 0.2))
 
 
+def test_bench_h_ratio_marks_skipped_verification():
+    # Seven wires is above the dense unitary cap: only edge legality runs, so
+    # no row may claim verified=1, yet the rows still enter the means.
+    cfg = BenchConfig(n=7, trials=2, seed=7, gate_count=30)
+    out = bench_h_ratio(cfg, line_graph(7), h_values=(0.0, 0.1))
+    lines = out.splitlines()
+    rows = [ln for ln in lines[1:] if not ln.startswith("#")]
+    assert len(rows) == 4
+    assert all(r.split(",")[-1] == "skip" for r in rows)
+    assert lines[-1] == "# unverified_skip 4"
+    assert "# excluded_unverified 0" in lines
+    assert sum(ln.startswith("# mean p_h=") and "constrained=" in ln for ln in lines) == 2
+
+
 def test_cli_synth_cnot_roundtrip(tmp_path):
     runner = CliRunner()
     m = random_invertible(6, 9)

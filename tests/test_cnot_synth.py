@@ -21,6 +21,7 @@ from steinersynth import (
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import apply_plan
 from steinersynth.graphs import SteinerTree, line_graph
+from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
 
 
@@ -164,6 +165,18 @@ def test_synthesize_rejects_bad_input(demo6_graph):
         synthesize_constrained(singular, demo6_graph)
     with pytest.raises(ValueError):
         synthesize_constrained(BinaryMatrix.identity(5), demo6_graph)
+
+
+def test_singular_error_names_first_pivotless_column(demo6_graph):
+    # Rows 3 and 4 are both e4, so column 3 is the first without a pivot.
+    rows = [[int(j == i) for j in range(6)] for i in range(6)]
+    rows[3] = rows[4]
+    singular = BinaryMatrix.from_rows(rows)
+    for synth in (lambda: synthesize_constrained(singular, demo6_graph),
+                  lambda: pmh_synthesize(singular)):
+        with pytest.raises(SingularMatrixError) as err:
+            synth()
+        assert err.value.pivot_column == 3
 
 
 def test_column_costs_16_vs_6(demo6_graph):

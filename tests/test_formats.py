@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from steinersynth import parse_circuit, emit_circuit, verify_equivalence
+from steinersynth import BinaryMatrix, emit_circuit, parse_circuit, parse_matrix, verify_equivalence
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, CircuitFormatError, cnot, h, rz
 from steinersynth.cnot_synth import expand_templates
@@ -87,3 +87,9 @@ def test_verify_mode_errors():
         verify_equivalence(big, big, "unitary")
     with pytest.raises(ValueError):
         verify_equivalence(a, Circuit(2), "unitary")
+
+
+def test_parse_matrix_comments_anywhere():
+    # '#' starts a comment anywhere on a line, indented or trailing.
+    text = "# header\n2 # dimension\n  # note\n10 # x\n01\n"
+    assert parse_matrix(text) == BinaryMatrix.identity(2)

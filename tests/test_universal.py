@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from steinersynth import (
     route_universal,
 )
 from steinersynth.bench import random_universal_circuit
-from steinersynth.circuits import Angle, Circuit, cnot, h, rz
+from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
 from steinersynth.graphs import line_graph
 from steinersynth.unitary import circuit_unitary, circuits_equivalent, gate_unitary
 from steinersynth.universal import Segment, segments_to_circuit
@@ -164,3 +165,128 @@ def test_unitary_oracle_agrees_with_gf2():
                 bit ^= m.bit(i, j) & (x >> j)
             y |= (bit & 1) << i
         assert abs(u[y, x] - 1) < 1e-12
+
+
+# Digests of partition_segments output on fixed seeds: any change to how the
+# scan is done must reproduce them byte for byte.
+PARTITION_GOLDEN = [
+    (0.02, 1, 69, "68ce2138a7aab931fe3740c42195002dbb0ebf9bacccba802e147580e375ebd3"),
+    (0.1, 2, 308, "9146aad22d6122804f2df48f4f73d266245222b2c4df9bb652c302236f3c2ff7"),
+    (0.1, 3, 313, "b262f1fbb222809429bda5187e5e7765e090b45cb46ba71df6e1fa3b6097ddaf"),
+]
+
+
+@pytest.mark.parametrize("p_h,seed,count,digest", PARTITION_GOLDEN)
+def test_partition_golden_digest(p_h, seed, count, digest):
+    probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
+    c = random_universal_circuit(16, 2000, probs, seed)
+    segs = partition_segments(c)
+    text = "".join(s.kind + "\n" + emit_circuit(Circuit(16, s.gates)) for s in segs)
+    assert len(segs) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _blocks(segs):
+    return [(s.kind, s.gates) for s in segs]
+
+
+_T = Angle(1, 8)
+
+
+def test_partition_blocker_first_in_block_forward():
+    # cnot(0,1) crosses h(3) but the next block opens with a blocker, so that
+    # (larger) block is no candidate and the gate stays put.
+    c = Circuit(4, (cnot(0, 1), h(3), cnot(1, 2), cnot(2, 3)))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (cnot(0, 1),)),
+        ("h_block", (h(3),)),
+        ("cnot_block", (cnot(1, 2), cnot(2, 3))),
+    ]
+
+
+def test_partition_blocker_first_in_block_backward():
+    c = Circuit(4, (cnot(2, 3), cnot(1, 2), h(3), cnot(0, 1)))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (cnot(2, 3), cnot(1, 2))),
+        ("h_block", (h(3),)),
+        ("cnot_block", (cnot(0, 1),)),
+    ]
+
+
+def test_partition_blocker_block_candidate_forward():
+    # rz on the control commutes ahead of the blocker, so the blocker's block
+    # is a candidate; the mover goes in at its front and its old block, now
+    # empty, is dropped.
+    c = Circuit(4, (cnot(0, 1), h(3), rz(_T, 0), cnot(1, 2), cnot(2, 3)))
+    assert _blocks(partition_segments(c)) == [
+        ("h_block", (h(3),)),
+        ("cnot_block", (cnot(0, 1), rz(_T, 0), cnot(1, 2), cnot(2, 3))),
+    ]
+
+
+def test_partition_blocker_block_candidate_backward():
+    # Backward moves append at the end of the target block.
+    c = Circuit(4, (cnot(2, 3), cnot(1, 2), rz(_T, 0), h(3), cnot(0, 1)))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (cnot(2, 3), cnot(1, 2), rz(_T, 0), cnot(0, 1))),
+        ("h_block", (h(3),)),
+    ]
+
+
+def test_partition_tie_goes_to_earlier_block_forward():
+    c = Circuit(5, (
+        rz(_T, 0), h(1), cnot(1, 2), cnot(2, 1), h(2), cnot(2, 3), cnot(3, 2),
+    ))
+    assert _blocks(partition_segments(c)) == [
+        ("h_block", (h(1),)),
+        ("cnot_block", (rz(_T, 0), cnot(1, 2), cnot(2, 1))),
+        ("h_block", (h(2),)),
+        ("cnot_block", (cnot(2, 3), cnot(3, 2))),
+    ]
+
+
+def test_partition_tie_goes_to_earlier_block_backward():
+    # Moving backward, the earlier of two equal blocks is the farther one.
+    c = Circuit(5, (
+        cnot(3, 2), cnot(2, 3), h(2), cnot(2, 1), cnot(1, 2), h(1), rz(_T, 0),
+    ))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (cnot(3, 2), cnot(2, 3), rz(_T, 0))),
+        ("h_block", (h(2),)),
+        ("cnot_block", (cnot(2, 1), cnot(1, 2))),
+        ("h_block", (h(1),)),
+    ]
+
+
+def test_partition_crosses_emptied_block():
+    # The forward pass empties the first CNOT block; the backward pass then
+    # walks across it without treating it as a destination.
+    c = Circuit(3, (cnot(0, 1), h(2), cnot(0, 1), rz(_T, 0), h(2), cnot(0, 1)))
+    segs = partition_segments(c)
+    assert all(s.gates for s in segs)
+    assert _blocks(segs) == [
+        ("h_block", (h(2),)),
+        ("cnot_block", (cnot(0, 1), cnot(0, 1), rz(_T, 0), cnot(0, 1))),
+        ("h_block", (h(2),)),
+    ]
+
+
+def _commutes_by_sets(a, b):
+    """The original set-intersection rule, kept as the reference."""
+    if not set(a.qubits) & set(b.qubits):
+        return True
+    if a.kind == "cnot" and b.kind == "cnot":
+        return a.control == b.control or a.target == b.target
+    if "h" in (a.kind, b.kind):
+        return False
+    if a.kind == "rz" and b.kind == "rz":
+        return True
+    rz_gate, cx = (a, b) if a.kind == "rz" else (b, a)
+    return rz_gate.target == cx.control
+
+
+def test_commutes_matches_set_rule_exhaustively():
+    gates = all_gates_up_to(3)
+    for a in gates:
+        for b in gates:
+            assert commutes(a, b) == _commutes_by_sets(a, b), f"{a} vs {b}"

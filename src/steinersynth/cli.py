@@ -54,17 +54,14 @@ def _load_graph(graph_file: str | None, arch: str | None):
         _fail_input(str(exc))
 
 
-def _write_outputs(circuit: Circuit, report, out: str | None, report_file: str | None,
-                   seed: int | None = None) -> None:
+def _write_outputs(circuit: Circuit, report, out: str | None, report_file: str | None) -> None:
     text = emit_circuit(circuit)
     if out:
         Path(out).write_text(text)
     else:
         click.echo(text, nl=False)
     if report_file:
-        data = report.to_dict()
-        data["seed"] = seed
-        Path(report_file).write_text(json.dumps(data, indent=2) + "\n")
+        Path(report_file).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 @click.group()

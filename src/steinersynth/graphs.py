@@ -33,6 +33,8 @@ class ConnectivityGraph:
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.node_count < 1:
+            raise ValueError(f"graph needs at least one node, got {self.node_count}")
         edges = frozenset(_norm_edge(u, v) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
         adj: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -166,10 +168,6 @@ def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
                     next_queue.append(v)
         queue = next_queue
     return dist
-
-
-def distance(g: ConnectivityGraph, a: int, b: int) -> int:
-    return len(shortest_path(g, a, b)) - 1
 
 
 class _UnionFind:

@@ -11,7 +11,8 @@ from steinersynth.bench import (
     random_universal_circuit,
 )
 from steinersynth.circuits import Circuit, cnot
-from steinersynth.cli import main
+from steinersynth.cli import _write_outputs, main
+from steinersynth.cnot_synth import SynthesisReport
 from steinersynth.graphs import line_graph
 
 
@@ -116,6 +117,28 @@ def test_cli_synth_cnot_baseline_and_errors(tmp_path):
         main, ["synth-cnot", "--matrix", str(matrix), "--arch", "line(9)"]
     )
     assert res_bad.exit_code == 2
+
+
+def test_cli_rejects_empty_graph_file(tmp_path):
+    graph = tmp_path / "g.txt"
+    graph.write_text("0 0\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("1\n")
+    res = CliRunner().invoke(
+        main, ["synth-cnot", "--matrix", str(matrix), "--graph", str(graph)]
+    )
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "at least one node" in res.output
+
+
+def test_cli_report_is_report_dict(tmp_path):
+    # --report writes SynthesisReport.to_dict() untouched, its seed included.
+    report = SynthesisReport(method="steiner", graph_name="line(2)", cnot_count=1, seed=17)
+    path = tmp_path / "r.json"
+    _write_outputs(Circuit(2, (cnot(0, 1),)), report, str(tmp_path / "c.txt"), str(path))
+    assert json.loads(path.read_text()) == report.to_dict()
+    assert report.to_dict()["seed"] == 17
 
 
 def test_cli_verify_detects_difference(tmp_path):

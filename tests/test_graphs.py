@@ -24,6 +24,10 @@ def test_graph_invariants_enforced():
         ConnectivityGraph(4, frozenset({(0, 1), (2, 3)}))  # disconnected
     with pytest.raises(ValueError):
         ConnectivityGraph(2, frozenset({(0, 5)}))
+    with pytest.raises(ValueError, match="at least one node"):
+        ConnectivityGraph(0, frozenset())
+    with pytest.raises(ValueError, match="at least one node"):
+        parse_graph("0 0\n")
 
 
 def test_line_graph_edges():

@@ -1,8 +1,11 @@
-"""Random-instance benchmark suites with built-in verification.
+"""Random-instance benchmark suites: constrained synthesis vs a
+synthesize-then-route baseline.
 
-Every datapoint is re-verified (exact GF(2) equality, exact sum-over-paths
-round-trip, or dense unitary comparison at small wire counts) before it is
-counted; failed trials are excluded from the means and tallied in the CSV
+Both sides of every trial come out of `pipeline.run` (the matrix baseline,
+`baseline_pmh_templates`, is certified by `pipeline.certify`), so each
+datapoint carries the pipeline's certificate: exact GF(2) equality, exact
+sum-over-paths equality, or a dense unitary comparison at small wire
+counts.  Failed trials are excluded from the means and tallied in the CSV
 footer.  All suites are deterministic given (config, seed).
 """
 
@@ -11,19 +14,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from . import pipeline
 from .circuits import Angle, Circuit, Gate, NAMED_ANGLES, cnot, h, rz
-from .cnot_synth import expand_templates, pmh_synthesize, synthesize_constrained
-from .gf2 import BinaryMatrix, random_invertible, simulate_cnot_circuit
-from .graphs import (
-    ConnectivityGraph,
-    builtin_architecture,
-    complete_graph,
-    random_connected_graph,
-)
+from .cnot_synth import expand_templates, pmh_synthesize
+from .gf2 import BinaryMatrix, random_invertible
+from .graphs import ConnectivityGraph, builtin_architecture, random_connected_graph
 from .optimizer import cancel_pass
-from .phase_synth import PhasePolynomial, SumOverPaths, extract_sum_over_paths, synthesize_cnot_rz
-from .universal import route_universal
-from .verify import edge_legal, verify_equivalence
+from .phase_synth import PhasePolynomial, SumOverPaths
 
 DEFAULT_GATE_PROBS = {"cnot": 0.95, "s": 0.01, "t": 0.01, "sdg": 0.01, "tdg": 0.01, "h": 0.01}
 
@@ -92,10 +89,6 @@ def prefix_subgraph(g: ConnectivityGraph, k: int) -> ConnectivityGraph:
     return ConnectivityGraph(k, edges, name=f"{g.name}[0:{k}]")
 
 
-def _sop_equal(a: SumOverPaths, b: SumOverPaths) -> bool:
-    return a.phase == b.phase and a.linear == b.linear
-
-
 def baseline_pmh_templates(
     a: BinaryMatrix, g: ConnectivityGraph, cleanup: bool = True
 ) -> Circuit:
@@ -114,91 +107,79 @@ def baseline_pmh_templates(
     return best
 
 
-def _synth_pair_cnot(
-    a: BinaryMatrix, g: ConnectivityGraph, cleanup: bool
-) -> tuple[int, int, bool]:
-    """(constrained count, baseline count, verified) for one CNOT instance."""
-    ours, _ = synthesize_constrained(a, g)
-    if cleanup:
-        ours = cancel_pass(ours)
-    base = baseline_pmh_templates(a, g, cleanup)
-    ok = (
-        simulate_cnot_circuit(ours) == a
-        and simulate_cnot_circuit(base) == a
-        and edge_legal(ours, g)
-        and edge_legal(base, g)
-    )
-    return ours.cnot_count, base.cnot_count, ok
+def _compare(task, g: ConnectivityGraph, cleanup: bool) -> tuple[int, int, str]:
+    """Constrained and baseline CNOT counts for one task, and the verified
+    cell: "1" when both outputs are certified, "skip" when both passed an
+    edge-legality check only, "0" when either failed."""
+    ours, _, cert = pipeline.run(task, g, cleanup=cleanup)
+    if isinstance(task, BinaryMatrix):
+        base = baseline_pmh_templates(task, g, cleanup)
+        base_cert = pipeline.certify(task, base, g)
+    else:
+        base, _, base_cert = pipeline.run(task, g, "templates", cleanup)
+    if not (cert.ok and base_cert.ok):
+        verified = "0"
+    else:
+        verified = "skip" if "edges" in (cert.mode, base_cert.mode) else "1"
+    return ours.cnot_count, base.cnot_count, verified
 
 
-def _synth_pair_cnot_rz(
-    s: SumOverPaths, g: ConnectivityGraph, cleanup: bool
-) -> tuple[int, int, bool]:
-    ours, _ = synthesize_cnot_rz(s, g)
-    unconstrained, _ = synthesize_cnot_rz(s, complete_graph(g.node_count))
-    base = expand_templates(unconstrained, g)
-    if cleanup:
-        ours, base = cancel_pass(ours), cancel_pass(base)
-    ok = (
-        _sop_equal(extract_sum_over_paths(ours), s)
-        and _sop_equal(extract_sum_over_paths(base), s)
-        and edge_legal(ours, g)
-        and edge_legal(base, g)
-    )
-    return ours.cnot_count, base.cnot_count, ok
+def _suite(header: str, buckets, cleanup: bool, skip_footer: bool = False) -> str:
+    """Run every trial of every bucket and write the CSV.
 
-
-def _finish_csv(
-    header: str,
-    rows: list[str],
-    means: list[tuple[str, list[int], list[int]]],
-    excluded: int,
-) -> str:
-    lines = [header] + rows
-    for label, ours, base in means:
-        if ours:
-            mo = sum(ours) / len(ours)
-            mb = sum(base) / len(base)
+    `buckets` yields (key, trials) with each trial a (trial, seed, task,
+    graph) tuple; the header's first column names the key.  Rows that fail
+    their certificate are excluded from the means and counted in the
+    footer; rows checked for edge legality only enter the means and, with
+    `skip_footer`, are counted in a second footer.
+    """
+    label = header.split(",")[0]
+    rows, footer = [header], []
+    excluded = skipped = 0
+    for key, trials in buckets:
+        ours_counts: list[int] = []
+        base_counts: list[int] = []
+        for trial, seed, task, g in trials:
+            ours, base, verified = _compare(task, g, cleanup)
+            rows.append(f"{key},{trial},{seed},{ours},{base},{verified}")
+            if verified == "0":
+                excluded += 1
+                continue
+            skipped += verified == "skip"
+            ours_counts.append(ours)
+            base_counts.append(base)
+        if ours_counts:
+            mo = sum(ours_counts) / len(ours_counts)
+            mb = sum(base_counts) / len(base_counts)
             adv = (mb - mo) / mb if mb else 0.0
-            lines.append(
-                f"# mean {label} constrained={mo:.2f} baseline={mb:.2f} advantage={adv:.4f}"
+            footer.append(
+                f"# mean {label}={key} constrained={mo:.2f} baseline={mb:.2f} advantage={adv:.4f}"
             )
         else:
-            lines.append(f"# mean {label} (no verified trials)")
-    lines.append(f"# excluded_unverified {excluded}")
-    return "\n".join(lines) + "\n"
+            footer.append(f"# mean {label}={key} (no verified trials)")
+    footer.append(f"# excluded_unverified {excluded}")
+    if skip_footer:
+        footer.append(f"# unverified_skip {skipped}")
+    return "\n".join(rows + footer) + "\n"
 
 
 def bench_sparseness(cfg: BenchConfig, cleanup: bool = True) -> str:
     """Constrained vs synthesize-then-template on random connected graphs of
     varying edge density; CSV with one row per trial plus mean footers."""
-    rows: list[str] = []
-    means = []
-    excluded = 0
-    for bi, sp in enumerate(cfg.sparseness_values):
-        ours_counts: list[int] = []
-        base_counts: list[int] = []
+
+    def trials(bi: int):
         for trial in range(cfg.trials):
             seed = _instance_seed(cfg.seed, bi, trial)
-            g = random_connected_graph(cfg.n, sp, seed)
+            g = random_connected_graph(cfg.n, cfg.sparseness_values[bi], seed)
             if cfg.mode == "cnot":
-                a = random_invertible(cfg.n, seed + 1)
-                ours, base, ok = _synth_pair_cnot(a, g, cleanup)
+                task = random_invertible(cfg.n, seed + 1)
             else:
-                s = random_phase_instance(cfg.n, cfg.support_terms, seed + 1)
-                ours, base, ok = _synth_pair_cnot_rz(s, g, cleanup)
-            rows.append(f"{sp},{trial},{seed},{ours},{base},{int(ok)}")
-            if ok:
-                ours_counts.append(ours)
-                base_counts.append(base)
-            else:
-                excluded += 1
-        means.append((f"sparseness={sp}", ours_counts, base_counts))
-    return _finish_csv(
-        "sparseness,trial,seed,constrained_cnots,baseline_cnots,verified",
-        rows,
-        means,
-        excluded,
+                task = random_phase_instance(cfg.n, cfg.support_terms, seed + 1)
+            yield trial, seed, task, g
+
+    buckets = ((sp, trials(bi)) for bi, sp in enumerate(cfg.sparseness_values))
+    return _suite(
+        "sparseness,trial,seed,constrained_cnots,baseline_cnots,verified", buckets, cleanup
     )
 
 
@@ -213,34 +194,21 @@ def bench_architecture(
 ) -> str:
     """Both methods on prefix subgraphs of a named architecture."""
     full = builtin_architecture(arch)
-    rows: list[str] = []
-    means = []
-    excluded = 0
-    for bi, size in enumerate(sizes):
+
+    def bucket(bi: int, size: int):
         if not 2 <= size <= full.node_count:
             raise ValueError(f"size {size} out of range for {arch}")
         g = prefix_subgraph(full, size)
-        ours_counts: list[int] = []
-        base_counts: list[int] = []
         for trial in range(trials):
             iseed = _instance_seed(seed, bi, trial)
             if mode == "cnot":
-                a = random_invertible(size, iseed)
-                ours, base, ok = _synth_pair_cnot(a, g, cleanup)
+                task = random_invertible(size, iseed)
             else:
-                terms = support_terms if support_terms else size
-                s = random_phase_instance(size, terms, iseed)
-                ours, base, ok = _synth_pair_cnot_rz(s, g, cleanup)
-            rows.append(f"{size},{trial},{iseed},{ours},{base},{int(ok)}")
-            if ok:
-                ours_counts.append(ours)
-                base_counts.append(base)
-            else:
-                excluded += 1
-        means.append((f"size={size}", ours_counts, base_counts))
-    return _finish_csv(
-        "size,trial,seed,constrained_cnots,baseline_cnots,verified", rows, means, excluded
-    )
+                task = random_phase_instance(size, support_terms or size, iseed)
+            yield trial, iseed, task, g
+
+    buckets = ((size, bucket(bi, size)) for bi, size in enumerate(sizes))
+    return _suite("size,trial,seed,constrained_cnots,baseline_cnots,verified", buckets, cleanup)
 
 
 def bench_h_ratio(
@@ -250,50 +218,23 @@ def bench_h_ratio(
     cleanup: bool = True,
 ) -> str:
     """Universal-pipeline routing vs raw template expansion as the share of
-    Hadamard gates grows.  Unitary verification runs when the wire count is
-    within the dense cap; larger instances get only the edge-legality check,
+    Hadamard gates grows.  Unitary verification runs up to the pipeline's
+    dense-check width; larger instances get only the edge-legality check,
     are marked "skip" in the verified column and counted in an
     "# unverified_skip" footer, and still enter the means."""
-    rows: list[str] = []
-    means = []
-    excluded = skipped = 0
-    for bi, p_h in enumerate(h_values):
+
+    def trials(bi: int, p_h: float):
         probs = dict(cfg.gate_probs)
         probs.pop("h", None)
         non_cnot = sum(v for k, v in probs.items() if k != "cnot")
         probs["h"] = p_h
         probs["cnot"] = 1.0 - non_cnot - p_h
-        ours_counts: list[int] = []
-        base_counts: list[int] = []
         for trial in range(cfg.trials):
             seed = _instance_seed(cfg.seed, bi, trial)
             c = random_universal_circuit(graph.node_count, cfg.gate_count, probs, seed)
-            ours, _ = route_universal(c, graph)
-            base = expand_templates(c, graph)
-            if cleanup:
-                ours, base = cancel_pass(ours), cancel_pass(base)
-            if graph.node_count <= 6:
-                ok = (
-                    verify_equivalence(c, ours, "unitary").equivalent
-                    and verify_equivalence(c, base, "unitary").equivalent
-                    and edge_legal(ours, graph)
-                    and edge_legal(base, graph)
-                )
-                verified = int(ok)
-            else:
-                ok = edge_legal(ours, graph) and edge_legal(base, graph)
-                verified = "skip" if ok else "0"
-                skipped += ok
-            rows.append(
-                f"{p_h},{trial},{seed},{ours.cnot_count},{base.cnot_count},{verified}"
-            )
-            if ok:
-                ours_counts.append(ours.cnot_count)
-                base_counts.append(base.cnot_count)
-            else:
-                excluded += 1
-        means.append((f"p_h={p_h}", ours_counts, base_counts))
-    text = _finish_csv(
-        "p_h,trial,seed,routed_cnots,baseline_cnots,verified", rows, means, excluded
+            yield trial, seed, c, graph
+
+    buckets = ((p_h, trials(bi, p_h)) for bi, p_h in enumerate(h_values))
+    return _suite(
+        "p_h,trial,seed,routed_cnots,baseline_cnots,verified", buckets, cleanup, skip_footer=True
     )
-    return text + f"# unverified_skip {skipped}\n"

@@ -1,5 +1,10 @@
 """Command-line interface.
 
+The synthesis commands (synth-cnot, synth-phase, route) parse their inputs
+and hand the task to `pipeline.run`, which synthesizes, cleans up and
+certifies; the bench commands call the suites in `bench`, which use the
+same pipeline.
+
 Exit codes: 0 = success / verified, 1 = verification failure, 2 = bad input.
 """
 
@@ -7,15 +12,13 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from pathlib import Path
 
 import click
 
 from . import bench as bench_mod
 from .circuits import Angle, Circuit, emit_circuit, parse_circuit
-from .cnot_synth import _report, expand_templates, pmh_synthesize, synthesize_constrained
-from .gf2 import parse_matrix, simulate_cnot_circuit
+from .gf2 import check_invertible, parse_matrix
 from .graphs import (
     builtin_architecture,
     emit_graph,
@@ -23,16 +26,9 @@ from .graphs import (
     parse_graph,
     random_connected_graph,
 )
-from .optimizer import cancel_pass
-from .phase_synth import (
-    PhasePolynomial,
-    SumOverPaths,
-    extract_sum_over_paths,
-    parity_from_bits,
-    synthesize_cnot_rz,
-)
-from .universal import route_universal
-from .verify import edge_legal, verify_equivalence
+from .phase_synth import PhasePolynomial, SumOverPaths, extract_sum_over_paths, parity_from_bits
+from .pipeline import DENSE_CHECK_MAX, run
+from .verify import verify_equivalence
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
@@ -52,6 +48,16 @@ def _load_graph(graph_file: str | None, arch: str | None):
         return builtin_architecture(arch)
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))
+
+
+def _finish(task, graph, method: str, cleanup: bool, out: str | None,
+            report_file: str | None) -> None:
+    """Run the pipeline; write the circuit and report, or exit 1 unverified."""
+    circuit, report, certificate = run(task, graph, method, cleanup)
+    if not certificate.ok:
+        click.echo("verification FAILED", err=True)
+        sys.exit(VERIFY_FAIL)
+    _write_outputs(circuit, report, out, report_file)
 
 
 def _write_outputs(circuit: Circuit, report, out: str | None, report_file: str | None) -> None:
@@ -84,24 +90,12 @@ def synth_cnot(matrix_file, graph_file, arch, baseline, out, report_file, no_cle
     g = _load_graph(graph_file, arch)
     try:
         a = parse_matrix(Path(matrix_file).read_text())
+        check_invertible(a)
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))
     if a.dim != g.node_count:
         _fail_input(f"matrix dim {a.dim} != graph nodes {g.node_count}")
-    if baseline:
-        t0 = time.perf_counter()
-        circuit = expand_templates(pmh_synthesize(a, partition=(baseline == "pmh")), g)
-        report = _report(f"baseline_{baseline}", g.name, circuit, t0)
-    else:
-        circuit, report = synthesize_constrained(a, g)
-    if not no_cleanup:
-        circuit = cancel_pass(circuit)
-        report.cnot_count = circuit.cnot_count
-        report.depth = circuit.depth()
-    if simulate_cnot_circuit(circuit) != a or not edge_legal(circuit, g):
-        click.echo("verification FAILED", err=True)
-        sys.exit(VERIFY_FAIL)
-    _write_outputs(circuit, report, out, report_file)
+    _finish(a, g, baseline or "steiner", not no_cleanup, out, report_file)
 
 
 def _load_phase_file(path: str, n: int) -> PhasePolynomial:
@@ -150,30 +144,22 @@ def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
             _fail_input("provide --circuit or both --phase and --matrix")
     except ValueError as exc:
         _fail_input(str(exc))
-    circuit, report = synthesize_cnot_rz(target, g)
-    if not no_cleanup:
-        circuit = cancel_pass(circuit)
-        report.cnot_count = circuit.cnot_count
-        report.rz_count = circuit.count("rz")
-        report.depth = circuit.depth()
-    back = extract_sum_over_paths(circuit)
-    if back.phase != target.phase or back.linear != target.linear or not edge_legal(circuit, g):
-        click.echo("verification FAILED", err=True)
-        sys.exit(VERIFY_FAIL)
-    _write_outputs(circuit, report, out, report_file)
+    _finish(target, g, "steiner", not no_cleanup, out, report_file)
 
 
-@main.command("route")
+@main.command(
+    "route",
+    help="Route a {CNOT, RZ, H} circuit onto a coupling graph.  The output is "
+    f"compared with the input as a dense unitary up to {DENSE_CHECK_MAX} wires; "
+    "above that only edge legality is checked.",
+)
 @click.option("--circuit", "circuit_file", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_file", type=click.Path(exists=True))
 @click.option("--arch", type=str)
 @click.option("--out", type=click.Path())
 @click.option("--report", "report_file", type=click.Path())
-@click.option("--verify-n-max", default=6, show_default=True,
-              help="dense verification cap; larger circuits skip it")
 @click.option("--no-cleanup", is_flag=True)
-def route(circuit_file, graph_file, arch, out, report_file, verify_n_max, no_cleanup):
-    """Route a {CNOT, RZ, H} circuit onto a coupling graph."""
+def route(circuit_file, graph_file, arch, out, report_file, no_cleanup):
     g = _load_graph(graph_file, arch)
     try:
         c = parse_circuit(Path(circuit_file).read_text())
@@ -181,20 +167,7 @@ def route(circuit_file, graph_file, arch, out, report_file, verify_n_max, no_cle
         _fail_input(str(exc))
     if c.num_qubits != g.node_count:
         _fail_input("circuit wire count does not match the graph")
-    routed, report = route_universal(c, g)
-    if not no_cleanup:
-        routed = cancel_pass(routed)
-        report.cnot_count = routed.cnot_count
-        report.rz_count = routed.count("rz")
-        report.h_count = routed.count("h")
-        report.depth = routed.depth()
-    ok = edge_legal(routed, g)
-    if ok and c.num_qubits <= verify_n_max:
-        ok = verify_equivalence(c, routed, "unitary").equivalent
-    if not ok:
-        click.echo("verification FAILED", err=True)
-        sys.exit(VERIFY_FAIL)
-    _write_outputs(routed, report, out, report_file)
+    _finish(c, g, "steiner", not no_cleanup, out, report_file)
 
 
 @main.command("verify")
@@ -233,8 +206,12 @@ def _emit_csv(text: str, csv_path: str | None) -> None:
 @click.option("--csv", "csv_path", type=click.Path())
 @click.option("--no-cleanup", is_flag=True)
 def bench_sparseness_cmd(n, trials, seed, mode, csv_path, no_cleanup):
-    cfg = bench_mod.BenchConfig(n=n, trials=trials, seed=seed, mode=mode)
-    _emit_csv(bench_mod.bench_sparseness(cfg, cleanup=not no_cleanup), csv_path)
+    try:
+        cfg = bench_mod.BenchConfig(n=n, trials=trials, seed=seed, mode=mode)
+        text = bench_mod.bench_sparseness(cfg, cleanup=not no_cleanup)
+    except ValueError as exc:
+        _fail_input(str(exc))
+    _emit_csv(text, csv_path)
 
 
 @bench_group.command("arch")

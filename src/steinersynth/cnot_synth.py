@@ -32,7 +32,6 @@ class SubtreePlan:
 
     root: int
     leaves: frozenset[int]
-    edges: frozenset[tuple[int, int]]
     ops_R: tuple[RowOp, ...]
     ops_Rprime: tuple[RowOp, ...]
     ops_Rstar: tuple[RowOp, ...]
@@ -57,18 +56,6 @@ class EliminationPlan:
         for sub in self.subtrees:
             out += sub.ops()
         return out
-
-    @property
-    def ops_R(self) -> tuple[RowOp, ...]:
-        return tuple(op for sub in self.subtrees for op in sub.ops_R)
-
-    @property
-    def ops_Rprime(self) -> tuple[RowOp, ...]:
-        return tuple(op for sub in self.subtrees for op in sub.ops_Rprime)
-
-    @property
-    def ops_Rstar(self) -> tuple[RowOp, ...]:
-        return tuple(op for sub in self.subtrees for op in sub.ops_Rstar)
 
     def net_effects(self) -> list[tuple[int, frozenset[int]]]:
         """(control row, target rows) pairs in execution order."""
@@ -140,8 +127,7 @@ def _path_plan(path: list[int]) -> SubtreePlan:
         adj[a].append(b)
         adj[b].append(a)
     r, rp, rs = _subtree_ops(adj, root, {root, leaf})
-    edges = frozenset((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
-    return SubtreePlan(root, frozenset({leaf}), edges, tuple(r), tuple(rp), tuple(rs))
+    return SubtreePlan(root, frozenset({leaf}), tuple(r), tuple(rp), tuple(rs))
 
 
 def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
@@ -179,12 +165,7 @@ def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
                 else:
                     queue.append(v)
         r, rp, rs = _subtree_ops(sub_adj, cut_root, leaves | {cut_root})
-        edges = frozenset(
-            (min(u, v), max(u, v)) for u, vs in sub_adj.items() for v in vs if u < v
-        )
-        plans.append(
-            SubtreePlan(cut_root, frozenset(leaves), edges, tuple(r), tuple(rp), tuple(rs))
-        )
+        plans.append(SubtreePlan(cut_root, frozenset(leaves), tuple(r), tuple(rp), tuple(rs)))
     return EliminationPlan(tuple(reversed(plans)))
 
 

@@ -107,13 +107,6 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
     return sorted(s.phase.support(), key=lambda m: parity_to_bits(m, n))
 
 
-def parity_matrix_lists(s: SumOverPaths) -> list[list[int]]:
-    """The same matrix as nested lists (rows = qubits, columns = parities)."""
-    cols = build_parity_matrix(s)
-    n = s.num_qubits
-    return [[(col >> q) & 1 for col in cols] for q in range(n)]
-
-
 class _NetworkState:
     """Mutable synthesis state shared across the recursion."""
 

@@ -34,11 +34,6 @@ def _apply_cnot(u: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
     return out
 
 
-def gate_unitary(g: Gate, n: int) -> np.ndarray:
-    u = np.eye(2**n, dtype=complex)
-    return apply_gate(u, g, n)
-
-
 def apply_gate(u: np.ndarray, g: Gate, n: int) -> np.ndarray:
     if g.kind == "cnot":
         return _apply_cnot(u, g.control, g.target, n)
@@ -80,12 +75,8 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(b - lam * a)))
 
 
-def unitaries_equivalent(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    return phase_aligned_deviation(a, b) < tol
-
-
 def circuits_equivalent(a: Circuit, b: Circuit, tol: float = 1e-9) -> bool:
     """Unitary equivalence up to global phase for small circuits."""
     if a.num_qubits != b.num_qubits:
         return False
-    return unitaries_equivalent(circuit_unitary(a), circuit_unitary(b), tol)
+    return phase_aligned_deviation(circuit_unitary(a), circuit_unitary(b)) < tol

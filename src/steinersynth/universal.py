@@ -180,9 +180,15 @@ def route_universal(
     numbering is the identity map throughout: each segment implements its
     full linear transformation on the original wires.
     """
+    t0 = time.perf_counter()
+    circuit = _route_universal(c, g)
+    return circuit, _report("route", g.name, circuit, t0)
+
+
+def _route_universal(c: Circuit, g: ConnectivityGraph) -> Circuit:
+    """The circuit of `route_universal`, without building a report."""
     if c.num_qubits != g.node_count:
         raise ValueError(f"circuit has {c.num_qubits} wires, graph {g.node_count} nodes")
-    t0 = time.perf_counter()
     reduced = merge_delete_h(c)
     gates: list[Gate] = []
     for seg in partition_segments(reduced):
@@ -191,5 +197,4 @@ def route_universal(
             continue
         sop = extract_sum_over_paths(Circuit(c.num_qubits, seg.gates))
         gates.extend(_synthesize_cnot_rz(sop, g).gates)
-    circuit = Circuit(c.num_qubits, tuple(gates))
-    return circuit, _report("route", g.name, circuit, t0)
+    return Circuit(c.num_qubits, tuple(gates))

@@ -193,3 +193,51 @@ def test_cli_bench_subcommands(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert csv.read_text().startswith("size,trial")
+
+
+def test_cli_route_above_the_dense_check_width(tmp_path):
+    # Nine wires is above the dense unitary check: only edges are checked,
+    # and the command still succeeds and writes its report.
+    circ = tmp_path / "c.txt"
+    circ.write_text(emit_circuit(random_universal_circuit(
+        9, 60, {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}, 4
+    )))
+    report = tmp_path / "r.json"
+    res = CliRunner().invoke(
+        main, ["route", "--circuit", str(circ), "--arch", "line(9)", "--report", str(report)]
+    )
+    assert res.exit_code == 0, res.output
+    assert json.loads(report.read_text())["method"] == "route"
+
+
+def test_cli_route_has_no_verify_width_option(tmp_path):
+    # The dense-check width is a constant: the old option is a usage error,
+    # not a traceback.
+    circ = tmp_path / "c.txt"
+    circ.write_text(emit_circuit(Circuit(9, (cnot(0, 1),))))
+    res = CliRunner().invoke(
+        main, ["route", "--circuit", str(circ), "--arch", "line(9)", "--verify-n-max", "9"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "No such option" in res.output
+
+
+def test_cli_bench_sparseness_rejects_bad_sizes():
+    for args in (["--trials", "0"], ["--n", "1", "--trials", "1"]):
+        res = CliRunner().invoke(main, ["bench", "sparseness", *args])
+        assert res.exit_code == 2, args
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ")
+
+
+def test_cli_rejects_a_singular_matrix(tmp_path):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("3\n110\n110\n001\n")
+    for extra in ([], ["--baseline", "pmh"]):
+        res = CliRunner().invoke(
+            main, ["synth-cnot", "--matrix", str(matrix), "--arch", "line(3)", *extra]
+        )
+        assert res.exit_code == 2
+        assert isinstance(res.exception, SystemExit)
+        assert "singular" in res.output

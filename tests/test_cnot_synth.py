@@ -47,7 +47,7 @@ def test_plan_pre_single_edge(demo6_graph):
     tree = SteinerTree(demo6_graph, frozenset({0, 1}), 0, frozenset({(0, 1)}))
     plan = plan_pre_transpose(tree)
     assert plan.ops() == (RowOp(0, 1),)
-    assert plan.ops_Rprime == () and plan.ops_Rstar == ()
+    assert all(sub.ops_Rprime == () and sub.ops_Rstar == () for sub in plan.subtrees)
 
 
 def test_plan_pre_path_is_clean_ladder(demo6_graph):

@@ -16,7 +16,7 @@ from steinersynth import (
 from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.graphs import complete_graph, line_graph
-from steinersynth.phase_synth import parity_from_bits, parity_matrix_lists, parity_to_bits
+from steinersynth.phase_synth import parity_from_bits, parity_to_bits
 from steinersynth.verify import edge_legal
 
 
@@ -88,11 +88,6 @@ def test_parity_matrix_columns():
     # lexicographic in bitstring form, qubit 0 first
     bitstrings = [parity_to_bits(m, 4) for m in cols]
     assert bitstrings == sorted(bitstrings)
-    rows = parity_matrix_lists(sop)
-    assert len(rows) == 4 and all(len(r) == len(cols) for r in rows)
-    for q in range(4):
-        for k, col in enumerate(cols):
-            assert rows[q][k] == (col >> q) & 1
 
 
 def test_parity_bits_roundtrip():

@@ -1,0 +1,121 @@
+import pytest
+from click.testing import CliRunner
+
+from steinersynth import emit_circuit, emit_matrix, pipeline, random_invertible
+from steinersynth.bench import BenchConfig, bench_sparseness, random_universal_circuit
+from steinersynth.circuits import Angle, Circuit, cnot, h, rz
+from steinersynth.cli import main
+from steinersynth.graphs import builtin_architecture, line_graph
+from steinersynth.phase_synth import extract_sum_over_paths
+from steinersynth.pipeline import DENSE_CHECK_MAX, certify, run
+
+PROBS = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
+
+
+def phase_task(n: int, seed: int):
+    source = random_universal_circuit(n, 40, {**PROBS, "cnot": 0.8, "h": 0.0}, seed)
+    return extract_sum_over_paths(source)
+
+
+def drop_last(c: Circuit) -> Circuit:
+    return Circuit(c.num_qubits, c.gates[:-1])
+
+
+@pytest.mark.parametrize("n", [5, DENSE_CHECK_MAX + 2])
+def test_run_certifies_each_task_kind(n):
+    g = line_graph(n)
+    routed_mode = "unitary" if n <= DENSE_CHECK_MAX else "edges"
+    tasks = {
+        "gf2": random_invertible(n, 3),
+        "sum-over-paths": phase_task(n, 4),
+        routed_mode: random_universal_circuit(n, 40, PROBS, 5),
+    }
+    for mode, task in tasks.items():
+        for method in ("steiner", "templates"):
+            circuit, report, cert = run(task, g, method)
+            assert cert == (mode, True)
+            assert report.cnot_count == circuit.cnot_count
+            assert report.depth == circuit.depth()
+            assert report.method.startswith("baseline_") == (method == "templates")
+
+
+def test_run_rejects_unknown_methods():
+    g = line_graph(4)
+    with pytest.raises(ValueError, match="unknown method"):
+        run(random_invertible(4, 1), g, "swap")
+    with pytest.raises(ValueError, match="matrix task"):
+        run(phase_task(4, 1), g, "pmh")
+    with pytest.raises(TypeError):
+        run("not a task", g)
+
+
+def test_certify_rejects_a_dropped_cnot():
+    g = builtin_architecture("tokyo20")
+    a = random_invertible(20, 8)
+    circuit, _, cert = run(a, g)
+    assert cert == ("gf2", True)
+    assert certify(a, drop_last(circuit), g) == ("gf2", False)
+
+
+def test_certify_rejects_a_changed_angle():
+    g = line_graph(5)
+    s = phase_task(5, 9)
+    circuit, _, _ = run(s, g)
+    k = next(i for i, gate in enumerate(circuit.gates) if gate.kind == "rz")
+    gates = list(circuit.gates)
+    gates[k] = rz(gates[k].angle + Angle(1, 8), gates[k].target)
+    assert certify(s, Circuit(5, tuple(gates)), g) == ("sum-over-paths", False)
+
+
+def test_certify_rejects_a_non_edge_cnot_and_a_wrong_unitary():
+    g = line_graph(5)
+    c = random_universal_circuit(5, 40, PROBS, 10)
+    routed, _, _ = run(c, g)
+    # cnot(0, 2) cancels itself, so only the edge check can catch it.
+    detour = routed.extended((cnot(0, 2), cnot(0, 2)))
+    assert certify(c, detour, g) == ("unitary", False)
+    assert certify(c, routed.extended((h(3),)), g) == ("unitary", False)
+    # Above the dense-check width only the edges are checked.
+    wide = random_universal_circuit(DENSE_CHECK_MAX + 1, 40, PROBS, 11)
+    g_wide = line_graph(DENSE_CHECK_MAX + 1)
+    routed_wide, _, _ = run(wide, g_wide)
+    assert certify(wide, routed_wide.extended((h(3),)), g_wide) == ("edges", True)
+    assert certify(wide, routed_wide.extended((cnot(0, 2),)), g_wide) == ("edges", False)
+
+
+@pytest.fixture
+def faulty_cleanup(monkeypatch):
+    """Make the pipeline's cleanup drop the last gate of every circuit."""
+    monkeypatch.setattr(pipeline, "cancel_pass", drop_last)
+
+
+def test_cli_exits_1_when_verification_fails(tmp_path, faulty_cleanup):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(emit_matrix(random_invertible(5, 2)))
+    phase = tmp_path / "p.txt"
+    phase.write_text("11000 1/8\n01100 3/4\n")
+    circuit = tmp_path / "c.txt"
+    circuit.write_text(emit_circuit(random_universal_circuit(5, 30, PROBS, 3)))
+    out = tmp_path / "out.txt"
+    for args in (
+        ["synth-cnot", "--matrix", str(matrix)],
+        ["synth-phase", "--phase", str(phase), "--matrix", str(matrix)],
+        ["route", "--circuit", str(circuit)],
+    ):
+        res = CliRunner().invoke(main, [*args, "--arch", "line(5)", "--out", str(out)])
+        assert res.exit_code == 1, args
+        assert isinstance(res.exception, SystemExit)
+        assert "verification FAILED" in res.output
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["cnot", "cnot_rz"])
+def test_bench_row_reads_0_when_verification_fails(faulty_cleanup, mode):
+    cfg = BenchConfig(n=5, trials=2, seed=3, sparseness_values=(0.5,), mode=mode,
+                      support_terms=5)
+    lines = bench_sparseness(cfg).splitlines()
+    rows = [ln for ln in lines[1:] if not ln.startswith("#")]
+    assert len(rows) == 2
+    assert all(r.endswith(",0") for r in rows)
+    assert "# excluded_unverified 2" in lines
+    assert "# mean sparseness=0.5 (no verified trials)" in lines

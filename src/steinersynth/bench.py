@@ -39,6 +39,8 @@ class BenchConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.gate_count < 0:
+            raise ValueError("gate count must be >= 0")
         total = sum(self.gate_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"gate probabilities sum to {total}, not 1")

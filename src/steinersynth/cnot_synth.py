@@ -502,24 +502,36 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
     return Circuit(n, tuple(gates))
 
 
-def _ladder_gates(path: list[int]) -> list[Gate]:
-    """Gate expansion of one long-range CNOT along a path: 4*(l-1) CNOTs."""
-    plan = _path_plan(path)
-    return [cnot(op.control, op.target) for op in plan.ops()]
+def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
+    """The gates `expand_templates` emits for a CNOT on pair, memoized on g."""
+    gates = g._templates.get(pair)
+    if gates is None:
+        if pair in g._arcs:
+            gates = (cnot(*pair),)
+        else:
+            ops = _path_plan(shortest_path(g, *pair)).ops()
+            gates = tuple(_template(g, (op.control, op.target))[0] for op in ops)
+        g._templates[pair] = gates
+    return gates
 
 
 def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
     """Replace each non-adjacent CNOT with the nearest-neighbor relay ladder.
 
-    A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs; other
-    gates pass through unchanged.
+    A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs along
+    the lowest-index shortest path; other gates pass through unchanged.
+    Expansions come from the graph's template memo, keyed by the ordered
+    (control, target) pair and kept for the graph's lifetime: an edge maps
+    to its one CNOT, any other pair to its ladder, built on first use from
+    one shared gate per directed edge.
     """
+    memo = g._templates
     gates: list[Gate] = []
     for gate in c.gates:
-        if gate.kind != "cnot" or g.has_edge(gate.control, gate.target):
+        if gate.kind != "cnot":
             gates.append(gate)
             continue
-        gates.extend(_ladder_gates(shortest_path(g, gate.control, gate.target)))
+        gates.extend(memo.get(gate.qubits) or _template(g, gate.qubits))
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -25,12 +25,23 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
-    """Undirected, connected, unit-weight coupling graph."""
+    """Undirected, connected, unit-weight coupling graph.
+
+    Besides the adjacency lists, construction derives the edges sorted
+    once (`_sorted_edges`) and both orientations of every edge (`_arcs`).
+    `_templates` starts empty; `cnot_synth.expand_templates` fills it with
+    the gate tuple it emits for each ordered (control, target) pair, so a
+    graph's ladders are built once and live exactly as long as the graph.
+    None of these fields takes part in equality, hashing or repr.
+    """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     name: str = "graph"
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _sorted_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    _arcs: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _templates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -50,6 +61,9 @@ class ConnectivityGraph:
             seen = self._bfs_reach(0)
             if len(seen) != self.node_count:
                 raise ValueError("graph is not connected")
+        object.__setattr__(self, "_sorted_edges", tuple(sorted(edges)))
+        object.__setattr__(self, "_arcs", edges | {(v, u) for u, v in edges})
+        object.__setattr__(self, "_templates", {})
 
     def _bfs_reach(self, start: int) -> set[int]:
         seen = {start}
@@ -66,13 +80,13 @@ class ConnectivityGraph:
         return self._adj[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        return (u, v) in self._arcs
 
     def edge_count(self) -> int:
         return len(self.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self._sorted_edges)
 
 
 @dataclass(frozen=True)
@@ -239,7 +253,7 @@ def steiner_approx(
 
         # Shortest collision between two distinct waves.
         best = None
-        for u, v in g.sorted_edges():
+        for u, v in g._sorted_edges:
             if comp[u] != comp[v]:
                 length = dist[u] + dist[v] + 1
                 key = (length, u, v)

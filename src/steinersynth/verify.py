@@ -51,8 +51,5 @@ def verify_equivalence(a: Circuit, b: Circuit, mode: str = "auto") -> Equivalenc
 
 def edge_legal(c: Circuit, g: ConnectivityGraph) -> bool:
     """True when every CNOT of the circuit lies on an edge of the graph."""
-    return all(
-        g.has_edge(gate.control, gate.target)
-        for gate in c.gates
-        if gate.kind == "cnot"
-    )
+    arcs = g._arcs
+    return all(gate.qubits in arcs for gate in c.gates if gate.kind == "cnot")

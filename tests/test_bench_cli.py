@@ -231,6 +231,13 @@ def test_cli_bench_sparseness_rejects_bad_sizes():
         assert res.output.startswith("error: ")
 
 
+def test_cli_bench_h_ratio_rejects_a_negative_gate_count():
+    res = CliRunner().invoke(main, ["bench", "h-ratio", "--n", "5", "--trials", "1", "--gates", "-5"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and "gate count" in res.output
+
+
 def test_cli_rejects_a_singular_matrix(tmp_path):
     matrix = tmp_path / "m.txt"
     matrix.write_text("3\n110\n110\n001\n")

@@ -1,0 +1,79 @@
+"""Template expansion of long-range CNOTs and its per-graph memo."""
+
+import hashlib
+import math
+
+import pytest
+
+from steinersynth import emit_circuit, random_invertible
+from steinersynth.circuits import Circuit, cnot
+from steinersynth.cnot_synth import expand_templates, pmh_synthesize
+from steinersynth.gf2 import simulate_cnot_circuit
+from steinersynth.graphs import builtin_architecture, random_connected_graph, shortest_path
+from steinersynth.verify import edge_legal
+
+
+def _graph(name):
+    if name == "rand20-0.1":
+        return random_connected_graph(20, 0.1, 5)
+    return builtin_architecture(name)
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("tokyo20", 1, "b6b2c0da7c258736f064b6e719e7f0aa80caecf434f5663b64bde74315358721"),
+    ("tokyo20", 2, "b4b39f6ffdbeaed7867ea85868a44e6693b4b77ae62cdc25ce59b36d56547f36"),
+    ("tokyo20", 3, "dfa15695478095f83953e8f4a974f4a83b0ab2f5db7d9398602d948e1d3335fb"),
+    ("bristlecone72", 1, "17322044fb3bc0d5669b931a9ac338a00a71f8be8a7148771b181004a3a99096"),
+    ("rand20-0.1", 1, "7a6da0491a0928bc35d0660652368de76b970b7b5fc5171e56fb85fea791b9c4"),
+])
+def test_golden_expansion_digests(name, seed, digest):
+    # Recorded by building every ladder afresh; one graph serves every
+    # section width, as in the pmh+templates baseline.
+    g = _graph(name)
+    a = random_invertible(g.node_count, seed)
+    h = hashlib.sha256()
+    for w in range(2, max(3, int(math.log2(g.node_count)) + 1)):
+        h.update(emit_circuit(expand_templates(pmh_synthesize(a, section=w), g)).encode())
+    assert h.hexdigest() == digest
+
+
+def test_every_ordered_pair_expands_to_its_ladder():
+    g = builtin_architecture("tokyo20")
+    n = g.node_count
+    for c in range(n):
+        for t in range(n):
+            if c == t:
+                continue
+            single = Circuit(n, (cnot(c, t),))
+            out = expand_templates(single, g)
+            l = len(shortest_path(g, c, t)) - 1
+            assert len(out) == (1 if l == 1 else 4 * (l - 1)), (c, t)
+            assert edge_legal(out, g), (c, t)
+            assert simulate_cnot_circuit(out) == simulate_cnot_circuit(single), (c, t)
+
+
+def test_expansion_repeats_on_the_same_and_an_equal_graph():
+    g = builtin_architecture("tokyo20")
+    c = pmh_synthesize(random_invertible(20, 4))
+    first = expand_templates(c, g)
+    assert expand_templates(c, g) == first
+    fresh = builtin_architecture("tokyo20")
+    assert fresh == g
+    assert expand_templates(c, fresh) == first
+
+
+def test_memo_leaves_graph_identity_alone():
+    g = builtin_architecture("tokyo20")
+    before = (hash(g), repr(g))
+    expand_templates(pmh_synthesize(random_invertible(20, 1)), g)
+    assert g._templates
+    assert (hash(g), repr(g)) == before
+    assert g == builtin_architecture("tokyo20")
+    assert hash(g) == hash(builtin_architecture("tokyo20"))
+
+
+def test_edge_legal_takes_either_orientation_and_rejects_non_edges():
+    g = builtin_architecture("line(4)")
+    assert edge_legal(Circuit(4, (cnot(0, 1), cnot(1, 0), cnot(3, 2))), g)
+    assert not edge_legal(Circuit(4, (cnot(0, 1), cnot(0, 2))), g)
+    assert not edge_legal(Circuit(4, (cnot(3, 0),)), g)

@@ -76,6 +76,8 @@ class Gate:
     """A gate over {CNOT, RZ, H}: kind is "cnot", "rz" or "h".
 
     For CNOT, qubits = (control, target); otherwise a single target wire.
+    Any other sequence given for `qubits` is stored as a tuple, so every
+    gate hashes.
     """
 
     kind: str
@@ -83,6 +85,8 @@ class Gate:
     angle: Angle | None = None
 
     def __post_init__(self):
+        if not isinstance(self.qubits, tuple):
+            object.__setattr__(self, "qubits", tuple(self.qubits))
         if self.kind == "cnot":
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError(f"bad cnot wires {self.qubits}")
@@ -144,13 +148,15 @@ class Circuit:
     def depth(self) -> int:
         """Number of layers when gates are greedily packed left."""
         frontier = [0] * self.num_qubits
-        depth = 0
         for g in self.gates:
-            layer = 1 + max(frontier[q] for q in g.qubits)
-            for q in g.qubits:
-                frontier[q] = layer
-            depth = max(depth, layer)
-        return depth
+            if len(g.qubits) == 2:
+                a, b = g.qubits
+                fa, fb = frontier[a], frontier[b]
+                frontier[a] = frontier[b] = (fa if fa > fb else fb) + 1
+            else:
+                (a,) = g.qubits
+                frontier[a] += 1
+        return max(frontier, default=0)
 
     def extended(self, gates) -> "Circuit":
         return Circuit(self.num_qubits, self.gates + tuple(gates))

@@ -120,14 +120,16 @@ def _pruned_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
 
 
 def _path_plan(path: list[int]) -> SubtreePlan:
-    """Plan adding the row of path[0] into the row of path[-1] only."""
-    root, leaf = path[0], path[-1]
-    adj: dict[int, list[int]] = {n: [] for n in path}
-    for a, b in zip(path, path[1:]):
-        adj[a].append(b)
-        adj[b].append(a)
-    r, rp, rs = _subtree_ops(adj, root, {root, leaf})
-    return SubtreePlan(root, frozenset({leaf}), tuple(r), tuple(rp), tuple(rs))
+    """Plan adding the row of path[0] into the row of path[-1] only.
+
+    The R / R' / R* sequence of the path rooted at path[0], written out:
+    R runs the edges from the far end back, R' runs them forward without
+    the root's edge, and R* repeats the ops that target relay nodes.
+    """
+    steps = list(zip(path, path[1:]))
+    r = tuple(RowOp(a, b) for a, b in reversed(steps))
+    rp = tuple(RowOp(a, b) for a, b in steps[1:])
+    return SubtreePlan(path[0], frozenset({path[-1]}), r, rp, r[1:] + rp[:-1])
 
 
 def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
@@ -178,43 +180,39 @@ def plan_post_transpose(t: SteinerTree) -> EliminationPlan:
     clean ladder from its nearest lower-indexed terminal (ties to the
     smallest), walking the tree path between them.  Ladders execute from
     the highest terminal down, so every control row is read unmodified.
+
+    The path between two nodes of a tree is unique, so one breadth-first
+    search from each terminal, stopped at the first layer that holds a
+    lower terminal, gives both its anchor and the path.  Branches without
+    terminals never lie on such a path, so the search runs on the whole
+    tree rather than the pruned one.
     """
     if t.root != min(t.terminals):
         raise ValueError("post-transpose plans require the smallest terminal as root")
-    adj = _pruned_adjacency(t)
-    if len(adj) == 1:
-        return EliminationPlan(())
-
-    # Tree distances/paths from every terminal, lowest-index tie-breaks.
-    def tree_paths_from(s: int) -> dict[int, list[int]]:
-        parent = {s: s}
-        queue = [s]
-        while queue:
-            next_queue = []
-            for u in queue:
+    adj = t.adjacency()
+    terminals = t.terminals
+    plans: list[SubtreePlan] = []
+    for w in sorted(terminals, reverse=True):
+        if w == t.root:
+            continue
+        # Breadth-first from w, one layer at a time, up to the first layer
+        # holding a lower terminal: its smallest one is the anchor.
+        parent = {w: w}
+        layer = [w]
+        lower: list[int] = []
+        while not lower:
+            next_layer = []
+            for u in layer:
                 for v in adj[u]:
                     if v not in parent:
                         parent[v] = u
-                        next_queue.append(v)
-            queue = next_queue
-        paths = {}
-        for n in parent:
-            path = [n]
-            while path[-1] != s:
-                path.append(parent[path[-1]])
-            paths[n] = path[::-1]
-        return paths
-
-    paths = {s: tree_paths_from(s) for s in t.terminals}
-    plans: list[SubtreePlan] = []
-    for w in sorted(t.terminals, reverse=True):
-        if w == t.root:
-            continue
-        anchor = min(
-            (s for s in t.terminals if s < w),
-            key=lambda s: (len(paths[s][w]), s),
-        )
-        plans.append(_path_plan(paths[anchor][w]))
+                        next_layer.append(v)
+            layer = next_layer
+            lower = [s for s in layer if s < w and s in terminals]
+        path = [min(lower)]
+        while path[-1] != w:
+            path.append(parent[path[-1]])
+        plans.append(_path_plan(path))
     return EliminationPlan(tuple(plans))
 
 
@@ -287,45 +285,36 @@ def _preorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
     return out
 
 
-def _fill_clear_column(rows: list[int], col: int, tree: SteinerTree) -> list[RowOp] | None:
+def _fill_clear_column(rows: list[int], col: int, children: dict[int, list[int]]) -> list[RowOp]:
     """Cheap column clearing that does not restore Steiner rows.
 
-    Mutates `rows` in place and returns the ops applied.  First pass walks
-    the tree parent-first and seeds a one into every tree row still holding
-    a zero in the column; second pass walks child-first, adding each parent
-    row into its child, which zeroes every non-root row.  Steiner rows end
-    up modified in later columns, which is harmless exactly when no tree
-    node precedes the pivot (their already-cleared prefixes stay zero).
-    Returns None when that safety condition fails; the caller falls back to
-    the restoring plan.
+    `children` is the pruned tree rooted at the pivot row `col`.  Mutates
+    `rows` in place and returns the ops applied.  First pass walks the tree
+    parent-first and seeds a one into every tree row still holding a zero
+    in the column; second pass walks child-first, adding each parent row
+    into its child, which zeroes every non-root row.  Steiner rows end up
+    modified in later columns, which is harmless exactly when no tree node
+    precedes the pivot (their already-cleared prefixes stay zero); callers
+    use the restoring plan otherwise.
 
     For the transposed pass the caller additionally requires every parent
     index to be smaller than its child, which keeps each individual row
     addition triangularity-safe.
     """
-    adj = _pruned_adjacency(tree)
-    if len(adj) == 1:
-        return []
-    if min(adj) < tree.root:
-        return None
-    children = _rooted(adj, tree.root)
+    edges = _preorder_edges(children, col)
     ops: list[RowOp] = []
-    for op in _preorder_edges(children, tree.root):
+    for op in edges:
         if not (rows[op.target] >> col) & 1:
             rows[op.target] ^= rows[op.control]
             ops.append(op)
-    for op in reversed(_preorder_edges(children, tree.root)):
+    for op in reversed(edges):
         rows[op.target] ^= rows[op.control]
         ops.append(op)
     return ops
 
 
-def _monotone(tree: SteinerTree) -> bool:
-    """True when every child exceeds its parent in the tree rooted at root."""
-    adj = _pruned_adjacency(tree)
-    if len(adj) == 1:
-        return True
-    children = _rooted(adj, tree.root)
+def _monotone(children: dict[int, list[int]]) -> bool:
+    """True when every child exceeds its parent in the rooted tree."""
     return all(u < v for u, vs in children.items() for v in vs)
 
 
@@ -372,10 +361,11 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            ops = _fill_clear_column(rows, i, tree)
-            if ops is None:
-                plan = plan_pre_transpose(tree)
-                ops = list(plan.ops())
+            adj = _pruned_adjacency(tree)
+            if min(adj) == i:
+                ops = _fill_clear_column(rows, i, _rooted(adj, i))
+            else:
+                ops = list(plan_pre_transpose(tree).ops())
                 apply_ops(ops)
             ops_a.extend(ops)
             n_trees += 1
@@ -392,10 +382,11 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            ops = _fill_clear_column(rows, i, tree) if _monotone(tree) else None
-            if ops is None:
-                plan = plan_post_transpose(tree)
-                ops = list(plan.ops())
+            children = _rooted(_pruned_adjacency(tree), i)
+            if _monotone(children):
+                ops = _fill_clear_column(rows, i, children)
+            else:
+                ops = list(plan_post_transpose(tree).ops())
                 apply_ops(ops)
             ops_b.extend(ops)
             trees_per_column[i] += 1

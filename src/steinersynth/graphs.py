@@ -3,7 +3,11 @@
 The approximate Steiner tree grows breadth-first search waves outward from
 every terminal at once; when two waves meet, the meeting path is merged into
 a single super-terminal (union-find, smallest index as representative) and
-the search restarts.  An exact Dreyfus-Wagner solver is provided as a test
+the search restarts.  Two shortcuts give exactly the same trees for less
+work: waves that touch at once (two adjacent tree nodes) are joined by
+Kruskal merges over the sorted edges without any search, and each search
+stops after the first layer in which two waves meet, since every later
+meeting is longer.  An exact Dreyfus-Wagner solver is provided as a test
 oracle for small instances.
 
 All tie-breaking (BFS frontier order, collision choice, equal-length paths)
@@ -215,6 +219,22 @@ def steiner_approx(
     super-terminal, picks the shortest connecting path between two distinct
     super-terminals (ties by lowest endpoints) and consolidates the path's
     nodes into one super-terminal.  d-1 rounds give O(d*(V+E)) total work.
+
+    Two shortcuts return exactly the tree of running every round in full:
+
+    - A round whose best collision has length 1 joins two adjacent tree
+      nodes of different super-terminals by their edge, the smallest such
+      edge in sorted order, and adds no node.  So those rounds are Kruskal
+      merges: one walk over the sorted edges before any search, and after
+      each longer round a walk over the sorted edges incident to the new
+      path nodes, since no other edge can have become such a pair.
+    - The search runs one layer at a time and stops after the first layer
+      k in which two waves meet.  A node of layer k labels each unlabelled
+      neighbour into its own wave, so by then every collision with an end
+      in layers 0..k has been met, each of length <= 2k+2, while any other
+      has both ends in layers >= k+1 and length >= 2k+3.  So the best key
+      met is the global minimum, every tie has been met, and the labels,
+      distances and parents it reads are those of the full search.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -227,39 +247,53 @@ def steiner_approx(
     if root not in term_set:
         raise ValueError("root must be a terminal")
 
+    adj = g._adj
     uf = _UnionFind(g.node_count)
     in_tree = set(term_set)
     tree_edges: set[tuple[int, int]] = set()
     components = len(term_set)
 
+    def merge_adjacent(edges) -> None:
+        # Length-1 rounds, in the order the full rounds would take them.
+        nonlocal components
+        for u, v in edges:
+            if u in in_tree and v in in_tree and uf.find(u) != uf.find(v):
+                uf.union(u, v)
+                tree_edges.add((u, v))
+                components -= 1
+
+    merge_adjacent(g._sorted_edges)
     while components > 1:
-        # One BFS wave from every super-terminal simultaneously.
+        # One BFS wave from every super-terminal simultaneously, layer by
+        # layer, until the shortest collision between two distinct waves is
+        # known.
         comp = [-1] * g.node_count
         dist = [0] * g.node_count
         parent = [-1] * g.node_count
         queue = sorted(in_tree)
         for s in queue:
             comp[s] = uf.find(s)
-        while queue:
+        best = None
+        depth = 0
+        while best is None:
+            assert queue, "connected graph must yield a collision"
             next_queue = []
             for u in queue:
-                for v in g.neighbors(u):
-                    if comp[v] < 0:
-                        comp[v] = comp[u]
-                        dist[v] = dist[u] + 1
+                cu = comp[u]
+                for v in adj[u]:
+                    cv = comp[v]
+                    if cv < 0:
+                        comp[v] = cu
+                        dist[v] = depth + 1
                         parent[v] = u
                         next_queue.append(v)
+                    elif cv != cu:
+                        length = depth + dist[v] + 1
+                        key = (length, u, v) if u < v else (length, v, u)
+                        if best is None or key < best:
+                            best = key
             queue = next_queue
-
-        # Shortest collision between two distinct waves.
-        best = None
-        for u, v in g._sorted_edges:
-            if comp[u] != comp[v]:
-                length = dist[u] + dist[v] + 1
-                key = (length, u, v)
-                if best is None or key < best:
-                    best = key
-        assert best is not None, "connected graph must yield a collision"
+            depth += 1
         _, u, v = best
 
         path_nodes = []
@@ -276,8 +310,12 @@ def steiner_approx(
 
         for node in path_nodes[1:]:
             uf.union(path_nodes[0], node)
-        in_tree.update(path_nodes)
+        new_nodes = [node for node in path_nodes if dist[node] > 0]
+        in_tree.update(new_nodes)
         components -= 1
+        merge_adjacent(sorted({
+            _norm_edge(a, b) for a in new_nodes for b in adj[a] if b in in_tree
+        }))
 
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()

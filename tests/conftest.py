@@ -6,7 +6,8 @@ import itertools
 
 import pytest
 
-from steinersynth import BinaryMatrix, ConnectivityGraph
+from steinersynth import BinaryMatrix, ConnectivityGraph, builtin_architecture, random_connected_graph
+from steinersynth.graphs import grid_graph
 
 
 @pytest.fixture
@@ -73,3 +74,25 @@ def brute_force_steiner_weight(g: ConnectivityGraph, terminals: set[int]) -> int
             if connected(terminals | set(extra)):
                 return len(terminals) + k - 1
     raise AssertionError("graph is disconnected")
+
+
+def oracle_graphs():
+    """The device graphs, grid(5,4), line(20), grid(8,9) and random graphs
+    at sparseness 0.1, 0.3 and 1.0."""
+    names = ("tokyo20", "bristlecone72", "acorn19", "grid(5,4)", "line(20)")
+    graphs = [builtin_architecture(name) for name in names] + [grid_graph(8, 9)]
+    graphs += [
+        random_connected_graph(n, s, seed)
+        for s in (0.1, 0.3, 1.0)
+        for n, seed in ((20, 1), (12, 2))
+    ]
+    return graphs
+
+
+def random_terminal_sets(g, rng, count):
+    """Seeded terminal sets of every size, including one node and all nodes."""
+    n = g.node_count
+    sets = [[rng.randrange(n)], list(range(n))]
+    while len(sets) < count:
+        sets.append(rng.sample(range(n), rng.choice([2, 3, rng.randint(2, n)])))
+    return sets

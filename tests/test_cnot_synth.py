@@ -19,10 +19,71 @@ from steinersynth import (
     synthesize_constrained,
 )
 from steinersynth.circuits import Circuit, cnot
-from steinersynth.cnot_synth import apply_plan
+from steinersynth.cnot_synth import (
+    EliminationPlan,
+    SubtreePlan,
+    _path_plan,
+    _pruned_adjacency,
+    _subtree_ops,
+    apply_plan,
+)
 from steinersynth.graphs import SteinerTree, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
+from conftest import oracle_graphs, random_terminal_sets
+
+
+def reference_path_plan(path: list[int]) -> SubtreePlan:
+    """The _path_plan that built a path tree and rooted it, kept as the oracle."""
+    root, leaf = path[0], path[-1]
+    adj: dict[int, list[int]] = {n: [] for n in path}
+    for a, b in zip(path, path[1:]):
+        adj[a].append(b)
+        adj[b].append(a)
+    r, rp, rs = _subtree_ops(adj, root, {root, leaf})
+    return SubtreePlan(root, frozenset({leaf}), tuple(r), tuple(rp), tuple(rs))
+
+
+def reference_plan_post_transpose(t: SteinerTree) -> EliminationPlan:
+    """The plan_post_transpose that built the tree path from every terminal
+    to every node, kept as the oracle."""
+    if t.root != min(t.terminals):
+        raise ValueError("post-transpose plans require the smallest terminal as root")
+    adj = _pruned_adjacency(t)
+    if len(adj) == 1:
+        return EliminationPlan(())
+
+    # Tree distances/paths from every terminal, lowest-index tie-breaks.
+    def tree_paths_from(s: int) -> dict[int, list[int]]:
+        parent = {s: s}
+        queue = [s]
+        while queue:
+            next_queue = []
+            for u in queue:
+                for v in adj[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        next_queue.append(v)
+            queue = next_queue
+        paths = {}
+        for n in parent:
+            path = [n]
+            while path[-1] != s:
+                path.append(parent[path[-1]])
+            paths[n] = path[::-1]
+        return paths
+
+    paths = {s: tree_paths_from(s) for s in t.terminals}
+    plans: list[SubtreePlan] = []
+    for w in sorted(t.terminals, reverse=True):
+        if w == t.root:
+            continue
+        anchor = min(
+            (s for s in t.terminals if s < w),
+            key=lambda s: (len(paths[s][w]), s),
+        )
+        plans.append(reference_path_plan(paths[anchor][w]))
+    return EliminationPlan(tuple(plans))
 
 
 def expected_net(plan, m: BinaryMatrix) -> BinaryMatrix:
@@ -127,6 +188,32 @@ def test_plan_post_random_trees_respect_direction():
         # rows below the root are never touched
         for r in range(tree.root):
             assert got.rows[r] == m.rows[r]
+
+
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_plan_post_matches_the_all_paths_reference(g):
+    rng = random.Random(g.node_count * 1000 + g.edge_count() + 1)
+    for terminals in random_terminal_sets(g, rng, 60):
+        tree = steiner_approx(g, terminals, root=min(terminals))
+        got, want = plan_post_transpose(tree), reference_plan_post_transpose(tree)
+        assert got == want, sorted(terminals)
+
+
+def test_plan_post_skips_non_terminal_branches(demo6_graph):
+    # Node 5 is a Steiner leaf hanging off the path 0-1-2; the search from
+    # terminal 2 may pass it, but the plan is the pruned tree's plan.
+    tree = SteinerTree(demo6_graph, frozenset({0, 2}), 0, frozenset({(0, 1), (1, 2), (0, 5)}))
+    assert plan_post_transpose(tree) == reference_plan_post_transpose(tree)
+    assert plan_post_transpose(tree).ops() == (
+        RowOp(1, 2), RowOp(0, 1), RowOp(1, 2), RowOp(0, 1))
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_path_plan_matches_the_rooted_subtree_ops(length):
+    rng = random.Random(length)
+    for _ in range(5):
+        path = rng.sample(range(3 * length + 2), length + 1)
+        assert _path_plan(path) == reference_path_plan(path), path
 
 
 def test_plan_post_requires_smallest_root(demo6_graph):

@@ -4,9 +4,10 @@ import pytest
 
 from steinersynth import BinaryMatrix, emit_circuit, parse_circuit, parse_matrix, verify_equivalence
 from steinersynth.bench import random_universal_circuit
-from steinersynth.circuits import Angle, Circuit, CircuitFormatError, cnot, h, rz
+from steinersynth.circuits import Angle, Circuit, CircuitFormatError, Gate, cnot, h, rz
 from steinersynth.cnot_synth import expand_templates
 from steinersynth.graphs import line_graph
+from steinersynth.verify import edge_legal
 
 
 def test_parse_minimal():
@@ -93,3 +94,45 @@ def test_parse_matrix_comments_anywhere():
     # '#' starts a comment anywhere on a line, indented or trailing.
     text = "# header\n2 # dimension\n  # note\n10 # x\n01\n"
     assert parse_matrix(text) == BinaryMatrix.identity(2)
+
+
+def reference_depth(c: Circuit) -> int:
+    """The running-maximum depth loop the faster Circuit.depth replaced."""
+    frontier = [0] * c.num_qubits
+    depth = 0
+    for g in c.gates:
+        layer = 1 + max(frontier[q] for q in g.qubits)
+        for q in g.qubits:
+            frontier[q] = layer
+        depth = max(depth, layer)
+    return depth
+
+
+def test_depth_matches_the_reference_loop():
+    rng = random.Random(17)
+    assert Circuit(3).depth() == reference_depth(Circuit(3)) == 0
+    for n in list(range(1, 9)) + [16, 20, 72]:
+        for _ in range(6):
+            gates = []
+            for _ in range(rng.randrange(0, 4 * n + 10)):
+                kind = rng.choice(["cnot", "rz", "h"] if n > 1 else ["rz", "h"])
+                if kind == "cnot":
+                    gates.append(cnot(*rng.sample(range(n), 2)))
+                elif kind == "rz":
+                    gates.append(rz(Angle(rng.randrange(8), 8), rng.randrange(n)))
+                else:
+                    gates.append(h(rng.randrange(n)))
+            c = Circuit(n, tuple(gates))
+            assert c.depth() == reference_depth(c), (n, c)
+
+
+def test_gate_stores_list_wires_as_a_tuple():
+    gate = Gate("cnot", [0, 2])
+    assert gate.qubits == (0, 2)
+    assert gate == cnot(0, 2) and hash(gate) == hash(cnot(0, 2))
+    c = Circuit(4, (gate,))
+    expanded = expand_templates(c, line_graph(4))
+    assert expanded == expand_templates(Circuit(4, (cnot(0, 2),)), line_graph(4))
+    assert len(expanded) == 4
+    assert edge_legal(Circuit(4, (Gate("cnot", [1, 2]),)), line_graph(4))
+    assert Gate("h", [3]).qubits == (3,)

@@ -14,7 +14,70 @@ from steinersynth import (
     steiner_approx,
     steiner_exact,
 )
-from conftest import brute_force_steiner_weight
+from steinersynth.graphs import SteinerTree, _norm_edge, _UnionFind
+from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
+
+
+def reference_steiner_approx(g, terminals, root=None):
+    """The full-round steiner_approx the shortcuts replaced, kept as the
+    oracle: every round runs the whole BFS and scans every sorted edge."""
+    term_set = frozenset(terminals)
+    if root is None:
+        root = min(term_set)
+
+    uf = _UnionFind(g.node_count)
+    in_tree = set(term_set)
+    tree_edges: set[tuple[int, int]] = set()
+    components = len(term_set)
+
+    while components > 1:
+        # One BFS wave from every super-terminal simultaneously.
+        comp = [-1] * g.node_count
+        dist = [0] * g.node_count
+        parent = [-1] * g.node_count
+        queue = sorted(in_tree)
+        for s in queue:
+            comp[s] = uf.find(s)
+        while queue:
+            next_queue = []
+            for u in queue:
+                for v in g.neighbors(u):
+                    if comp[v] < 0:
+                        comp[v] = comp[u]
+                        dist[v] = dist[u] + 1
+                        parent[v] = u
+                        next_queue.append(v)
+            queue = next_queue
+
+        # Shortest collision between two distinct waves.
+        best = None
+        for u, v in g._sorted_edges:
+            if comp[u] != comp[v]:
+                length = dist[u] + dist[v] + 1
+                key = (length, u, v)
+                if best is None or key < best:
+                    best = key
+        assert best is not None, "connected graph must yield a collision"
+        _, u, v = best
+
+        path_nodes = []
+        for end in (u, v):
+            node = end
+            chain = [node]
+            while dist[node] > 0:
+                node = parent[node]
+                chain.append(node)
+            path_nodes.extend(chain)
+            for a, b in zip(chain, chain[1:]):
+                tree_edges.add(_norm_edge(a, b))
+        tree_edges.add(_norm_edge(u, v))
+
+        for node in path_nodes[1:]:
+            uf.union(path_nodes[0], node)
+        in_tree.update(path_nodes)
+        components -= 1
+
+    return SteinerTree(g, term_set, root, frozenset(tree_edges))
 
 
 def test_graph_invariants_enforced():
@@ -114,6 +177,30 @@ def test_steiner_approx_deterministic(grid12_graph):
     a = steiner_approx(grid12_graph, {0, 5, 6, 10})
     b = steiner_approx(grid12_graph, {0, 5, 6, 10})
     assert a.tree_edges == b.tree_edges
+
+
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_steiner_approx_matches_the_full_round_reference(g):
+    rng = random.Random(g.node_count * 1000 + g.edge_count())
+    for terminals in random_terminal_sets(g, rng, 80):
+        root = rng.choice(terminals)
+        got = steiner_approx(g, terminals, root)
+        assert got.tree_edges == reference_steiner_approx(g, terminals, root).tree_edges, (
+            sorted(terminals), root)
+        assert got.root == root
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 9) for b in range(a + 1, 9)])
+def test_steiner_new_path_node_joins_a_component_by_its_smallest_edge(a, b):
+    # Terminals 0, 2 and the adjacent pair a < b, all next to the hub 1; the
+    # other nodes hang off 0.  The first round runs 2-1-0, after which the
+    # hub touches the component {a, b} twice: only the edge (1, a) joins it.
+    edges = {(0, 1), (1, 2), (1, a), (1, b), (a, b)}
+    edges |= {(0, x) for x in range(3, 9) if x not in (a, b)}
+    g = ConnectivityGraph(9, frozenset(edges))
+    tree = steiner_approx(g, {0, 2, a, b})
+    assert tree.tree_edges == {(0, 1), (1, 2), (1, a), (a, b)}
+    assert tree.tree_edges == reference_steiner_approx(g, {0, 2, a, b}).tree_edges
 
 
 def test_steiner_rejects_empty_terminals(demo6_graph):

@@ -361,7 +361,7 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            adj = _pruned_adjacency(tree)
+            adj = tree.adjacency()  # every leaf of its trees is a terminal: nothing to prune
             if min(adj) == i:
                 ops = _fill_clear_column(rows, i, _rooted(adj, i))
             else:
@@ -382,7 +382,7 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            children = _rooted(_pruned_adjacency(tree), i)
+            children = _rooted(tree.adjacency(), i)
             if _monotone(children):
                 ops = _fill_clear_column(rows, i, children)
             else:

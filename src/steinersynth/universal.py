@@ -28,6 +28,9 @@ def commutes(a: Gate, b: Gate) -> bool:
     sharing a target commute; an RZ commutes with anything diagonal on its
     wire and with a CNOT through the CNOT's control; H commutes only on
     disjoint wires.
+
+    `optimizer.cancel_pass` writes these rules out inline, as integer
+    comparisons per kind of scanned gate; its tests pin the two together.
     """
     aq, bq = a.qubits, b.qubits
     if aq[0] not in bq and aq[-1] not in bq:

@@ -7,6 +7,7 @@ import itertools
 import pytest
 
 from steinersynth import BinaryMatrix, ConnectivityGraph, builtin_architecture, random_connected_graph
+from steinersynth.circuits import Angle, cnot, h, rz
 from steinersynth.graphs import grid_graph
 
 
@@ -43,6 +44,18 @@ def grid12_graph() -> ConnectivityGraph:
     return ConnectivityGraph(
         12, frozenset((u - 1, v - 1) for u, v in edges_1based), name="grid12"
     )
+
+
+def all_gates_up_to(n):
+    """Every CNOT and H on n wires, and RZ by 1/8 and by 1/4 turn on each wire."""
+    out = []
+    for c, t in itertools.permutations(range(n), 2):
+        out.append(cnot(c, t))
+    for q in range(n):
+        out.append(h(q))
+        out.append(rz(Angle(1, 8), q))
+        out.append(rz(Angle(1, 4), q))
+    return out
 
 
 def brute_force_steiner_weight(g: ConnectivityGraph, terminals: set[int]) -> int:

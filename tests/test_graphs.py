@@ -190,6 +190,17 @@ def test_steiner_approx_matches_the_full_round_reference(g):
         assert got.root == root
 
 
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_steiner_approx_leaves_are_terminals(g):
+    # Every node a round adds lies inside its path, and degrees only grow,
+    # so the synthesizers can use a tree's adjacency without pruning it.
+    rng = random.Random(g.node_count * 7 + g.edge_count())
+    for terminals in random_terminal_sets(g, rng, 80):
+        tree = steiner_approx(g, terminals, rng.choice(terminals))
+        leaves = {n for n, ns in tree.adjacency().items() if len(ns) == 1}
+        assert leaves <= tree.terminals, sorted(terminals)
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 9) for b in range(a + 1, 9)])
 def test_steiner_new_path_node_joins_a_component_by_its_smallest_edge(a, b):
     # Terminals 0, 2 and the adjacent pair a < b, all next to the hub 1; the

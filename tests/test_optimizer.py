@@ -8,10 +8,11 @@ from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import expand_templates, pmh_synthesize
 from steinersynth.gf2 import simulate_cnot_circuit
-from steinersynth.graphs import builtin_architecture
+from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
 from steinersynth.optimizer import DEFAULT_WINDOW
 from steinersynth.universal import commutes
 from steinersynth.unitary import circuits_equivalent
+from conftest import all_gates_up_to
 
 
 def reference_cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
@@ -124,6 +125,43 @@ def test_matches_full_rescan_reference(window):
         if case % 2:
             c = c.extended(_inverse(c.gates))
         assert cancel_pass(c, window) == reference_cancel_pass(c, window), (window, case)
+
+
+@pytest.mark.parametrize("window", [1, 2, 32])
+def test_inlined_rules_match_commutes_on_three_wires(window):
+    # cancel_pass writes universal.commutes out per kind of scanned gate;
+    # every (g, o) pair on three wires, then g or its inverse, takes each
+    # rule: cancel or merge through o, block at o, or stop without a match.
+    gates = all_gates_up_to(3)
+    for g in gates:
+        for o in gates:
+            for last in (g, *_inverse([g])):
+                c = Circuit(3, (g, o, last))
+                assert cancel_pass(c, window) == reference_cancel_pass(c, window), (g, o, last)
+
+
+def _ladder_inputs() -> list[Circuit]:
+    """Synthesize-then-route circuits, as in the paper comparison: PMH at
+    several section widths, then relay ladders on sparse graphs."""
+    graphs = [line_graph(8), grid_graph(3, 3), random_connected_graph(10, 0.3, 4)]
+    out = [
+        expand_templates(pmh_synthesize(random_invertible(g.node_count, seed), section=w), g)
+        for g in graphs
+        for seed, w in ((1, 1), (2, 2), (3, 3))
+    ]
+    probs = {"cnot": 0.6, "s": 0.1, "t": 0.1, "h": 0.2}
+    out.append(expand_templates(random_universal_circuit(8, 60, probs, 9), graphs[0]))
+    return out
+
+
+@pytest.mark.parametrize("window", [4, 32])
+def test_matches_reference_on_template_ladders(window):
+    inputs = _ladder_inputs()
+    assert any(g.kind == "h" for g in inputs[-1].gates)
+    for k, c in enumerate(inputs):
+        out = cancel_pass(c, window)
+        assert len(out) < len(c), k
+        assert out == reference_cancel_pass(c, window), k
 
 
 @pytest.mark.parametrize("arch, seed, digest", [

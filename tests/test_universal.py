@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import random
 
 import numpy as np
@@ -18,17 +17,7 @@ from steinersynth.graphs import line_graph
 from steinersynth.unitary import circuit_unitary, circuits_equivalent
 from steinersynth.universal import Segment, segments_to_circuit
 from steinersynth.verify import edge_legal
-
-
-def all_gates_up_to(n):
-    out = []
-    for c, t in itertools.permutations(range(n), 2):
-        out.append(cnot(c, t))
-    for q in range(n):
-        out.append(h(q))
-        out.append(rz(Angle(1, 8), q))
-        out.append(rz(Angle(1, 4), q))
-    return out
+from conftest import all_gates_up_to
 
 
 def test_commutes_sound_against_matrices():

@@ -28,6 +28,8 @@ class Angle:
     denominator: int = 1
 
     def __post_init__(self):
+        if self.denominator == 0:
+            raise ValueError(f"angle {self.numerator}/0 has a zero denominator")
         f = Fraction(self.numerator, self.denominator) % 1
         object.__setattr__(self, "numerator", f.numerator)
         object.__setattr__(self, "denominator", f.denominator)
@@ -202,7 +204,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitFormatError(lineno, f"unknown gate {op!r}")
         except CircuitFormatError:
             raise
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+        except (ValueError, IndexError) as exc:
             raise CircuitFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc
         for q in g.qubits:
             if not 0 <= q < num_qubits:

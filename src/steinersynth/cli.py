@@ -109,8 +109,11 @@ def _load_phase_file(path: str, n: int) -> PhasePolynomial:
             _fail_input(f"{path}:{lineno}: expected 'bitstring num/den'")
         if len(parts[0]) != n:
             _fail_input(f"{path}:{lineno}: bitstring length != matrix dim {n}")
-        mask = parity_from_bits(parts[0])
-        angle = Angle.parse(parts[1])
+        try:
+            mask = parity_from_bits(parts[0])
+            angle = Angle.parse(parts[1])
+        except ValueError as exc:
+            _fail_input(f"{path}:{lineno}: {exc}")
         terms[mask] = terms.get(mask, Angle(0)) + angle
     return PhasePolynomial(n, terms)
 

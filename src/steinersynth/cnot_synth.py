@@ -5,6 +5,12 @@ adds a chosen root row into a set of terminal rows while leaving every other
 row untouched, using only graph-adjacent operations.  Gaussian elimination
 drives one such plan per matrix column; a transpose pass finishes the job.
 
+The elimination loop builds no `RowOp` or `Gate` per operation.  It keeps
+row ops as (control, target) int pairs, walks the adjacency each tree built
+once, and turns each op into the shared gate of its graph edge from the
+graph's template memo.  The public plans (`plan_pre_transpose`,
+`plan_post_transpose`) still return `RowOp`s.
+
 Two full-connectivity baselines live here as well: partitioned elimination
 (with duplicate sub-row removal) and long-range CNOT template expansion.
 """
@@ -63,60 +69,50 @@ class EliminationPlan:
 
 
 def _rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
-    """Children lists (ascending) of the tree rooted at root."""
+    """Children lists of the tree rooted at root.
+
+    Each node's children keep the order of its adjacency entry, so the
+    ascending adjacency of a `SteinerTree` gives ascending children.
+    """
     children: dict[int, list[int]] = {root: []}
     stack = [root]
-    seen = {root}
     while stack:
         u = stack.pop()
+        kids = children[u]
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                children.setdefault(u, []).append(v)
-                children.setdefault(v, [])
+            if v not in children:
+                kids.append(v)
+                children[v] = []
                 stack.append(v)
-    return {u: sorted(vs) for u, vs in children.items()}
-
-
-def _postorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
-    """Edge ops (parent -> child), each emitted when its child subtree finishes."""
-    out: list[RowOp] = []
-
-    def walk(u: int) -> None:
-        for v in children[u]:
-            walk(v)
-            out.append(RowOp(u, v))
-
-    walk(root)
-    return out
-
-
-def _subtree_ops(
-    adj: dict[int, list[int]], root: int, keep: set[int]
-) -> tuple[list[RowOp], list[RowOp], list[RowOp]]:
-    """The R / R' / R* sequence for one subtree.
-
-    `keep` lists the nodes whose rows should end up XORed with the root row
-    (the subtree's terminals); all interior nodes must be outside `keep`.
-    """
-    children = _rooted(adj, root)
-    ops_r = _postorder_edges(children, root)
-    ops_rp = [op for op in reversed(ops_r) if op.control != root]
-    ops_rs = [op for op in ops_r + ops_rp if op.target not in keep]
-    return ops_r, ops_rp, ops_rs
+    return children
 
 
 def _pruned_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
-    """Tree adjacency with non-terminal leaf branches trimmed away."""
-    adj = {n: set(ns) for n, ns in tree.adjacency().items()}
-    leaves = [n for n, ns in adj.items() if len(ns) == 1 and n not in tree.terminals]
+    """Tree adjacency with non-terminal leaf branches trimmed away.
+
+    A tree whose every leaf is a terminal, as `steiner_approx` builds,
+    has nothing to trim: its cached adjacency comes back as it is.
+    """
+    terminals = tree.terminals
+    leaves = [n for n, ns in tree._adj.items() if len(ns) == 1 and n not in terminals]
+    if not leaves:
+        return tree._adj
+    adj = {n: set(ns) for n, ns in tree._adj.items()}
     while leaves:
         leaf = leaves.pop()
         (parent,) = adj.pop(leaf)
         adj[parent].discard(leaf)
-        if len(adj[parent]) == 1 and parent not in tree.terminals:
+        if len(adj[parent]) == 1 and parent not in terminals:
             leaves.append(parent)
     return {n: sorted(ns) for n, ns in adj.items()}
+
+
+def _path_ops(path: list[int]) -> list[tuple[int, int]]:
+    """The (control, target) ops of `_path_plan(path)`, in order."""
+    steps = list(zip(path, path[1:]))
+    r = steps[::-1]
+    rp = steps[1:]
+    return r + rp + r[1:] + rp[:-1]
 
 
 def _path_plan(path: list[int]) -> SubtreePlan:
@@ -126,9 +122,9 @@ def _path_plan(path: list[int]) -> SubtreePlan:
     R runs the edges from the far end back, R' runs them forward without
     the root's edge, and R* repeats the ops that target relay nodes.
     """
-    steps = list(zip(path, path[1:]))
-    r = tuple(RowOp(a, b) for a, b in reversed(steps))
-    rp = tuple(RowOp(a, b) for a, b in steps[1:])
+    steps = [RowOp(a, b) for a, b in zip(path, path[1:])]
+    r = tuple(reversed(steps))
+    rp = tuple(steps[1:])
     return SubtreePlan(path[0], frozenset({path[-1]}), r, rp, r[1:] + rp[:-1])
 
 
@@ -140,34 +136,48 @@ def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
     of the subtree under construction and the root of a new one.  Subtrees
     execute in reverse construction order, so each subtree root's row is
     still pristine when its ops run.
+
+    The pruned tree is rooted once.  Within a subtree, its root and its
+    Steiner nodes keep their children lists of the whole tree, and its
+    leaves have none.  R is the subtree's child-last edge walk (children
+    ascending), so read backwards it is a parent-first walk with children
+    descending, which one stack writes out.
     """
     adj = _pruned_adjacency(t)
     if len(adj) == 1:
         return EliminationPlan(())
     children = _rooted(adj, t.root)
+    terminals = t.terminals
 
     subtree_roots = [t.root]
     plans: list[SubtreePlan] = []
     for cut_root in subtree_roots:
-        # Collect this subtree: BFS from cut_root stopping at interior terminals.
-        sub_adj: dict[int, list[int]] = {cut_root: []}
-        leaves: set[int] = set()
+        # Breadth-first from cut_root, stopping at leaves and interior
+        # terminals; the queue ends up holding the root and Steiner nodes.
+        leaves: list[int] = []
         queue = [cut_root]
-        while queue:
-            u = queue.pop(0)
+        for u in queue:
             for v in children[u]:
-                sub_adj.setdefault(u, []).append(v)
-                sub_adj.setdefault(v, []).append(u)
-                is_leaf_of_tree = not children[v]
-                if v in t.terminals and not is_leaf_of_tree:
-                    leaves.add(v)
+                if not children[v]:
+                    leaves.append(v)
+                elif v in terminals:
+                    leaves.append(v)
                     subtree_roots.append(v)
-                elif is_leaf_of_tree:
-                    leaves.add(v)
                 else:
                     queue.append(v)
-        r, rp, rs = _subtree_ops(sub_adj, cut_root, leaves | {cut_root})
-        plans.append(SubtreePlan(cut_root, frozenset(leaves), tuple(r), tuple(rp), tuple(rs)))
+        steiner = set(queue[1:])
+        backwards: list[RowOp] = []
+        stack = [(cut_root, v) for v in children[cut_root]]
+        while stack:
+            u, v = stack.pop()
+            backwards.append(RowOp(u, v))
+            if v in steiner:
+                stack.extend((v, w) for w in children[v])
+        ops_r = backwards[::-1]
+        ops_rp = [op for op in backwards if op.control != cut_root]
+        ops_rs = [op for op in ops_r + ops_rp if op.target in steiner]
+        plans.append(SubtreePlan(
+            cut_root, frozenset(leaves), tuple(ops_r), tuple(ops_rp), tuple(ops_rs)))
     return EliminationPlan(tuple(reversed(plans)))
 
 
@@ -189,7 +199,7 @@ def plan_post_transpose(t: SteinerTree) -> EliminationPlan:
     """
     if t.root != min(t.terminals):
         raise ValueError("post-transpose plans require the smallest terminal as root")
-    adj = t.adjacency()
+    adj = t._adj
     terminals = t.terminals
     plans: list[SubtreePlan] = []
     for w in sorted(terminals, reverse=True):
@@ -272,50 +282,68 @@ def _terminal_rows(rows: list[int], col: int, n: int) -> set[int]:
     return {col} | {j for j in range(col + 1, n) if (rows[j] >> col) & 1}
 
 
-def _preorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
-    """Edge ops (parent -> child), each parent edge before its child's edges."""
-    out: list[RowOp] = []
+def _preorder(adj: dict[int, list[int]], root: int) -> list[tuple[int, int]]:
+    """(parent, child) edges of the tree rooted at root, parent-first,
+    children ascending.  `adj` is a tree's ascending adjacency."""
+    edges: list[tuple[int, int]] = []
+    stack = [(root, v) for v in reversed(adj[root])]
+    while stack:
+        edge = stack.pop()
+        edges.append(edge)
+        u, v = edge
+        for w in reversed(adj[v]):
+            if w != u:
+                stack.append((v, w))
+    return edges
 
-    def walk(u: int) -> None:
-        for v in children[u]:
-            out.append(RowOp(u, v))
-            walk(v)
 
-    walk(root)
-    return out
-
-
-def _fill_clear_column(rows: list[int], col: int, children: dict[int, list[int]]) -> list[RowOp]:
+def _fill_clear_column(
+    rows: list[int], col: int, edges: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
     """Cheap column clearing that does not restore Steiner rows.
 
-    `children` is the pruned tree rooted at the pivot row `col`.  Mutates
-    `rows` in place and returns the ops applied.  First pass walks the tree
-    parent-first and seeds a one into every tree row still holding a zero
-    in the column; second pass walks child-first, adding each parent row
-    into its child, which zeroes every non-root row.  Steiner rows end up
-    modified in later columns, which is harmless exactly when no tree node
-    precedes the pivot (their already-cleared prefixes stay zero); callers
-    use the restoring plan otherwise.
+    `edges` is `_preorder` of the tree rooted at the pivot row `col`.
+    Mutates `rows` in place and returns the ops applied as (control,
+    target) pairs.  First pass walks the tree parent-first and seeds a one
+    into every tree row still holding a zero in the column; second pass
+    walks child-first, adding each parent row into its child, which zeroes
+    every non-root row.  Steiner rows end up modified in later columns,
+    which is harmless exactly when no tree node precedes the pivot (their
+    already-cleared prefixes stay zero); callers use the restoring plan
+    otherwise.
 
     For the transposed pass the caller additionally requires every parent
     index to be smaller than its child, which keeps each individual row
     addition triangularity-safe.
     """
-    edges = _preorder_edges(children, col)
-    ops: list[RowOp] = []
+    ops: list[tuple[int, int]] = []
     for op in edges:
-        if not (rows[op.target] >> col) & 1:
-            rows[op.target] ^= rows[op.control]
+        control, target = op
+        if not (rows[target] >> col) & 1:
+            rows[target] ^= rows[control]
             ops.append(op)
     for op in reversed(edges):
-        rows[op.target] ^= rows[op.control]
+        control, target = op
+        rows[target] ^= rows[control]
         ops.append(op)
     return ops
 
 
-def _monotone(children: dict[int, list[int]]) -> bool:
-    """True when every child exceeds its parent in the rooted tree."""
-    return all(u < v for u, vs in children.items() for v in vs)
+def _edge_gates(g: ConnectivityGraph, pairs) -> list[Gate]:
+    """The CNOT of each (control, target) pair, every pair a graph edge.
+
+    Gates come from the graph's template memo (`_template`), so each
+    directed edge's gate is built once and shared by every circuit.
+    """
+    memo = g._templates
+    gates: list[Gate] = []
+    for pair in pairs:
+        edge = memo.get(pair)
+        if edge is None:
+            assert pair in g._arcs, f"row op {pair} is not a graph edge"
+            edge = _template(g, pair)
+        gates.append(edge[0])
+    return gates
 
 
 def synthesize_constrained(
@@ -335,7 +363,14 @@ def synthesize_constrained(
 
 
 def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circuit, list[int]]:
-    """The circuit of `synthesize_constrained` and its Steiner trees per column."""
+    """The circuit of `synthesize_constrained` and its Steiner trees per column.
+
+    Row ops are kept as (control, target) int pairs: the zero-pivot repair
+    ladder, the fill-and-clear walks over each tree's cached adjacency, and
+    the ops of the restoring plans, read off `plan_pre_transpose` and
+    `plan_post_transpose`.  Every op lies on a graph edge, so each becomes
+    the edge's shared gate from the graph's template memo.
+    """
     if a.dim != g.node_count:
         raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
     check_invertible(a)
@@ -344,28 +379,28 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
     trees_per_column: list[int] = []
 
     def apply_ops(ops) -> None:
-        for op in ops:
-            rows[op.target] ^= rows[op.control]
+        for control, target in ops:
+            rows[target] ^= rows[control]
 
-    ops_a: list[RowOp] = []
+    ops_a: list[tuple[int, int]] = []
     for i in range(n):
         n_trees = 0
         if not (rows[i] >> i) & 1:
             candidates = [j for j in range(i + 1, n) if (rows[j] >> i) & 1]
             dist = distances_from(g, i)
             j = min(candidates, key=lambda x: (dist[x], x))
-            repair = _path_plan(shortest_path(g, j, i))
-            apply_ops(repair.ops())
-            ops_a.extend(repair.ops())
+            repair = _path_ops(shortest_path(g, j, i))
+            apply_ops(repair)
+            ops_a.extend(repair)
             n_trees += 1
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            adj = tree.adjacency()  # every leaf of its trees is a terminal: nothing to prune
+            adj = tree._adj  # every leaf of its trees is a terminal: nothing to prune
             if min(adj) == i:
-                ops = _fill_clear_column(rows, i, _rooted(adj, i))
+                ops = _fill_clear_column(rows, i, _preorder(adj, i))
             else:
-                ops = list(plan_pre_transpose(tree).ops())
+                ops = [(op.control, op.target) for op in plan_pre_transpose(tree).ops()]
                 apply_ops(ops)
             ops_a.extend(ops)
             n_trees += 1
@@ -376,25 +411,25 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
     )
     # Transpose and clear the other half.
     rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
-    ops_b: list[RowOp] = []
+    ops_b: list[tuple[int, int]] = []
     for i in range(n):
         assert (rows[i] >> i) & 1, "transposed pass lost its unit diagonal"
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            children = _rooted(tree.adjacency(), i)
-            if _monotone(children):
-                ops = _fill_clear_column(rows, i, children)
+            edges = _preorder(tree._adj, i)
+            if all(u < v for u, v in edges):  # every child exceeds its parent
+                ops = _fill_clear_column(rows, i, edges)
             else:
-                ops = list(plan_post_transpose(tree).ops())
+                ops = [(op.control, op.target) for op in plan_post_transpose(tree).ops()]
                 apply_ops(ops)
             ops_b.extend(ops)
             trees_per_column[i] += 1
 
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
-    gates = [cnot(op.target, op.control) for op in ops_b]
-    gates += [cnot(op.control, op.target) for op in reversed(ops_a)]
+    gates = _edge_gates(g, [(target, control) for control, target in ops_b])
+    gates += _edge_gates(g, reversed(ops_a))
     return Circuit(n, tuple(gates)), trees_per_column
 
 
@@ -500,8 +535,8 @@ def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
         if pair in g._arcs:
             gates = (cnot(*pair),)
         else:
-            ops = _path_plan(shortest_path(g, *pair)).ops()
-            gates = tuple(_template(g, (op.control, op.target))[0] for op in ops)
+            ops = _path_ops(shortest_path(g, *pair))
+            gates = tuple(_template(g, op)[0] for op in ops)
         g._templates[pair] = gates
     return gates
 

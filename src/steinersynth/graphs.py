@@ -36,7 +36,9 @@ class ConnectivityGraph:
     `_templates` starts empty; `cnot_synth.expand_templates` fills it with
     the gate tuple it emits for each ordered (control, target) pair, so a
     graph's ladders are built once and live exactly as long as the graph.
-    None of these fields takes part in equality, hashing or repr.
+    The synthesizers take each CNOT they emit from its edge's entry, so
+    every directed edge has one shared gate.  None of these fields takes
+    part in equality, hashing or repr.
     """
 
     node_count: int
@@ -99,18 +101,43 @@ class SteinerTree:
 
     Nodes of the tree that are not terminals are Steiner nodes; the root is
     a distinguished terminal (the elimination pivot).
+
+    Construction builds the adjacency once (`_adj`: each node to the
+    ascending list of its tree neighbours, which nothing may mutate).
+    `validate`, the plans and the synthesizers walk it; `adjacency()` hands
+    out a copy.  It takes no part in equality, hashing or repr.
     """
 
     graph: ConnectivityGraph
     terminals: frozenset[int]
     root: int
     tree_edges: frozenset[tuple[int, int]]
+    _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Over sorted (smaller, larger) edges, a node's smaller neighbours
+        # arrive first (edges (w, n), by w) and its larger ones after (edges
+        # (n, w), by w), so every list comes out ascending.
+        adj: dict[int, list[int]] = {} if self.tree_edges else {self.root: []}
+        for u, v in sorted(self.tree_edges):
+            if u in adj:
+                adj[u].append(v)
+            else:
+                adj[u] = [v]
+            if v in adj:
+                adj[v].append(u)
+            else:
+                adj[v] = [u]
+        for u, v in self.tree_edges:
+            if u > v:  # an edge given as (larger, smaller)
+                for ns in adj.values():
+                    ns.sort()
+                break
+        object.__setattr__(self, "_adj", adj)
 
     @property
     def nodes(self) -> frozenset[int]:
-        if not self.tree_edges:
-            return frozenset({self.root})
-        return frozenset(n for e in self.tree_edges for n in e)
+        return frozenset(self._adj)
 
     @property
     def steiner_nodes(self) -> frozenset[int]:
@@ -124,14 +151,10 @@ class SteinerTree:
         """Check the structural invariants; raises AssertionError on failure."""
         assert self.root in self.terminals, "root must be a terminal"
         assert self.tree_edges <= self.graph.edges, "tree edge not in host graph"
-        nodes = self.nodes
-        assert self.terminals <= nodes, "terminal missing from tree"
-        assert len(self.tree_edges) == len(nodes) - 1, "edge count is not |nodes|-1"
+        adj = self._adj
+        assert self.terminals.issubset(adj), "terminal missing from tree"
+        assert len(self.tree_edges) == len(adj) - 1, "edge count is not |nodes|-1"
         # Connectivity of the edge-induced subgraph.
-        adj: dict[int, list[int]] = {n: [] for n in nodes}
-        for u, v in self.tree_edges:
-            adj[u].append(v)
-            adj[v].append(u)
         seen = {self.root}
         stack = [self.root]
         while stack:
@@ -140,14 +163,11 @@ class SteinerTree:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-        assert seen == nodes, "tree edges do not form a connected subgraph"
+        assert len(seen) == len(adj), "tree edges do not form a connected subgraph"
 
     def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in self.nodes}
-        for u, v in self.tree_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {n: sorted(ns) for n, ns in adj.items()}
+        """Each node's tree neighbours in ascending order, as a fresh copy."""
+        return {n: list(ns) for n, ns in self._adj.items()}
 
 
 def shortest_path(g: ConnectivityGraph, a: int, b: int) -> list[int]:

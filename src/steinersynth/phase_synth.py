@@ -16,8 +16,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .circuits import Angle, Circuit, Gate, cnot, rz
-from .cnot_synth import SynthesisReport, _report, _synthesize_constrained, plan_pre_transpose
+from .circuits import Angle, Circuit, Gate, rz
+from .cnot_synth import (
+    SynthesisReport,
+    _edge_gates,
+    _report,
+    _synthesize_constrained,
+    plan_pre_transpose,
+)
 from .gf2 import BinaryMatrix, invert, is_invertible, multiply, simulate_cnot_circuit
 from .graphs import ConnectivityGraph, steiner_approx
 
@@ -108,10 +114,15 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
 
 
 class _NetworkState:
-    """Mutable synthesis state shared across the recursion."""
+    """Mutable synthesis state shared across the recursion.
 
-    def __init__(self, n: int, columns: dict[int, tuple[int, Angle]]):
+    Every CNOT lies on an edge of the graph `g` and is its shared gate from
+    the graph's template memo.
+    """
+
+    def __init__(self, n: int, columns: dict[int, tuple[int, Angle]], g: ConnectivityGraph):
         self.n = n
+        self.g = g
         # column id -> current mask (in the moving frame); angles fixed.
         self.masks = {cid: mask for cid, (mask, _) in columns.items()}
         self.angles = {cid: angle for cid, (_, angle) in columns.items()}
@@ -121,22 +132,38 @@ class _NetworkState:
 
     def emit_ready(self) -> None:
         """Place rotations for every pending parity now sitting on a wire."""
-        for cid in sorted(self.pending):
-            mask = self.masks[cid]
-            if mask & (mask - 1) == 0:
-                wire = mask.bit_length() - 1
-                self.gates.append(rz(self.angles[cid], wire))
-                self.pending.discard(cid)
+        self._emit(cid for cid in self.pending if self.masks[cid] & (self.masks[cid] - 1) == 0)
+
+    def _emit(self, ready) -> None:
+        for cid in sorted(ready):
+            wire = self.masks[cid].bit_length() - 1
+            self.gates.append(rz(self.angles[cid], wire))
+            self.pending.discard(cid)
 
     def add_cnot(self, control: int, target: int) -> None:
-        self.gates.append(cnot(control, target))
+        """Apply CNOT(control, target) and place the rotations it readies.
+
+        No pending parity sits on a wire between calls, so only the masks
+        this CNOT changes can become ready.
+        """
+        pair = (control, target)
+        edge = self.g._templates.get(pair)
+        self.gates.append(edge[0] if edge else _edge_gates(self.g, (pair,))[0])
         self.wires[target] ^= self.wires[control]
         # In the moving frame a CNOT adds the *target* row into the *control*
         # row of the parity table.
+        masks = self.masks
+        bit = 1 << control
+        ready = []
         for cid in self.pending:
-            if (self.masks[cid] >> target) & 1:
-                self.masks[cid] ^= 1 << control
-        self.emit_ready()
+            mask = masks[cid]
+            if (mask >> target) & 1:
+                mask ^= bit
+                masks[cid] = mask
+                if mask & (mask - 1) == 0:
+                    ready.append(cid)
+        if ready:
+            self._emit(ready)
 
 
 def _fold_rows(state: _NetworkState, cols: list[int], pivot: int, g: ConnectivityGraph) -> None:
@@ -180,7 +207,7 @@ def synth_parity_network_constrained(
     columns = {
         cid: (mask, s.phase.terms[mask]) for cid, mask in enumerate(build_parity_matrix(s))
     }
-    state = _NetworkState(n, columns)
+    state = _NetworkState(n, columns, g)
     state.emit_ready()
 
     def recurse(cols: list[int], candidates: set[int]) -> None:

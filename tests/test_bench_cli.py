@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import steinersynth
 from steinersynth import emit_circuit, emit_graph, emit_matrix, random_invertible
 from steinersynth.bench import (
     BenchConfig,
@@ -248,3 +253,22 @@ def test_cli_rejects_a_singular_matrix(tmp_path):
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "singular" in res.output
+
+
+def test_cli_phase_file_with_a_zero_denominator_is_an_input_error(tmp_path):
+    # Run as a process, so an uncaught exception would print its traceback.
+    phase = tmp_path / "p.txt"
+    phase.write_text("1100 1/0\n")
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(emit_matrix(random_invertible(4, 5)))
+    src = str(Path(steinersynth.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-m", "steinersynth.cli", "synth-phase", "--phase", str(phase),
+         "--matrix", str(matrix), "--arch", "line(4)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+    assert "zero denominator" in res.stderr

@@ -22,15 +22,129 @@ from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import (
     EliminationPlan,
     SubtreePlan,
+    _path_ops,
     _path_plan,
-    _pruned_adjacency,
-    _subtree_ops,
+    _preorder,
     apply_plan,
 )
-from steinersynth.graphs import SteinerTree, line_graph
+from steinersynth.graphs import SteinerTree, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
 from conftest import oracle_graphs, random_terminal_sets
+
+
+def reference_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
+    """Sorted tree adjacency built from the edges, as SteinerTree.adjacency
+    did before it was cached."""
+    nodes = {n for e in tree.tree_edges for n in e} or {tree.root}
+    adj: dict[int, list[int]] = {n: [] for n in nodes}
+    for u, v in tree.tree_edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return {n: sorted(ns) for n, ns in adj.items()}
+
+
+def reference_pruned_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
+    """Tree adjacency with non-terminal leaf branches trimmed away."""
+    adj = {n: set(ns) for n, ns in reference_adjacency(tree).items()}
+    leaves = [n for n, ns in adj.items() if len(ns) == 1 and n not in tree.terminals]
+    while leaves:
+        leaf = leaves.pop()
+        (parent,) = adj.pop(leaf)
+        adj[parent].discard(leaf)
+        if len(adj[parent]) == 1 and parent not in tree.terminals:
+            leaves.append(parent)
+    return {n: sorted(ns) for n, ns in adj.items()}
+
+
+def reference_rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
+    """Children lists (ascending) of the tree rooted at root."""
+    children: dict[int, list[int]] = {root: []}
+    stack = [root]
+    seen = {root}
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                children.setdefault(u, []).append(v)
+                children.setdefault(v, [])
+                stack.append(v)
+    return {u: sorted(vs) for u, vs in children.items()}
+
+
+def reference_postorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
+    """Edge ops (parent -> child), each emitted when its child subtree finishes."""
+    out: list[RowOp] = []
+
+    def walk(u: int) -> None:
+        for v in children[u]:
+            walk(v)
+            out.append(RowOp(u, v))
+
+    walk(root)
+    return out
+
+
+def reference_preorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
+    """Edge ops (parent -> child), each parent edge before its child's edges."""
+    out: list[RowOp] = []
+
+    def walk(u: int) -> None:
+        for v in children[u]:
+            out.append(RowOp(u, v))
+            walk(v)
+
+    walk(root)
+    return out
+
+
+def reference_subtree_ops(
+    adj: dict[int, list[int]], root: int, keep: set[int]
+) -> tuple[list[RowOp], list[RowOp], list[RowOp]]:
+    """The R / R' / R* sequence for one subtree.
+
+    `keep` lists the nodes whose rows should end up XORed with the root row
+    (the subtree's terminals); all interior nodes must be outside `keep`.
+    """
+    children = reference_rooted(adj, root)
+    ops_r = reference_postorder_edges(children, root)
+    ops_rp = [op for op in reversed(ops_r) if op.control != root]
+    ops_rs = [op for op in ops_r + ops_rp if op.target not in keep]
+    return ops_r, ops_rp, ops_rs
+
+
+def reference_plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
+    """The plan_pre_transpose that rooted every cut subtree again, kept as
+    the oracle."""
+    adj = reference_pruned_adjacency(t)
+    if len(adj) == 1:
+        return EliminationPlan(())
+    children = reference_rooted(adj, t.root)
+
+    subtree_roots = [t.root]
+    plans: list[SubtreePlan] = []
+    for cut_root in subtree_roots:
+        # Collect this subtree: BFS from cut_root stopping at interior terminals.
+        sub_adj: dict[int, list[int]] = {cut_root: []}
+        leaves: set[int] = set()
+        queue = [cut_root]
+        while queue:
+            u = queue.pop(0)
+            for v in children[u]:
+                sub_adj.setdefault(u, []).append(v)
+                sub_adj.setdefault(v, []).append(u)
+                is_leaf_of_tree = not children[v]
+                if v in t.terminals and not is_leaf_of_tree:
+                    leaves.add(v)
+                    subtree_roots.append(v)
+                elif is_leaf_of_tree:
+                    leaves.add(v)
+                else:
+                    queue.append(v)
+        r, rp, rs = reference_subtree_ops(sub_adj, cut_root, leaves | {cut_root})
+        plans.append(SubtreePlan(cut_root, frozenset(leaves), tuple(r), tuple(rp), tuple(rs)))
+    return EliminationPlan(tuple(reversed(plans)))
 
 
 def reference_path_plan(path: list[int]) -> SubtreePlan:
@@ -40,7 +154,7 @@ def reference_path_plan(path: list[int]) -> SubtreePlan:
     for a, b in zip(path, path[1:]):
         adj[a].append(b)
         adj[b].append(a)
-    r, rp, rs = _subtree_ops(adj, root, {root, leaf})
+    r, rp, rs = reference_subtree_ops(adj, root, {root, leaf})
     return SubtreePlan(root, frozenset({leaf}), tuple(r), tuple(rp), tuple(rs))
 
 
@@ -49,7 +163,7 @@ def reference_plan_post_transpose(t: SteinerTree) -> EliminationPlan:
     to every node, kept as the oracle."""
     if t.root != min(t.terminals):
         raise ValueError("post-transpose plans require the smallest terminal as root")
-    adj = _pruned_adjacency(t)
+    adj = reference_pruned_adjacency(t)
     if len(adj) == 1:
         return EliminationPlan(())
 
@@ -152,6 +266,94 @@ def test_plan_pre_op_budget():
         assert len(plan.ops()) <= 4 * tree.weight
 
 
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_plan_pre_matches_the_rooted_subtree_reference(g):
+    rng = random.Random(g.node_count * 1000 + g.edge_count() + 2)
+    for terminals in random_terminal_sets(g, rng, 60):
+        tree = steiner_approx(g, terminals, root=rng.choice(sorted(terminals)))
+        got, want = plan_pre_transpose(tree), reference_plan_pre_transpose(tree)
+        assert got.net_effects() == want.net_effects(), sorted(terminals)
+        assert got == want, sorted(terminals)
+
+
+def branchy_grid_tree(root: int) -> SteinerTree:
+    """A hand-built tree on grid(4,4) with interior terminals (1, 5, 10
+    have children), Steiner relays (6, 13, 14) and Steiner leaf branches
+    (2, 11 and the two-node branch 4-8) that pruning removes."""
+    edges = [(5, 6), (6, 7), (6, 10), (10, 11), (10, 14), (13, 14), (12, 13),
+             (4, 5), (4, 8), (1, 5), (0, 1), (1, 2)]
+    terminals = frozenset({0, 1, 5, 7, 10, 12})
+    return SteinerTree(grid_graph(4, 4), terminals, root, frozenset(edges))
+
+
+@pytest.mark.parametrize("root", [0, 1, 5, 7, 10, 12])
+def test_plan_pre_hand_built_tree_matches_the_reference(root):
+    tree = branchy_grid_tree(root)
+    tree.validate()
+    plan = plan_pre_transpose(tree)
+    assert plan == reference_plan_pre_transpose(tree)
+    assert len(plan.subtrees) > 1
+    # the Steiner leaf branches are pruned away, the relays are restored
+    rows = {op.target for op in plan.ops()} | {op.control for op in plan.ops()}
+    assert not rows & {2, 4, 8, 11}
+    m = random_invertible(16, root)
+    assert apply_plan(m, plan) == expected_net(plan, m)
+
+
+def test_plan_pre_with_a_steiner_leaf_branch(demo6_graph):
+    # Node 5 is a Steiner leaf off the root; 2 is an interior terminal.
+    tree = SteinerTree(demo6_graph, frozenset({0, 2, 3}), 0,
+                       frozenset({(0, 1), (1, 2), (2, 3), (0, 5)}))
+    plan = plan_pre_transpose(tree)
+    assert plan == reference_plan_pre_transpose(tree)
+    assert plan.net_effects() == [(2, frozenset({3})), (0, frozenset({2}))]
+
+
+def test_preorder_matches_the_rooted_reference():
+    rng = random.Random(3)
+    for _ in range(200):
+        _, tree = random_tree_instance(rng)
+        root = rng.choice(sorted(tree.terminals))
+        want = reference_preorder_edges(reference_rooted(reference_adjacency(tree), root), root)
+        assert _preorder(tree._adj, root) == [(op.control, op.target) for op in want]
+
+
+def test_steiner_tree_identity_ignores_the_cached_adjacency(demo6_graph):
+    edges = [(0, 1), (1, 2), (2, 3), (0, 5)]
+    tree = SteinerTree(demo6_graph, frozenset({0, 2, 3}), 0, frozenset(edges))
+    same = SteinerTree(demo6_graph, frozenset({3, 2, 0}), 0, frozenset(reversed(edges)))
+    fields = (demo6_graph, tree.terminals, tree.root, tree.tree_edges)
+    assert repr(tree) == (
+        f"SteinerTree(graph={demo6_graph!r}, terminals={tree.terminals!r}, "
+        f"root=0, tree_edges={tree.tree_edges!r})"
+    )
+    assert hash(tree) == hash(fields) == hash(same)
+    assert tree == same
+    assert tree != SteinerTree(demo6_graph, frozenset({0, 2, 3}), 0,
+                               frozenset([(0, 1), (1, 2), (2, 3)]))
+    before = repr(tree), hash(tree)
+    tree.validate()
+    plan_pre_transpose(tree)
+    tree.adjacency()
+    assert (repr(tree), hash(tree)) == before
+    assert tree.adjacency() == reference_adjacency(tree)
+
+
+def test_mutating_the_adjacency_copy_changes_no_plan():
+    tree = branchy_grid_tree(0)
+    pre, post, walk = plan_pre_transpose(tree), plan_post_transpose(tree), _preorder(tree._adj, 0)
+    adj = tree.adjacency()
+    for ns in adj.values():
+        ns.reverse()
+        ns.append(15)
+    adj[3] = [0]
+    del adj[0]
+    assert plan_pre_transpose(tree) == pre
+    assert plan_post_transpose(tree) == post
+    assert _preorder(tree._adj, 0) == walk
+    assert tree.adjacency() == reference_adjacency(tree)
+
+
 def test_plan_post_single_edge(demo6_graph):
     tree = SteinerTree(demo6_graph, frozenset({0, 1}), 0, frozenset({(0, 1)}))
     plan = plan_post_transpose(tree)
@@ -214,6 +416,7 @@ def test_path_plan_matches_the_rooted_subtree_ops(length):
     for _ in range(5):
         path = rng.sample(range(3 * length + 2), length + 1)
         assert _path_plan(path) == reference_path_plan(path), path
+        assert _path_ops(path) == [(op.control, op.target) for op in _path_plan(path).ops()]
 
 
 def test_plan_post_requires_smallest_root(demo6_graph):

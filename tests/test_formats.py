@@ -30,6 +30,14 @@ def test_parse_normalizes_angles():
     assert c.gates == (rz(Angle(1, 8), 0), rz(Angle(1, 2), 0))
 
 
+def test_angle_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        Angle(1, 0)
+    with pytest.raises(CircuitFormatError) as err:
+        parse_circuit("qubits 1\nrz 1/0 0\n")
+    assert err.value.lineno == 2
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(CircuitFormatError) as err:
         parse_circuit("qubits 2\ncnot 0 5\n")

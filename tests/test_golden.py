@@ -1,10 +1,14 @@
-"""Golden digests of the CLI synthesis commands and the bench suites.
+"""Golden digests of the CLI synthesis commands, the bench suites and the
+two synthesizers.
 
 Each case pins the sha256 of the `--out` circuit text and of the `--report`
 JSON with its `elapsed_ms` line removed (the only field that varies between
 runs), or of a small bench CSV.  They were recorded before the commands and
 suites were routed through one pipeline, and pin that the routing changed
-no output byte.
+no output byte.  The synthesizer digests pin the emitted circuits of
+`synthesize_constrained` and `synthesize_cnot_rz` on every oracle graph;
+they were recorded before the Steiner-Gauss column loop dropped its
+per-operation objects.
 """
 
 import hashlib
@@ -13,12 +17,20 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from steinersynth import emit_circuit, emit_matrix, random_invertible
+from conftest import oracle_graphs
+from steinersynth import (
+    emit_circuit,
+    emit_matrix,
+    random_invertible,
+    synthesize_cnot_rz,
+    synthesize_constrained,
+)
 from steinersynth.bench import (
     BenchConfig,
     bench_architecture,
     bench_h_ratio,
     bench_sparseness,
+    random_phase_instance,
     random_universal_circuit,
 )
 from steinersynth.cli import main
@@ -151,3 +163,71 @@ BENCH_GOLDEN = {
 @pytest.mark.parametrize("case", sorted(BENCH_GOLDEN))
 def test_bench_golden(case):
     assert sha(bench_csv(case)) == BENCH_GOLDEN[case]
+
+
+def synthesizer_digests(g) -> tuple[str, str]:
+    """Digests of three seeded matrices through `synthesize_constrained` and
+    two seeded phase instances (2n terms) through `synthesize_cnot_rz`."""
+    n = g.node_count
+    matrices = [random_invertible(n, 100 * n + k) for k in range(3)]
+    phases = [random_phase_instance(n, 2 * n, 200 * n + k) for k in range(2)]
+    cnot = "".join(emit_circuit(synthesize_constrained(a, g)[0]) for a in matrices)
+    cnot_rz = "".join(emit_circuit(synthesize_cnot_rz(s, g)[0]) for s in phases)
+    return sha(cnot), sha(cnot_rz)
+
+
+SYNTH_GOLDEN = {
+    "tokyo20": (
+        "99fc9225b3397c1066994a200ceda193213f606bc4e340407590b22e7c22acf8",
+        "fff653168c19a217f06aecbecc3726795afd0b8fa895838589c1ade1073f5efb",
+    ),
+    "bristlecone72": (
+        "0d2c8b6961876be67a110af92796446492064eef83a2b0898de130651caad9ef",
+        "527c92c0b63248b5adb07d0359f463e122d2d34cb91a0d7e7ecaccf185249be4",
+    ),
+    "acorn19": (
+        "447dd3c3cefeb73e06936bf4afae96ab337f0fed89d5e09246c7dfb7add797e1",
+        "f36149b2a2f60c1e7e86073b00fbe27cef89554d12e443e6273c522419fba3f3",
+    ),
+    "grid(5,4)": (
+        "f17cae18a7c6b44d29753376d47e27f25012c7292bd1331ce9a8fd5e6622ed3a",
+        "53c445aa0c772fc0478b9b8cd7071c1c42f844e940f8ab0133f0a876247d465e",
+    ),
+    "line(20)": (
+        "7f9eca87633d4ea8cf2cc81a9a19ac82ab44fef06d25c104970e9518a4ead36a",
+        "598ed6fbaf63a2bcf80649b08b7e41efe01d71d5b9a71902b876cbdefa60522d",
+    ),
+    "grid(8,9)": (
+        "6ee0410a79c79a8579d8aae6ed771578c19845e04a672c34a0d3dc851716fdd2",
+        "bef7ce61d7a6e7b62f76f2413136b3ef61c5ae00da776af789a180f8e449a79b",
+    ),
+    "random(n=20,s=0.1,seed=1)": (
+        "f390800573da4a5d40944a8b71cd8b86f35f0b91548b38f846457e076b86e922",
+        "2d73806b58ece698a0bcc96ecf78075c40e28037a4fe7bbdf424f2a75ea3748b",
+    ),
+    "random(n=12,s=0.1,seed=2)": (
+        "60721d3160bec69a47dbf15f0f1c6f23d9732ffa6dd5aed2badd52cc19b96273",
+        "5e84b1c9835994f54a2e3c92b535f046724d9e743fda50905fcd8f361ca74371",
+    ),
+    "random(n=20,s=0.3,seed=1)": (
+        "305066b7416a63af4cf7a8e33bc8182db06187536973d9c9fd13136f96f4f7be",
+        "b4dcbad179ab9bf6d1434a5baf419d2b285fa97017c48b1c3dc091996785941f",
+    ),
+    "random(n=12,s=0.3,seed=2)": (
+        "b68ef2c8dc25067ccecc92c2bee9aa2b83169f23ba1853e1ed4fdf58fd43d17d",
+        "d675a705f927f4b477224895a4ad5d7d41194b6f66358afaf48c84b1e9021258",
+    ),
+    "random(n=20,s=1.0,seed=1)": (
+        "eb1015ea7b1dd6dd2cf79629bd40778ddbc5999876c4d65609f31f37fb418a03",
+        "58522a1bdbc9f136ab60b3dfaf32fc6b0faf41ce2ed9ac1cfbdb52e680e2378e",
+    ),
+    "random(n=12,s=1.0,seed=2)": (
+        "7fddf800a36074ecf2bcea960463dd1e153b84224afaeedf50ca4c50d98896f6",
+        "0037b024c280f0b912a140ee7129929dd22ef3af600918bff96eb6bf437e9143",
+    ),
+}
+
+
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_synthesizer_golden(g):
+    assert synthesizer_digests(g) == SYNTH_GOLDEN[g.name]

@@ -201,6 +201,31 @@ def test_steiner_approx_leaves_are_terminals(g):
         assert leaves <= tree.terminals, sorted(terminals)
 
 
+def test_tree_adjacency_is_ascending_whichever_way_edges_are_given():
+    g = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (0, 5)}))
+    want = {0: [1], 1: [0, 2, 4], 2: [1], 4: [1, 5], 5: [4]}
+    for edges in ([(0, 1), (1, 2), (1, 4), (4, 5)], [(1, 0), (2, 1), (4, 1), (5, 4)]):
+        tree = SteinerTree(g, frozenset({0, 2, 5}), 0, frozenset(edges))
+        assert tree.adjacency() == want
+        assert tree.nodes == frozenset(want)
+    single = SteinerTree(g, frozenset({3}), 3, frozenset())
+    assert single.adjacency() == {3: []} and single.nodes == frozenset({3})
+    single.validate()
+
+
+def test_validate_keeps_its_messages():
+    g = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}))
+    cases = [
+        (frozenset({1, 2}), 0, {(0, 1), (1, 2)}, "root must be a terminal"),
+        (frozenset({0, 2}), 0, {(0, 2)}, "tree edge not in host graph"),
+        (frozenset({0, 5}), 0, {(0, 1), (1, 2)}, "terminal missing from tree"),
+        (frozenset({0, 4}), 0, {(0, 1), (3, 4)}, "edge count is not |nodes|-1"),
+    ]
+    for terminals, root, edges, message in cases:
+        with pytest.raises(AssertionError, match=message.replace("|", r"\|")):
+            SteinerTree(g, terminals, root, frozenset(edges)).validate()
+
+
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 9) for b in range(a + 1, 9)])
 def test_steiner_new_path_node_joins_a_component_by_its_smallest_edge(a, b):
     # Terminals 0, 2 and the adjacent pair a < b, all next to the hub 1; the

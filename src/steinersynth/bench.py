@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import pipeline
 from .circuits import Angle, Circuit, Gate, NAMED_ANGLES, cnot, h, rz
-from .cnot_synth import expand_templates, pmh_synthesize
+from .cnot_synth import expand_templates, pmh_synthesize, section_widths
 from .gf2 import BinaryMatrix, random_invertible
 from .graphs import ConnectivityGraph, builtin_architecture, random_connected_graph
 from .optimizer import cancel_pass
@@ -97,10 +97,8 @@ def baseline_pmh_templates(
     """Strongest synthesize-then-route baseline: partitioned elimination,
     template expansion, cleanup; the section width is chosen against the
     final routed gate count."""
-    import math
-
     best = None
-    for width in range(2, max(3, int(math.log2(a.dim)) + 1)):
+    for width in section_widths(a.dim):
         c = expand_templates(pmh_synthesize(a, partition=True, section=width), g)
         if cleanup:
             c = cancel_pass(c)

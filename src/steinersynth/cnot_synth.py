@@ -492,6 +492,11 @@ def _triangularize(rows: list[int], n: int, section: int | None) -> list[RowOp]:
     return ops
 
 
+def section_widths(n: int) -> range:
+    """The section widths worth trying for an n-row matrix: 2 up to ~log2 n."""
+    return range(2, max(3, int(math.log2(n)) + 1))
+
+
 def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None = None) -> Circuit:
     """Full-connectivity elimination synthesis (no coupling constraints).
 
@@ -519,9 +524,8 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
     elif section is not None:
         ops_a, ops_b = run(max(1, section))
     else:
-        widths = range(2, max(3, int(math.log2(n)) + 1))
         ops_a, ops_b = min(
-            (run(w) for w in widths), key=lambda ab: len(ab[0]) + len(ab[1])
+            (run(w) for w in section_widths(n)), key=lambda ab: len(ab[0]) + len(ab[1])
         )
     gates = [cnot(op.target, op.control) for op in ops_b]
     gates += [cnot(op.control, op.target) for op in reversed(ops_a)]

@@ -2,7 +2,7 @@
 
 The approximate Steiner tree grows breadth-first search waves outward from
 every terminal at once; when two waves meet, the meeting path is merged into
-a single super-terminal (union-find, smallest index as representative) and
+a single super-terminal (a label per node, the smaller side relabelled) and
 the search restarts.  Two shortcuts give exactly the same trees for less
 work: waves that touch at once (two adjacent tree nodes) are joined by
 Kruskal merges over the sorted edges without any search, and each search
@@ -31,21 +31,20 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class ConnectivityGraph:
     """Undirected, connected, unit-weight coupling graph.
 
-    Besides the adjacency lists, construction derives the edges sorted
-    once (`_sorted_edges`) and both orientations of every edge (`_arcs`).
-    `_templates` starts empty; `cnot_synth.expand_templates` fills it with
-    the gate tuple it emits for each ordered (control, target) pair, so a
-    graph's ladders are built once and live exactly as long as the graph.
-    The synthesizers take each CNOT they emit from its edge's entry, so
-    every directed edge has one shared gate.  None of these fields takes
-    part in equality, hashing or repr.
+    Besides the adjacency lists, construction derives both orientations
+    of every edge (`_arcs`).  `_templates` starts empty;
+    `cnot_synth.expand_templates` fills it with the gate tuple it emits for
+    each ordered (control, target) pair, so a graph's ladders are built
+    once and live exactly as long as the graph.  The synthesizers take each
+    CNOT they emit from its edge's entry, so every directed edge has one
+    shared gate.  None of these fields takes part in equality, hashing or
+    repr.
     """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     name: str = "graph"
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _sorted_edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     _arcs: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
 
@@ -67,7 +66,6 @@ class ConnectivityGraph:
             seen = self._bfs_reach(0)
             if len(seen) != self.node_count:
                 raise ValueError("graph is not connected")
-        object.__setattr__(self, "_sorted_edges", tuple(sorted(edges)))
         object.__setattr__(self, "_arcs", edges | {(v, u) for u, v in edges})
         object.__setattr__(self, "_templates", {})
 
@@ -92,7 +90,7 @@ class ConnectivityGraph:
         return len(self.edges)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return list(self._sorted_edges)
+        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -208,28 +206,6 @@ def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
     return dist
 
 
-class _UnionFind:
-    """Union-find keeping the smallest member as representative."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        lo, hi = (ra, rb) if ra < rb else (rb, ra)
-        self.parent[hi] = lo
-
-
 def steiner_approx(
     g: ConnectivityGraph, terminals, root: int | None = None
 ) -> SteinerTree:
@@ -240,14 +216,22 @@ def steiner_approx(
     super-terminals (ties by lowest endpoints) and consolidates the path's
     nodes into one super-terminal.  d-1 rounds give O(d*(V+E)) total work.
 
+    Super-terminals are kept as a label per node (-1 off the tree) and the
+    member list of each label; a merge relabels the smaller side.  Only
+    label equality is ever read, so the labels need not match any
+    particular representative.
+
     Two shortcuts return exactly the tree of running every round in full:
 
     - A round whose best collision has length 1 joins two adjacent tree
       nodes of different super-terminals by their edge, the smallest such
       edge in sorted order, and adds no node.  So those rounds are Kruskal
-      merges: one walk over the sorted edges before any search, and after
-      each longer round a walk over the sorted edges incident to the new
-      path nodes, since no other edge can have become such a pair.
+      merges over the sorted edges between tree nodes: before any search,
+      a walk over each terminal's larger neighbours, terminals and
+      neighbours ascending, which visits the edges between terminals in
+      sorted order; after each longer round, a walk over the sorted edges
+      incident to the new path nodes, since no other edge can have become
+      such a pair.  A walk stops once one super-terminal is left.
     - The search runs one layer at a time and stops after the first layer
       k in which two waves meet.  A node of layer k labels each unlabelled
       neighbour into its own wave, so by then every collision with an end
@@ -259,8 +243,9 @@ def steiner_approx(
     term_set = frozenset(terminals)
     if not term_set:
         raise ValueError("terminal set is empty")
-    for t in term_set:
-        if not 0 <= t < g.node_count:
+    n = g.node_count
+    for t in (min(term_set), max(term_set)):
+        if not 0 <= t < n:
             raise ValueError(f"terminal {t} out of range")
     if root is None:
         root = min(term_set)
@@ -268,31 +253,37 @@ def steiner_approx(
         raise ValueError("root must be a terminal")
 
     adj = g._adj
-    uf = _UnionFind(g.node_count)
-    in_tree = set(term_set)
+    nodes = sorted(term_set)
+    label = [-1] * n
+    for t in nodes:
+        label[t] = t
+    members = {t: [t] for t in nodes}
     tree_edges: set[tuple[int, int]] = set()
-    components = len(term_set)
 
     def merge_adjacent(edges) -> None:
         # Length-1 rounds, in the order the full rounds would take them.
-        nonlocal components
         for u, v in edges:
-            if u in in_tree and v in in_tree and uf.find(u) != uf.find(v):
-                uf.union(u, v)
+            a, b = label[u], label[v]
+            if a != b:
                 tree_edges.add((u, v))
-                components -= 1
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                moved = members.pop(b)
+                for x in moved:
+                    label[x] = a
+                members[a] += moved
+                if len(members) == 1:
+                    return
 
-    merge_adjacent(g._sorted_edges)
-    while components > 1:
+    merge_adjacent([(u, v) for u in nodes for v in adj[u] if v > u and label[v] >= 0])
+    while len(members) > 1:
         # One BFS wave from every super-terminal simultaneously, layer by
         # layer, until the shortest collision between two distinct waves is
         # known.
-        comp = [-1] * g.node_count
-        dist = [0] * g.node_count
-        parent = [-1] * g.node_count
-        queue = sorted(in_tree)
-        for s in queue:
-            comp[s] = uf.find(s)
+        comp = label[:]
+        dist = [0] * n
+        parent = [-1] * n
+        queue = sorted(nodes)
         best = None
         depth = 0
         while best is None:
@@ -316,26 +307,23 @@ def steiner_approx(
             depth += 1
         _, u, v = best
 
-        path_nodes = []
+        # Each new path node joins its own wave's super-terminal; the
+        # meeting edge (u, v) then merges the two like a length-1 round.
+        new_nodes = []
         for end in (u, v):
-            node = end
-            chain = [node]
+            node, a = end, comp[end]
             while dist[node] > 0:
+                new_nodes.append(node)
+                label[node] = a
+                members[a].append(node)
+                tree_edges.add(_norm_edge(node, parent[node]))
                 node = parent[node]
-                chain.append(node)
-            path_nodes.extend(chain)
-            for a, b in zip(chain, chain[1:]):
-                tree_edges.add(_norm_edge(a, b))
-        tree_edges.add(_norm_edge(u, v))
-
-        for node in path_nodes[1:]:
-            uf.union(path_nodes[0], node)
-        new_nodes = [node for node in path_nodes if dist[node] > 0]
-        in_tree.update(new_nodes)
-        components -= 1
-        merge_adjacent(sorted({
-            _norm_edge(a, b) for a in new_nodes for b in adj[a] if b in in_tree
-        }))
+        nodes += new_nodes
+        merge_adjacent(((u, v),))
+        if len(members) > 1:
+            merge_adjacent(sorted({
+                _norm_edge(x, y) for x in new_nodes for y in adj[x] if label[y] >= 0
+            }))
 
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()

@@ -29,8 +29,9 @@ def commutes(a: Gate, b: Gate) -> bool:
     wire and with a CNOT through the CNOT's control; H commutes only on
     disjoint wires.
 
-    `optimizer.cancel_pass` writes these rules out inline, as integer
-    comparisons per kind of scanned gate; its tests pin the two together.
+    This stays the reference.  `optimizer.cancel_pass` and
+    `partition_segments` write these rules out inline as integer
+    comparisons, and their tests pin each against this function.
     """
     aq, bq = a.qubits, b.qubits
     if aq[0] not in bq and aq[-1] not in bq:
@@ -85,6 +86,9 @@ def merge_delete_h(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, tuple(gates))
 
 
+_SEGMENT_KINDS = {"h_block": ("h",), "cnot_block": ("cnot", "rz")}
+
+
 @dataclass(frozen=True)
 class Segment:
     """One alternation block: kind is "h_block" or "cnot_block"."""
@@ -93,7 +97,9 @@ class Segment:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        want = "h" if self.kind == "h_block" else ("cnot", "rz")
+        want = _SEGMENT_KINDS.get(self.kind)
+        if want is None:
+            raise ValueError(f"unknown segment kind {self.kind!r}")
         for g in self.gates:
             if g.kind not in want:
                 raise ValueError(f"{g.kind} gate inside a {self.kind}")
@@ -107,13 +113,27 @@ def partition_segments(c: Circuit) -> list[Segment]:
     earlier one); a second pass repeats the process commuting backward.
     Each mover scans only until its first non-commuting gate, so the cost
     is the total length of those scans rather than quadratic in the circuit.
+
+    The scans run on plain integers.  Each gate is read once into a pair of
+    wires: a CNOT as (control, target), an RZ on q as (q, -1) and an H on q
+    as (q, q).  A mover (a, b), always a CNOT or an RZ, then fails to
+    commute with a gate (x, y) exactly when x == b or y == a, which is the
+    rule of `commutes` for every such pair: a CNOT (c, t) is blocked by a
+    CNOT with control t or target c, by an RZ on t and by an H on c or t; an
+    RZ on q by a CNOT with target q and by an H on q.
+    `tests/test_universal.py` checks the result against a reference pass
+    that calls `commutes`.
     """
     gates = c.gates
     # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
     kinds: list[str] = []
     blocks: list[list[int]] = []
     where: list[int] = []  # uid -> index of the block holding it
+    first: list[int] = []  # uid -> x of its wire pair (x, y)
+    second: list[int] = []  # uid -> y
     for g in gates:
+        first.append(g.qubits[0])
+        second.append(-1 if g.kind == "rz" else g.qubits[-1])
         kind = "h_block" if g.kind == "h" else "cnot_block"
         if not kinds or kinds[-1] != kind:
             kinds.append(kind)
@@ -121,31 +141,39 @@ def partition_segments(c: Circuit) -> list[Segment]:
         blocks[-1].append(len(where))
         where.append(len(blocks) - 1)
 
-    def destination(v: Gate, bi: int, gi: int, forward: bool) -> int:
-        """Largest CNOT block v reaches before its first blocker.
+    def destination(uid: int, bi: int, gi: int, forward: bool) -> int:
+        """Largest CNOT block the mover reaches before its first blocker.
 
         A block counts once its first gate in scan order has been passed, so
         empty blocks never count and the blocker's block only with a
         commuting gate ahead of the blocker.  Ties go to the earlier block.
         """
+        a, b = first[uid], second[uid]
         own = blocks[bi]
-        if not all(commutes(v, gates[u]) for u in (own[gi + 1 :] if forward else own[:gi])):
-            return bi
+        for u in own[gi + 1 :] if forward else own[:gi]:
+            if first[u] == b or second[u] == a:
+                return bi
         best, best_key = bi, (len(own), -bi)
         for ob in range(bi + 1, len(blocks)) if forward else range(bi - 1, -1, -1):
             blk = blocks[ob]
-            for k, u in enumerate(blk if forward else reversed(blk)):
-                if not commutes(v, gates[u]):
+            if not blk:
+                continue
+            head = blk[0] if forward else blk[-1]
+            if first[head] == b or second[head] == a:
+                return best
+            if kinds[ob] == "cnot_block" and (len(blk), -ob) > best_key:
+                best, best_key = ob, (len(blk), -ob)
+            # Past the head, only whether any gate blocks matters.
+            for u in blk:
+                if first[u] == b or second[u] == a:
                     return best
-                if k == 0 and kinds[ob] == "cnot_block" and (len(blk), -ob) > best_key:
-                    best, best_key = ob, (len(blk), -ob)
         return best
 
     def relocate(movers: list[int], forward: bool) -> None:
         for uid in movers:
             bi = where[uid]
             gi = blocks[bi].index(uid)
-            best = destination(gates[uid], bi, gi, forward)
+            best = destination(uid, bi, gi, forward)
             if best == bi:
                 continue
             del blocks[bi][gi]

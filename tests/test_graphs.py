@@ -14,8 +14,30 @@ from steinersynth import (
     steiner_approx,
     steiner_exact,
 )
-from steinersynth.graphs import SteinerTree, _norm_edge, _UnionFind
+from steinersynth.graphs import SteinerTree, _norm_edge
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
+
+
+class _UnionFind:
+    """Union-find keeping the smallest member as representative."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        lo, hi = (ra, rb) if ra < rb else (rb, ra)
+        self.parent[hi] = lo
 
 
 def reference_steiner_approx(g, terminals, root=None):
@@ -51,7 +73,7 @@ def reference_steiner_approx(g, terminals, root=None):
 
         # Shortest collision between two distinct waves.
         best = None
-        for u, v in g._sorted_edges:
+        for u, v in g.sorted_edges():
             if comp[u] != comp[v]:
                 length = dist[u] + dist[v] + 1
                 key = (length, u, v)
@@ -239,9 +261,26 @@ def test_steiner_new_path_node_joins_a_component_by_its_smallest_edge(a, b):
     assert tree.tree_edges == reference_steiner_approx(g, {0, 2, a, b}).tree_edges
 
 
+def test_steiner_new_path_node_below_both_components():
+    # Terminals 1, 2 and 6; the first round runs 1-0-2, so the union-find
+    # representative of the merged super-terminal is the new path node 0,
+    # while the labels keep 1 (the larger side).  The second round must
+    # still grow {0, 1, 2} as one wave, which meets 6 at the edge (5, 6).
+    g = ConnectivityGraph(7, frozenset({(0, 1), (0, 2), (2, 3), (3, 4), (4, 6), (0, 5), (5, 6)}))
+    tree = steiner_approx(g, {1, 2, 6})
+    assert tree.tree_edges == reference_steiner_approx(g, {1, 2, 6}).tree_edges
+    assert tree.tree_edges == {(0, 1), (0, 2), (0, 5), (5, 6)}
+
+
 def test_steiner_rejects_empty_terminals(demo6_graph):
     with pytest.raises(ValueError):
         steiner_approx(demo6_graph, set())
+
+
+@pytest.mark.parametrize("terminals, bad", [([-1, 1], -1), ([0, 7], 7)])
+def test_steiner_rejects_out_of_range_terminals(terminals, bad):
+    with pytest.raises(ValueError, match=f"terminal {bad} out of range"):
+        steiner_approx(line_graph(3), terminals)
 
 
 @pytest.mark.parametrize(

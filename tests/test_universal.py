@@ -100,6 +100,8 @@ def test_partition_preserves_gates_and_unitary():
 def test_segment_kind_validation():
     with pytest.raises(ValueError):
         Segment("h_block", (cnot(0, 1),))
+    with pytest.raises(ValueError, match="unknown segment kind 'foo'"):
+        Segment("foo", (cnot(0, 1),))
 
 
 def test_route_h_free_reduces_to_phase_synthesis():
@@ -279,3 +281,104 @@ def test_commutes_matches_set_rule_exhaustively():
     for a in gates:
         for b in gates:
             assert commutes(a, b) == _commutes_by_sets(a, b), f"{a} vs {b}"
+
+
+def reference_partition_segments(c):
+    """The `commutes`-based partition_segments the integer scans replaced,
+    kept verbatim as the oracle."""
+    gates = c.gates
+    # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
+    kinds: list[str] = []
+    blocks: list[list[int]] = []
+    where: list[int] = []  # uid -> index of the block holding it
+    for g in gates:
+        kind = "h_block" if g.kind == "h" else "cnot_block"
+        if not kinds or kinds[-1] != kind:
+            kinds.append(kind)
+            blocks.append([])
+        blocks[-1].append(len(where))
+        where.append(len(blocks) - 1)
+
+    def destination(v, bi: int, gi: int, forward: bool) -> int:
+        """Largest CNOT block v reaches before its first blocker.
+
+        A block counts once its first gate in scan order has been passed, so
+        empty blocks never count and the blocker's block only with a
+        commuting gate ahead of the blocker.  Ties go to the earlier block.
+        """
+        own = blocks[bi]
+        if not all(commutes(v, gates[u]) for u in (own[gi + 1 :] if forward else own[:gi])):
+            return bi
+        best, best_key = bi, (len(own), -bi)
+        for ob in range(bi + 1, len(blocks)) if forward else range(bi - 1, -1, -1):
+            blk = blocks[ob]
+            for k, u in enumerate(blk if forward else reversed(blk)):
+                if not commutes(v, gates[u]):
+                    return best
+                if k == 0 and kinds[ob] == "cnot_block" and (len(blk), -ob) > best_key:
+                    best, best_key = ob, (len(blk), -ob)
+        return best
+
+    def relocate(movers: list[int], forward: bool) -> None:
+        for uid in movers:
+            bi = where[uid]
+            gi = blocks[bi].index(uid)
+            best = destination(gates[uid], bi, gi, forward)
+            if best == bi:
+                continue
+            del blocks[bi][gi]
+            if forward:
+                blocks[best].insert(0, uid)
+            else:
+                blocks[best].append(uid)
+            where[uid] = best
+
+    movers = [uid for uid, g in enumerate(gates) if g.kind != "h"]
+    relocate(movers[::-1], forward=True)
+    relocate(movers, forward=False)
+
+    return [
+        Segment(kind, tuple(gates[uid] for uid in blk))
+        for kind, blk in zip(kinds, blocks)
+        if blk
+    ]
+
+
+def _assert_partition_matches_reference(c):
+    assert _blocks(partition_segments(c)) == _blocks(reference_partition_segments(c)), (
+        emit_circuit(c))
+
+
+def test_partition_matches_reference_on_gate_pairs_around_an_h():
+    # Every ordered pair of 3-wire gates, on either side of an H and doubled
+    # up around it, so each inlined rule meets each kind of gate as a block
+    # head and behind one.
+    gates = all_gates_up_to(3)
+    for a in gates:
+        for b in gates:
+            for q in range(3):
+                _assert_partition_matches_reference(Circuit(3, (a, h(q), b)))
+                _assert_partition_matches_reference(Circuit(3, (a, b, h(q), b, a)))
+
+
+def test_partition_matches_reference_on_random_small_circuits():
+    rng = random.Random(2024)
+    angles = [Angle(1, 8), Angle(1, 4), Angle(7, 8)]
+    for _ in range(3000):
+        n = rng.randint(1, 6)
+        p_h = rng.random()
+        gates = []
+        for _ in range(rng.randint(0, 60)):
+            if rng.random() < p_h:
+                gates.append(h(rng.randrange(n)))
+            elif n > 1 and rng.random() < 0.7:
+                gates.append(cnot(*rng.sample(range(n), 2)))
+            else:
+                gates.append(rz(rng.choice(angles), rng.randrange(n)))
+        _assert_partition_matches_reference(Circuit(n, tuple(gates)))
+
+
+@pytest.mark.parametrize("p_h,seed", [(0.02, 11), (0.1, 12)])
+def test_partition_matches_reference_at_route16_size(p_h, seed):
+    probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
+    _assert_partition_matches_reference(random_universal_circuit(16, 2000, probs, seed))

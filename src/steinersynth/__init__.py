@@ -7,7 +7,6 @@ Steiner trees instead of expanding long-range gates one by one.
 
 from .circuits import Angle, Circuit, Gate, cnot, emit_circuit, h, parse_circuit, rz
 from .cnot_synth import (
-    EliminationPlan,
     SynthesisReport,
     eliminate_column_cost,
     expand_templates,
@@ -20,9 +19,7 @@ from .cnot_synth import (
 )
 from .gf2 import (
     BinaryMatrix,
-    RowOp,
     SingularMatrixError,
-    apply_row_op,
     emit_matrix,
     invert,
     multiply,

@@ -193,6 +193,8 @@ def bench_architecture(
     support_terms: int | None = None,
 ) -> str:
     """Both methods on prefix subgraphs of a named architecture."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     full = builtin_architecture(arch)
 
     def bucket(bi: int, size: int):

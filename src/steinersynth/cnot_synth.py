@@ -5,11 +5,10 @@ adds a chosen root row into a set of terminal rows while leaving every other
 row untouched, using only graph-adjacent operations.  Gaussian elimination
 drives one such plan per matrix column; a transpose pass finishes the job.
 
-The elimination loop builds no `RowOp` or `Gate` per operation.  It keeps
-row ops as (control, target) int pairs, walks the adjacency each tree built
-once, and turns each op into the shared gate of its graph edge from the
-graph's template memo.  The public plans (`plan_pre_transpose`,
-`plan_post_transpose`) still return `RowOp`s.
+A row op "row[target] ^= row[control]" is a (control, target) int pair
+throughout: the plans (`plan_pre_transpose`, `plan_post_transpose`) return
+lists of them, and the elimination loop turns each into the shared gate of
+its graph edge from the graph's template memo.
 
 Two full-connectivity baselines live here as well: partitioned elimination
 (with duplicate sub-row removal) and long-range CNOT template expansion.
@@ -19,53 +18,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import Circuit, Gate, cnot
-from .gf2 import BinaryMatrix, RowOp, SingularMatrixError, check_invertible
+from .gf2 import BinaryMatrix, SingularMatrixError, check_invertible
 from .graphs import ConnectivityGraph, SteinerTree, distances_from, shortest_path, steiner_approx
-
-
-@dataclass(frozen=True)
-class SubtreePlan:
-    """Row ops realizing "add root row into each leaf row" on one subtree.
-
-    The three op lists follow the up-pass / pruned-down-pass / repair-pass
-    construction: R walks every edge child-last (deepest first), R' replays
-    R reversed without the root-incident ops, and R* repeats the ops whose
-    targets are interior (non-terminal) nodes, which restores them exactly.
-    """
-
-    root: int
-    leaves: frozenset[int]
-    ops_R: tuple[RowOp, ...]
-    ops_Rprime: tuple[RowOp, ...]
-    ops_Rstar: tuple[RowOp, ...]
-
-    def ops(self) -> tuple[RowOp, ...]:
-        return self.ops_R + self.ops_Rprime + self.ops_Rstar
-
-
-@dataclass(frozen=True)
-class EliminationPlan:
-    """Ordered subtree plans; executing them in order clears one column.
-
-    Each subtree plan adds its own root's row (as it stands when the subtree
-    executes) into its leaf rows and leaves all other rows unchanged.  Rows
-    never touched by any subtree are unchanged overall.
-    """
-
-    subtrees: tuple[SubtreePlan, ...]
-
-    def ops(self) -> tuple[RowOp, ...]:
-        out: tuple[RowOp, ...] = ()
-        for sub in self.subtrees:
-            out += sub.ops()
-        return out
-
-    def net_effects(self) -> list[tuple[int, frozenset[int]]]:
-        """(control row, target rows) pairs in execution order."""
-        return [(sub.root, sub.leaves) for sub in self.subtrees]
 
 
 def _rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
@@ -108,34 +65,36 @@ def _pruned_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
 
 
 def _path_ops(path: list[int]) -> list[tuple[int, int]]:
-    """The (control, target) ops of `_path_plan(path)`, in order."""
+    """Row ops adding the row of path[0] into the row of path[-1] only.
+
+    The R / R' / R* sequence of the path rooted at path[0], written out:
+    R runs the edges from the far end back, R' runs them forward without
+    the root's edge, and R* repeats the ops that target relay nodes.
+    """
     steps = list(zip(path, path[1:]))
     r = steps[::-1]
     rp = steps[1:]
     return r + rp + r[1:] + rp[:-1]
 
 
-def _path_plan(path: list[int]) -> SubtreePlan:
-    """Plan adding the row of path[0] into the row of path[-1] only.
+def plan_pre_transpose(t: SteinerTree) -> list[tuple[int, int]]:
+    """Row ops clearing a column during the first (upper-triangularizing) pass.
 
-    The R / R' / R* sequence of the path rooted at path[0], written out:
-    R runs the edges from the far end back, R' runs them forward without
-    the root's edge, and R* repeats the ops that target relay nodes.
-    """
-    steps = [RowOp(a, b) for a, b in zip(path, path[1:])]
-    r = tuple(reversed(steps))
-    rp = tuple(steps[1:])
-    return SubtreePlan(path[0], frozenset({path[-1]}), r, rp, r[1:] + rp[:-1])
-
-
-def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
-    """Plan clearing a column during the first (upper-triangularizing) pass.
-
+    Returns (control, target) pairs, each a tree edge, in execution order.
     The tree splits into edge-disjoint subtrees at every interior terminal:
     growing breadth-first from the root, an interior terminal becomes a leaf
     of the subtree under construction and the root of a new one.  Subtrees
     execute in reverse construction order, so each subtree root's row is
-    still pristine when its ops run.
+    still pristine when its ops run.  Each subtree adds its root's row into
+    its leaf rows and leaves every other row unchanged.
+
+    A subtree's ops come in three runs.  R walks every edge child-last
+    (deepest first), adding each parent row into its child; R' replays R
+    reversed without the root-incident ops; R* repeats the ops of R and R'
+    whose targets are interior (Steiner) nodes.  After R and R' every
+    non-root row of the subtree holds the root row added once.  Steiner
+    rows only ever read the root or other Steiner rows, so R* adds the
+    root row into each of them a second time, which restores them exactly.
 
     The pruned tree is rooted once.  Within a subtree, its root and its
     Steiner nodes keep their children lists of the whole tree, and its
@@ -145,51 +104,49 @@ def plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
     """
     adj = _pruned_adjacency(t)
     if len(adj) == 1:
-        return EliminationPlan(())
+        return []
     children = _rooted(adj, t.root)
     terminals = t.terminals
 
     subtree_roots = [t.root]
-    plans: list[SubtreePlan] = []
+    plans: list[list[tuple[int, int]]] = []
     for cut_root in subtree_roots:
-        # Breadth-first from cut_root, stopping at leaves and interior
-        # terminals; the queue ends up holding the root and Steiner nodes.
-        leaves: list[int] = []
+        # Breadth-first from cut_root, stopping at terminals (every leaf of
+        # the pruned tree is one); those with children root later subtrees,
+        # and the queue ends up holding the root and Steiner nodes.
         queue = [cut_root]
         for u in queue:
             for v in children[u]:
-                if not children[v]:
-                    leaves.append(v)
-                elif v in terminals:
-                    leaves.append(v)
-                    subtree_roots.append(v)
-                else:
+                if v not in terminals:
                     queue.append(v)
+                elif children[v]:
+                    subtree_roots.append(v)
         steiner = set(queue[1:])
-        backwards: list[RowOp] = []
+        backwards: list[tuple[int, int]] = []
         stack = [(cut_root, v) for v in children[cut_root]]
         while stack:
-            u, v = stack.pop()
-            backwards.append(RowOp(u, v))
+            op = stack.pop()
+            backwards.append(op)
+            v = op[1]
             if v in steiner:
                 stack.extend((v, w) for w in children[v])
         ops_r = backwards[::-1]
-        ops_rp = [op for op in backwards if op.control != cut_root]
-        ops_rs = [op for op in ops_r + ops_rp if op.target in steiner]
-        plans.append(SubtreePlan(
-            cut_root, frozenset(leaves), tuple(ops_r), tuple(ops_rp), tuple(ops_rs)))
-    return EliminationPlan(tuple(reversed(plans)))
+        ops_rp = [op for op in backwards if op[0] != cut_root]
+        plans.append(ops_r + ops_rp + [op for op in ops_r + ops_rp if op[1] in steiner])
+    return [op for ops in reversed(plans) for op in ops]
 
 
-def plan_post_transpose(t: SteinerTree) -> EliminationPlan:
-    """Plan clearing a column after the transpose step.
+def plan_post_transpose(t: SteinerTree) -> list[tuple[int, int]]:
+    """Row ops clearing a column after the transpose step.
 
+    Returns (control, target) pairs, each a tree edge, in execution order.
     Every effective row addition must run from a lower index to a higher
     one, or the triangular half already finished would be damaged.  The
     root is the smallest terminal; each other terminal is cleared by a
-    clean ladder from its nearest lower-indexed terminal (ties to the
-    smallest), walking the tree path between them.  Ladders execute from
-    the highest terminal down, so every control row is read unmodified.
+    clean ladder (`_path_ops`) from its nearest lower-indexed terminal
+    (ties to the smallest), walking the tree path between them.  Ladders
+    execute from the highest terminal down, so every control row is read
+    unmodified.
 
     The path between two nodes of a tree is unique, so one breadth-first
     search from each terminal, stopped at the first layer that holds a
@@ -201,7 +158,7 @@ def plan_post_transpose(t: SteinerTree) -> EliminationPlan:
         raise ValueError("post-transpose plans require the smallest terminal as root")
     adj = t._adj
     terminals = t.terminals
-    plans: list[SubtreePlan] = []
+    ops: list[tuple[int, int]] = []
     for w in sorted(terminals, reverse=True):
         if w == t.root:
             continue
@@ -222,15 +179,8 @@ def plan_post_transpose(t: SteinerTree) -> EliminationPlan:
         path = [min(lower)]
         while path[-1] != w:
             path.append(parent[path[-1]])
-        plans.append(_path_plan(path))
-    return EliminationPlan(tuple(plans))
-
-
-def apply_plan(m: BinaryMatrix, plan: EliminationPlan) -> BinaryMatrix:
-    rows = list(m.rows)
-    for op in plan.ops():
-        rows[op.target] ^= rows[op.control]
-    return BinaryMatrix(m.dim, tuple(rows))
+        ops += _path_ops(path)
+    return ops
 
 
 @dataclass
@@ -243,7 +193,6 @@ class SynthesisReport:
     depth: int = 0
     elapsed_ms: float = 0.0
     seed: int | None = None
-    column_trees: list[int] = field(default_factory=list)
 
     @property
     def total(self) -> int:
@@ -358,16 +307,16 @@ def synthesize_constrained(
     `a` exactly and every CNOT lies on an edge of `g`.
     """
     t0 = time.perf_counter()
-    circuit, trees_per_column = _synthesize_constrained(a, g)
-    return circuit, _report("steiner", g.name, circuit, t0, column_trees=trees_per_column)
+    circuit = _synthesize_constrained(a, g)
+    return circuit, _report("steiner", g.name, circuit, t0)
 
 
-def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circuit, list[int]]:
-    """The circuit of `synthesize_constrained` and its Steiner trees per column.
+def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
+    """The circuit of `synthesize_constrained`, without building a report.
 
     Row ops are kept as (control, target) int pairs: the zero-pivot repair
     ladder, the fill-and-clear walks over each tree's cached adjacency, and
-    the ops of the restoring plans, read off `plan_pre_transpose` and
+    the ops of the restoring plans `plan_pre_transpose` and
     `plan_post_transpose`.  Every op lies on a graph edge, so each becomes
     the edge's shared gate from the graph's template memo.
     """
@@ -376,7 +325,6 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
     check_invertible(a)
     n = a.dim
     rows = list(a.rows)
-    trees_per_column: list[int] = []
 
     def apply_ops(ops) -> None:
         for control, target in ops:
@@ -384,7 +332,6 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
 
     ops_a: list[tuple[int, int]] = []
     for i in range(n):
-        n_trees = 0
         if not (rows[i] >> i) & 1:
             candidates = [j for j in range(i + 1, n) if (rows[j] >> i) & 1]
             dist = distances_from(g, i)
@@ -392,7 +339,6 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
             repair = _path_ops(shortest_path(g, j, i))
             apply_ops(repair)
             ops_a.extend(repair)
-            n_trees += 1
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
@@ -400,11 +346,9 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
             if min(adj) == i:
                 ops = _fill_clear_column(rows, i, _preorder(adj, i))
             else:
-                ops = [(op.control, op.target) for op in plan_pre_transpose(tree).ops()]
+                ops = plan_pre_transpose(tree)
                 apply_ops(ops)
             ops_a.extend(ops)
-            n_trees += 1
-        trees_per_column.append(n_trees)
 
     assert all(rows[r] & ((1 << r) - 1) == 0 for r in range(n)), (
         "first pass did not reach upper-triangular form"
@@ -421,16 +365,15 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> tuple[Circ
             if all(u < v for u, v in edges):  # every child exceeds its parent
                 ops = _fill_clear_column(rows, i, edges)
             else:
-                ops = [(op.control, op.target) for op in plan_post_transpose(tree).ops()]
+                ops = plan_post_transpose(tree)
                 apply_ops(ops)
             ops_b.extend(ops)
-            trees_per_column[i] += 1
 
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
     gates = _edge_gates(g, [(target, control) for control, target in ops_b])
     gates += _edge_gates(g, reversed(ops_a))
-    return Circuit(n, tuple(gates)), trees_per_column
+    return Circuit(n, tuple(gates))
 
 
 def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
@@ -439,7 +382,7 @@ def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
     if len(terms) == 1:
         return 0
     tree = steiner_approx(g, terms, root=control)
-    return len(plan_pre_transpose(tree).ops())
+    return len(plan_pre_transpose(tree))
 
 
 def naive_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
@@ -453,14 +396,14 @@ def naive_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
     return total
 
 
-def _triangularize(rows: list[int], n: int, section: int | None) -> list[RowOp]:
-    """Reduce to upper-triangular form; returns the row ops used.
+def _triangularize(rows: list[int], n: int, section: int | None) -> list[tuple[int, int]]:
+    """Reduce to upper-triangular form; returns the (control, target) row ops used.
 
     With a section width, duplicate sub-rows within each column section are
     removed before elimination, the optimization that beats plain Gaussian
     elimination asymptotically under full connectivity.
     """
-    ops: list[RowOp] = []
+    ops: list[tuple[int, int]] = []
     step = section if section else n
     for sec_start in range(0, n, step):
         sec_end = min(sec_start + step, n)
@@ -473,7 +416,7 @@ def _triangularize(rows: list[int], n: int, section: int | None) -> list[RowOp]:
                     continue
                 if pattern in seen:
                     rows[r] ^= rows[seen[pattern]]
-                    ops.append(RowOp(seen[pattern], r))
+                    ops.append((seen[pattern], r))
                 else:
                     seen[pattern] = r
         for col in range(sec_start, sec_end):
@@ -484,11 +427,11 @@ def _triangularize(rows: list[int], n: int, section: int | None) -> list[RowOp]:
                 if pivot is None:
                     raise SingularMatrixError(col)
                 rows[col] ^= rows[pivot]
-                ops.append(RowOp(pivot, col))
+                ops.append((pivot, col))
             for r in range(col + 1, n):
                 if (rows[r] >> col) & 1:
                     rows[r] ^= rows[col]
-                    ops.append(RowOp(col, r))
+                    ops.append((col, r))
     return ops
 
 
@@ -511,7 +454,7 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
     check_invertible(a)
     n = a.dim
 
-    def run(width: int | None) -> tuple[list[RowOp], list[RowOp]]:
+    def run(width: int | None) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         rows = list(a.rows)
         first = _triangularize(rows, n, width)
         rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
@@ -527,8 +470,8 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
         ops_a, ops_b = min(
             (run(w) for w in section_widths(n)), key=lambda ab: len(ab[0]) + len(ab[1])
         )
-    gates = [cnot(op.target, op.control) for op in ops_b]
-    gates += [cnot(op.control, op.target) for op in reversed(ops_a)]
+    gates = [cnot(target, control) for control, target in ops_b]
+    gates += [cnot(control, target) for control, target in reversed(ops_a)]
     return Circuit(n, tuple(gates))
 
 

@@ -22,21 +22,6 @@ class SingularMatrixError(ValueError):
 
 
 @dataclass(frozen=True)
-class RowOp:
-    """Row addition: row[target] ^= row[control]."""
-
-    control: int
-    target: int
-
-    def __post_init__(self):
-        if self.control == self.target:
-            raise ValueError("row op control and target must differ")
-
-    def flipped(self) -> "RowOp":
-        return RowOp(self.target, self.control)
-
-
-@dataclass(frozen=True)
 class BinaryMatrix:
     """Square GF(2) matrix; rows[i] packs row i with bit j = entry (i, j)."""
 
@@ -91,20 +76,11 @@ class BinaryMatrix:
         )
 
 
-def apply_row_op(m: BinaryMatrix, op: RowOp) -> BinaryMatrix:
-    """Return m with row[target] ^= row[control]; involutive."""
-    if not (0 <= op.control < m.dim and 0 <= op.target < m.dim):
-        raise IndexError(f"row op {op} out of range for dim {m.dim}")
-    rows = list(m.rows)
-    rows[op.target] ^= rows[op.control]
-    return BinaryMatrix(m.dim, tuple(rows))
-
-
 def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
     """Fold the circuit's CNOTs as row ops starting from the identity.
 
-    CNOT(control, target) maps to RowOp(control, target): the target wire's
-    parity picks up the control wire's parity.
+    CNOT(control, target) is the row op row[target] ^= row[control]: the
+    target wire's parity picks up the control wire's parity.
     """
     rows = [1 << i for i in range(c.num_qubits)]
     for g in c.gates:

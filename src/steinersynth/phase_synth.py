@@ -183,11 +183,10 @@ def _fold_rows(state: _NetworkState, cols: list[int], pivot: int, g: Connectivit
     if not terms:
         return
     tree = steiner_approx(g, terms | {pivot}, root=pivot)
-    plan = plan_pre_transpose(tree)
-    for op in plan.ops():
+    for control, target in plan_pre_transpose(tree):
         # Table row op "row target ^= row control" is the circuit CNOT with
         # the roles swapped.
-        state.add_cnot(op.target, op.control)
+        state.add_cnot(target, control)
 
 
 def synth_parity_network_constrained(
@@ -265,5 +264,4 @@ def _synthesize_cnot_rz(s: SumOverPaths, g: ConnectivityGraph) -> Circuit:
     """The circuit of `synthesize_cnot_rz`, without building a report."""
     network, c_matrix = synth_parity_network_constrained(s, g)
     fixup_target = multiply(s.linear, invert(c_matrix))
-    fixup, _ = _synthesize_constrained(fixup_target, g)
-    return network.extended(fixup.gates)
+    return network.extended(_synthesize_constrained(fixup_target, g).gates)

@@ -45,7 +45,7 @@ def _synthesize(task, g: ConnectivityGraph, method: str) -> tuple[Circuit, str]:
         raise ValueError("the pmh baseline needs a matrix task")
     if isinstance(task, BinaryMatrix):
         if method == "steiner":
-            return _synthesize_constrained(task, g)[0], "steiner"
+            return _synthesize_constrained(task, g), "steiner"
         source = pmh_synthesize(task, partition=method == "pmh")
     elif isinstance(task, SumOverPaths):
         if method == "steiner":

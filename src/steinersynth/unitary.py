@@ -73,10 +73,3 @@ def phase_aligned_deviation(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.max(np.abs(a - b)))
     lam /= mag  # keep it a pure phase
     return float(np.max(np.abs(b - lam * a)))
-
-
-def circuits_equivalent(a: Circuit, b: Circuit, tol: float = 1e-9) -> bool:
-    """Unitary equivalence up to global phase for small circuits."""
-    if a.num_qubits != b.num_qubits:
-        return False
-    return phase_aligned_deviation(circuit_unitary(a), circuit_unitary(b)) < tol

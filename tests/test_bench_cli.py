@@ -229,8 +229,13 @@ def test_cli_route_has_no_verify_width_option(tmp_path):
 
 
 def test_cli_bench_sparseness_rejects_bad_sizes():
-    for args in (["--trials", "0"], ["--n", "1", "--trials", "1"]):
-        res = CliRunner().invoke(main, ["bench", "sparseness", *args])
+    for args in (
+        ["sparseness", "--trials", "0"],
+        ["sparseness", "--n", "1", "--trials", "1"],
+        ["arch", "--arch", "line(5)", "--trials", "0"],
+        ["arch", "--arch", "line(5)", "--trials", "-2"],
+    ):
+        res = CliRunner().invoke(main, ["bench", *args])
         assert res.exit_code == 2, args
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("error: ")

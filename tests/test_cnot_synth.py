@@ -4,7 +4,6 @@ import pytest
 
 from steinersynth import (
     BinaryMatrix,
-    RowOp,
     eliminate_column_cost,
     expand_templates,
     naive_column_cost,
@@ -19,14 +18,7 @@ from steinersynth import (
     synthesize_constrained,
 )
 from steinersynth.circuits import Circuit, cnot
-from steinersynth.cnot_synth import (
-    EliminationPlan,
-    SubtreePlan,
-    _path_ops,
-    _path_plan,
-    _preorder,
-    apply_plan,
-)
+from steinersynth.cnot_synth import _path_ops, _preorder
 from steinersynth.graphs import SteinerTree, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
@@ -73,57 +65,61 @@ def reference_rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int
     return {u: sorted(vs) for u, vs in children.items()}
 
 
-def reference_postorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
+Op = tuple[int, int]  # (control, target): row[target] ^= row[control]
+# One subtree of a plan: (root, leaves, ops), the ops adding the root's row
+# into each leaf row and leaving every other row unchanged.
+Subtree = tuple[int, frozenset[int], list[Op]]
+
+
+def reference_postorder_edges(children: dict[int, list[int]], root: int) -> list[Op]:
     """Edge ops (parent -> child), each emitted when its child subtree finishes."""
-    out: list[RowOp] = []
+    out: list[Op] = []
 
     def walk(u: int) -> None:
         for v in children[u]:
             walk(v)
-            out.append(RowOp(u, v))
+            out.append((u, v))
 
     walk(root)
     return out
 
 
-def reference_preorder_edges(children: dict[int, list[int]], root: int) -> list[RowOp]:
+def reference_preorder_edges(children: dict[int, list[int]], root: int) -> list[Op]:
     """Edge ops (parent -> child), each parent edge before its child's edges."""
-    out: list[RowOp] = []
+    out: list[Op] = []
 
     def walk(u: int) -> None:
         for v in children[u]:
-            out.append(RowOp(u, v))
+            out.append((u, v))
             walk(v)
 
     walk(root)
     return out
 
 
-def reference_subtree_ops(
-    adj: dict[int, list[int]], root: int, keep: set[int]
-) -> tuple[list[RowOp], list[RowOp], list[RowOp]]:
-    """The R / R' / R* sequence for one subtree.
+def reference_subtree_ops(adj: dict[int, list[int]], root: int, keep: set[int]) -> list[Op]:
+    """The R / R' / R* sequence for one subtree, concatenated.
 
     `keep` lists the nodes whose rows should end up XORed with the root row
     (the subtree's terminals); all interior nodes must be outside `keep`.
     """
     children = reference_rooted(adj, root)
     ops_r = reference_postorder_edges(children, root)
-    ops_rp = [op for op in reversed(ops_r) if op.control != root]
-    ops_rs = [op for op in ops_r + ops_rp if op.target not in keep]
-    return ops_r, ops_rp, ops_rs
+    ops_rp = [op for op in reversed(ops_r) if op[0] != root]
+    ops_rs = [op for op in ops_r + ops_rp if op[1] not in keep]
+    return ops_r + ops_rp + ops_rs
 
 
-def reference_plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
+def reference_plan_pre_transpose(t: SteinerTree) -> list[Subtree]:
     """The plan_pre_transpose that rooted every cut subtree again, kept as
-    the oracle."""
+    the oracle: its subtrees in execution order."""
     adj = reference_pruned_adjacency(t)
     if len(adj) == 1:
-        return EliminationPlan(())
+        return []
     children = reference_rooted(adj, t.root)
 
     subtree_roots = [t.root]
-    plans: list[SubtreePlan] = []
+    plans: list[Subtree] = []
     for cut_root in subtree_roots:
         # Collect this subtree: BFS from cut_root stopping at interior terminals.
         sub_adj: dict[int, list[int]] = {cut_root: []}
@@ -142,30 +138,29 @@ def reference_plan_pre_transpose(t: SteinerTree) -> EliminationPlan:
                     leaves.add(v)
                 else:
                     queue.append(v)
-        r, rp, rs = reference_subtree_ops(sub_adj, cut_root, leaves | {cut_root})
-        plans.append(SubtreePlan(cut_root, frozenset(leaves), tuple(r), tuple(rp), tuple(rs)))
-    return EliminationPlan(tuple(reversed(plans)))
+        ops = reference_subtree_ops(sub_adj, cut_root, leaves | {cut_root})
+        plans.append((cut_root, frozenset(leaves), ops))
+    return plans[::-1]
 
 
-def reference_path_plan(path: list[int]) -> SubtreePlan:
-    """The _path_plan that built a path tree and rooted it, kept as the oracle."""
+def reference_path_plan(path: list[int]) -> Subtree:
+    """The path plan that built a path tree and rooted it, kept as the oracle."""
     root, leaf = path[0], path[-1]
     adj: dict[int, list[int]] = {n: [] for n in path}
     for a, b in zip(path, path[1:]):
         adj[a].append(b)
         adj[b].append(a)
-    r, rp, rs = reference_subtree_ops(adj, root, {root, leaf})
-    return SubtreePlan(root, frozenset({leaf}), tuple(r), tuple(rp), tuple(rs))
+    return root, frozenset({leaf}), reference_subtree_ops(adj, root, {root, leaf})
 
 
-def reference_plan_post_transpose(t: SteinerTree) -> EliminationPlan:
+def reference_plan_post_transpose(t: SteinerTree) -> list[Subtree]:
     """The plan_post_transpose that built the tree path from every terminal
-    to every node, kept as the oracle."""
+    to every node, kept as the oracle: its ladders in execution order."""
     if t.root != min(t.terminals):
         raise ValueError("post-transpose plans require the smallest terminal as root")
     adj = reference_pruned_adjacency(t)
     if len(adj) == 1:
-        return EliminationPlan(())
+        return []
 
     # Tree distances/paths from every terminal, lowest-index tie-breaks.
     def tree_paths_from(s: int) -> dict[int, list[int]]:
@@ -188,7 +183,7 @@ def reference_plan_post_transpose(t: SteinerTree) -> EliminationPlan:
         return paths
 
     paths = {s: tree_paths_from(s) for s in t.terminals}
-    plans: list[SubtreePlan] = []
+    plans: list[Subtree] = []
     for w in sorted(t.terminals, reverse=True):
         if w == t.root:
             continue
@@ -197,18 +192,35 @@ def reference_plan_post_transpose(t: SteinerTree) -> EliminationPlan:
             key=lambda s: (len(paths[s][w]), s),
         )
         plans.append(reference_path_plan(paths[anchor][w]))
-    return EliminationPlan(tuple(plans))
+    return plans
 
 
-def expected_net(plan, m: BinaryMatrix) -> BinaryMatrix:
+def flatten(subtrees: list[Subtree]) -> list[Op]:
+    """The ops of every subtree, in execution order."""
+    return [op for _, _, ops in subtrees for op in ops]
+
+
+def apply_ops(m: BinaryMatrix, ops: list[Op]) -> BinaryMatrix:
+    """m with row[target] ^= row[control] applied for each op in turn."""
+    rows = list(m.rows)
+    for control, target in ops:
+        rows[target] ^= rows[control]
+    return BinaryMatrix(m.dim, tuple(rows))
+
+
+def expected_net(subtrees: list[Subtree], m: BinaryMatrix) -> BinaryMatrix:
     """Independent model of a plan: each subtree adds its root row (as it
     stands at execution) into its leaf rows, in execution order."""
     rows = list(m.rows)
-    for root, leaves in plan.net_effects():
+    for root, leaves, _ in subtrees:
         snapshot = rows[root]
         for leaf in sorted(leaves):
             rows[leaf] ^= snapshot
     return BinaryMatrix(m.dim, tuple(rows))
+
+
+def random_rows(n: int, rng) -> BinaryMatrix:
+    return BinaryMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
 
 
 def random_tree_instance(rng):
@@ -220,18 +232,18 @@ def random_tree_instance(rng):
 
 def test_plan_pre_single_edge(demo6_graph):
     tree = SteinerTree(demo6_graph, frozenset({0, 1}), 0, frozenset({(0, 1)}))
-    plan = plan_pre_transpose(tree)
-    assert plan.ops() == (RowOp(0, 1),)
-    assert all(sub.ops_Rprime == () and sub.ops_Rstar == () for sub in plan.subtrees)
+    assert plan_pre_transpose(tree) == [(0, 1)]
 
 
 def test_plan_pre_path_is_clean_ladder(demo6_graph):
     # Root 0, leaf 2, one relay node: the restoring ladder takes 4 ops.
     tree = SteinerTree(demo6_graph, frozenset({0, 2}), 0, frozenset({(0, 1), (1, 2)}))
     plan = plan_pre_transpose(tree)
-    assert len(plan.ops()) == 4
+    want = reference_plan_pre_transpose(tree)
+    assert plan == flatten(want)
+    assert len(plan) == 4
     m = random_invertible(6, 12)
-    assert apply_plan(m, plan) == expected_net(plan, m)
+    assert apply_ops(m, plan) == expected_net(want, m)
 
 
 def test_plan_pre_random_trees():
@@ -239,20 +251,21 @@ def test_plan_pre_random_trees():
     for _ in range(200):
         g, tree = random_tree_instance(rng)
         plan = plan_pre_transpose(tree)
-        for op in plan.ops():
-            assert g.has_edge(op.control, op.target)
+        want = reference_plan_pre_transpose(tree)
+        assert plan == flatten(want)
+        for control, target in plan:
+            assert g.has_edge(control, target)
         # covered rows = union of subtree roots and leaves; everything else
         # must come back untouched
         m = random_invertible(g.node_count, rng.randrange(10**6))
-        got = apply_plan(m, plan)
-        want = expected_net(plan, m)
-        assert got == want
-        touched = {leaf for _, leaves in plan.net_effects() for leaf in leaves}
+        got = apply_ops(m, plan)
+        assert got == expected_net(want, m)
+        touched = {leaf for _, leaves, _ in want for leaf in leaves}
         for r in range(g.node_count):
             if r not in touched:
                 assert got.rows[r] == m.rows[r]
         # every leaf is a terminal and every subtree root is a terminal
-        for root, leaves in plan.net_effects():
+        for root, leaves, _ in want:
             assert root in tree.terminals
             assert leaves <= tree.terminals
 
@@ -262,18 +275,19 @@ def test_plan_pre_op_budget():
     rng = random.Random(1)
     for _ in range(100):
         _, tree = random_tree_instance(rng)
-        plan = plan_pre_transpose(tree)
-        assert len(plan.ops()) <= 4 * tree.weight
+        assert len(plan_pre_transpose(tree)) <= 4 * tree.weight
 
 
 @pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
 def test_plan_pre_matches_the_rooted_subtree_reference(g):
     rng = random.Random(g.node_count * 1000 + g.edge_count() + 2)
+    rows_rng = random.Random(0)
     for terminals in random_terminal_sets(g, rng, 60):
         tree = steiner_approx(g, terminals, root=rng.choice(sorted(terminals)))
         got, want = plan_pre_transpose(tree), reference_plan_pre_transpose(tree)
-        assert got.net_effects() == want.net_effects(), sorted(terminals)
-        assert got == want, sorted(terminals)
+        assert got == flatten(want), sorted(terminals)
+        m = random_rows(g.node_count, rows_rng)
+        assert apply_ops(m, got) == expected_net(want, m), sorted(terminals)
 
 
 def branchy_grid_tree(root: int) -> SteinerTree:
@@ -291,13 +305,14 @@ def test_plan_pre_hand_built_tree_matches_the_reference(root):
     tree = branchy_grid_tree(root)
     tree.validate()
     plan = plan_pre_transpose(tree)
-    assert plan == reference_plan_pre_transpose(tree)
-    assert len(plan.subtrees) > 1
+    want = reference_plan_pre_transpose(tree)
+    assert plan == flatten(want)
+    assert len(want) > 1
     # the Steiner leaf branches are pruned away, the relays are restored
-    rows = {op.target for op in plan.ops()} | {op.control for op in plan.ops()}
+    rows = {row for op in plan for row in op}
     assert not rows & {2, 4, 8, 11}
     m = random_invertible(16, root)
-    assert apply_plan(m, plan) == expected_net(plan, m)
+    assert apply_ops(m, plan) == expected_net(want, m)
 
 
 def test_plan_pre_with_a_steiner_leaf_branch(demo6_graph):
@@ -305,8 +320,12 @@ def test_plan_pre_with_a_steiner_leaf_branch(demo6_graph):
     tree = SteinerTree(demo6_graph, frozenset({0, 2, 3}), 0,
                        frozenset({(0, 1), (1, 2), (2, 3), (0, 5)}))
     plan = plan_pre_transpose(tree)
-    assert plan == reference_plan_pre_transpose(tree)
-    assert plan.net_effects() == [(2, frozenset({3})), (0, frozenset({2}))]
+    want = reference_plan_pre_transpose(tree)
+    assert plan == flatten(want)
+    assert [(root, leaves) for root, leaves, _ in want] == [
+        (2, frozenset({3})), (0, frozenset({2}))]
+    m = random_invertible(6, 4)
+    assert apply_ops(m, plan) == expected_net(want, m)
 
 
 def test_preorder_matches_the_rooted_reference():
@@ -315,7 +334,7 @@ def test_preorder_matches_the_rooted_reference():
         _, tree = random_tree_instance(rng)
         root = rng.choice(sorted(tree.terminals))
         want = reference_preorder_edges(reference_rooted(reference_adjacency(tree), root), root)
-        assert _preorder(tree._adj, root) == [(op.control, op.target) for op in want]
+        assert _preorder(tree._adj, root) == want
 
 
 def test_steiner_tree_identity_ignores_the_cached_adjacency(demo6_graph):
@@ -356,8 +375,7 @@ def test_mutating_the_adjacency_copy_changes_no_plan():
 
 def test_plan_post_single_edge(demo6_graph):
     tree = SteinerTree(demo6_graph, frozenset({0, 1}), 0, frozenset({(0, 1)}))
-    plan = plan_post_transpose(tree)
-    assert plan.ops() == (RowOp(0, 1),)
+    assert plan_post_transpose(tree) == [(0, 1)]
 
 
 def test_plan_post_line_with_midpath_terminal():
@@ -366,13 +384,14 @@ def test_plan_post_line_with_midpath_terminal():
     g = line_graph(6)
     tree = steiner_approx(g, {0, 2, 5}, root=0)
     plan = plan_post_transpose(tree)
-    effects = plan.net_effects()
-    assert {leaf for _, leaves in effects for leaf in leaves} == {2, 5}
-    for root, leaves in effects:
+    want = reference_plan_post_transpose(tree)
+    assert plan == flatten(want)
+    assert {leaf for _, leaves, _ in want for leaf in leaves} == {2, 5}
+    for root, leaves, _ in want:
         for leaf in leaves:
             assert root < leaf
     m = random_invertible(6, 3)
-    assert apply_plan(m, plan) == expected_net(plan, m)
+    assert apply_ops(m, plan) == expected_net(want, m)
 
 
 def test_plan_post_random_trees_respect_direction():
@@ -380,13 +399,15 @@ def test_plan_post_random_trees_respect_direction():
     for _ in range(200):
         g, tree = random_tree_instance(rng)
         plan = plan_post_transpose(tree)
-        for op in plan.ops():
-            assert g.has_edge(op.control, op.target)
-        for root, leaves in plan.net_effects():
+        want = reference_plan_post_transpose(tree)
+        assert plan == flatten(want)
+        for control, target in plan:
+            assert g.has_edge(control, target)
+        for root, leaves, _ in want:
             assert all(root < leaf for leaf in leaves)
         m = random_invertible(g.node_count, rng.randrange(10**6))
-        got = apply_plan(m, plan)
-        assert got == expected_net(plan, m)
+        got = apply_ops(m, plan)
+        assert got == expected_net(want, m)
         # rows below the root are never touched
         for r in range(tree.root):
             assert got.rows[r] == m.rows[r]
@@ -398,25 +419,29 @@ def test_plan_post_matches_the_all_paths_reference(g):
     for terminals in random_terminal_sets(g, rng, 60):
         tree = steiner_approx(g, terminals, root=min(terminals))
         got, want = plan_post_transpose(tree), reference_plan_post_transpose(tree)
-        assert got == want, sorted(terminals)
+        assert got == flatten(want), sorted(terminals)
 
 
 def test_plan_post_skips_non_terminal_branches(demo6_graph):
     # Node 5 is a Steiner leaf hanging off the path 0-1-2; the search from
     # terminal 2 may pass it, but the plan is the pruned tree's plan.
     tree = SteinerTree(demo6_graph, frozenset({0, 2}), 0, frozenset({(0, 1), (1, 2), (0, 5)}))
-    assert plan_post_transpose(tree) == reference_plan_post_transpose(tree)
-    assert plan_post_transpose(tree).ops() == (
-        RowOp(1, 2), RowOp(0, 1), RowOp(1, 2), RowOp(0, 1))
+    plan = plan_post_transpose(tree)
+    assert plan == flatten(reference_plan_post_transpose(tree))
+    assert plan == [(1, 2), (0, 1), (1, 2), (0, 1)]
 
 
 @pytest.mark.parametrize("length", range(1, 11))
 def test_path_plan_matches_the_rooted_subtree_ops(length):
     rng = random.Random(length)
+    rows_rng = random.Random(0)
     for _ in range(5):
         path = rng.sample(range(3 * length + 2), length + 1)
-        assert _path_plan(path) == reference_path_plan(path), path
-        assert _path_ops(path) == [(op.control, op.target) for op in _path_plan(path).ops()]
+        want = reference_path_plan(path)
+        assert want[:2] == (path[0], frozenset({path[-1]}))
+        assert _path_ops(path) == flatten([want]), path
+        m = random_rows(3 * length + 2, rows_rng)
+        assert apply_ops(m, _path_ops(path)) == expected_net([want], m), path
 
 
 def test_plan_post_requires_smallest_root(demo6_graph):

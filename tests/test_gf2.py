@@ -4,9 +4,7 @@ import pytest
 
 from steinersynth import (
     BinaryMatrix,
-    RowOp,
     SingularMatrixError,
-    apply_row_op,
     emit_matrix,
     invert,
     multiply,
@@ -18,26 +16,6 @@ from steinersynth import (
 from steinersynth.circuits import Circuit, cnot, h
 
 
-def test_apply_row_op_elementary():
-    m = BinaryMatrix.identity(2)
-    out = apply_row_op(m, RowOp(0, 1))
-    assert out.to_lists() == [[1, 0], [1, 1]]
-
-
-def test_apply_row_op_involutive():
-    m = random_invertible(6, 3)
-    op = RowOp(2, 5)
-    assert apply_row_op(apply_row_op(m, op), op) == m
-
-
-def test_apply_row_op_rejects_bad_indices():
-    m = BinaryMatrix.identity(2)
-    with pytest.raises(IndexError):
-        apply_row_op(m, RowOp(0, 5))
-    with pytest.raises(ValueError):
-        RowOp(1, 1)
-
-
 # The three elementary factors of a 3-CNOT product and the product itself.
 PRODUCT_4X4 = BinaryMatrix.from_rows(
     [[1, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
@@ -45,9 +23,11 @@ PRODUCT_4X4 = BinaryMatrix.from_rows(
 
 
 def test_elementary_factors_compose_to_product():
+    # Each CNOT's matrix is an elementary row addition; a later gate's
+    # factor multiplies from the left.
     m = BinaryMatrix.identity(4)
-    for op in (RowOp(0, 1), RowOp(2, 3), RowOp(3, 0)):
-        m = apply_row_op(m, op)
+    for gate in (cnot(0, 1), cnot(2, 3), cnot(3, 0)):
+        m = multiply(simulate_cnot_circuit(Circuit(4, (gate,))), m)
     assert m == PRODUCT_4X4
 
 

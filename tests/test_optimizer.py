@@ -11,7 +11,7 @@ from steinersynth.gf2 import simulate_cnot_circuit
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
 from steinersynth.optimizer import DEFAULT_WINDOW
 from steinersynth.universal import commutes
-from steinersynth.unitary import circuits_equivalent
+from steinersynth.verify import verify_equivalence
 from conftest import all_gates_up_to
 
 
@@ -72,7 +72,7 @@ def test_cancel_through_commuting_gate():
     c = Circuit(3, (cnot(0, 1), cnot(0, 2), cnot(0, 1)))
     out = cancel_pass(c)
     assert out.gates == (cnot(0, 2),)
-    assert circuits_equivalent(c, out)
+    assert verify_equivalence(c, out, "unitary").equivalent
 
 
 def test_blocked_pair_stays():
@@ -95,7 +95,7 @@ def test_monotone_and_idempotent():
         c = random_universal_circuit(n, 120, probs, trial)
         once = cancel_pass(c)
         assert len(once) <= len(c)
-        assert circuits_equivalent(c, once)
+        assert verify_equivalence(c, once, "unitary").equivalent
         assert cancel_pass(once) == once
 
 

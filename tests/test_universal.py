@@ -14,9 +14,9 @@ from steinersynth import (
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
 from steinersynth.graphs import line_graph
-from steinersynth.unitary import circuit_unitary, circuits_equivalent
+from steinersynth.unitary import circuit_unitary
 from steinersynth.universal import Segment, segments_to_circuit
-from steinersynth.verify import edge_legal
+from steinersynth.verify import edge_legal, verify_equivalence
 from conftest import all_gates_up_to
 
 
@@ -51,7 +51,7 @@ def test_merge_delete_h_s_conjugation():
     c = Circuit(1, (h(0), rz(Angle(1, 4), 0), h(0)))
     out = merge_delete_h(c)
     assert out.count("h") == 1
-    assert circuits_equivalent(c, out)
+    assert verify_equivalence(c, out, "unitary").equivalent
 
 
 def test_merge_delete_h_random_equivalence():
@@ -62,7 +62,7 @@ def test_merge_delete_h_random_equivalence():
         c = random_universal_circuit(n, 200, probs, trial)
         out = merge_delete_h(c)
         assert out.count("h") <= c.count("h")
-        assert circuits_equivalent(c, out)
+        assert verify_equivalence(c, out, "unitary").equivalent
 
 
 def test_partition_no_h_single_block():
@@ -88,7 +88,7 @@ def test_partition_preserves_gates_and_unitary():
         segs = partition_segments(c)
         rebuilt = segments_to_circuit(segs, n)
         assert len(rebuilt) == len(c)
-        assert circuits_equivalent(c, rebuilt)
+        assert verify_equivalence(c, rebuilt, "unitary").equivalent
         for seg in segs:
             kinds = {g.kind for g in seg.gates}
             if seg.kind == "h_block":
@@ -109,7 +109,7 @@ def test_route_h_free_reduces_to_phase_synthesis():
     c = Circuit(4, (cnot(0, 3), rz(Angle(1, 8), 2)))
     routed, _ = route_universal(c, g)
     assert routed.count("h") == 0
-    assert circuits_equivalent(c, routed)
+    assert verify_equivalence(c, routed, "unitary").equivalent
     assert edge_legal(routed, g)
 
 
@@ -118,7 +118,7 @@ def test_route_small_mixed_circuit():
     c = Circuit(3, (rz(Angle(1, 8), 0), cnot(0, 2), h(1), cnot(2, 0)))
     routed, _ = route_universal(c, g)
     assert edge_legal(routed, g)
-    assert circuits_equivalent(c, routed)
+    assert verify_equivalence(c, routed, "unitary").equivalent
 
 
 def test_route_random_universal_circuits():
@@ -132,7 +132,7 @@ def test_route_random_universal_circuits():
         c = random_universal_circuit(n, 60, probs, trial)
         routed, report = route_universal(c, g)
         assert edge_legal(routed, g)
-        assert circuits_equivalent(c, routed)
+        assert verify_equivalence(c, routed, "unitary").equivalent
         assert report.cnot_count == routed.cnot_count
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 
 class CircuitFormatError(ValueError):
@@ -132,8 +133,10 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            for q in g.qubits:
+        # Each distinct wire tuple is checked once, in first-occurrence order,
+        # so the error names the first bad wire: CNOTs on one edge repeat it.
+        for qubits in dict.fromkeys(map(attrgetter("qubits"), self.gates)):
+            for q in qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"wire {q} out of range for {self.num_qubits} qubits")
 

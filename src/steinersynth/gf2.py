@@ -86,7 +86,8 @@ def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
     for g in c.gates:
         if g.kind != "cnot":
             raise ValueError(f"non-CNOT gate {g.kind!r} in linear simulation")
-        rows[g.target] ^= rows[g.control]
+        control, target = g.qubits
+        rows[target] ^= rows[control]
     return BinaryMatrix(c.num_qubits, tuple(rows))
 
 

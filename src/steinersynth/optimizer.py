@@ -10,11 +10,20 @@ gate in the range its last scan examined was removed, or when it absorbed
 an RZ merge itself; every other gate would repeat a no-op, so the result
 equals rescanning every gate every round.
 
-The scans run on plain integers.  Each gate is read once into a kind code
-(CNOT 0, RZ 1, H 2) and its first and last wire (control and target of a
-CNOT, the one wire otherwise), and there is one scan loop per kind of
-scanned gate, with the rules of `universal.commutes` written out as integer
-comparisons:
+The first round is settled with arrays.  Nothing has been removed when it
+begins, so every gate's first scan can be read off the unmodified circuit:
+numpy compares each gate with the gate at offset 1 over the whole circuit,
+then the gates that meet nothing there with offsets 2 to `window`, in
+chunks.  That gives each gate the position its scan stops at and whether
+it stops at a cancel or merge.  Only those event gates are queued for the
+first round; the scan loop in `cancel_pass`, the only scan implementation,
+runs on them and on whatever a removal requeues.
+
+The scans run on plain integers.  Each distinct gate object is read once
+into a kind code (CNOT 0, RZ 1, H 2) and its first and last wire (control
+and target of a CNOT, the one wire otherwise), and there is one scan loop
+per kind of scanned gate, with the rules of `universal.commutes` written
+out as integer comparisons:
 
 - CNOT (c, t): an identical CNOT cancels; a CNOT with control t or target c
   blocks, any other CNOT commutes; an RZ or H on t blocks, and so does an H
@@ -25,18 +34,86 @@ comparisons:
 
 These equal `commutes`: `test_inlined_rules_match_commutes_on_three_wires`
 in `tests/test_optimizer.py` checks them on every pair of gates on three
-wires, against a reference pass that calls `commutes`.
+wires, against a reference pass that calls `commutes`.  `_meets` writes the
+same rules as array expressions for the first round.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
+
+import numpy as np
 
 from .circuits import Circuit, rz
 
 DEFAULT_WINDOW = 32
 _CNOT, _RZ, _H = 0, 1, 2
 _KIND = {"cnot": _CNOT, "rz": _RZ, "h": _H}
+_CHUNK = 1 << 12  # window offsets held at once: keeps the first round's temporaries small
+
+
+def _decode(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind code, first wire and last wire of every gate.  Each distinct
+    gate object is read once (the synthesizers share one per edge); sorting
+    the object ids finds them, and a gather expands their codes."""
+    ids = np.fromiter(map(id, gates), np.uintp, len(gates))
+    order = ids.argsort()
+    ids = ids[order]
+    new = np.empty(len(ids), dtype=bool)
+    new[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    which = np.empty(len(ids), dtype=np.intc)
+    which[order] = np.cumsum(new, dtype=np.intc) - 1  # the gate's distinct object, numbered
+    table = np.array(
+        [(_KIND[g.kind], g.qubits[0], g.qubits[-1]) for g in map(gates.__getitem__, order[new].tolist())],
+        dtype=np.intc,
+    ).reshape(-1, 3)
+    kind, first, last = table.T[:, which]
+    return kind.astype(np.uint8), first, last
+
+
+def _meets(k, a, b, j, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a scan of gate (k, a, b) stops at gate (j, x, y), and whether
+    it stops there with a cancel or merge: the scan loop's rules, broadcast."""
+    match = (j == k) & (x == a) & (y == b)
+    on_a = y == a
+    stops = match | np.where(
+        k == _CNOT,
+        np.where(j == _CNOT, (x == b) | on_a, (y == b) | (on_a & (j == _H))),
+        on_a | ((k == _H) & (x == a)),
+    )
+    return stops, match
+
+
+def _first_round(kind, first, last, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every gate's first scan on the unmodified circuit: the last position
+    it examines, and whether it ends in a cancel or merge there."""
+    n = len(kind)
+    pos = np.arange(n, dtype=np.intc)
+    stop = np.minimum(pos + min(max(window, 0), n), n - 1)  # met nothing in its window
+    event = np.zeros(n, dtype=bool)
+    if window < 1 or n < 2:
+        return stop, event
+    hit, event[:-1] = _meets(kind[:-1], first[:-1], last[:-1], kind[1:], first[1:], last[1:])
+    stop[:-1][hit] = pos[1:][hit]
+    rest = np.flatnonzero(~hit)
+    offsets = np.arange(2, min(window, n - 1) + 1)
+    if not len(offsets):
+        return stop, event
+    rows = max(1, _CHUNK // len(offsets))
+    for lo in range(0, len(rest), rows):
+        r = rest[lo:lo + rows]
+        # Offsets past the end read the last gate again, which each row
+        # already meets or passes at its own offset, so argmax never picks one.
+        j = np.minimum(r[:, None] + offsets, n - 1)
+        hit, match = _meets(kind[r, None], first[r, None], last[r, None], kind[j], first[j], last[j])
+        at = hit.argmax(axis=1)
+        found = np.flatnonzero(hit[np.arange(len(r)), at])
+        at = at[found]
+        stop[r[found]] = j[found, at]
+        event[r[found]] = match[found, at]
+    return stop, event
 
 
 def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
@@ -48,9 +125,27 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
     skipped.  Gates keep their input positions in a doubly linked list of
     survivors, and stop[i] records the last position the latest scan of i
     examined (its blocker, the last gate in its window, or the last gate).
-    When the gate at p is removed, the up to `window` survivors before p
-    whose scans reached p are queued again: into this round if they come
-    after the gate being scanned, else into the next.  An RZ that absorbed
+
+    The first round's stops come from `_first_round`, which reads them off
+    the unmodified circuit, and its queue holds only the gates whose first
+    scan cancels or merges.  Every other gate's first scan would change
+    nothing, and it stays exact for as long as no gate in its range is
+    removed; when one is, the requeue rule below scans it again at its
+    turn, as the full round would have.
+
+    When the gate at p is removed, every survivor before p whose latest
+    scan reached p is queued again: into this round if it comes after the
+    gate being scanned, else into the next.  Those survivors are p's
+    predecessor and the "far" gates, whose latest scan went past their
+    immediate successor (far[k] is set).  A scan that stopped at its
+    immediate successor s reached a removed p only if p == s, and then no
+    gate lies between it and p, so it is p's predecessor.  Far gates are
+    found with `bytearray.rfind`, walking back from p no further than
+    `reach`, the longest far scan so far in positions, and stopping once
+    `window` survivors lie between: a scan from there would have needed
+    more than `window` steps to reach p.  When a cancelled pair (i, j) is
+    removed, the search for j stops at i: a scan from before i that reached
+    j passed i and was queued when i was removed.  An RZ that absorbed
     merges and survives is queued for the next round.  Its new angle needs
     no requeue: only an RZ on the same wire reads it, and that would have
     merged it.
@@ -60,40 +155,55 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
     themselves are read for RZ angles and the result.
     """
     gates = list(c.gates)
-    kind = bytes([_KIND[g.kind] for g in gates])
-    first = [g.qubits[0] for g in gates]
-    last = [g.qubits[-1] for g in gates]
     n = len(gates)  # also the "no next gate" mark
-    nxt = array("i", range(1, n + 1))
-    prv = array("i", range(-1, n - 1))
+    kinds, firsts, lasts = _decode(gates)
+    stops, events = _first_round(kinds, firsts, lasts, window)
+    kind, first, last = kinds.tobytes(), array("i", firsts.tobytes()), array("i", lasts.tobytes())
+    after = np.arange(1, n + 1, dtype=np.intc)
+    nxt = array("i", after.tobytes())
+    prv = array("i", (after - 2).tobytes())
+    stop = array("i", stops.tobytes())
+    far = bytearray((stops > after).tobytes())
+    queue = bytearray(events.tobytes())  # this round
+    del kinds, firsts, lasts, stops, events, after  # free before the loop allocates
     alive = bytearray(b"\x01") * n
-    stop = array("i", [n]) * n
-    queue = bytearray(b"\x01") * n  # this round
     later = bytearray(n)  # next round
+    reach = window  # stop[k] - k <= reach for every far k
 
-    def remove(p: int, cur: int) -> None:
-        alive[p] = 0
+    def remove(p: int, cur: int, floor: int = 0) -> None:
+        alive[p] = far[p] = 0
         a, b = prv[p], nxt[p]
         if a >= 0:
             nxt[a] = b
+            if stop[a] >= p:
+                if a > cur:
+                    queue[a] = 1
+                else:
+                    later[a] = 1
         if b < n:
             prv[b] = a
-        k = a
-        for _ in range(window):
-            if k < 0:
-                return
+        lo = p - reach if p - reach > floor else floor
+        k = far.rfind(1, lo, p)
+        hi, between = p, 0  # survivors in [hi, p)
+        while k >= 0:
             if stop[k] >= p:
                 if k > cur:
                     queue[k] = 1
                 else:
                     later[k] = 1
-            k = prv[k]
+            elif p - k >= window:  # nearer, fewer than window survivors lie between
+                between += alive.count(1, k, hi)
+                if between >= window:
+                    break  # no scan from k or before it can have reached p
+                hi = k
+            k = far.rfind(1, lo, k)
 
     i = queue.find(1)
     while i >= 0:
         if alive[i]:
             k, a, b = kind[i], first[i], last[i]
             j, seen, steps = nxt[i], i, 0
+            succ = j
             if k == _CNOT:  # control a, target b
                 while j < n and steps < window:
                     seen = j
@@ -102,7 +212,7 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
                     if kind[j] == _CNOT:
                         if x == a and y == b:
                             remove(i, i)
-                            remove(j, i)
+                            remove(j, i, i)
                             break
                         if x == b or y == a:  # control on b or target on a
                             break
@@ -116,7 +226,7 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
                     if first[j] == a or last[j] == a:
                         if kind[j] == _H:
                             remove(i, i)
-                            remove(j, i)
+                            remove(j, i, i)
                         break
                     j = nxt[j]
             else:  # RZ on a
@@ -135,8 +245,14 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
                         later[i] = 1
                     j = nxt[j]
             stop[i] = seen
+            if seen > succ and alive[i]:
+                far[i] = 1
+                if seen - i > reach:
+                    reach = seen - i
+            else:
+                far[i] = 0
         i = queue.find(1, i + 1)
         if i < 0:
             queue, later = later, bytearray(n)
             i = queue.find(1)
-    return Circuit(c.num_qubits, tuple(g for g, keep in zip(gates, alive) if keep))
+    return Circuit(c.num_qubits, tuple(compress(gates, alive)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .circuits import Circuit
 from .gf2 import simulate_cnot_circuit
@@ -52,4 +53,5 @@ def verify_equivalence(a: Circuit, b: Circuit, mode: str = "auto") -> Equivalenc
 def edge_legal(c: Circuit, g: ConnectivityGraph) -> bool:
     """True when every CNOT of the circuit lies on an edge of the graph."""
     arcs = g._arcs
-    return all(gate.qubits in arcs for gate in c.gates if gate.kind == "cnot")
+    # One test per distinct wire tuple; only a CNOT has two wires.
+    return all(q in arcs for q in set(map(attrgetter("qubits"), c.gates)) if len(q) == 2)

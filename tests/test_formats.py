@@ -144,3 +144,20 @@ def test_gate_stores_list_wires_as_a_tuple():
     assert len(expanded) == 4
     assert edge_legal(Circuit(4, (Gate("cnot", [1, 2]),)), line_graph(4))
     assert Gate("h", [3]).qubits == (3,)
+
+
+def test_circuit_names_the_first_bad_wire_in_circuit_order():
+    # Wires are checked once per distinct wire tuple, in first-occurrence
+    # order: a repeated bad gate, or a bad one late, gives the same error.
+    bad = cnot(0, 7)
+    with pytest.raises(ValueError, match=r"^wire 7 out of range for 3 qubits$"):
+        Circuit(3, (cnot(0, 1), bad, h(0), bad, bad))
+    other = h(9)
+    with pytest.raises(ValueError, match=r"^wire 9 out of range for 3 qubits$"):
+        Circuit(3, (cnot(0, 1), other, bad, other))
+    with pytest.raises(ValueError, match=r"^wire 5 out of range for 3 qubits$"):
+        Circuit(3, (cnot(5, 6),))
+    shared = cnot(0, 1)
+    with pytest.raises(ValueError, match=r"^wire 3 out of range for 3 qubits$"):
+        Circuit(3, (shared,) * 5000 + (cnot(3, 0),) + (shared,) * 10)
+    assert Circuit(3, (shared,) * 5000).gates == (shared,) * 5000

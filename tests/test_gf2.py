@@ -13,7 +13,7 @@ from steinersynth import (
     rank,
     simulate_cnot_circuit,
 )
-from steinersynth.circuits import Circuit, cnot, h
+from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 
 
 # The three elementary factors of a 3-CNOT product and the product itself.
@@ -48,6 +48,9 @@ def test_simulate_self_inverse():
 def test_simulate_rejects_non_cnot():
     with pytest.raises(ValueError):
         simulate_cnot_circuit(Circuit(2, (h(0),)))
+    shared = cnot(0, 1)
+    with pytest.raises(ValueError, match="non-CNOT gate 'rz'"):
+        simulate_cnot_circuit(Circuit(2, (shared,) * 100 + (rz(Angle(1, 8), 1), shared)))
 
 
 def test_simulate_concatenation_is_product():

@@ -5,11 +5,11 @@ import pytest
 
 from steinersynth import cancel_pass, emit_circuit, random_invertible
 from steinersynth.bench import random_universal_circuit
-from steinersynth.circuits import Angle, Circuit, cnot, h, rz
+from steinersynth.circuits import Angle, Circuit, Gate, cnot, h, rz
 from steinersynth.cnot_synth import expand_templates, pmh_synthesize
 from steinersynth.gf2 import simulate_cnot_circuit
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
-from steinersynth.optimizer import DEFAULT_WINDOW
+from steinersynth.optimizer import DEFAULT_WINDOW, _decode, _first_round
 from steinersynth.universal import commutes
 from steinersynth.verify import verify_equivalence
 from conftest import all_gates_up_to
@@ -176,3 +176,140 @@ def test_golden_template_ladder_digests(arch, seed, digest):
     g = builtin_architecture(arch)
     out = cancel_pass(expand_templates(pmh_synthesize(random_invertible(g.node_count, seed)), g))
     assert hashlib.sha256(emit_circuit(out).encode()).hexdigest() == digest
+
+
+def first_scans(c: Circuit, window: int) -> list[tuple[int, bool]]:
+    """Oracle for the first round: each gate's scan on the unmodified circuit
+    by the rules of `commutes`, as (last position examined, whether the scan
+    ends in a cancel or merge there)."""
+    gates = c.gates
+    out = []
+    for i, g in enumerate(gates):
+        seen, event = i, False
+        for j in range(i + 1, min(i + window, len(gates) - 1) + 1):
+            other, seen = gates[j], j
+            if g.kind == "rz":
+                event = other.kind == "rz" and other.target == g.target
+            else:
+                event = other == g
+            if event or not commutes(g, other):
+                break
+        out.append((seen, event))
+    return out
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 3, 7, 32, 100])
+def test_first_round_matches_a_scan_of_the_unmodified_circuit(window):
+    probs = {"cnot": 0.5, "s": 0.1, "t": 0.1, "sdg": 0.05, "tdg": 0.05, "h": 0.2}
+    rng = random.Random(2000 + window)
+    for case in range(60):
+        n = rng.randint(2, 5)
+        c = random_universal_circuit(n, rng.randint(0, 70), probs, rng.randrange(1 << 30))
+        if case % 3 == 0:
+            c = c.extended(_inverse(c.gates))
+        stop, event = _first_round(*_decode(list(c.gates)), window)
+        assert list(zip(stop.tolist(), event.tolist())) == first_scans(c, window), (window, case)
+    # long enough that the gates left after offset 1 fill several chunks
+    c = random_universal_circuit(8, 1500, probs, window)
+    stop, event = _first_round(*_decode(list(c.gates)), window)
+    assert list(zip(stop.tolist(), event.tolist())) == first_scans(c, window)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 32])
+def test_tiny_circuits_match_reference(window):
+    for n in (1, 2, 3):
+        assert cancel_pass(Circuit(n), window) == Circuit(n)
+    for g in all_gates_up_to(3):
+        c = Circuit(3, (g,))
+        assert cancel_pass(c, window) == reference_cancel_pass(c, window) == c
+    two = all_gates_up_to(2)
+    for g in two:
+        for o in two:
+            c = Circuit(2, (g, o))
+            assert cancel_pass(c, window) == reference_cancel_pass(c, window), (g, o)
+
+
+def test_window_longer_than_the_circuit():
+    probs = {"cnot": 0.5, "s": 0.1, "t": 0.1, "sdg": 0.05, "tdg": 0.05, "h": 0.2}
+    rng = random.Random(71)
+    for case in range(80):
+        c = random_universal_circuit(3, rng.randint(1, 12), probs, rng.randrange(1 << 30))
+        if case % 2:
+            c = c.extended(_inverse(c.gates))
+        for window in (len(c) - 1, len(c), len(c) + 1, 10**6):
+            assert cancel_pass(c, window) == reference_cancel_pass(c, window), (case, window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 5, DEFAULT_WINDOW])
+def test_partner_at_window_and_one_past(window):
+    # Between the pair sit distinct gates the first one commutes past, so
+    # its scan meets no blocker and stops at the end of its window.
+    pairs = [
+        (cnot(0, 1), cnot(0, 1), lambda w: cnot(0, w)),  # shared control
+        (h(0), h(0), lambda w: h(w)),  # other wires
+        (rz(Angle(1, 8), 0), rz(Angle(1, 4), 0), lambda w: cnot(0, w)),  # RZ on the control
+    ]
+    for g, partner, filler in pairs:
+        for distance in (window, window + 1):
+            c = Circuit(window + 3, (g, *map(filler, range(2, distance + 1)), partner))
+            stop, event = _first_round(*_decode(list(c.gates)), window)
+            assert (int(stop[0]), bool(event[0])) == (
+                (distance, True) if distance == window else (window, False))
+            out = cancel_pass(c, window)
+            assert out == reference_cancel_pass(c, window)
+            assert len(out) == len(c) - (2 if g.kind != "rz" else 1) * (distance == window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, DEFAULT_WINDOW])
+def test_rz_chains_and_h_runs(window):
+    for m in range(1, 20):
+        chain = Circuit(2, (rz(Angle(1, 8), 0),) * m)
+        out = cancel_pass(chain, window)
+        assert out == reference_cancel_pass(chain, window)
+        assert out.gates == (() if m % 8 == 0 else (rz(Angle(m, 8), 0),))
+        # RZs on the control commute past the CNOTs between them
+        woven = Circuit(3, tuple(g for _ in range(m) for g in (rz(Angle(1, 8), 0), cnot(0, 1 + m % 2))))
+        assert cancel_pass(woven, window) == reference_cancel_pass(woven, window), m
+        run = Circuit(2, (h(0),) * m)
+        assert cancel_pass(run, window).gates == (h(0),) * (m % 2)
+        split = Circuit(2, tuple(g for _ in range(m) for g in (h(0), h(1), h(1), h(0))))
+        assert cancel_pass(split, window) == reference_cancel_pass(split, window) == Circuit(2)
+
+
+@pytest.mark.parametrize("window", [1, 2, 4, DEFAULT_WINDOW])
+def test_nested_zipper_ladders(window):
+    # Each cancellation exposes the next pair, so every rung takes a round
+    # and each removal must requeue the gate before it.
+    ladder = [cnot(q, q + 1) for q in range(6)] + [h(6), rz(Angle(1, 8), 6), h(6)]
+    zipper = ladder + _inverse(ladder)
+    nested = ladder[:3] + zipper + [cnot(0, 7), cnot(5, 7)] + zipper + _inverse(ladder[:3])
+    interleaved = [g for pair in zip(zipper, [rz(Angle(1, 8), 8)] * len(zipper)) for g in pair]
+    for gates in (zipper, zipper * 3, nested, interleaved, interleaved + _inverse(interleaved)):
+        c = Circuit(9, tuple(gates))
+        out = cancel_pass(c, window)
+        assert out == reference_cancel_pass(c, window)
+    assert cancel_pass(Circuit(9, tuple(zipper)), window) == Circuit(9)
+
+
+def test_shared_and_distinct_equal_gate_objects():
+    # The first round decodes each distinct gate object once: equal gates
+    # that are distinct objects and one object at many positions must give
+    # the same result.
+    probs = {"cnot": 0.6, "s": 0.1, "t": 0.1, "h": 0.2}
+    rng = random.Random(83)
+    repeats = 0
+    for case in range(60):
+        c = random_universal_circuit(4, rng.randint(1, 60), probs, rng.randrange(1 << 30))
+        shared = {}
+        gates = []
+        for g in c.gates + tuple(_inverse(c.gates)):
+            if rng.random() < 0.5:
+                gates.append(shared.setdefault(g, g))
+            else:
+                gates.append(Gate(g.kind, g.qubits, g.angle))
+        mixed = Circuit(4, tuple(gates))
+        repeats += len(mixed) - len({id(g) for g in mixed.gates})
+        out = cancel_pass(mixed)
+        assert out == reference_cancel_pass(mixed)
+        assert out == cancel_pass(Circuit(4, tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)))
+    assert repeats > 500

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from steinersynth import emit_circuit, random_invertible
-from steinersynth.circuits import Circuit, cnot
+from steinersynth.circuits import Circuit, cnot, h
 from steinersynth.cnot_synth import expand_templates, pmh_synthesize
 from steinersynth.gf2 import simulate_cnot_circuit
 from steinersynth.graphs import builtin_architecture, random_connected_graph, shortest_path
@@ -77,3 +77,11 @@ def test_edge_legal_takes_either_orientation_and_rejects_non_edges():
     assert edge_legal(Circuit(4, (cnot(0, 1), cnot(1, 0), cnot(3, 2))), g)
     assert not edge_legal(Circuit(4, (cnot(0, 1), cnot(0, 2))), g)
     assert not edge_legal(Circuit(4, (cnot(3, 0),)), g)
+
+
+def test_edge_legal_on_shared_gate_objects_and_a_late_bad_edge():
+    g = builtin_architecture("line(4)")
+    legal, bad = cnot(0, 1), cnot(1, 3)
+    assert edge_legal(Circuit(4, (legal,) * 1000 + (h(3), cnot(2, 1))), g)
+    assert not edge_legal(Circuit(4, (legal,) * 1000 + (cnot(0, 3),)), g)
+    assert not edge_legal(Circuit(4, (bad, legal, bad, legal)), g)

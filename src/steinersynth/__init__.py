@@ -51,8 +51,8 @@ from .phase_synth import (
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
-from .pipeline import Certificate, certify, run
+from .pipeline import run
 from .universal import Segment, commutes, merge_delete_h, partition_segments, route_universal
-from .verify import EquivalenceReport, edge_legal, verify_equivalence
+from .verify import Certificate, EquivalenceReport, certify, edge_legal, verify_equivalence
 
 __version__ = "0.1.0"

@@ -2,11 +2,11 @@
 synthesize-then-route baseline.
 
 Both sides of every trial come out of `pipeline.run` (the matrix baseline,
-`baseline_pmh_templates`, is certified by `pipeline.certify`), so each
-datapoint carries the pipeline's certificate: exact GF(2) equality, exact
-sum-over-paths equality, or a dense unitary comparison at small wire
-counts.  Failed trials are excluded from the means and tallied in the CSV
-footer.  All suites are deterministic given (config, seed).
+`baseline_pmh_templates`, is certified by `verify.certify`), so each
+datapoint carries the same certificate: exact GF(2) or sum-over-paths
+equality, or for a routed circuit a dense unitary comparison up to
+UNITARY_QUBIT_CAP wires.  Failed trials are excluded from the means and
+tallied in the CSV footer.  All suites are deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .gf2 import BinaryMatrix, random_invertible
 from .graphs import ConnectivityGraph, builtin_architecture, random_connected_graph
 from .optimizer import cancel_pass
 from .phase_synth import PhasePolynomial, SumOverPaths
+from .verify import certify
 
 DEFAULT_GATE_PROBS = {"cnot": 0.95, "s": 0.01, "t": 0.01, "sdg": 0.01, "tdg": 0.01, "h": 0.01}
 
@@ -114,7 +115,7 @@ def _compare(task, g: ConnectivityGraph, cleanup: bool) -> tuple[int, int, str]:
     ours, _, cert = pipeline.run(task, g, cleanup=cleanup)
     if isinstance(task, BinaryMatrix):
         base = baseline_pmh_templates(task, g, cleanup)
-        base_cert = pipeline.certify(task, base, g)
+        base_cert = certify(task, base, g)
     else:
         base, _, base_cert = pipeline.run(task, g, "templates", cleanup)
     if not (cert.ok and base_cert.ok):
@@ -220,9 +221,9 @@ def bench_h_ratio(
     cleanup: bool = True,
 ) -> str:
     """Universal-pipeline routing vs raw template expansion as the share of
-    Hadamard gates grows.  Unitary verification runs up to the pipeline's
-    dense-check width; larger instances get only the edge-legality check,
-    are marked "skip" in the verified column and counted in an
+    Hadamard gates grows.  Unitary verification runs up to
+    UNITARY_QUBIT_CAP wires; larger instances get only the edge-legality
+    check, are marked "skip" in the verified column and counted in an
     "# unverified_skip" footer, and still enter the means."""
 
     def trials(bi: int, p_h: float):

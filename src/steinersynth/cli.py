@@ -27,8 +27,8 @@ from .graphs import (
     random_connected_graph,
 )
 from .phase_synth import PhasePolynomial, SumOverPaths, extract_sum_over_paths, parity_from_bits
-from .pipeline import DENSE_CHECK_MAX, run
-from .verify import verify_equivalence
+from .pipeline import run
+from .verify import UNITARY_QUBIT_CAP, verify_equivalence
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
@@ -153,8 +153,8 @@ def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
 @main.command(
     "route",
     help="Route a {CNOT, RZ, H} circuit onto a coupling graph.  The output is "
-    f"compared with the input as a dense unitary up to {DENSE_CHECK_MAX} wires; "
-    "above that only edge legality is checked.",
+    "compared with the input over GF(2) if CNOT-only, else as a dense unitary "
+    f"up to {UNITARY_QUBIT_CAP} wires; above that only edge legality is checked.",
 )
 @click.option("--circuit", "circuit_file", required=True, type=click.Path(exists=True))
 @click.option("--graph", "graph_file", type=click.Path(exists=True))

@@ -192,7 +192,6 @@ class SynthesisReport:
     h_count: int = 0
     depth: int = 0
     elapsed_ms: float = 0.0
-    seed: int | None = None
 
     @property
     def total(self) -> int:
@@ -210,11 +209,10 @@ class SynthesisReport:
             },
             "depth": self.depth,
             "elapsed_ms": round(self.elapsed_ms, 3),
-            "seed": self.seed,
         }
 
 
-def _report(method: str, graph_name: str, circuit: Circuit, t0: float, **kw) -> SynthesisReport:
+def _report(method: str, graph_name: str, circuit: Circuit, t0: float) -> SynthesisReport:
     return SynthesisReport(
         method=method,
         graph_name=graph_name,
@@ -223,7 +221,6 @@ def _report(method: str, graph_name: str, circuit: Circuit, t0: float, **kw) -> 
         h_count=circuit.count("h"),
         depth=circuit.depth(),
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        **kw,
     )
 
 

@@ -2,14 +2,13 @@
 
 `run` picks the synthesizer from the type of the task, applies the
 commute-and-cancel cleanup, builds one report from the final circuit and
-certifies the circuit against the task with `certify`.  The CLI synthesis
-commands and the bench suites all go through it.
+certifies the circuit against the task with `verify.certify`.  The CLI
+synthesis commands and the bench suites all go through it.
 """
 
 from __future__ import annotations
 
 import time
-from typing import NamedTuple
 
 from .circuits import Circuit
 from .cnot_synth import (
@@ -19,22 +18,12 @@ from .cnot_synth import (
     expand_templates,
     pmh_synthesize,
 )
-from .gf2 import BinaryMatrix, simulate_cnot_circuit
+from .gf2 import BinaryMatrix
 from .graphs import ConnectivityGraph, complete_graph
 from .optimizer import cancel_pass
-from .phase_synth import SumOverPaths, _synthesize_cnot_rz, extract_sum_over_paths
+from .phase_synth import SumOverPaths, _synthesize_cnot_rz
 from .universal import _route_universal
-from .verify import edge_legal, verify_equivalence
-
-# Widest routed circuit whose dense unitary is compared; wider ones get the
-# edge-legality check only.  Comparing a 1000-gate circuit with its routed
-# output took 0.07 s at 6 wires, 0.5 s at 7 and 4 s at 8 (2-vCPU Xeon).
-DENSE_CHECK_MAX = 6
-
-
-class Certificate(NamedTuple):
-    mode: str  # "gf2", "sum-over-paths", "unitary" or "edges" (edge legality only)
-    ok: bool
+from .verify import Certificate, certify
 
 
 def _synthesize(task, g: ConnectivityGraph, method: str) -> tuple[Circuit, str]:
@@ -80,22 +69,3 @@ def run(
         circuit = cancel_pass(circuit)
     report = _report(name, graph.name, circuit, t0)
     return circuit, report, certify(task, circuit, graph)
-
-
-def certify(task, circuit: Circuit, graph: ConnectivityGraph) -> Certificate:
-    """Check that every CNOT lies on a graph edge and the circuit does the task.
-
-    Matrices are compared exactly over GF(2) and sum-over-paths pairs
-    exactly; a routed circuit is compared with its source as a dense
-    unitary up to DENSE_CHECK_MAX wires, and above that only its edges are
-    checked (mode "edges").
-    """
-    legal = edge_legal(circuit, graph)
-    if isinstance(task, BinaryMatrix):
-        return Certificate("gf2", legal and simulate_cnot_circuit(circuit) == task)
-    if isinstance(task, SumOverPaths):
-        return Certificate("sum-over-paths", legal and extract_sum_over_paths(circuit) == task)
-    if task.num_qubits > DENSE_CHECK_MAX:
-        return Certificate("edges", legal)
-    ok = legal and verify_equivalence(task, circuit, "unitary").equivalent
-    return Certificate("unitary", ok)

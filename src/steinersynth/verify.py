@@ -1,13 +1,22 @@
-"""Circuit equivalence verification: exact GF(2) or dense unitary."""
+"""Equivalence checks: `certify` and `verify_equivalence` share `_check`.
+
+A matrix task and a pair of CNOT-only circuits are checked over GF(2), a
+`SumOverPaths` task by its sum-over-paths, all at any width; any other pair
+of circuits as dense unitaries up to UNITARY_QUBIT_CAP wires.  Pairs never
+go through sum-over-paths: RZ(1/2) on wires 0, 1 and 0^1 is the identity,
+but its phase polynomial is not empty.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .circuits import Circuit
 from .gf2 import simulate_cnot_circuit
 from .graphs import ConnectivityGraph
+from .phase_synth import SumOverPaths, extract_sum_over_paths
 from .unitary import UNITARY_QUBIT_CAP, circuit_unitary, phase_aligned_deviation
 
 UNITARY_TOL = 1e-9
@@ -18,36 +27,59 @@ class EquivalenceReport:
     mode: str
     equivalent: bool
     deviation: float
-    detail: str = ""
+
+
+class Certificate(NamedTuple):
+    mode: str  # "gf2", "sum-over-paths", "unitary" or "edges" (edge legality only)
+    ok: bool
+
+
+def _check(task, circuit: Circuit, mode: str = "auto") -> EquivalenceReport | None:
+    """Check the circuit against a matrix, sum-over-paths or circuit task;
+    "gf2" or "unitary" forces that check on a pair of circuits, and "auto"
+    returns None for a pair above the cap that is not CNOT-only."""
+    if isinstance(task, SumOverPaths):
+        same = extract_sum_over_paths(circuit) == task
+        return EquivalenceReport("sum-over-paths", same, float(not same))
+    if isinstance(task, Circuit):
+        cnot_only = task.is_cnot_only() and circuit.is_cnot_only()
+        if mode == "auto" and not cnot_only:
+            if task.num_qubits > UNITARY_QUBIT_CAP:
+                return None
+            mode = "unitary"
+        if mode == "unitary":
+            dev = phase_aligned_deviation(circuit_unitary(task), circuit_unitary(circuit))
+            return EquivalenceReport("unitary", dev < UNITARY_TOL, dev)
+        if mode not in ("auto", "gf2"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if not cnot_only:
+            raise ValueError("gf2 mode needs CNOT-only circuits")
+        task = simulate_cnot_circuit(task)
+    same = simulate_cnot_circuit(circuit) == task
+    return EquivalenceReport("gf2", same, float(not same))
+
+
+def certify(task, circuit: Circuit, graph: ConnectivityGraph) -> Certificate:
+    """Check that every CNOT lies on a graph edge and the circuit does the
+    task, in `_check`'s mode or, when it has none, in mode "edges"."""
+    report = _check(task, circuit)
+    mode, same = (report.mode, report.equivalent) if report else ("edges", True)
+    return Certificate(mode, edge_legal(circuit, graph) and same)
 
 
 def verify_equivalence(a: Circuit, b: Circuit, mode: str = "auto") -> EquivalenceReport:
     """Check that two circuits implement the same operation.
 
     gf2 mode requires CNOT-only circuits and compares matrices exactly;
-    unitary mode compares dense matrices up to global phase (wire count
-    capped).  auto picks gf2 when both circuits are CNOT-only.
+    unitary mode compares dense matrices up to global phase.  Above the cap
+    auto mode raises ValueError unless both circuits are CNOT-only.
     """
     if a.num_qubits != b.num_qubits:
         raise ValueError("circuits act on different wire counts")
-    if mode == "auto":
-        mode = "gf2" if a.is_cnot_only() and b.is_cnot_only() else "unitary"
-    if mode == "gf2":
-        if not (a.is_cnot_only() and b.is_cnot_only()):
-            raise ValueError("gf2 mode needs CNOT-only circuits")
-        ma, mb = simulate_cnot_circuit(a), simulate_cnot_circuit(b)
-        same = ma == mb
-        return EquivalenceReport("gf2", same, 0.0 if same else 1.0,
-                                 "exact matrix comparison")
-    if mode == "unitary":
-        if a.num_qubits > UNITARY_QUBIT_CAP:
-            raise ValueError(
-                f"unitary mode capped at {UNITARY_QUBIT_CAP} qubits, got {a.num_qubits}"
-            )
-        dev = phase_aligned_deviation(circuit_unitary(a), circuit_unitary(b))
-        return EquivalenceReport("unitary", dev < UNITARY_TOL, dev,
-                                 f"global-phase-aligned deviation {dev:.3e}")
-    raise ValueError(f"unknown mode {mode!r}")
+    report = _check(a, b, mode)
+    if report is None:
+        raise ValueError(f"unitary mode capped at {UNITARY_QUBIT_CAP} qubits, got {a.num_qubits}")
+    return report
 
 
 def edge_legal(c: Circuit, g: ConnectivityGraph) -> bool:

@@ -71,15 +71,19 @@ def test_bench_h_ratio_smoke():
 
 
 def test_bench_h_ratio_marks_skipped_verification():
-    # Seven wires is above the dense unitary cap: only edge legality runs, so
-    # no row may claim verified=1, yet the rows still enter the means.
-    cfg = BenchConfig(n=7, trials=2, seed=7, gate_count=30)
-    out = bench_h_ratio(cfg, line_graph(7), h_values=(0.0, 0.1))
+    # Nine wires is above the dense unitary cap: a route with an RZ or H gets
+    # the edge-legality check only, so its row reads skip, yet it still enters
+    # the means.  Trial 1 at p_h=0 drew only CNOTs, so it is still compared
+    # over GF(2) and reads 1.
+    cfg = BenchConfig(n=9, trials=2, seed=7, gate_count=30)
+    out = bench_h_ratio(cfg, line_graph(9), h_values=(0.0, 0.1))
     lines = out.splitlines()
     rows = [ln for ln in lines[1:] if not ln.startswith("#")]
-    assert len(rows) == 4
-    assert all(r.split(",")[-1] == "skip" for r in rows)
-    assert lines[-1] == "# unverified_skip 4"
+    assert [r.split(",")[-1] for r in rows] == ["skip", "1", "skip", "skip"]
+    seed = int(rows[1].split(",")[2])
+    probs = {**cfg.gate_probs, "h": 0.0, "cnot": 0.96}  # the suite's mix at p_h=0
+    assert random_universal_circuit(9, 30, probs, seed).is_cnot_only()
+    assert lines[-1] == "# unverified_skip 3"
     assert "# excluded_unverified 0" in lines
     assert sum(ln.startswith("# mean p_h=") and "constrained=" in ln for ln in lines) == 2
 
@@ -138,12 +142,11 @@ def test_cli_rejects_empty_graph_file(tmp_path):
 
 
 def test_cli_report_is_report_dict(tmp_path):
-    # --report writes SynthesisReport.to_dict() untouched, its seed included.
-    report = SynthesisReport(method="steiner", graph_name="line(2)", cnot_count=1, seed=17)
+    # --report writes SynthesisReport.to_dict() untouched.
+    report = SynthesisReport(method="steiner", graph_name="line(2)", cnot_count=1)
     path = tmp_path / "r.json"
     _write_outputs(Circuit(2, (cnot(0, 1),)), report, str(tmp_path / "c.txt"), str(path))
     assert json.loads(path.read_text()) == report.to_dict()
-    assert report.to_dict()["seed"] == 17
 
 
 def test_cli_verify_detects_difference(tmp_path):

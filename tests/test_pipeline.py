@@ -7,7 +7,8 @@ from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
 from steinersynth.graphs import builtin_architecture, line_graph
 from steinersynth.phase_synth import extract_sum_over_paths
-from steinersynth.pipeline import DENSE_CHECK_MAX, certify, run
+from steinersynth.pipeline import certify, run
+from steinersynth.unitary import UNITARY_QUBIT_CAP
 
 PROBS = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
 
@@ -21,10 +22,12 @@ def drop_last(c: Circuit) -> Circuit:
     return Circuit(c.num_qubits, c.gates[:-1])
 
 
-@pytest.mark.parametrize("n", [5, DENSE_CHECK_MAX + 2])
+@pytest.mark.parametrize("n", [5, UNITARY_QUBIT_CAP - 1, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 1])
 def test_run_certifies_each_task_kind(n):
+    # Routes are compared as dense unitaries up to the cap, at 7 and 8 wires
+    # included; above it only their edges are checked.
     g = line_graph(n)
-    routed_mode = "unitary" if n <= DENSE_CHECK_MAX else "edges"
+    routed_mode = "unitary" if n <= UNITARY_QUBIT_CAP else "edges"
     tasks = {
         "gf2": random_invertible(n, 3),
         "sum-over-paths": phase_task(n, 4),
@@ -57,6 +60,16 @@ def test_certify_rejects_a_dropped_cnot():
     assert certify(a, drop_last(circuit), g) == ("gf2", False)
 
 
+def test_run_certifies_a_wide_cnot_only_circuit_over_gf2():
+    # A CNOT-only route is compared over GF(2) at any width, not edges only.
+    g = line_graph(12)
+    c = random_universal_circuit(12, 200, {"cnot": 1.0}, 6)
+    routed, _, cert = run(c, g)
+    assert cert == ("gf2", True)
+    assert routed.is_cnot_only()
+    assert certify(c, drop_last(routed), g) == ("gf2", False)
+
+
 def test_certify_rejects_a_changed_angle():
     g = line_graph(5)
     s = phase_task(5, 9)
@@ -75,9 +88,9 @@ def test_certify_rejects_a_non_edge_cnot_and_a_wrong_unitary():
     detour = routed.extended((cnot(0, 2), cnot(0, 2)))
     assert certify(c, detour, g) == ("unitary", False)
     assert certify(c, routed.extended((h(3),)), g) == ("unitary", False)
-    # Above the dense-check width only the edges are checked.
-    wide = random_universal_circuit(DENSE_CHECK_MAX + 1, 40, PROBS, 11)
-    g_wide = line_graph(DENSE_CHECK_MAX + 1)
+    # Above the unitary cap only the edges are checked.
+    wide = random_universal_circuit(UNITARY_QUBIT_CAP + 1, 40, PROBS, 11)
+    g_wide = line_graph(UNITARY_QUBIT_CAP + 1)
     routed_wide, _, _ = run(wide, g_wide)
     assert certify(wide, routed_wide.extended((h(3),)), g_wide) == ("edges", True)
     assert certify(wide, routed_wide.extended((cnot(0, 2),)), g_wide) == ("edges", False)

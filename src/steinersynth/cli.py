@@ -60,14 +60,22 @@ def _finish(task, graph, method: str, cleanup: bool, out: str | None,
     _write_outputs(circuit, report, out, report_file)
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be written is an input error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        _fail_input(str(exc))
+
+
 def _write_outputs(circuit: Circuit, report, out: str | None, report_file: str | None) -> None:
     text = emit_circuit(circuit)
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         click.echo(text, nl=False)
     if report_file:
-        Path(report_file).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        _write(report_file, json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 @click.group()
@@ -196,7 +204,7 @@ def bench_group():
 
 def _emit_csv(text: str, csv_path: str | None) -> None:
     if csv_path:
-        Path(csv_path).write_text(text)
+        _write(csv_path, text)
     else:
         click.echo(text, nl=False)
 
@@ -210,8 +218,7 @@ def _emit_csv(text: str, csv_path: str | None) -> None:
 @click.option("--no-cleanup", is_flag=True)
 def bench_sparseness_cmd(n, trials, seed, mode, csv_path, no_cleanup):
     try:
-        cfg = bench_mod.BenchConfig(n=n, trials=trials, seed=seed, mode=mode)
-        text = bench_mod.bench_sparseness(cfg, cleanup=not no_cleanup)
+        text = bench_mod.bench_sparseness(n, trials, seed, mode, cleanup=not no_cleanup)
     except ValueError as exc:
         _fail_input(str(exc))
     _emit_csv(text, csv_path)
@@ -252,8 +259,7 @@ def bench_h_ratio_cmd(n, gates, trials, seed, arch, sparseness, csv_path, no_cle
             g = builtin_architecture(arch)
         else:
             g = random_connected_graph(n, sparseness, seed)
-        cfg = bench_mod.BenchConfig(n=g.node_count, trials=trials, seed=seed, gate_count=gates)
-        text = bench_mod.bench_h_ratio(cfg, g, cleanup=not no_cleanup)
+        text = bench_mod.bench_h_ratio(g, trials, seed, gates, cleanup=not no_cleanup)
     except ValueError as exc:
         _fail_input(str(exc))
     _emit_csv(text, csv_path)

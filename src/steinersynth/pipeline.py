@@ -1,14 +1,15 @@
 """One path from a synthesis task to a certified circuit.
 
-`run` picks the synthesizer from the type of the task, applies the
-commute-and-cancel cleanup, builds one report from the final circuit and
-certifies the circuit against the task with `verify.certify`.  The CLI
+`run` builds the task's candidate circuits, applies the commute-and-cancel
+cleanup to each, keeps the one with the fewest CNOTs, builds one report
+from it and certifies it against the task with `verify.certify`.  The CLI
 synthesis commands and the bench suites all go through it.
 """
 
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 
 from .circuits import Circuit
 from .cnot_synth import (
@@ -17,6 +18,7 @@ from .cnot_synth import (
     _synthesize_constrained,
     expand_templates,
     pmh_synthesize,
+    section_widths,
 )
 from .gf2 import BinaryMatrix
 from .graphs import ConnectivityGraph, complete_graph
@@ -26,28 +28,51 @@ from .universal import _route_universal
 from .verify import Certificate, certify
 
 
-def _synthesize(task, g: ConnectivityGraph, method: str) -> tuple[Circuit, str]:
-    """The uncleaned circuit for the task and the report's method name."""
+def _candidates(task, g: ConnectivityGraph, method: str):
+    """The uncleaned candidate circuits for the task, first preferred, and
+    the report's method name."""
     if method not in ("steiner", "pmh", "templates"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "pmh" and not isinstance(task, BinaryMatrix):
-        raise ValueError("the pmh baseline needs a matrix task")
+    if method == "pmh":
+        if not isinstance(task, BinaryMatrix):
+            raise ValueError("the pmh baseline needs a matrix task")
+        # One candidate per section width, each built when it is reached.
+        widths = section_widths(task.dim)
+        circuits = (expand_templates(pmh_synthesize(task, section=w), g) for w in widths)
+        return circuits, "baseline_pmh"
     if isinstance(task, BinaryMatrix):
         if method == "steiner":
-            return _synthesize_constrained(task, g), "steiner"
-        source = pmh_synthesize(task, partition=method == "pmh")
+            return [_synthesize_constrained(task, g)], "steiner"
+        source = pmh_synthesize(task, partition=False)
     elif isinstance(task, SumOverPaths):
         if method == "steiner":
-            return _synthesize_cnot_rz(task, g), "steiner_rz"
+            return [_synthesize_cnot_rz(task, g)], "steiner_rz"
         source = _synthesize_cnot_rz(task, complete_graph(g.node_count))
     elif isinstance(task, Circuit):
         if method == "steiner":
-            return _route_universal(task, g), "route"
+            return [_route_universal(task, g)], "route"
         source = task
     else:
         raise TypeError(f"cannot synthesize a {type(task).__name__}")
     # A baseline ignores connectivity, then expands each long-range CNOT.
-    return expand_templates(source, g), f"baseline_{method}"
+    return [expand_templates(source, g)], "baseline_templates"
+
+
+def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
+    """The candidate with the fewest CNOTs, each one cleaned first when
+    `cleanup` is set; the first wins ties."""
+    if cleanup:
+        candidates = map(cancel_pass, candidates)
+    return min(candidates, key=attrgetter("cnot_count"))
+
+
+def baseline_pmh_templates(
+    a: BinaryMatrix, g: ConnectivityGraph, cleanup: bool = True
+) -> Circuit:
+    """The circuit `run(a, g, "pmh", cleanup)` emits, without its report or
+    certificate: partitioned elimination at each section width, template
+    expansion and cleanup, keeping the fewest routed CNOTs."""
+    return _fewest_cnots(_candidates(a, g, "pmh")[0], cleanup)
 
 
 def run(
@@ -58,14 +83,14 @@ def run(
     A `BinaryMatrix` is synthesized as a CNOT circuit, a `SumOverPaths` as a
     CNOT+RZ circuit, and a {CNOT, RZ, H} `Circuit` is routed.  `method` is
     "steiner" or a synthesize-then-route baseline: "pmh" (partitioned
-    elimination, matrices only) or "templates" (plain elimination for a
-    matrix, full-connectivity synthesis for a sum-over-paths, the input
-    itself for a circuit), each followed by template expansion.  The
-    report's `elapsed_ms` covers synthesis and cleanup.
+    elimination, matrices only, at the section width whose routed circuit
+    has the fewest CNOTs) or "templates" (plain elimination for a matrix,
+    full-connectivity synthesis for a sum-over-paths, the input itself for
+    a circuit), each followed by template expansion.  The report's
+    `elapsed_ms` covers synthesis and cleanup.
     """
     t0 = time.perf_counter()
-    circuit, name = _synthesize(task, graph, method)
-    if cleanup:
-        circuit = cancel_pass(circuit)
+    candidates, name = _candidates(task, graph, method)
+    circuit = _fewest_cnots(candidates, cleanup)
     report = _report(name, graph.name, circuit, t0)
     return circuit, report, certify(task, circuit, graph)

@@ -36,10 +36,11 @@ class Certificate(NamedTuple):
 
 def _check(task, circuit: Circuit, mode: str = "auto") -> EquivalenceReport | None:
     """Check the circuit against a matrix, sum-over-paths or circuit task;
-    "gf2" or "unitary" forces that check on a pair of circuits, and "auto"
-    returns None for a pair above the cap that is not CNOT-only."""
+    a circuit outside the task's gate set fails.  "gf2" or "unitary" forces
+    that check on a pair of circuits, and "auto" returns None for a pair
+    above the cap that is not CNOT-only."""
     if isinstance(task, SumOverPaths):
-        same = extract_sum_over_paths(circuit) == task
+        same = circuit.count("h") == 0 and extract_sum_over_paths(circuit) == task
         return EquivalenceReport("sum-over-paths", same, float(not same))
     if isinstance(task, Circuit):
         cnot_only = task.is_cnot_only() and circuit.is_cnot_only()
@@ -55,7 +56,7 @@ def _check(task, circuit: Circuit, mode: str = "auto") -> EquivalenceReport | No
         if not cnot_only:
             raise ValueError("gf2 mode needs CNOT-only circuits")
         task = simulate_cnot_circuit(task)
-    same = simulate_cnot_circuit(circuit) == task
+    same = circuit.is_cnot_only() and simulate_cnot_circuit(circuit) == task
     return EquivalenceReport("gf2", same, float(not same))
 
 

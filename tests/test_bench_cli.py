@@ -4,12 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import steinersynth
+from steinersynth import pipeline
 from steinersynth import emit_circuit, emit_graph, emit_matrix, random_invertible
 from steinersynth.bench import (
-    BenchConfig,
+    DEFAULT_GATE_PROBS,
     bench_architecture,
     bench_h_ratio,
     bench_sparseness,
@@ -21,15 +23,12 @@ from steinersynth.cnot_synth import SynthesisReport
 from steinersynth.graphs import line_graph
 
 
-def small_cfg(**kw):
-    defaults = dict(n=6, trials=2, seed=3, sparseness_values=(0.4, 1.0), gate_count=30)
-    defaults.update(kw)
-    return BenchConfig(**defaults)
+SMALL = dict(n=6, trials=2, seed=3, sparseness_values=(0.4, 1.0))
 
 
 def test_bench_sparseness_deterministic_and_verified():
-    a = bench_sparseness(small_cfg())
-    b = bench_sparseness(small_cfg())
+    a = bench_sparseness(**SMALL)
+    b = bench_sparseness(**SMALL)
     assert a == b
     assert "# excluded_unverified 0" in a
     rows = [ln for ln in a.splitlines() if ln and not ln.startswith(("#", "sparseness"))]
@@ -38,7 +37,7 @@ def test_bench_sparseness_deterministic_and_verified():
 
 
 def test_bench_sparseness_cnot_rz_mode():
-    out = bench_sparseness(small_cfg(mode="cnot_rz", support_terms=5))
+    out = bench_sparseness(**SMALL, mode="cnot_rz", support_terms=5)
     assert "# excluded_unverified 0" in out
 
 
@@ -63,11 +62,22 @@ def test_bench_architecture_smoke():
     assert out == bench_architecture("tokyo20", [6, 10], trials=2, seed=5)
 
 
+def test_bench_architecture_checks_every_size_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="size 99 out of range"):
+        bench_architecture("tokyo20", [5, 99], trials=1, seed=1)
+    res = CliRunner().invoke(main, ["bench", "arch", "--arch", "tokyo20", "--sizes", "5,99"])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: size 99")
+    assert calls == []
+
+
 def test_bench_h_ratio_smoke():
-    cfg = BenchConfig(n=5, trials=2, seed=7, gate_count=40)
-    out = bench_h_ratio(cfg, line_graph(5), h_values=(0.0, 0.2))
+    kw = dict(trials=2, seed=7, gate_count=40, h_values=(0.0, 0.2))
+    out = bench_h_ratio(line_graph(5), **kw)
     assert "# excluded_unverified 0" in out
-    assert out == bench_h_ratio(cfg, line_graph(5), h_values=(0.0, 0.2))
+    assert out == bench_h_ratio(line_graph(5), **kw)
 
 
 def test_bench_h_ratio_marks_skipped_verification():
@@ -75,13 +85,12 @@ def test_bench_h_ratio_marks_skipped_verification():
     # the edge-legality check only, so its row reads skip, yet it still enters
     # the means.  Trial 1 at p_h=0 drew only CNOTs, so it is still compared
     # over GF(2) and reads 1.
-    cfg = BenchConfig(n=9, trials=2, seed=7, gate_count=30)
-    out = bench_h_ratio(cfg, line_graph(9), h_values=(0.0, 0.1))
+    out = bench_h_ratio(line_graph(9), trials=2, seed=7, gate_count=30, h_values=(0.0, 0.1))
     lines = out.splitlines()
     rows = [ln for ln in lines[1:] if not ln.startswith("#")]
     assert [r.split(",")[-1] for r in rows] == ["skip", "1", "skip", "skip"]
     seed = int(rows[1].split(",")[2])
-    probs = {**cfg.gate_probs, "h": 0.0, "cnot": 0.96}  # the suite's mix at p_h=0
+    probs = {**DEFAULT_GATE_PROBS, "h": 0.0, "cnot": 0.96}  # the suite's mix at p_h=0
     assert random_universal_circuit(9, 30, probs, seed).is_cnot_only()
     assert lines[-1] == "# unverified_skip 3"
     assert "# excluded_unverified 0" in lines
@@ -126,6 +135,25 @@ def test_cli_synth_cnot_baseline_and_errors(tmp_path):
         main, ["synth-cnot", "--matrix", str(matrix), "--arch", "line(9)"]
     )
     assert res_bad.exit_code == 2
+
+
+def test_cli_unwritable_output_paths_are_input_errors(tmp_path):
+    # A path in a missing directory exits 2 with a message, not a traceback
+    # and exit 1, which would read as a verification failure.
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(emit_matrix(random_invertible(4, 2)))
+    missing = str(tmp_path / "missing" / "x.txt")
+    synth = ["synth-cnot", "--matrix", str(matrix), "--arch", "line(4)"]
+    for args in (
+        [*synth, "--out", missing],
+        [*synth, "--report", missing],
+        ["bench", "arch", "--arch", "line(4)", "--trials", "1", "--csv", missing],
+    ):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, args
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.splitlines()[-1].startswith("error: "), args
+        assert "No such file or directory" in res.output
 
 
 def test_cli_rejects_empty_graph_file(tmp_path):

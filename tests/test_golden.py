@@ -29,7 +29,6 @@ from steinersynth import (
     synthesize_constrained,
 )
 from steinersynth.bench import (
-    BenchConfig,
     bench_architecture,
     bench_h_ratio,
     bench_sparseness,
@@ -143,14 +142,12 @@ def test_cli_golden(tmp_path, arch, case):
 def bench_csv(case: str) -> str:
     if case.startswith("sparseness"):
         mode = case.split()[1]
-        cfg = BenchConfig(n=6, trials=2, seed=3, sparseness_values=(0.3, 1.0), mode=mode,
-                          support_terms=6)
-        return bench_sparseness(cfg)
+        return bench_sparseness(n=6, trials=2, seed=3, sparseness_values=(0.3, 1.0), mode=mode,
+                                support_terms=6)
     if case.startswith("arch"):
         return bench_architecture("tokyo20", [5, 8], trials=2, seed=4, mode=case.split()[1])
     n = int(case.split()[1])
-    cfg = BenchConfig(n=n, trials=2, seed=7, gate_count=40)
-    return bench_h_ratio(cfg, line_graph(n), h_values=(0.0, 0.1))
+    return bench_h_ratio(line_graph(n), trials=2, seed=7, gate_count=40, h_values=(0.0, 0.1))
 
 
 BENCH_GOLDEN = {

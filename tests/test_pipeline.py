@@ -2,7 +2,7 @@ import pytest
 from click.testing import CliRunner
 
 from steinersynth import emit_circuit, emit_matrix, pipeline, random_invertible
-from steinersynth.bench import BenchConfig, bench_sparseness, random_universal_circuit
+from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
 from steinersynth.graphs import builtin_architecture, line_graph
@@ -50,6 +50,25 @@ def test_run_rejects_unknown_methods():
         run(phase_task(4, 1), g, "pmh")
     with pytest.raises(TypeError):
         run("not a task", g)
+
+
+# Routed CNOTs of the pmh baseline on tokyo20, with and without cleanup.  At
+# these seeds the width with the fewest elimination ops is not the width
+# with the fewest routed CNOTs (it gives 669/721 and 695/737).
+PMH_TOKYO20 = {(1000, True): 652, (1000, False): 704, (1007, True): 651, (1007, False): 709}
+
+
+@pytest.mark.parametrize("seed,cleanup", sorted(PMH_TOKYO20))
+def test_run_pmh_is_the_bench_baseline(seed, cleanup):
+    # The section width is picked by routed CNOT count in one place, so
+    # `synth-cnot --baseline pmh` and the bench's baseline column agree.
+    g = builtin_architecture("tokyo20")
+    a = random_invertible(20, seed)
+    circuit, report, cert = run(a, g, "pmh", cleanup)
+    assert circuit == baseline_pmh_templates(a, g, cleanup)
+    assert circuit.cnot_count == report.cnot_count == PMH_TOKYO20[seed, cleanup]
+    assert cert == ("gf2", True)
+    assert report.method == "baseline_pmh"
 
 
 def test_certify_rejects_a_dropped_cnot():
@@ -124,9 +143,8 @@ def test_cli_exits_1_when_verification_fails(tmp_path, faulty_cleanup):
 
 @pytest.mark.parametrize("mode", ["cnot", "cnot_rz"])
 def test_bench_row_reads_0_when_verification_fails(faulty_cleanup, mode):
-    cfg = BenchConfig(n=5, trials=2, seed=3, sparseness_values=(0.5,), mode=mode,
-                      support_terms=5)
-    lines = bench_sparseness(cfg).splitlines()
+    lines = bench_sparseness(n=5, trials=2, seed=3, sparseness_values=(0.5,), mode=mode,
+                             support_terms=5).splitlines()
     rows = [ln for ln in lines[1:] if not ln.startswith("#")]
     assert len(rows) == 2
     assert all(r.endswith(",0") for r in rows)

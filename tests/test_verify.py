@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
+from steinersynth.gf2 import random_invertible
+from steinersynth.graphs import line_graph
 from steinersynth.phase_synth import extract_sum_over_paths
 from steinersynth.unitary import UNITARY_QUBIT_CAP, apply_circuit, circuit_unitary
-from steinersynth.verify import verify_equivalence
+from steinersynth.verify import certify, verify_equivalence
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -105,3 +107,18 @@ def test_auto_mode_raises_above_the_cap_unless_cnot_only():
         verify_equivalence(a, a)
     with pytest.raises(ValueError, match="unknown mode"):
         verify_equivalence(Circuit(2), Circuit(2), "sum-over-paths")
+
+
+def test_certify_fails_a_circuit_outside_the_task_gate_set():
+    # A matrix task is checked over GF(2) and a sum-over-paths task by its
+    # phase polynomial; an H gate fails either certificate instead of
+    # raising, even where the unitary is right (H twice is the identity).
+    g = line_graph(3)
+    assert certify(random_invertible(3, 1), Circuit(3, (h(0),)), g) == ("gf2", False)
+    circuit = Circuit(3, (rz(Angle(1, 8), 0), cnot(0, 1)))
+    task = extract_sum_over_paths(circuit)
+    assert certify(task, circuit, g) == ("sum-over-paths", True)
+    assert certify(task, circuit.extended((h(2), h(2))), g) == ("sum-over-paths", False)
+    # Forcing gf2 on a pair with an H is still an input error.
+    with pytest.raises(ValueError, match="CNOT-only"):
+        verify_equivalence(Circuit(3, (h(0),)), Circuit(3, (h(0),)), "gf2")

@@ -67,6 +67,11 @@ def prefix_subgraph(g: ConnectivityGraph, k: int) -> ConnectivityGraph:
     return ConnectivityGraph(k, edges, name=f"{g.name}[0:{k}]")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("cnot", "cnot_rz"):
+        raise ValueError("mode must be 'cnot' or 'cnot_rz'")
+
+
 def _compare(task, g: ConnectivityGraph, cleanup: bool) -> tuple[int, int, str]:
     """Constrained and baseline CNOT counts for one task, and the verified
     cell: "1" when both outputs are certified, "skip" when both passed an
@@ -137,6 +142,7 @@ def bench_sparseness(
     varying edge density; CSV with one row per trial plus mean footers.
     `mode` is "cnot" (random matrices) or "cnot_rz" (random sum-over-paths
     instances with `support_terms` phase terms)."""
+    _check_mode(mode)
 
     def instance(sparseness: float, iseed: int):
         g = random_connected_graph(n, sparseness, iseed)
@@ -154,6 +160,7 @@ def bench_architecture(
     """Both methods on prefix subgraphs of a named architecture; a cnot_rz
     instance on k nodes has k phase terms.  Every size is checked before any
     trial runs."""
+    _check_mode(mode)
     full = builtin_architecture(arch)
     graphs = {}
     for size in sizes:
@@ -180,13 +187,18 @@ def bench_h_ratio(
 ) -> str:
     """Universal-pipeline routing vs raw template expansion as the share of
     Hadamard gates grows; the other gates keep their DEFAULT_GATE_PROBS
-    shares and CNOTs fill the rest.  Unitary verification runs up to
-    UNITARY_QUBIT_CAP wires; larger instances get only the edge-legality
-    check, are marked "skip" in the verified column and counted in an
-    "# unverified_skip" footer, and still enter the means."""
+    shares and CNOTs fill the rest, so every H share must lie in
+    [0, 1 - rotation shares]; all are checked before any trial runs.
+    Unitary verification runs up to UNITARY_QUBIT_CAP wires; larger
+    instances get only the edge-legality check, are marked "skip" in the
+    verified column and counted in an "# unverified_skip" footer, and still
+    enter the means."""
     if gate_count < 0:
         raise ValueError("gate count must be >= 0")
     rotations = sum(v for k, v in DEFAULT_GATE_PROBS.items() if k not in ("cnot", "h"))
+    for p_h in h_values:
+        if not 0 <= p_h <= 1 - rotations:
+            raise ValueError(f"H share {p_h} is outside [0, {1 - rotations:g}]")
 
     def instance(p_h: float, iseed: int):
         probs = {**DEFAULT_GATE_PROBS, "h": p_h, "cnot": 1.0 - rotations - p_h}

@@ -9,6 +9,14 @@ the leftover linear correction.
 
 Parities are packed into integers (bit q set = input q participates).  All
 angle arithmetic is exact.
+
+The parity network holds its table bit-sliced: one int per input row, whose
+bit k is set when the k-th support parity, as the CNOTs so far have moved
+it, contains that input.  Scoring a split row is one AND and a popcount,
+splitting the columns is two ANDs, and a CNOT is one row XOR.  A column
+becomes ready (a single input, so it sits on a wire) only when a CNOT clears
+one of its last two inputs, so each CNOT checks only the columns that hold
+both of its wires, not the whole table.
 """
 
 from __future__ import annotations
@@ -113,73 +121,93 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
     return sorted(s.phase.support(), key=lambda m: parity_to_bits(m, n))
 
 
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class _NetworkState:
-    """Mutable synthesis state shared across the recursion.
+    """Mutable synthesis state shared across the recursion: a bit-sliced
+    parity table.
+
+    Columns are the pending parities, numbered by their position in
+    `build_parity_matrix`.  `rows[q]` is an int over column ids whose bit
+    `cid` is set when parity `cid`, in the moving frame, still contains input
+    `q`; `pending` holds the ids whose rotation is not yet placed.  Bits of
+    placed columns stay in the rows but are always masked off by `pending`.
 
     Every CNOT lies on an edge of the graph `g` and is its shared gate from
     the graph's template memo.
     """
 
-    def __init__(self, n: int, columns: dict[int, tuple[int, Angle]], g: ConnectivityGraph):
-        self.n = n
+    def __init__(self, n: int, columns: list[tuple[int, Angle]], g: ConnectivityGraph):
         self.g = g
-        # column id -> current mask (in the moving frame); angles fixed.
-        self.masks = {cid: mask for cid, (mask, _) in columns.items()}
-        self.angles = {cid: angle for cid, (_, angle) in columns.items()}
-        self.pending = set(columns)
+        self.angles = [angle for _, angle in columns]
+        self.rows = [0] * n
+        for cid, (mask, _) in enumerate(columns):
+            for q in range(n):
+                if (mask >> q) & 1:
+                    self.rows[q] |= 1 << cid
+        self.pending = (1 << len(columns)) - 1
         self.wires = [1 << q for q in range(n)]  # physical wire parities
         self.gates: list[Gate] = []
 
     def emit_ready(self) -> None:
-        """Place rotations for every pending parity now sitting on a wire."""
-        self._emit(cid for cid in self.pending if self.masks[cid] & (self.masks[cid] - 1) == 0)
-
-    def _emit(self, ready) -> None:
-        for cid in sorted(ready):
-            wire = self.masks[cid].bit_length() - 1
+        """Place rotations for every pending parity now sitting on a wire,
+        in column order."""
+        once = twice = 0
+        for row in self.rows:
+            twice |= once & row
+            once |= row
+        ready = once & ~twice & self.pending
+        self.pending &= ~ready
+        for cid in _bits(ready):
+            wire = next(q for q, row in enumerate(self.rows) if (row >> cid) & 1)
             self.gates.append(rz(self.angles[cid], wire))
-            self.pending.discard(cid)
 
     def add_cnot(self, control: int, target: int) -> None:
         """Apply CNOT(control, target) and place the rotations it readies.
 
-        No pending parity sits on a wire between calls, so only the masks
-        this CNOT changes can become ready.
+        In the moving frame the CNOT adds row `target` into row `control`
+        of the table.  No pending parity sits on a wire between calls, so a
+        column becomes ready only if it held exactly the two inputs
+        `control` and `target`: it loses `control` and is left on wire
+        `target`.  Columns are distinct parities and a CNOT keeps them
+        distinct, so at most one column becomes ready.
         """
         pair = (control, target)
         edge = self.g._templates.get(pair)
         self.gates.append(edge[0] if edge else _edge_gates(self.g, (pair,))[0])
         self.wires[target] ^= self.wires[control]
-        # In the moving frame a CNOT adds the *target* row into the *control*
-        # row of the parity table.
-        masks = self.masks
-        bit = 1 << control
-        ready = []
-        for cid in self.pending:
-            mask = masks[cid]
-            if (mask >> target) & 1:
-                mask ^= bit
-                masks[cid] = mask
-                if mask & (mask - 1) == 0:
-                    ready.append(cid)
-        if ready:
-            self._emit(ready)
+        rows = self.rows
+        ready = rows[control] & rows[target] & self.pending
+        rows[control] ^= rows[target]
+        if not ready:
+            return
+        for q, row in enumerate(rows):
+            if q != target and ready & row:
+                ready &= ~row
+                if not ready:
+                    return
+        self.pending ^= ready
+        self.gates.append(rz(self.angles[ready.bit_length() - 1], target))
 
 
-def _fold_rows(state: _NetworkState, cols: list[int], pivot: int, g: ConnectivityGraph) -> None:
+def _fold_rows(state: _NetworkState, cols: int, pivot: int, g: ConnectivityGraph) -> None:
     """Clear every all-ones row of the pivot's one-block via one Steiner plan.
 
-    Rows that equal one across all the given columns are terminals; the plan
-    adds the pivot row into each of them (in the parity table), which zeroes
-    them there.  Row ops on the table map to reversed CNOTs on the circuit.
+    Rows that equal one across all the given columns (a column-id mask) are
+    terminals; the plan adds the pivot row into each of them (in the parity
+    table), which zeroes them there.  Row ops on the table map to reversed
+    CNOTs on the circuit.
     """
-    live = [c for c in cols if c in state.pending]
+    live = cols & state.pending
     if not live:
         return
-    ones = None
-    for cid in live:
-        ones = state.masks[cid] if ones is None else ones & state.masks[cid]
-    terms = {q for q in range(state.n) if (ones >> q) & 1 and q != pivot}
+    terms = {q for q, row in enumerate(state.rows) if row & live == live and q != pivot}
     if not terms:
         return
     tree = steiner_approx(g, terms | {pivot}, root=pivot)
@@ -203,40 +231,39 @@ def synth_parity_network_constrained(
     n = s.num_qubits
     if n != g.node_count:
         raise ValueError(f"instance has {n} qubits but graph has {g.node_count}")
-    columns = {
-        cid: (mask, s.phase.terms[mask]) for cid, mask in enumerate(build_parity_matrix(s))
-    }
+    columns = [(mask, s.phase.terms[mask]) for mask in build_parity_matrix(s)]
     state = _NetworkState(n, columns, g)
     state.emit_ready()
+    rows = state.rows
 
-    def recurse(cols: list[int], candidates: set[int]) -> None:
-        cols = [c for c in cols if c in state.pending]
+    def recurse(cols: int, candidates: set[int]) -> None:
+        cols &= state.pending
         if not cols:
             return
         if not candidates:
             # Candidates exhausted with work left: fold each column onto its
             # lowest participating wire directly.
-            for cid in list(cols):
-                if cid not in state.pending:
-                    continue
-                pivot = (state.masks[cid] & -state.masks[cid]).bit_length() - 1
-                _fold_rows(state, [cid], pivot, g)
+            for cid in _bits(cols):
+                bit = 1 << cid
+                if state.pending & bit:
+                    pivot = next(q for q, row in enumerate(rows) if row & bit)
+                    _fold_rows(state, bit, pivot, g)
             return
+        size = cols.bit_count()
         best = None
         for j in sorted(candidates):
-            ones = sum((state.masks[c] >> j) & 1 for c in cols)
-            score = max(ones, len(cols) - ones)
+            ones = (rows[j] & cols).bit_count()
+            score = max(ones, size - ones)
             if best is None or score > best[0]:
                 best = (score, j)
         j = best[1]
-        zeros = [c for c in cols if not (state.masks[c] >> j) & 1]
-        ones = [c for c in cols if (state.masks[c] >> j) & 1]
-        recurse(zeros, candidates - {j})
+        ones = rows[j] & cols
+        recurse(cols & ~ones, candidates - {j})
         if ones:
             _fold_rows(state, ones, j, g)
             recurse(ones, candidates - {j})
 
-    recurse(sorted(columns), set(range(n)))
+    recurse(state.pending, set(range(n)))
     assert not state.pending, "some parities were never realized"
     circuit = Circuit(n, tuple(state.gates))
     linear = BinaryMatrix(n, tuple(state.wires))

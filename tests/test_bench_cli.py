@@ -73,6 +73,33 @@ def test_bench_architecture_checks_every_size_before_any_trial(monkeypatch):
     assert calls == []
 
 
+def test_bench_sparseness_rejects_an_unknown_mode_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="mode must be 'cnot' or 'cnot_rz'"):
+        bench_sparseness(**SMALL, mode="typo")
+    assert calls == []
+
+
+def test_bench_architecture_rejects_an_unknown_mode_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="mode must be 'cnot' or 'cnot_rz'"):
+        bench_architecture("tokyo20", [5], trials=1, seed=1, mode="CNOT")
+    assert calls == []
+
+
+def test_bench_h_ratio_rejects_an_h_share_above_the_cnot_room(monkeypatch):
+    # The rotations take 0.04, so an H share of 0.99 would leave the CNOTs a
+    # negative weight.
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    for h_values in ((0.99,), (0.0, 0.99), (-0.1,)):
+        with pytest.raises(ValueError, match=f"H share {h_values[-1]} is outside"):
+            bench_h_ratio(line_graph(4), trials=1, seed=1, gate_count=10, h_values=h_values)
+    assert calls == []
+
+
 def test_bench_h_ratio_smoke():
     kw = dict(trials=2, seed=7, gate_count=40, h_values=(0.0, 0.2))
     out = bench_h_ratio(line_graph(5), **kw)

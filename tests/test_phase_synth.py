@@ -15,7 +15,14 @@ from steinersynth import (
 )
 from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.graphs import complete_graph, line_graph
+from steinersynth.cnot_synth import _edge_gates, plan_pre_transpose
+from steinersynth.graphs import (
+    builtin_architecture,
+    complete_graph,
+    grid_graph,
+    line_graph,
+    steiner_approx,
+)
 from steinersynth.phase_synth import parity_from_bits, parity_to_bits
 from steinersynth.verify import edge_legal
 
@@ -180,3 +187,126 @@ def test_full_connectivity_matches_complete_graph():
     c1, _ = synthesize_cnot_rz(sop, complete_graph(6))
     back = extract_sum_over_paths(c1)
     assert back.phase == sop.phase and back.linear == sop.linear
+
+
+# The parity network as it was written before the table was bit-sliced: one
+# mask per column, its code kept verbatim (docstrings dropped) as an oracle.
+# The only addition is the `fallbacks` counter in the candidates-exhausted
+# branch.
+class _ReferenceState:
+    def __init__(self, n, columns, g):
+        self.n = n
+        self.g = g
+        # column id -> current mask (in the moving frame); angles fixed.
+        self.masks = {cid: mask for cid, (mask, _) in columns.items()}
+        self.angles = {cid: angle for cid, (_, angle) in columns.items()}
+        self.pending = set(columns)
+        self.wires = [1 << q for q in range(n)]  # physical wire parities
+        self.gates = []
+
+    def emit_ready(self):
+        self._emit(cid for cid in self.pending if self.masks[cid] & (self.masks[cid] - 1) == 0)
+
+    def _emit(self, ready):
+        for cid in sorted(ready):
+            wire = self.masks[cid].bit_length() - 1
+            self.gates.append(rz(self.angles[cid], wire))
+            self.pending.discard(cid)
+
+    def add_cnot(self, control, target):
+        pair = (control, target)
+        edge = self.g._templates.get(pair)
+        self.gates.append(edge[0] if edge else _edge_gates(self.g, (pair,))[0])
+        self.wires[target] ^= self.wires[control]
+        # In the moving frame a CNOT adds the *target* row into the *control*
+        # row of the parity table.
+        masks = self.masks
+        bit = 1 << control
+        ready = []
+        for cid in self.pending:
+            mask = masks[cid]
+            if (mask >> target) & 1:
+                mask ^= bit
+                masks[cid] = mask
+                if mask & (mask - 1) == 0:
+                    ready.append(cid)
+        if ready:
+            self._emit(ready)
+
+
+def _reference_fold_rows(state, cols, pivot, g):
+    live = [c for c in cols if c in state.pending]
+    if not live:
+        return
+    ones = None
+    for cid in live:
+        ones = state.masks[cid] if ones is None else ones & state.masks[cid]
+    terms = {q for q in range(state.n) if (ones >> q) & 1 and q != pivot}
+    if not terms:
+        return
+    tree = steiner_approx(g, terms | {pivot}, root=pivot)
+    for control, target in plan_pre_transpose(tree):
+        state.add_cnot(target, control)
+
+
+def reference_parity_network(s, g, fallbacks):
+    """Gates and linear map of the mask-per-column network; appends one
+    entry to `fallbacks` each time the candidates run out."""
+    n = s.num_qubits
+    columns = {
+        cid: (mask, s.phase.terms[mask]) for cid, mask in enumerate(build_parity_matrix(s))
+    }
+    state = _ReferenceState(n, columns, g)
+    state.emit_ready()
+
+    def recurse(cols, candidates):
+        cols = [c for c in cols if c in state.pending]
+        if not cols:
+            return
+        if not candidates:
+            fallbacks.append(len(cols))
+            for cid in list(cols):
+                if cid not in state.pending:
+                    continue
+                pivot = (state.masks[cid] & -state.masks[cid]).bit_length() - 1
+                _reference_fold_rows(state, [cid], pivot, g)
+            return
+        best = None
+        for j in sorted(candidates):
+            ones = sum((state.masks[c] >> j) & 1 for c in cols)
+            score = max(ones, len(cols) - ones)
+            if best is None or score > best[0]:
+                best = (score, j)
+        j = best[1]
+        zeros = [c for c in cols if not (state.masks[c] >> j) & 1]
+        ones = [c for c in cols if (state.masks[c] >> j) & 1]
+        recurse(zeros, candidates - {j})
+        if ones:
+            _reference_fold_rows(state, ones, j, g)
+            recurse(ones, candidates - {j})
+
+    recurse(sorted(columns), set(range(n)))
+    assert not state.pending
+    return tuple(state.gates), BinaryMatrix(n, tuple(state.wires))
+
+
+def test_bit_sliced_network_matches_the_mask_reference():
+    graphs = [
+        line_graph(2),
+        line_graph(7),
+        grid_graph(4, 4),
+        builtin_architecture("tokyo20"),
+        builtin_architecture("bristlecone72"),
+        complete_graph(5),
+        complete_graph(9),
+    ] + [random_connected_graph(n, p, n) for n in (4, 8, 12) for p in (0.15, 0.5, 1.0)]
+    fallbacks = []
+    for gi, g in enumerate(graphs):
+        n = g.node_count
+        for num_terms in (0, 1, n, 3 * n):
+            for seed in (gi, gi + 100):
+                sop = random_phase_instance(n, num_terms, seed)
+                circ, linear = synth_parity_network_constrained(sop, g)
+                assert (circ.gates, linear) == reference_parity_network(sop, g, fallbacks)
+    # The candidates-exhausted branch was reached and matched as well.
+    assert fallbacks

@@ -32,6 +32,7 @@ from .verify import UNITARY_QUBIT_CAP, verify_equivalence
 
 INPUT_ERROR = 2
 VERIFY_FAIL = 1
+INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a missing path or a directory exits 2
 
 
 def _fail_input(msg: str) -> None:
@@ -84,8 +85,8 @@ def main():
 
 
 @main.command("synth-cnot")
-@click.option("--matrix", "matrix_file", required=True, type=click.Path(exists=True))
-@click.option("--graph", "graph_file", type=click.Path(exists=True))
+@click.option("--matrix", "matrix_file", required=True, type=INPUT_FILE)
+@click.option("--graph", "graph_file", type=INPUT_FILE)
 @click.option("--arch", type=str)
 @click.option("--baseline", type=click.Choice(["pmh", "templates"]),
               help="synthesize ignoring connectivity (partitioned or plain "
@@ -127,10 +128,10 @@ def _load_phase_file(path: str, n: int) -> PhasePolynomial:
 
 
 @main.command("synth-phase")
-@click.option("--circuit", "circuit_file", type=click.Path(exists=True))
-@click.option("--phase", "phase_file", type=click.Path(exists=True))
-@click.option("--matrix", "matrix_file", type=click.Path(exists=True))
-@click.option("--graph", "graph_file", type=click.Path(exists=True))
+@click.option("--circuit", "circuit_file", type=INPUT_FILE)
+@click.option("--phase", "phase_file", type=INPUT_FILE)
+@click.option("--matrix", "matrix_file", type=INPUT_FILE)
+@click.option("--graph", "graph_file", type=INPUT_FILE)
 @click.option("--arch", type=str)
 @click.option("--out", type=click.Path())
 @click.option("--report", "report_file", type=click.Path())
@@ -164,8 +165,8 @@ def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
     "compared with the input over GF(2) if CNOT-only, else as a dense unitary "
     f"up to {UNITARY_QUBIT_CAP} wires; above that only edge legality is checked.",
 )
-@click.option("--circuit", "circuit_file", required=True, type=click.Path(exists=True))
-@click.option("--graph", "graph_file", type=click.Path(exists=True))
+@click.option("--circuit", "circuit_file", required=True, type=INPUT_FILE)
+@click.option("--graph", "graph_file", type=INPUT_FILE)
 @click.option("--arch", type=str)
 @click.option("--out", type=click.Path())
 @click.option("--report", "report_file", type=click.Path())
@@ -182,8 +183,8 @@ def route(circuit_file, graph_file, arch, out, report_file, no_cleanup):
 
 
 @main.command("verify")
-@click.argument("circuit_a", type=click.Path(exists=True))
-@click.argument("circuit_b", type=click.Path(exists=True))
+@click.argument("circuit_a", type=INPUT_FILE)
+@click.argument("circuit_b", type=INPUT_FILE)
 @click.option("--mode", type=click.Choice(["auto", "gf2", "unitary"]), default="auto")
 def verify_cmd(circuit_a, circuit_b, mode):
     """Check two circuit files for equivalence."""

@@ -7,8 +7,8 @@ drives one such plan per matrix column; a transpose pass finishes the job.
 
 A row op "row[target] ^= row[control]" is a (control, target) int pair
 throughout: the plans (`plan_pre_transpose`, `plan_post_transpose`) return
-lists of them, and the elimination loop turns each into the shared gate of
-its graph edge from the graph's template memo.
+lists of them, and the elimination loop turns each into the shared gate the
+graph built for that directed edge (`ConnectivityGraph._arcs`).
 
 Two full-connectivity baselines live here as well: partitioned elimination
 (with duplicate sub-row removal) and long-range CNOT template expansion.
@@ -275,23 +275,6 @@ def _fill_clear_column(
     return ops
 
 
-def _edge_gates(g: ConnectivityGraph, pairs) -> list[Gate]:
-    """The CNOT of each (control, target) pair, every pair a graph edge.
-
-    Gates come from the graph's template memo (`_template`), so each
-    directed edge's gate is built once and shared by every circuit.
-    """
-    memo = g._templates
-    gates: list[Gate] = []
-    for pair in pairs:
-        edge = memo.get(pair)
-        if edge is None:
-            assert pair in g._arcs, f"row op {pair} is not a graph edge"
-            edge = _template(g, pair)
-        gates.append(edge[0])
-    return gates
-
-
 def synthesize_constrained(
     a: BinaryMatrix, g: ConnectivityGraph
 ) -> tuple[Circuit, SynthesisReport]:
@@ -315,7 +298,7 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     ladder, the fill-and-clear walks over each tree's cached adjacency, and
     the ops of the restoring plans `plan_pre_transpose` and
     `plan_post_transpose`.  Every op lies on a graph edge, so each becomes
-    the edge's shared gate from the graph's template memo.
+    the gate the graph built for that directed edge.
     """
     if a.dim != g.node_count:
         raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
@@ -368,8 +351,8 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
 
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
-    gates = _edge_gates(g, [(target, control) for control, target in ops_b])
-    gates += _edge_gates(g, reversed(ops_a))
+    arcs = g._arcs
+    gates = [arcs[t, c] for c, t in ops_b] + [arcs[op] for op in reversed(ops_a)]
     return Circuit(n, tuple(gates))
 
 
@@ -473,14 +456,11 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
 
 
 def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
-    """The gates `expand_templates` emits for a CNOT on pair, memoized on g."""
+    """The ladder of `g._arcs` gates for a CNOT on a non-adjacent pair, memoized on g."""
     gates = g._templates.get(pair)
     if gates is None:
-        if pair in g._arcs:
-            gates = (cnot(*pair),)
-        else:
-            ops = _path_ops(shortest_path(g, *pair))
-            gates = tuple(_template(g, op)[0] for op in ops)
+        arcs = g._arcs
+        gates = tuple(arcs[op] for op in _path_ops(shortest_path(g, *pair)))
         g._templates[pair] = gates
     return gates
 
@@ -490,33 +470,35 @@ def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
 
     A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs along
     the lowest-index shortest path; other gates pass through unchanged.
-    Expansions come from the graph's template memo, keyed by the ordered
-    (control, target) pair and kept for the graph's lifetime: an edge maps
-    to its one CNOT, any other pair to its ladder, built on first use from
-    one shared gate per directed edge.
+    A CNOT on an edge becomes the gate the graph built for that directed
+    edge (`g._arcs`).  Any other ordered (control, target) pair maps to its
+    ladder of those edge gates from the graph's template memo, built on
+    first use and kept for the graph's lifetime.
     """
+    arcs = g._arcs
     memo = g._templates
     gates: list[Gate] = []
     for gate in c.gates:
         if gate.kind != "cnot":
             gates.append(gate)
-            continue
-        gates.extend(memo.get(gate.qubits) or _template(g, gate.qubits))
+        elif (edge := arcs.get(gate.qubits)) is not None:
+            gates.append(edge)
+        else:
+            gates.extend(memo.get(gate.qubits) or _template(g, gate.qubits))
     return Circuit(c.num_qubits, tuple(gates))
 
 
 def naive_swap_expand(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """Diagnostic SWAP-chain expansion: 1 + 6*(l-1) gates per long-range CNOT."""
+    """Diagnostic SWAP-chain expansion into `g._arcs` gates: 1 + 6*(l-1) per long-range CNOT."""
+    arcs = g._arcs
     gates: list[Gate] = []
     for gate in c.gates:
-        if gate.kind != "cnot" or g.has_edge(gate.control, gate.target):
+        if gate.kind != "cnot":
             gates.append(gate)
             continue
         path = shortest_path(g, gate.control, gate.target)
-        swaps = []
-        for a, b in zip(path, path[1:-1] if len(path) > 2 else []):
-            swaps += [cnot(a, b), cnot(b, a), cnot(a, b)]
-        gates.extend(swaps)
-        gates.append(cnot(path[-2], path[-1]))
-        gates.extend(reversed(swaps))
+        swaps = [arcs[op] for a, b in zip(path, path[1:-1]) for op in ((a, b), (b, a), (a, b))]
+        gates += swaps
+        gates.append(arcs[path[-2], path[-1]])
+        gates += reversed(swaps)
     return Circuit(c.num_qubits, tuple(gates))

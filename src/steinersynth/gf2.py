@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .circuits import Circuit
 
+_MATRIX_DRAWS = 1000  # random_invertible gives up after this many draws
 
 class SingularMatrixError(ValueError):
     """Inversion failed; pivot_column is the first column without a pivot."""
@@ -162,7 +163,7 @@ def invert(m: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix(m.dim, tuple(companion))
 
 
-def random_invertible(n: int, seed: int, max_tries: int = 1000) -> BinaryMatrix:
+def random_invertible(n: int, seed: int) -> BinaryMatrix:
     """Rejection-sample uniform bit matrices until one is invertible.
 
     Deterministic in (n, seed).  A uniform matrix is invertible with
@@ -171,12 +172,12 @@ def random_invertible(n: int, seed: int, max_tries: int = 1000) -> BinaryMatrix:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MATRIX_DRAWS):
         rows = tuple(rng.getrandbits(n) for _ in range(n))
         m = BinaryMatrix(n, rows)
         if is_invertible(m):
             return m
-    raise RuntimeError(f"no invertible matrix after {max_tries} draws (n={n}, seed={seed})")
+    raise RuntimeError(f"no invertible matrix after {_MATRIX_DRAWS} draws (n={n}, seed={seed})")
 
 
 def parse_matrix(text: str) -> BinaryMatrix:

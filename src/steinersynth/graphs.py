@@ -22,6 +22,9 @@ import random
 import re
 from dataclasses import dataclass, field
 
+from .circuits import Gate, cnot
+
+_GRAPH_DRAWS = 10_000  # random_connected_graph gives up after this many draws
 
 def _norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -31,21 +34,21 @@ def _norm_edge(u: int, v: int) -> tuple[int, int]:
 class ConnectivityGraph:
     """Undirected, connected, unit-weight coupling graph.
 
-    Besides the adjacency lists, construction derives both orientations
-    of every edge (`_arcs`).  `_templates` starts empty;
-    `cnot_synth.expand_templates` fills it with the gate tuple it emits for
-    each ordered (control, target) pair, so a graph's ladders are built
-    once and live exactly as long as the graph.  The synthesizers take each
-    CNOT they emit from its edge's entry, so every directed edge has one
-    shared gate.  None of these fields takes part in equality, hashing or
-    repr.
+    Besides the adjacency lists, construction builds the CNOT of every
+    directed edge once: `_arcs` maps each (control, target) arc, both
+    orientations of every edge, to its `cnot` gate, and the graph-aware
+    synthesizers emit these gates and no other CNOTs.  `_templates` starts
+    empty; `cnot_synth.expand_templates` fills it with the relay ladder of
+    each non-adjacent ordered pair it meets, so a graph's ladders are built
+    once and live exactly as long as the graph.  None of these fields takes
+    part in equality, hashing or repr.
     """
 
     node_count: int
     edges: frozenset[tuple[int, int]]
     name: str = "graph"
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _arcs: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,7 +69,8 @@ class ConnectivityGraph:
             seen = self._bfs_reach(0)
             if len(seen) != self.node_count:
                 raise ValueError("graph is not connected")
-        object.__setattr__(self, "_arcs", edges | {(v, u) for u, v in edges})
+        arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
+        object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
 
     def _bfs_reach(self, start: int) -> set[int]:
@@ -530,18 +534,17 @@ def list_architectures() -> list[str]:
     return sorted(_NAMED_ARCH_FILES) + ["line(n)", "grid(r,c)"]
 
 
-def random_connected_graph(
-    n: int, sparseness: float, seed: int, max_tries: int = 10_000
-) -> ConnectivityGraph:
+def random_connected_graph(n: int, sparseness: float, seed: int) -> ConnectivityGraph:
     """Sample each pair independently with probability `sparseness`, then
     reject and resample until the result is connected.  Deterministic in seed.
+    Raises ValueError if no draw is connected (sparseness far too low).
     """
     if n < 2:
         raise ValueError("need at least two nodes")
     if not 0 < sparseness <= 1:
         raise ValueError("sparseness must lie in (0, 1]")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_GRAPH_DRAWS):
         edges = frozenset(
             (i, j)
             for i in range(n)
@@ -554,6 +557,6 @@ def random_connected_graph(
             )
         except ValueError:
             continue
-    raise RuntimeError(
-        f"no connected graph after {max_tries} draws (n={n}, sparseness={sparseness})"
+    raise ValueError(
+        f"no connected graph after {_GRAPH_DRAWS} draws (n={n}, sparseness={sparseness})"
     )

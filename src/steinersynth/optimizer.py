@@ -55,8 +55,9 @@ _CHUNK = 1 << 12  # window offsets held at once: keeps the first round's tempora
 
 def _decode(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kind code, first wire and last wire of every gate.  Each distinct
-    gate object is read once (the synthesizers share one per edge); sorting
-    the object ids finds them, and a gather expands their codes."""
+    gate object is read once: every CNOT the graph-aware synthesizers emit
+    is the one gate its graph built for that directed edge.  Sorting the
+    object ids finds the distinct objects, and a gather expands their codes."""
     ids = np.fromiter(map(id, gates), np.uintp, len(gates))
     order = ids.argsort()
     ids = ids[order]

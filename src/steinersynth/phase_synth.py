@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from .circuits import Angle, Circuit, Gate, rz
 from .cnot_synth import (
     SynthesisReport,
-    _edge_gates,
     _report,
     _synthesize_constrained,
     plan_pre_transpose,
@@ -139,12 +138,12 @@ class _NetworkState:
     `q`; `pending` holds the ids whose rotation is not yet placed.  Bits of
     placed columns stay in the rows but are always masked off by `pending`.
 
-    Every CNOT lies on an edge of the graph `g` and is its shared gate from
-    the graph's template memo.
+    Every CNOT lies on an edge of the graph `g` and is the gate the graph
+    built for that directed edge (`arcs`).
     """
 
     def __init__(self, n: int, columns: list[tuple[int, Angle]], g: ConnectivityGraph):
-        self.g = g
+        self.arcs = g._arcs
         self.angles = [angle for _, angle in columns]
         self.rows = [0] * n
         for cid, (mask, _) in enumerate(columns):
@@ -178,9 +177,7 @@ class _NetworkState:
         `target`.  Columns are distinct parities and a CNOT keeps them
         distinct, so at most one column becomes ready.
         """
-        pair = (control, target)
-        edge = self.g._templates.get(pair)
-        self.gates.append(edge[0] if edge else _edge_gates(self.g, (pair,))[0])
+        self.gates.append(self.arcs[control, target])
         self.wires[target] ^= self.wires[control]
         rows = self.rows
         ready = rows[control] & rows[target] & self.pending

@@ -30,9 +30,15 @@ from .verify import Certificate, certify
 
 def _candidates(task, g: ConnectivityGraph, method: str):
     """The uncleaned candidate circuits for the task, first preferred, and
-    the report's method name."""
+    the report's method name.  The task must act on one qubit per graph
+    node."""
     if method not in ("steiner", "pmh", "templates"):
         raise ValueError(f"unknown method {method!r}")
+    if not isinstance(task, (BinaryMatrix, SumOverPaths, Circuit)):
+        raise TypeError(f"cannot synthesize a {type(task).__name__}")
+    width = task.dim if isinstance(task, BinaryMatrix) else task.num_qubits
+    if width != g.node_count:
+        raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
     if method == "pmh":
         if not isinstance(task, BinaryMatrix):
             raise ValueError("the pmh baseline needs a matrix task")
@@ -48,12 +54,10 @@ def _candidates(task, g: ConnectivityGraph, method: str):
         if method == "steiner":
             return [_synthesize_cnot_rz(task, g)], "steiner_rz"
         source = _synthesize_cnot_rz(task, complete_graph(g.node_count))
-    elif isinstance(task, Circuit):
+    else:  # a Circuit
         if method == "steiner":
             return [_route_universal(task, g)], "route"
         source = task
-    else:
-        raise TypeError(f"cannot synthesize a {type(task).__name__}")
     # A baseline ignores connectivity, then expands each long-range CNOT.
     return [expand_templates(source, g)], "baseline_templates"
 
@@ -86,8 +90,9 @@ def run(
     elimination, matrices only, at the section width whose routed circuit
     has the fewest CNOTs) or "templates" (plain elimination for a matrix,
     full-connectivity synthesis for a sum-over-paths, the input itself for
-    a circuit), each followed by template expansion.  The report's
-    `elapsed_ms` covers synthesis and cleanup.
+    a circuit), each followed by template expansion.  A task whose qubit
+    count is not the graph's node count raises ValueError before any
+    synthesis.  The report's `elapsed_ms` covers synthesis and cleanup.
     """
     t0 = time.perf_counter()
     candidates, name = _candidates(task, graph, method)

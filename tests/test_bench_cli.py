@@ -306,6 +306,44 @@ def test_cli_bench_h_ratio_rejects_a_negative_gate_count():
     assert res.output.startswith("error: ") and "gate count" in res.output
 
 
+def test_cli_bench_h_ratio_exits_2_when_no_connected_graph_is_drawn():
+    args = ["bench", "h-ratio", "--n", "4", "--sparseness", "0.001", "--trials", "1", "--gates", "5"]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: no connected graph after")
+
+
+def test_cli_rejects_a_directory_for_every_input_file(tmp_path):
+    # Each input path must name a file: a directory is a usage error (exit
+    # 2) from click, not an IsADirectoryError traceback with exit 1, which
+    # would read as a verification failure.
+    m3, c3, p3, g3 = (tmp_path / name for name in ("m3.txt", "c3.txt", "p3.txt", "g3.txt"))
+    m3.write_text(emit_matrix(random_invertible(3, 1)))
+    c3.write_text(emit_circuit(Circuit(3, (cnot(0, 1),))))
+    p3.write_text("110 1/8\n")
+    g3.write_text(emit_graph(line_graph(3)))
+    d = str(tmp_path)
+    cases = {
+        "synth-cnot --matrix": ["synth-cnot", "--matrix", d, "--arch", "line(3)"],
+        "synth-cnot --graph": ["synth-cnot", "--matrix", str(m3), "--graph", d],
+        "synth-phase --circuit": ["synth-phase", "--circuit", d, "--arch", "line(3)"],
+        "synth-phase --phase": ["synth-phase", "--phase", d, "--matrix", str(m3), "--arch", "line(3)"],
+        "synth-phase --matrix": ["synth-phase", "--phase", str(p3), "--matrix", d, "--arch", "line(3)"],
+        "synth-phase --graph": ["synth-phase", "--circuit", str(c3), "--graph", d],
+        "route --circuit": ["route", "--circuit", d, "--arch", "line(3)"],
+        "route --graph": ["route", "--circuit", str(c3), "--graph", d],
+        "verify a": ["verify", d, str(c3)],
+        "verify b": ["verify", str(c3), d],
+    }
+    for case, args in cases.items():
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, (case, res.output)
+        assert isinstance(res.exception, SystemExit), case
+        assert "is a directory" in res.output, case
+        assert "Traceback" not in res.output, case
+
+
 def test_cli_rejects_a_singular_matrix(tmp_path):
     matrix = tmp_path / "m.txt"
     matrix.write_text("3\n110\n110\n001\n")

@@ -14,7 +14,8 @@ from steinersynth import (
     steiner_approx,
     steiner_exact,
 )
-from steinersynth.graphs import SteinerTree, _norm_edge
+from steinersynth.circuits import cnot
+from steinersynth.graphs import SteinerTree, _norm_edge, grid_graph
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
 
 
@@ -316,6 +317,32 @@ def test_random_connected_graph_properties():
     g1 = random_connected_graph(20, 0.1, 99)
     g2 = random_connected_graph(20, 0.1, 99)
     assert g1.edges == g2.edges
+
+
+def test_random_connected_graph_gives_up_with_a_value_error():
+    # Far below the connectivity threshold no draw is connected; giving up
+    # is a bad input (the CLI's exit 2), not a crash.
+    with pytest.raises(ValueError, match=r"no connected graph after \d+ draws \(n=4"):
+        random_connected_graph(4, 0.001, 1)
+
+
+@pytest.mark.parametrize("g", [
+    ConnectivityGraph(1, frozenset(), name="one-node"),
+    line_graph(5),
+    grid_graph(3, 4),
+    complete_graph(6),
+    builtin_architecture("tokyo20"),
+    builtin_architecture("bristlecone72"),
+    random_connected_graph(12, 0.3, 4),
+], ids=lambda g: g.name)
+def test_graph_builds_one_cnot_per_directed_edge(g):
+    arcs = g._arcs
+    assert len(arcs) == 2 * g.edge_count()
+    assert set(arcs) == g.edges | {(v, u) for u, v in g.edges}
+    for (c, t), gate in arcs.items():
+        assert gate == cnot(c, t)
+        assert g.has_edge(c, t)
+    assert g._templates == {}
 
 
 def test_graph_text_roundtrip(demo6_graph):

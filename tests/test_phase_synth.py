@@ -15,7 +15,7 @@ from steinersynth import (
 )
 from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import _edge_gates, plan_pre_transpose
+from steinersynth.cnot_synth import plan_pre_transpose
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
@@ -191,8 +191,9 @@ def test_full_connectivity_matches_complete_graph():
 
 # The parity network as it was written before the table was bit-sliced: one
 # mask per column, its code kept verbatim (docstrings dropped) as an oracle.
-# The only addition is the `fallbacks` counter in the candidates-exhausted
-# branch.
+# The only changes are the `fallbacks` counter in the candidates-exhausted
+# branch, and `add_cnot` taking its gate from the graph's `_arcs`, now the
+# only source of edge gates.
 class _ReferenceState:
     def __init__(self, n, columns, g):
         self.n = n
@@ -214,9 +215,7 @@ class _ReferenceState:
             self.pending.discard(cid)
 
     def add_cnot(self, control, target):
-        pair = (control, target)
-        edge = self.g._templates.get(pair)
-        self.gates.append(edge[0] if edge else _edge_gates(self.g, (pair,))[0])
+        self.gates.append(self.g._arcs[control, target])
         self.wires[target] ^= self.wires[control]
         # In the moving frame a CNOT adds the *target* row into the *control*
         # row of the parity table.

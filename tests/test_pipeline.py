@@ -52,6 +52,28 @@ def test_run_rejects_unknown_methods():
         run("not a task", g)
 
 
+@pytest.mark.parametrize("task_width, graph_width", [(5, 3), (3, 5)])
+def test_run_rejects_a_task_of_another_width(task_width, graph_width):
+    # Checked before any synthesis: a wider task would index past the graph,
+    # and a narrower one would certify a circuit that ignores some nodes.
+    g = line_graph(graph_width)
+    tasks = [
+        random_invertible(task_width, 3),
+        phase_task(task_width, 4),
+        random_universal_circuit(task_width, 40, PROBS, 5),
+    ]
+    message = f"task has {task_width} qubits but graph has {graph_width} nodes"
+    for task in tasks:
+        for method in ("steiner", "pmh", "templates"):
+            with pytest.raises(ValueError, match=message):
+                run(task, g, method)
+    with pytest.raises(ValueError, match=message):
+        baseline_pmh_templates(tasks[0], g)
+    for method in ("steiner", "pmh", "templates"):
+        with pytest.raises(TypeError, match="cannot synthesize a str"):
+            run("not a task", g, method)
+
+
 # Routed CNOTs of the pmh baseline on tokyo20, with and without cleanup.  At
 # these seeds the width with the fewest elimination ops is not the width
 # with the fewest routed CNOTs (it gives 669/721 and 695/737).

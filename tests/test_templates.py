@@ -1,4 +1,5 @@
-"""Template expansion of long-range CNOTs and its per-graph memo."""
+"""Template expansion of long-range CNOTs, its per-graph memo, and the one
+shared CNOT per directed edge that every graph-aware synthesizer emits."""
 
 import hashlib
 import math
@@ -6,10 +7,24 @@ import math
 import pytest
 
 from steinersynth import emit_circuit, random_invertible
+from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Circuit, cnot, h
-from steinersynth.cnot_synth import expand_templates, pmh_synthesize
+from steinersynth.cnot_synth import (
+    expand_templates,
+    naive_swap_expand,
+    pmh_synthesize,
+    synthesize_constrained,
+)
 from steinersynth.gf2 import simulate_cnot_circuit
-from steinersynth.graphs import builtin_architecture, random_connected_graph, shortest_path
+from steinersynth.graphs import (
+    builtin_architecture,
+    complete_graph,
+    grid_graph,
+    line_graph,
+    random_connected_graph,
+    shortest_path,
+)
+from steinersynth.phase_synth import _NetworkState, synthesize_cnot_rz
 from steinersynth.verify import edge_legal
 
 
@@ -66,7 +81,9 @@ def test_memo_leaves_graph_identity_alone():
     g = builtin_architecture("tokyo20")
     before = (hash(g), repr(g))
     expand_templates(pmh_synthesize(random_invertible(20, 1)), g)
+    # Edges come from `_arcs`; the memo holds the non-adjacent pairs only.
     assert g._templates
+    assert not any(g.has_edge(*pair) for pair in g._templates)
     assert (hash(g), repr(g)) == before
     assert g == builtin_architecture("tokyo20")
     assert hash(g) == hash(builtin_architecture("tokyo20"))
@@ -85,3 +102,42 @@ def test_edge_legal_on_shared_gate_objects_and_a_late_bad_edge():
     assert edge_legal(Circuit(4, (legal,) * 1000 + (h(3), cnot(2, 1))), g)
     assert not edge_legal(Circuit(4, (legal,) * 1000 + (cnot(0, 3),)), g)
     assert not edge_legal(Circuit(4, (bad, legal, bad, legal)), g)
+
+
+def _cnots_are_the_graph_gates(c: Circuit, g) -> bool:
+    """Every CNOT of c is the very object the graph built for its edge."""
+    return all(gate is g._arcs[gate.qubits] for gate in c.gates if gate.kind == "cnot")
+
+
+@pytest.mark.parametrize("g", [
+    line_graph(6),
+    grid_graph(3, 3),
+    complete_graph(5),
+    builtin_architecture("tokyo20"),
+    random_connected_graph(10, 0.3, 2),
+], ids=lambda g: g.name)
+def test_every_synthesizer_emits_the_graph_edge_gates(g):
+    n = g.node_count
+    probs = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
+    for seed in range(3):
+        a = random_invertible(n, seed)
+        assert _cnots_are_the_graph_gates(synthesize_constrained(a, g)[0], g)
+        sop = random_phase_instance(n, 2 * n, seed)
+        assert _cnots_are_the_graph_gates(synthesize_cnot_rz(sop, g)[0], g)
+        # Input CNOTs are fresh objects, on edges and off them.
+        for source in (pmh_synthesize(a), random_universal_circuit(n, 60, probs, seed)):
+            assert _cnots_are_the_graph_gates(expand_templates(source, g), g)
+            assert _cnots_are_the_graph_gates(naive_swap_expand(source, g), g)
+    assert not any(g.has_edge(*pair) for pair in g._templates)
+
+
+def test_parity_network_rejects_a_non_edge_even_with_its_ladder_memoized():
+    # A memoized ladder is no edge gate: a CNOT off the graph is a KeyError.
+    g = line_graph(3)
+    expand_templates(Circuit(3, (cnot(0, 2),)), g)
+    assert (0, 2) in g._templates
+    state = _NetworkState(3, [], g)
+    state.add_cnot(0, 1)
+    assert state.gates == [g._arcs[0, 1]]
+    with pytest.raises(KeyError):
+        state.add_cnot(0, 2)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, countOf
 
 
 class CircuitFormatError(ValueError):
@@ -74,6 +74,13 @@ NAMED_ANGLES = {
 }
 
 
+# Kind codes packed into `Gate._code`.
+_CNOT, _RZ, _H = 0, 1, 2
+_KIND_CODES = {"cnot": _CNOT, "rz": _RZ, "h": _H}
+_WIRE_BITS = 31  # bits per wire in `Gate._code`: the wires an np.intc holds
+_WIRE_LIMIT = 1 << _WIRE_BITS
+
+
 @dataclass(frozen=True)
 class Gate:
     """A gate over {CNOT, RZ, H}: kind is "cnot", "rz" or "h".
@@ -81,11 +88,19 @@ class Gate:
     For CNOT, qubits = (control, target); otherwise a single target wire.
     Any other sequence given for `qubits` is stored as a tuple, so every
     gate hashes.
+
+    Construction also packs what a cleanup scan reads into one int,
+    `_code`: the kind code (CNOT 0, RZ 1, H 2) in bits 0-1, the last wire
+    (the target) in the next 31 bits, and the first wire (the control of
+    a CNOT, else the target again) above them.  A gate with a wire outside
+    [0, 2**31) gets -1, which no decode accepts.  `_code` takes no part in
+    equality, hashing or repr.
     """
 
     kind: str
     qubits: tuple[int, ...]
     angle: Angle | None = None
+    _code: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.qubits, tuple):
@@ -101,6 +116,12 @@ class Gate:
                 raise ValueError("h needs exactly one wire")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        first, last = self.qubits[0], self.qubits[-1]
+        if 0 <= first < _WIRE_LIMIT and 0 <= last < _WIRE_LIMIT:
+            code = _KIND_CODES[self.kind] | last << 2 | first << (2 + _WIRE_BITS)
+        else:
+            code = -1
+        object.__setattr__(self, "_code", code)
 
     @property
     def control(self) -> int:
@@ -144,7 +165,7 @@ class Circuit:
         return len(self.gates)
 
     def count(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
+        return countOf(map(attrgetter("kind"), self.gates), kind)
 
     @property
     def cnot_count(self) -> int:
@@ -167,7 +188,7 @@ class Circuit:
         return Circuit(self.num_qubits, self.gates + tuple(gates))
 
     def is_cnot_only(self) -> bool:
-        return all(g.kind == "cnot" for g in self.gates)
+        return self.count("cnot") == len(self.gates)
 
 
 def parse_circuit(text: str) -> Circuit:

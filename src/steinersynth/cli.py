@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import bench as bench_mod
 from .circuits import Angle, Circuit, emit_circuit, parse_circuit
@@ -250,11 +251,17 @@ def bench_arch_cmd(arch, sizes, trials, seed, mode, csv_path, no_cleanup):
 @click.option("--gates", default=1000, show_default=True)
 @click.option("--trials", default=5, show_default=True)
 @click.option("--seed", default=1, show_default=True)
-@click.option("--arch", default=None, help="named architecture; default random graph")
+@click.option("--arch", default=None,
+              help="named architecture, instead of a random graph of --n nodes")
 @click.option("--sparseness", default=0.3, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path())
 @click.option("--no-cleanup", is_flag=True)
 def bench_h_ratio_cmd(n, gates, trials, seed, arch, sparseness, csv_path, no_cleanup):
+    if arch:
+        ctx = click.get_current_context()
+        for name in ("n", "sparseness"):
+            if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
+                _fail_input(f"--{name} shapes the random graph and cannot be combined with --arch")
     try:
         if arch:
             g = builtin_architecture(arch)

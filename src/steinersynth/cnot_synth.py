@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 
 from .circuits import Circuit, Gate, cnot
 from .gf2 import BinaryMatrix, SingularMatrixError, check_invertible
@@ -420,6 +422,21 @@ def section_widths(n: int) -> range:
     return range(2, max(3, int(math.log2(n)) + 1))
 
 
+def _pmh_pairs(a: BinaryMatrix, section: int | None) -> list[tuple[int, int]]:
+    """The (control, target) CNOTs of full-connectivity elimination for an
+    invertible `a`, in circuit order: sectioned elimination at width
+    `section`, or plain Gaussian elimination for None.  The transposed
+    pass's ops come first with control and target flipped, then the first
+    pass's ops unchanged but in reverse order."""
+    n = a.dim
+    rows = list(a.rows)
+    first = _triangularize(rows, n, section)
+    rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
+    second = _triangularize(rows, n, section)
+    assert all(r == 1 << i for i, r in enumerate(rows))
+    return [(t, c) for c, t in second] + first[::-1]
+
+
 def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None = None) -> Circuit:
     """Full-connectivity elimination synthesis (no coupling constraints).
 
@@ -427,32 +444,16 @@ def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None 
     removal; partition=False is plain Gaussian elimination.  When no section
     width is given, the small range of sensible widths (2 up to ~log2 n) is
     tried and the shortest result kept, which is what the asymptotic width
-    rule converges to anyway.  Assembly: transposed-pass ops with control
-    and target flipped, in order, then the first-pass ops unchanged but in
-    reverse order.
+    rule converges to anyway.  The CNOTs are those of `_pmh_pairs`.
     """
     check_invertible(a)
-    n = a.dim
-
-    def run(width: int | None) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        rows = list(a.rows)
-        first = _triangularize(rows, n, width)
-        rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
-        second = _triangularize(rows, n, width)
-        assert all(r == 1 << i for i, r in enumerate(rows))
-        return first, second
-
     if not partition:
-        ops_a, ops_b = run(None)
+        pairs = _pmh_pairs(a, None)
     elif section is not None:
-        ops_a, ops_b = run(max(1, section))
+        pairs = _pmh_pairs(a, max(1, section))
     else:
-        ops_a, ops_b = min(
-            (run(w) for w in section_widths(n)), key=lambda ab: len(ab[0]) + len(ab[1])
-        )
-    gates = [cnot(target, control) for control, target in ops_b]
-    gates += [cnot(control, target) for control, target in reversed(ops_a)]
-    return Circuit(n, tuple(gates))
+        pairs = min((_pmh_pairs(a, w) for w in section_widths(a.dim)), key=len)
+    return Circuit(a.dim, tuple(cnot(c, t) for c, t in pairs))
 
 
 def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
@@ -465,26 +466,39 @@ def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
     return gates
 
 
-def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """Replace each non-adjacent CNOT with the nearest-neighbor relay ladder.
+def _expand_pairs(pairs, g: ConnectivityGraph) -> list[Gate]:
+    """The routed gates of CNOTs on the (control, target) `pairs`, in order.
 
-    A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs along
-    the lowest-index shortest path; other gates pass through unchanged.
-    A CNOT on an edge becomes the gate the graph built for that directed
-    edge (`g._arcs`).  Any other ordered (control, target) pair maps to its
-    ladder of those edge gates from the graph's template memo, built on
-    first use and kept for the graph's lifetime.
+    A pair on an edge becomes the gate the graph built for that directed
+    edge (`g._arcs`); any other pair becomes its `_template` ladder of
+    those edge gates, from the graph's memo.  This is the one expansion
+    rule: `expand_templates` applies it to a circuit's CNOTs, and the pmh
+    baseline to elimination's ops without building their CNOTs first.
     """
     arcs = g._arcs
     memo = g._templates
     gates: list[Gate] = []
-    for gate in c.gates:
-        if gate.kind != "cnot":
-            gates.append(gate)
-        elif (edge := arcs.get(gate.qubits)) is not None:
+    for pair in pairs:
+        edge = arcs.get(pair)
+        if edge is not None:
             gates.append(edge)
         else:
-            gates.extend(memo.get(gate.qubits) or _template(g, gate.qubits))
+            gates.extend(memo.get(pair) or _template(g, pair))
+    return gates
+
+
+def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
+    """Replace each non-adjacent CNOT with the nearest-neighbor relay ladder.
+
+    A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs along
+    the lowest-index shortest path, and a CNOT on an edge the gate the graph
+    built for that directed edge (`_expand_pairs`); other gates pass through
+    unchanged.  Ladders are built on first use and kept in the graph's
+    template memo for its lifetime.
+    """
+    gates: list[Gate] = []
+    for kind, run in groupby(c.gates, key=attrgetter("kind")):
+        gates += _expand_pairs(map(attrgetter("qubits"), run), g) if kind == "cnot" else run
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -38,9 +38,9 @@ class ConnectivityGraph:
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
     synthesizers emit these gates and no other CNOTs.  `_templates` starts
-    empty; `cnot_synth.expand_templates` fills it with the relay ladder of
-    each non-adjacent ordered pair it meets, so a graph's ladders are built
-    once and live exactly as long as the graph.  None of these fields takes
+    empty; template expansion (`cnot_synth._expand_pairs`) fills it with the
+    relay ladder of each non-adjacent ordered pair it meets, so a graph's
+    ladders are built once and live exactly as long as the graph.  None of these fields takes
     part in equality, hashing or repr.
     """
 

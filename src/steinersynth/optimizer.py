@@ -19,9 +19,10 @@ it stops at a cancel or merge.  Only those event gates are queued for the
 first round; the scan loop in `cancel_pass`, the only scan implementation,
 runs on them and on whatever a removal requeues.
 
-The scans run on plain integers.  Each distinct gate object is read once
-into a kind code (CNOT 0, RZ 1, H 2) and its first and last wire (control
-and target of a CNOT, the one wire otherwise), and there is one scan loop
+The scans run on plain integers.  Each gate packs its kind code (CNOT 0,
+RZ 1, H 2) and its first and last wire (control and target of a CNOT, the
+one wire otherwise) into `Gate._code` when it is built; `_decode` unpacks
+the codes of the whole circuit with array shifts.  There is one scan loop
 per kind of scanned gate, with the rules of `universal.commutes` written
 out as integer comparisons:
 
@@ -42,36 +43,26 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
+from operator import attrgetter
 
 import numpy as np
 
-from .circuits import Circuit, rz
+from .circuits import _CNOT, _H, _RZ, _WIRE_BITS, Circuit, rz
 
 DEFAULT_WINDOW = 32
-_CNOT, _RZ, _H = 0, 1, 2
-_KIND = {"cnot": _CNOT, "rz": _RZ, "h": _H}
+_WIRE_MASK = (1 << _WIRE_BITS) - 1
 _CHUNK = 1 << 12  # window offsets held at once: keeps the first round's temporaries small
 
 
 def _decode(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kind code, first wire and last wire of every gate.  Each distinct
-    gate object is read once: every CNOT the graph-aware synthesizers emit
-    is the one gate its graph built for that directed edge.  Sorting the
-    object ids finds the distinct objects, and a gather expands their codes."""
-    ids = np.fromiter(map(id, gates), np.uintp, len(gates))
-    order = ids.argsort()
-    ids = ids[order]
-    new = np.empty(len(ids), dtype=bool)
-    new[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=new[1:])
-    which = np.empty(len(ids), dtype=np.intc)
-    which[order] = np.cumsum(new, dtype=np.intc) - 1  # the gate's distinct object, numbered
-    table = np.array(
-        [(_KIND[g.kind], g.qubits[0], g.qubits[-1]) for g in map(gates.__getitem__, order[new].tolist())],
-        dtype=np.intc,
-    ).reshape(-1, 3)
-    kind, first, last = table.T[:, which]
-    return kind.astype(np.uint8), first, last
+    """Kind code, first wire and last wire of every gate, unpacked with
+    shifts from the `Gate._code` each gate packed when it was built.  A
+    gate with a wire outside [0, 2**31) raises OverflowError."""
+    codes = np.fromiter(map(attrgetter("_code"), gates), np.uint64, len(gates))
+    kind = (codes & 3).astype(np.uint8)
+    last = ((codes >> 2) & _WIRE_MASK).astype(np.intc)
+    first = (codes >> (2 + _WIRE_BITS)).astype(np.intc)
+    return kind, first, last
 
 
 def _meets(k, a, b, j, x, y) -> tuple[np.ndarray, np.ndarray]:

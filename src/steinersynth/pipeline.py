@@ -14,13 +14,15 @@ from operator import attrgetter
 from .circuits import Circuit
 from .cnot_synth import (
     SynthesisReport,
+    _expand_pairs,
+    _pmh_pairs,
     _report,
     _synthesize_constrained,
     expand_templates,
     pmh_synthesize,
     section_widths,
 )
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, check_invertible
 from .graphs import ConnectivityGraph, complete_graph
 from .optimizer import cancel_pass
 from .phase_synth import SumOverPaths, _synthesize_cnot_rz
@@ -31,7 +33,13 @@ from .verify import Certificate, certify
 def _candidates(task, g: ConnectivityGraph, method: str):
     """The uncleaned candidate circuits for the task, first preferred, and
     the report's method name.  The task must act on one qubit per graph
-    node."""
+    node.
+
+    The pmh candidates are `expand_templates(pmh_synthesize(a, section=w),
+    g)` for each section width w, each built when it is reached.  They are
+    expanded straight from elimination's (control, target) ops into the
+    graph's shared gates by `_expand_pairs`, so no CNOT is built only to be
+    replaced, and the matrix's invertibility is checked once, here."""
     if method not in ("steiner", "pmh", "templates"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(task, (BinaryMatrix, SumOverPaths, Circuit)):
@@ -42,9 +50,10 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     if method == "pmh":
         if not isinstance(task, BinaryMatrix):
             raise ValueError("the pmh baseline needs a matrix task")
-        # One candidate per section width, each built when it is reached.
-        widths = section_widths(task.dim)
-        circuits = (expand_templates(pmh_synthesize(task, section=w), g) for w in widths)
+        check_invertible(task)
+        n = task.dim
+        widths = section_widths(n)
+        circuits = (Circuit(n, _expand_pairs(_pmh_pairs(task, w), g)) for w in widths)
         return circuits, "baseline_pmh"
     if isinstance(task, BinaryMatrix):
         if method == "steiner":

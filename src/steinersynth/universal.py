@@ -51,39 +51,43 @@ def merge_delete_h(c: Circuit) -> Circuit:
 
     Two H gates on a wire with nothing touching that wire between them
     cancel.  An H / S-or-Sdg / H sandwich on a wire rewrites to the
-    conjugated form with a single H (equal up to global phase).
+    conjugated form with a single H (equal up to global phase).  Rewrites
+    apply to the lowest H that has one, until no H has one.
+
+    A rewrite reads and writes the gates of one wire only, and a CNOT or
+    any other RZ on the wire blocks both rules, so each wire is reduced on
+    its own, in one pass: `runs[q]` holds the positions of the H, S and Sdg
+    gates on wire q since its last blocker, with no rule applying among
+    them.  Each new H on q can only complete a rule as the last gate of a
+    pair or sandwich, and that rule is the lowest one to apply.  After it
+    applies the run again has no rule: a cancelled pair leaves a prefix of
+    the run, and a sandwich becomes an Sdg-or-S / H / Sdg-or-S whose first
+    gate follows no H, since an H before the old sandwich's H would have
+    cancelled with it.
     """
-    gates = list(c.gates)
-
-    def next_on_wire(start: int, wire: int) -> int | None:
-        for j in range(start, len(gates)):
-            if wire in gates[j].qubits:
-                return j
-        return None
-
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            if g.kind != "h":
-                continue
-            q = g.target
-            j = next_on_wire(i + 1, q)
-            if j is None:
-                continue
-            if gates[j] == g:
-                del gates[j], gates[i]
-                changed = True
-                break
-            mid = gates[j]
-            if mid.kind == "rz" and mid.angle in (_S, _SDG):
-                k = next_on_wire(j + 1, q)
-                if k is not None and gates[k] == g:
-                    conj = rz(-mid.angle, q)
-                    gates[i], gates[j], gates[k] = conj, h(q), conj
-                    changed = True
-                    break
-    return Circuit(c.num_qubits, tuple(gates))
+    gates: list[Gate | None] = list(c.gates)
+    runs: list[list[int]] = [[] for _ in range(c.num_qubits)]
+    for p, g in enumerate(gates):
+        if g.kind == "cnot":
+            runs[g.qubits[0]].clear()
+            runs[g.qubits[1]].clear()
+            continue
+        q = g.qubits[0]
+        run = runs[q]
+        if g.kind == "rz":
+            if g.angle in (_S, _SDG):
+                run.append(p)
+            else:
+                run.clear()
+        elif run and gates[run[-1]].kind == "h":
+            gates[run.pop()] = gates[p] = None
+        else:
+            if len(run) > 1 and gates[run[-2]].kind == "h":  # H, S or Sdg, this H
+                i, j = run[-2], run[-1]
+                conj = rz(-gates[j].angle, q)
+                gates[i], gates[j], gates[p] = conj, h(q), conj
+            run.append(p)
+    return Circuit(c.num_qubits, tuple(filter(None, gates)))
 
 
 _SEGMENT_KINDS = {"h_block": ("h",), "cnot_block": ("cnot", "rz")}

@@ -20,7 +20,7 @@ from steinersynth.bench import (
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cli import _write_outputs, main
 from steinersynth.cnot_synth import SynthesisReport
-from steinersynth.graphs import line_graph
+from steinersynth.graphs import line_graph, random_connected_graph
 
 
 SMALL = dict(n=6, trials=2, seed=3, sparseness_values=(0.4, 1.0))
@@ -312,6 +312,32 @@ def test_cli_bench_h_ratio_exits_2_when_no_connected_graph_is_drawn():
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: no connected graph after")
+
+
+@pytest.mark.parametrize("extra", [["--n", "3"], ["--sparseness", "0.5"], ["--n", "20"],
+                                   ["--n", "4", "--sparseness", "0.3"]])
+def test_cli_bench_h_ratio_rejects_random_graph_options_with_arch(extra):
+    # --n and --sparseness shape the random graph, which --arch replaces:
+    # given together, even at their default values, they are a usage error.
+    args = ["bench", "h-ratio", "--arch", "tokyo20", "--gates", "5", "--trials", "1", *extra]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: --") and "--arch" in res.output
+
+
+def test_cli_bench_h_ratio_takes_arch_alone_and_random_graph_options_without_it():
+    base = ["bench", "h-ratio", "--gates", "5", "--trials", "1"]
+    res = CliRunner().invoke(main, [*base, "--arch", "line(5)"])
+    assert res.exit_code == 0, res.output
+    assert res.output == bench_h_ratio(line_graph(5), 1, 1, 5)
+    for extra, g in (
+        (["--n", "6"], random_connected_graph(6, 0.3, 1)),
+        (["--n", "6", "--sparseness", "0.5"], random_connected_graph(6, 0.5, 1)),
+    ):
+        res = CliRunner().invoke(main, [*base, *extra])
+        assert res.exit_code == 0, res.output
+        assert res.output == bench_h_ratio(g, 1, 1, 5)
 
 
 def test_cli_rejects_a_directory_for_every_input_file(tmp_path):

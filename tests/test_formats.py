@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -161,3 +163,40 @@ def test_circuit_names_the_first_bad_wire_in_circuit_order():
     with pytest.raises(ValueError, match=r"^wire 3 out of range for 3 qubits$"):
         Circuit(3, (shared,) * 5000 + (cnot(3, 0),) + (shared,) * 10)
     assert Circuit(3, (shared,) * 5000).gates == (shared,) * 5000
+
+
+def test_gate_code_leaves_equality_hashing_and_repr_alone():
+    gates = [cnot(0, 1), cnot(1, 0), h(3), rz(Angle(1, 8), 2), rz(Angle(3, 4), 2)]
+    assert repr(gates[0]) == "Gate(kind='cnot', qubits=(0, 1), angle=None)"
+    assert repr(gates[3]) == "Gate(kind='rz', qubits=(2,), angle=Angle(numerator=1, denominator=8))"
+    for g in gates:
+        assert hash(g) == hash((g.kind, g.qubits, g.angle))
+        twin = Gate(g.kind, g.qubits, g.angle)
+        object.__setattr__(twin, "_code", g._code + 4)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+    assert len(set(gates)) == len(gates)
+    assert [f.name for f in dataclasses.fields(Gate) if f.compare] == ["kind", "qubits", "angle"]
+    with pytest.raises(TypeError):
+        Gate("h", (0,), None, 2)
+
+
+def test_circuit_rejects_negative_and_out_of_range_wires():
+    for gate, wire in [(h(-1), -1), (cnot(-2, 1), -2), (rz(Angle(1, 4), 3), 3),
+                       (cnot(0, 2**31), 2**31), (h(2**31 - 1), 2**31 - 1)]:
+        with pytest.raises(ValueError, match=rf"^wire {wire} out of range for 3 qubits$"):
+            Circuit(3, (cnot(0, 1), gate))
+
+
+def test_count_and_cnot_only_match_a_reference():
+    rng = random.Random(41)
+    probs = {"cnot": 0.5, "s": 0.1, "t": 0.1, "h": 0.3}
+    for case in range(60):
+        p = dict(probs, cnot=1.0) if case % 5 == 0 else probs
+        c = random_universal_circuit(4, rng.randint(0, 40), p, rng.randrange(1 << 30))
+        kinds = Counter(g.kind for g in c.gates)
+        for kind in ("cnot", "rz", "h", "swap"):
+            assert c.count(kind) == kinds[kind], (case, kind)
+        assert c.cnot_count == kinds["cnot"]
+        assert c.is_cnot_only() == all(g.kind == "cnot" for g in c.gates), case
+    assert Circuit(2).is_cnot_only()
+    assert not Circuit(2, (cnot(0, 1), h(1))).is_cnot_only()

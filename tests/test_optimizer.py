@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from steinersynth import cancel_pass, emit_circuit, random_invertible
@@ -292,9 +293,8 @@ def test_nested_zipper_ladders(window):
 
 
 def test_shared_and_distinct_equal_gate_objects():
-    # The first round decodes each distinct gate object once: equal gates
-    # that are distinct objects and one object at many positions must give
-    # the same result.
+    # Equal gates that are distinct objects, and one object at many
+    # positions, must give the same result.
     probs = {"cnot": 0.6, "s": 0.1, "t": 0.1, "h": 0.2}
     rng = random.Random(83)
     repeats = 0
@@ -313,3 +313,29 @@ def test_shared_and_distinct_equal_gate_objects():
         assert out == reference_cancel_pass(mixed)
         assert out == cancel_pass(Circuit(4, tuple(Gate(g.kind, g.qubits, g.angle) for g in gates)))
     assert repeats > 500
+
+
+WIRE_MAX = 2**31 - 1  # the largest wire an np.intc holds
+
+
+def test_code_round_trips_through_decode_for_every_kind():
+    wires = [0, 1, 2, 5, 1 << 16, WIRE_MAX - 1, WIRE_MAX]
+    gates, want = [], []
+    for a in wires:
+        gates += [h(a), rz(Angle(1, 8), a)]
+        want += [(2, a, a), (1, a, a)]
+        for b in wires:
+            if a != b:
+                gates.append(cnot(a, b))
+                want.append((0, a, b))
+    kind, first, last = _decode(gates)
+    assert list(zip(kind.tolist(), first.tolist(), last.tolist())) == want
+    assert (kind.dtype, first.dtype, last.dtype) == (np.uint8, np.intc, np.intc)
+    empty = _decode([])
+    assert [len(x) for x in empty] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("gate", [h(-1), cnot(0, -3), cnot(2**31, 0), rz(Angle(1, 4), 2**31), h(2**40)])
+def test_decode_rejects_a_wire_an_intc_cannot_hold(gate):
+    with pytest.raises(OverflowError):
+        _decode([cnot(0, 1), gate])

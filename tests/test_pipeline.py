@@ -5,7 +5,9 @@ from steinersynth import emit_circuit, emit_matrix, pipeline, random_invertible
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
-from steinersynth.graphs import builtin_architecture, line_graph
+from steinersynth.cnot_synth import expand_templates, pmh_synthesize
+from steinersynth.gf2 import BinaryMatrix, SingularMatrixError
+from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
 from steinersynth.phase_synth import extract_sum_over_paths
 from steinersynth.pipeline import certify, run
 from steinersynth.unitary import UNITARY_QUBIT_CAP
@@ -172,3 +174,41 @@ def test_bench_row_reads_0_when_verification_fails(faulty_cleanup, mode):
     assert all(r.endswith(",0") for r in rows)
     assert "# excluded_unverified 2" in lines
     assert "# mean sparseness=0.5 (no verified trials)" in lines
+
+
+PMH_GRAPHS = [
+    line_graph(5), line_graph(9), grid_graph(3, 4), grid_graph(4, 4),
+    builtin_architecture("tokyo20"), builtin_architecture("bristlecone72"),
+    random_connected_graph(8, 0.3, 2), random_connected_graph(17, 0.2, 5),
+    random_connected_graph(33, 0.1, 7),
+]
+
+
+@pytest.mark.parametrize("g", PMH_GRAPHS, ids=lambda g: f"{g.name}-{g.node_count}")
+def test_pmh_candidates_are_the_expanded_elimination_at_every_width(g):
+    # One candidate per section width 2 .. max(2, floor(log2 n)), each the
+    # template expansion of partitioned elimination at that width, built
+    # from the graph's own edge gates.
+    n = g.node_count
+    widths = list(range(2, max(2, n.bit_length() - 1) + 1))
+    for seed in (1, 2):
+        a = random_invertible(n, seed)
+        candidates, name = pipeline._candidates(a, g, "pmh")
+        candidates = list(candidates)
+        assert name == "baseline_pmh"
+        assert len(candidates) == len(widths)
+        for w, got in zip(widths, candidates):
+            want = expand_templates(pmh_synthesize(a, section=w), g)
+            assert got.num_qubits == n
+            assert got.gates == want.gates, w
+            assert all(gate is g._arcs[gate.qubits] for gate in got.gates), w
+
+
+def test_run_pmh_rejects_a_singular_matrix():
+    g = builtin_architecture("tokyo20")
+    rows = list(random_invertible(20, 3).rows)
+    rows[7] = rows[2]
+    singular = BinaryMatrix(20, tuple(rows))
+    for call in (lambda: run(singular, g, "pmh"), lambda: baseline_pmh_templates(singular, g)):
+        with pytest.raises(SingularMatrixError):
+            call()

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -63,6 +64,93 @@ def test_merge_delete_h_random_equivalence():
         out = merge_delete_h(c)
         assert out.count("h") <= c.count("h")
         assert verify_equivalence(c, out, "unitary").equivalent
+
+
+_S, _SDG = Angle(1, 4), Angle(3, 4)
+
+
+def reference_merge_delete_h(c: Circuit) -> Circuit:
+    """The quadratic loop merge_delete_h replaced, kept as the oracle: it
+    applies the rule of the lowest H that has one, then rescans from the
+    first gate."""
+    gates = list(c.gates)
+
+    def next_on_wire(start: int, wire: int):
+        for j in range(start, len(gates)):
+            if wire in gates[j].qubits:
+                return j
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(gates):
+            if g.kind != "h":
+                continue
+            q = g.target
+            j = next_on_wire(i + 1, q)
+            if j is None:
+                continue
+            if gates[j] == g:
+                del gates[j], gates[i]
+                changed = True
+                break
+            mid = gates[j]
+            if mid.kind == "rz" and mid.angle in (_S, _SDG):
+                k = next_on_wire(j + 1, q)
+                if k is not None and gates[k] == g:
+                    conj = rz(-mid.angle, q)
+                    gates[i], gates[j], gates[k] = conj, h(q), conj
+                    changed = True
+                    break
+    return Circuit(c.num_qubits, tuple(gates))
+
+
+def _assert_merge_matches_reference(c: Circuit) -> None:
+    assert emit_circuit(merge_delete_h(c)) == emit_circuit(reference_merge_delete_h(c)), c
+
+
+def test_merge_delete_h_matches_reference_on_every_short_wire():
+    # Every sequence of up to six gates from H, S, Sdg and T on wire 0 and
+    # a CNOT onto it: sandwiches, runs of pairs, pairs that meet only once
+    # an inner pair or sandwich is rewritten, and blockers between them.
+    tokens = [h(0), rz(_S, 0), rz(_SDG, 0), rz(Angle(1, 8), 0), cnot(1, 0)]
+    for length in range(7):
+        for seq in itertools.product(tokens, repeat=length):
+            _assert_merge_matches_reference(Circuit(2, seq))
+
+
+def test_merge_delete_h_nested_pairs_and_sandwiches():
+    s, sdg, t = rz(_S, 0), rz(_SDG, 0), rz(Angle(1, 8), 0)
+    s1, sdg1 = rz(_S, 1), rz(_SDG, 1)
+    cases = {
+        (h(0), h(1), h(1), h(0)): (),
+        (h(0), h(0), h(0), h(0)): (),
+        (h(0), h(0), h(0)): (h(0),),
+        (h(0), s, h(0)): (sdg, h(0), sdg),
+        (h(0), sdg, h(0), cnot(0, 1), h(0), h(1), s1, h(1), h(0)): (
+            s, h(0), s, cnot(0, 1), sdg1, h(1), sdg1),
+        # The sandwich's new H meets the next H through its conjugate.
+        (h(0), s, h(0), h(0)): (sdg, s, h(0), s),
+        (h(0), s, h(0), sdg, h(0)): (sdg, h(0), sdg, sdg, h(0)),
+        (h(0), s, h(0), h(0), s, h(0)): (sdg, s, h(0), s, s, h(0)),
+        (h(0), t, h(0)): (h(0), t, h(0)),
+        (h(0), s, cnot(1, 0), h(0)): (h(0), s, cnot(1, 0), h(0)),
+    }
+    for source, want in cases.items():
+        c = Circuit(2, source)
+        out = merge_delete_h(c)
+        assert out.gates == want, source
+        assert out == reference_merge_delete_h(c)
+        assert verify_equivalence(c, out, "unitary").equivalent
+
+
+@pytest.mark.parametrize("count,wires,seed", [(2000, 3, 1), (2000, 16, 2), (8000, 6, 3), (32000, 20, 4)])
+def test_merge_delete_h_matches_reference_on_long_random_circuits(count, wires, seed):
+    heavy = {"cnot": 0.45, "s": 0.12, "sdg": 0.12, "t": 0.03, "tdg": 0.03, "h": 0.25}
+    light = {"cnot": 0.78, "s": 0.05, "sdg": 0.05, "t": 0.01, "tdg": 0.01, "h": 0.1}
+    c = random_universal_circuit(wires, count, heavy if count < 32000 else light, seed)
+    _assert_merge_matches_reference(c)
 
 
 def test_partition_no_h_single_block():

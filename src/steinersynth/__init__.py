@@ -52,7 +52,7 @@ from .phase_synth import (
     synthesize_cnot_rz,
 )
 from .pipeline import run
-from .universal import Segment, commutes, merge_delete_h, partition_segments, route_universal
+from .universal import Segment, merge_delete_h, partition_segments, route_universal
 from .verify import Certificate, EquivalenceReport, certify, edge_legal, verify_equivalence
 
 __version__ = "0.1.0"

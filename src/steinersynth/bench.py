@@ -188,13 +188,16 @@ def bench_h_ratio(
     """Universal-pipeline routing vs raw template expansion as the share of
     Hadamard gates grows; the other gates keep their DEFAULT_GATE_PROBS
     shares and CNOTs fill the rest, so every H share must lie in
-    [0, 1 - rotation shares]; all are checked before any trial runs.
+    [0, 1 - rotation shares]; all are checked before any trial runs, and
+    so is the graph, which needs two nodes for a CNOT.
     Unitary verification runs up to UNITARY_QUBIT_CAP wires; larger
     instances get only the edge-legality check, are marked "skip" in the
     verified column and counted in an "# unverified_skip" footer, and still
     enter the means."""
     if gate_count < 0:
         raise ValueError("gate count must be >= 0")
+    if graph.node_count < 2:
+        raise ValueError(f"the graph has {graph.node_count} node, and a CNOT needs 2")
     rotations = sum(v for k, v in DEFAULT_GATE_PROBS.items() if k not in ("cnot", "h"))
     for p_h in h_values:
         if not 0 <= p_h <= 1 - rotations:

@@ -19,7 +19,7 @@ from click.core import ParameterSource
 
 from . import bench as bench_mod
 from .circuits import Angle, Circuit, emit_circuit, parse_circuit
-from .gf2 import check_invertible, parse_matrix
+from .gf2 import parse_matrix
 from .graphs import (
     builtin_architecture,
     emit_graph,
@@ -54,8 +54,12 @@ def _load_graph(graph_file: str | None, arch: str | None):
 
 def _finish(task, graph, method: str, cleanup: bool, out: str | None,
             report_file: str | None) -> None:
-    """Run the pipeline; write the circuit and report, or exit 1 unverified."""
-    circuit, report, certificate = run(task, graph, method, cleanup)
+    """Run the pipeline; write the circuit and report, or exit 1 unverified.
+    A task that `run` rejects (another width, a singular matrix) exits 2."""
+    try:
+        circuit, report, certificate = run(task, graph, method, cleanup)
+    except ValueError as exc:
+        _fail_input(str(exc))
     if not certificate.ok:
         click.echo("verification FAILED", err=True)
         sys.exit(VERIFY_FAIL)
@@ -100,11 +104,8 @@ def synth_cnot(matrix_file, graph_file, arch, baseline, out, report_file, no_cle
     g = _load_graph(graph_file, arch)
     try:
         a = parse_matrix(Path(matrix_file).read_text())
-        check_invertible(a)
     except (OSError, ValueError) as exc:
         _fail_input(str(exc))
-    if a.dim != g.node_count:
-        _fail_input(f"matrix dim {a.dim} != graph nodes {g.node_count}")
     _finish(a, g, baseline or "steiner", not no_cleanup, out, report_file)
 
 
@@ -143,16 +144,11 @@ def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
     g = _load_graph(graph_file, arch)
     try:
         if circuit_file:
-            source = parse_circuit(Path(circuit_file).read_text())
-            if source.num_qubits != g.node_count:
-                _fail_input("circuit wire count does not match the graph")
-            target = extract_sum_over_paths(source)
+            target = extract_sum_over_paths(parse_circuit(Path(circuit_file).read_text()))
         elif phase_file and matrix_file:
             linear = parse_matrix(Path(matrix_file).read_text())
             phase = _load_phase_file(phase_file, linear.dim)
             target = SumOverPaths(phase, linear)
-            if linear.dim != g.node_count:
-                _fail_input("matrix dim does not match the graph")
         else:
             _fail_input("provide --circuit or both --phase and --matrix")
     except ValueError as exc:
@@ -178,8 +174,6 @@ def route(circuit_file, graph_file, arch, out, report_file, no_cleanup):
         c = parse_circuit(Path(circuit_file).read_text())
     except ValueError as exc:
         _fail_input(str(exc))
-    if c.num_qubits != g.node_count:
-        _fail_input("circuit wire count does not match the graph")
     _finish(c, g, "steiner", not no_cleanup, out, report_file)
 
 

@@ -289,6 +289,9 @@ def synthesize_constrained(
     `a` exactly and every CNOT lies on an edge of `g`.
     """
     t0 = time.perf_counter()
+    if a.dim != g.node_count:
+        raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
+    check_invertible(a)
     circuit = _synthesize_constrained(a, g)
     return circuit, _report("steiner", g.name, circuit, t0)
 
@@ -300,11 +303,9 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     ladder, the fill-and-clear walks over each tree's cached adjacency, and
     the ops of the restoring plans `plan_pre_transpose` and
     `plan_post_transpose`.  Every op lies on a graph edge, so each becomes
-    the gate the graph built for that directed edge.
+    the gate the graph built for that directed edge.  The caller checks
+    that `a` is invertible and has one row per graph node.
     """
-    if a.dim != g.node_count:
-        raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
-    check_invertible(a)
     n = a.dim
     rows = list(a.rows)
 

@@ -23,8 +23,9 @@ The scans run on plain integers.  Each gate packs its kind code (CNOT 0,
 RZ 1, H 2) and its first and last wire (control and target of a CNOT, the
 one wire otherwise) into `Gate._code` when it is built; `_decode` unpacks
 the codes of the whole circuit with array shifts.  There is one scan loop
-per kind of scanned gate, with the rules of `universal.commutes` written
-out as integer comparisons:
+per kind of scanned gate, with the rules of the reference commutation
+test (`commutes` in `tests/conftest.py`) written out as integer
+comparisons:
 
 - CNOT (c, t): an identical CNOT cancels; a CNOT with control t or target c
   blocks, any other CNOT commutes; an RZ or H on t blocks, and so does an H
@@ -33,9 +34,9 @@ out as integer comparisons:
 - RZ on a: an RZ on a merges; an H on a or a CNOT with target a blocks; any
   other gate commutes.
 
-These equal `commutes`: `test_inlined_rules_match_commutes_on_three_wires`
+These equal that oracle: `test_inlined_rules_match_commutes_on_three_wires`
 in `tests/test_optimizer.py` checks them on every pair of gates on three
-wires, against a reference pass that calls `commutes`.  `_meets` writes the
+wires, against a reference pass that calls it.  `_meets` writes the
 same rules as array expressions for the first round.
 """
 

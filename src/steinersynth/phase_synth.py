@@ -285,7 +285,9 @@ def synthesize_cnot_rz(
 
 
 def _synthesize_cnot_rz(s: SumOverPaths, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `synthesize_cnot_rz`, without building a report."""
+    """The circuit of `synthesize_cnot_rz`, without building a report.  The
+    fixup A @ C^-1 is invertible by construction, so it skips the checks
+    of the public `synthesize_constrained`."""
     network, c_matrix = synth_parity_network_constrained(s, g)
     fixup_target = multiply(s.linear, invert(c_matrix))
     return network.extended(_synthesize_constrained(fixup_target, g).gates)

@@ -19,7 +19,6 @@ from .cnot_synth import (
     _report,
     _synthesize_constrained,
     expand_templates,
-    pmh_synthesize,
     section_widths,
 )
 from .gf2 import BinaryMatrix, check_invertible
@@ -32,14 +31,17 @@ from .verify import Certificate, certify
 
 def _candidates(task, g: ConnectivityGraph, method: str):
     """The uncleaned candidate circuits for the task, first preferred, and
-    the report's method name.  The task must act on one qubit per graph
-    node.
+    the report's method name.
 
-    The pmh candidates are `expand_templates(pmh_synthesize(a, section=w),
-    g)` for each section width w, each built when it is reached.  They are
-    expanded straight from elimination's (control, target) ops into the
-    graph's shared gates by `_expand_pairs`, so no CNOT is built only to be
-    replaced, and the matrix's invertibility is checked once, here."""
+    This is where `run` checks the task against the graph, once, before
+    any synthesis: it must act on one qubit per graph node, and a matrix
+    must be invertible.  The synthesizers below trust it.
+
+    Both matrix baselines expand full-connectivity elimination
+    (`_pmh_pairs`) straight from its (control, target) ops into the graph's
+    shared gates (`_expand_pairs`), so no CNOT is built only to be replaced:
+    pmh at each section width w, each built when it is reached, and
+    templates as plain elimination."""
     if method not in ("steiner", "pmh", "templates"):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(task, (BinaryMatrix, SumOverPaths, Circuit)):
@@ -47,19 +49,16 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     width = task.dim if isinstance(task, BinaryMatrix) else task.num_qubits
     if width != g.node_count:
         raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
-    if method == "pmh":
-        if not isinstance(task, BinaryMatrix):
-            raise ValueError("the pmh baseline needs a matrix task")
-        check_invertible(task)
-        n = task.dim
-        widths = section_widths(n)
-        circuits = (Circuit(n, _expand_pairs(_pmh_pairs(task, w), g)) for w in widths)
-        return circuits, "baseline_pmh"
     if isinstance(task, BinaryMatrix):
+        check_invertible(task)
         if method == "steiner":
             return [_synthesize_constrained(task, g)], "steiner"
-        source = pmh_synthesize(task, partition=False)
-    elif isinstance(task, SumOverPaths):
+        widths = section_widths(width) if method == "pmh" else (None,)
+        circuits = (Circuit(width, _expand_pairs(_pmh_pairs(task, w), g)) for w in widths)
+        return circuits, f"baseline_{method}"
+    if method == "pmh":
+        raise ValueError("the pmh baseline needs a matrix task")
+    if isinstance(task, SumOverPaths):
         if method == "steiner":
             return [_synthesize_cnot_rz(task, g)], "steiner_rz"
         source = _synthesize_cnot_rz(task, complete_graph(g.node_count))
@@ -99,9 +98,14 @@ def run(
     elimination, matrices only, at the section width whose routed circuit
     has the fewest CNOTs) or "templates" (plain elimination for a matrix,
     full-connectivity synthesis for a sum-over-paths, the input itself for
-    a circuit), each followed by template expansion.  A task whose qubit
-    count is not the graph's node count raises ValueError before any
-    synthesis.  The report's `elapsed_ms` covers synthesis and cleanup.
+    a circuit), each followed by template expansion.  The report's
+    `elapsed_ms` covers synthesis and cleanup.
+
+    The task is checked once, before any synthesis, and raises ValueError
+    when its qubit count is not the graph's node count, when it is a
+    singular matrix (`SingularMatrixError`), when `method` is unknown, or
+    when `method` is "pmh" and the task is not a matrix.  A task of any
+    other type raises TypeError.
     """
     t0 = time.perf_counter()
     candidates, name = _candidates(task, graph, method)

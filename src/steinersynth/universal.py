@@ -21,31 +21,6 @@ _S = Angle(1, 4)
 _SDG = Angle(3, 4)
 
 
-def commutes(a: Gate, b: Gate) -> bool:
-    """Conservative commutation test (never true when the matrices differ).
-
-    Rules: disjoint supports always commute; CNOTs sharing a control or
-    sharing a target commute; an RZ commutes with anything diagonal on its
-    wire and with a CNOT through the CNOT's control; H commutes only on
-    disjoint wires.
-
-    This stays the reference.  `optimizer.cancel_pass` and
-    `partition_segments` write these rules out inline as integer
-    comparisons, and their tests pin each against this function.
-    """
-    aq, bq = a.qubits, b.qubits
-    if aq[0] not in bq and aq[-1] not in bq:
-        return True
-    if a.kind == "cnot" and b.kind == "cnot":
-        return a.control == b.control or a.target == b.target
-    if "h" in (a.kind, b.kind):
-        return False
-    if a.kind == "rz" and b.kind == "rz":
-        return True
-    rz_gate, cx = (a, b) if a.kind == "rz" else (b, a)
-    return rz_gate.target == cx.control
-
-
 def merge_delete_h(c: Circuit) -> Circuit:
     """Reduce the Hadamard count by pair deletion and S-conjugation merges.
 
@@ -122,11 +97,12 @@ def partition_segments(c: Circuit) -> list[Segment]:
     wires: a CNOT as (control, target), an RZ on q as (q, -1) and an H on q
     as (q, q).  A mover (a, b), always a CNOT or an RZ, then fails to
     commute with a gate (x, y) exactly when x == b or y == a, which is the
-    rule of `commutes` for every such pair: a CNOT (c, t) is blocked by a
+    rule of the reference commutation test (`commutes` in
+    `tests/conftest.py`) for every such pair: a CNOT (c, t) is blocked by a
     CNOT with control t or target c, by an RZ on t and by an H on c or t; an
     RZ on q by a CNOT with target q and by an H on q.
     `tests/test_universal.py` checks the result against a reference pass
-    that calls `commutes`.
+    that calls that oracle.
     """
     gates = c.gates
     # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
@@ -198,13 +174,6 @@ def partition_segments(c: Circuit) -> list[Segment]:
     ]
 
 
-def segments_to_circuit(segments: list[Segment], num_qubits: int) -> Circuit:
-    gates: list[Gate] = []
-    for seg in segments:
-        gates.extend(seg.gates)
-    return Circuit(num_qubits, tuple(gates))
-
-
 def route_universal(
     c: Circuit, g: ConnectivityGraph
 ) -> tuple[Circuit, SynthesisReport]:
@@ -216,14 +185,15 @@ def route_universal(
     full linear transformation on the original wires.
     """
     t0 = time.perf_counter()
+    if c.num_qubits != g.node_count:
+        raise ValueError(f"circuit has {c.num_qubits} wires, graph {g.node_count} nodes")
     circuit = _route_universal(c, g)
     return circuit, _report("route", g.name, circuit, t0)
 
 
 def _route_universal(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `route_universal`, without building a report."""
-    if c.num_qubits != g.node_count:
-        raise ValueError(f"circuit has {c.num_qubits} wires, graph {g.node_count} nodes")
+    """The circuit of `route_universal`, without building a report; the
+    caller checks that `c` has one wire per graph node."""
     reduced = merge_delete_h(c)
     gates: list[Gate] = []
     for seg in partition_segments(reduced):

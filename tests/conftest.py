@@ -58,6 +58,30 @@ def all_gates_up_to(n):
     return out
 
 
+def commutes(a, b) -> bool:
+    """Reference commutation test for two gates (never true when the
+    matrices differ).
+
+    Rules: disjoint supports always commute; CNOTs sharing a control or
+    sharing a target commute; an RZ commutes with anything diagonal on its
+    wire and with a CNOT through the CNOT's control; H commutes only on
+    disjoint wires.  `optimizer.cancel_pass` and
+    `universal.partition_segments` write these rules out inline as integer
+    comparisons, and their tests pin each against this oracle.
+    """
+    aq, bq = a.qubits, b.qubits
+    if aq[0] not in bq and aq[-1] not in bq:
+        return True
+    if a.kind == "cnot" and b.kind == "cnot":
+        return a.control == b.control or a.target == b.target
+    if "h" in (a.kind, b.kind):
+        return False
+    if a.kind == "rz" and b.kind == "rz":
+        return True
+    rz_gate, cx = (a, b) if a.kind == "rz" else (b, a)
+    return rz_gate.target == cx.control
+
+
 def brute_force_steiner_weight(g: ConnectivityGraph, terminals: set[int]) -> int:
     """Independent oracle: with unit weights, the optimum is |T ∪ X| - 1 over
     the smallest Steiner-node set X whose union with T induces a connected

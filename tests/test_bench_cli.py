@@ -100,6 +100,14 @@ def test_bench_h_ratio_rejects_an_h_share_above_the_cnot_room(monkeypatch):
     assert calls == []
 
 
+def test_bench_h_ratio_rejects_a_graph_too_small_for_a_cnot(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="graph has 1 node, and a CNOT needs 2"):
+        bench_h_ratio(line_graph(1), trials=1, seed=1, gate_count=5)
+    assert calls == []
+
+
 def test_bench_h_ratio_smoke():
     kw = dict(trials=2, seed=7, gate_count=40, h_values=(0.0, 0.2))
     out = bench_h_ratio(line_graph(5), **kw)
@@ -326,6 +334,13 @@ def test_cli_bench_h_ratio_rejects_random_graph_options_with_arch(extra):
     assert res.output.startswith("error: --") and "--arch" in res.output
 
 
+def test_cli_bench_h_ratio_names_the_node_count_of_a_one_node_graph():
+    res = CliRunner().invoke(main, ["bench", "h-ratio", "--arch", "line(1)", "--trials", "1"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error: the graph has 1 node, and a CNOT needs 2\n"
+
+
 def test_cli_bench_h_ratio_takes_arch_alone_and_random_graph_options_without_it():
     base = ["bench", "h-ratio", "--gates", "5", "--trials", "1"]
     res = CliRunner().invoke(main, [*base, "--arch", "line(5)"])
@@ -373,13 +388,33 @@ def test_cli_rejects_a_directory_for_every_input_file(tmp_path):
 def test_cli_rejects_a_singular_matrix(tmp_path):
     matrix = tmp_path / "m.txt"
     matrix.write_text("3\n110\n110\n001\n")
-    for extra in ([], ["--baseline", "pmh"]):
+    for extra in ([], ["--baseline", "pmh"], ["--baseline", "templates"]):
         res = CliRunner().invoke(
             main, ["synth-cnot", "--matrix", str(matrix), "--arch", "line(3)", *extra]
         )
         assert res.exit_code == 2
         assert isinstance(res.exception, SystemExit)
         assert "singular" in res.output
+
+
+def test_cli_reports_a_task_of_another_width_in_one_message(tmp_path):
+    # Every synthesis command leaves the width check to `run`, so each input
+    # form exits 2 with the same message and no traceback.
+    m3, c3, p3 = (tmp_path / name for name in ("m3.txt", "c3.txt", "p3.txt"))
+    m3.write_text(emit_matrix(random_invertible(3, 1)))
+    c3.write_text(emit_circuit(Circuit(3, (cnot(0, 1),))))
+    p3.write_text("110 1/8\n")
+    cases = {
+        "synth-cnot": ["synth-cnot", "--matrix", str(m3)],
+        "synth-phase --circuit": ["synth-phase", "--circuit", str(c3)],
+        "synth-phase --phase": ["synth-phase", "--phase", str(p3), "--matrix", str(m3)],
+        "route": ["route", "--circuit", str(c3)],
+    }
+    for case, args in cases.items():
+        res = CliRunner().invoke(main, [*args, "--arch", "line(4)"])
+        assert res.exit_code == 2, (case, res.output)
+        assert isinstance(res.exception, SystemExit), case
+        assert res.output == "error: task has 3 qubits but graph has 4 nodes\n", case
 
 
 def test_cli_phase_file_with_a_zero_denominator_is_an_input_error(tmp_path):

@@ -475,10 +475,12 @@ def test_synthesize_random_instances():
 
 
 def test_synthesize_rejects_bad_input(demo6_graph):
+    # The public entry point checks its own input; `run` checks before it
+    # calls the unchecked body.
     singular = BinaryMatrix.from_rows([[1] * 6] * 6)
-    with pytest.raises(Exception):
+    with pytest.raises(SingularMatrixError):
         synthesize_constrained(singular, demo6_graph)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix dim 5 != graph nodes 6"):
         synthesize_constrained(BinaryMatrix.identity(5), demo6_graph)
 
 

@@ -11,9 +11,8 @@ from steinersynth.cnot_synth import expand_templates, pmh_synthesize
 from steinersynth.gf2 import simulate_cnot_circuit
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
 from steinersynth.optimizer import DEFAULT_WINDOW, _decode, _first_round
-from steinersynth.universal import commutes
 from steinersynth.verify import verify_equivalence
-from conftest import all_gates_up_to
+from conftest import all_gates_up_to, commutes
 
 
 def reference_cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
@@ -130,7 +129,7 @@ def test_matches_full_rescan_reference(window):
 
 @pytest.mark.parametrize("window", [1, 2, 32])
 def test_inlined_rules_match_commutes_on_three_wires(window):
-    # cancel_pass writes universal.commutes out per kind of scanned gate;
+    # cancel_pass writes the reference `commutes` out per kind of scanned gate;
     # every (g, o) pair on three wires, then g or its inverse, takes each
     # rule: cancel or merge through o, block at o, or stop without a match.
     gates = all_gates_up_to(3)

@@ -1,14 +1,14 @@
 import pytest
 from click.testing import CliRunner
 
-from steinersynth import emit_circuit, emit_matrix, pipeline, random_invertible
+from steinersynth import cnot_synth, emit_circuit, emit_matrix, pipeline, random_invertible
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
 from steinersynth.cnot_synth import expand_templates, pmh_synthesize
-from steinersynth.gf2 import BinaryMatrix, SingularMatrixError
+from steinersynth.gf2 import BinaryMatrix, SingularMatrixError, check_invertible
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
-from steinersynth.phase_synth import extract_sum_over_paths
+from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import certify, run
 from steinersynth.unitary import UNITARY_QUBIT_CAP
 
@@ -202,6 +202,14 @@ def test_pmh_candidates_are_the_expanded_elimination_at_every_width(g):
             assert got.num_qubits == n
             assert got.gates == want.gates, w
             assert all(gate is g._arcs[gate.qubits] for gate in got.gates), w
+        # The templates baseline is the same expansion of plain elimination.
+        candidates, name = pipeline._candidates(a, g, "templates")
+        (got,) = candidates
+        assert name == "baseline_templates"
+        want = expand_templates(pmh_synthesize(a, partition=False), g)
+        assert got.num_qubits == n
+        assert got.gates == want.gates
+        assert all(gate is g._arcs[gate.qubits] for gate in got.gates)
 
 
 def test_run_pmh_rejects_a_singular_matrix():
@@ -209,6 +217,40 @@ def test_run_pmh_rejects_a_singular_matrix():
     rows = list(random_invertible(20, 3).rows)
     rows[7] = rows[2]
     singular = BinaryMatrix(20, tuple(rows))
-    for call in (lambda: run(singular, g, "pmh"), lambda: baseline_pmh_templates(singular, g)):
+    calls = [lambda m=m: run(singular, g, m) for m in ("steiner", "pmh", "templates")]
+    for call in (*calls, lambda: baseline_pmh_templates(singular, g)):
         with pytest.raises(SingularMatrixError):
             call()
+
+
+@pytest.fixture
+def invertibility_checks(monkeypatch):
+    """Count the `check_invertible` calls made by the pipeline and by the
+    CNOT synthesizers."""
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        check_invertible(m)
+
+    monkeypatch.setattr(pipeline, "check_invertible", counting)
+    monkeypatch.setattr(cnot_synth, "check_invertible", counting)
+    return seen
+
+
+def test_each_matrix_task_is_checked_once_and_no_fixup_is(invertibility_checks):
+    # `run` checks a matrix once under every method.  The linear fixup of a
+    # CNOT+RZ synthesis, A times the inverse of the network's map, is
+    # invertible by construction, so neither a route's segments nor
+    # synthesize_cnot_rz pay for an elimination on it.
+    g = line_graph(6)
+    a = random_invertible(6, 3)
+    for method in ("steiner", "pmh", "templates"):
+        invertibility_checks.clear()
+        run(a, g, method)
+        assert invertibility_checks == [a], method
+    invertibility_checks.clear()
+    routed, _, cert = run(random_universal_circuit(6, 60, PROBS, 5), g)
+    assert cert.ok and routed.count("h") > 0
+    synthesize_cnot_rz(phase_task(6, 4), g)
+    assert invertibility_checks == []

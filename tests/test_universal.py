@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from steinersynth import (
-    commutes,
     merge_delete_h,
     partition_segments,
     random_connected_graph,
@@ -16,9 +15,9 @@ from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
 from steinersynth.graphs import line_graph
 from steinersynth.unitary import circuit_unitary
-from steinersynth.universal import Segment, segments_to_circuit
+from steinersynth.universal import Segment
 from steinersynth.verify import edge_legal, verify_equivalence
-from conftest import all_gates_up_to
+from conftest import all_gates_up_to, commutes
 
 
 def test_commutes_sound_against_matrices():
@@ -174,7 +173,7 @@ def test_partition_preserves_gates_and_unitary():
         n = rng.randint(2, 4)
         c = random_universal_circuit(n, 100, probs, trial + 40)
         segs = partition_segments(c)
-        rebuilt = segments_to_circuit(segs, n)
+        rebuilt = Circuit(n, tuple(g for seg in segs for g in seg.gates))
         assert len(rebuilt) == len(c)
         assert verify_equivalence(c, rebuilt, "unitary").equivalent
         for seg in segs:
@@ -225,7 +224,7 @@ def test_route_random_universal_circuits():
 
 
 def test_route_wire_count_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="circuit has 3 wires, graph 4 nodes"):
         route_universal(Circuit(3), line_graph(4))
 
 

@@ -37,11 +37,15 @@ class ConnectivityGraph:
     Besides the adjacency lists, construction builds the CNOT of every
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
-    synthesizers emit these gates and no other CNOTs.  `_templates` starts
-    empty; template expansion (`cnot_synth._expand_pairs`) fills it with the
-    relay ladder of each non-adjacent ordered pair it meets, so a graph's
-    ladders are built once and live exactly as long as the graph.  None of these fields takes
-    part in equality, hashing or repr.
+    synthesizers emit these gates and no other CNOTs.  Two memos start
+    empty and live exactly as long as the graph.  Template expansion
+    (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
+    of each non-adjacent ordered pair it meets.  `steiner_approx` fills
+    `_pair_trees` with the edge set of each two-terminal tree it builds,
+    keyed (smaller terminal, larger terminal), so it holds at most
+    n(n-1)/2 entries.  Neither memo refers back to the graph, so a dropped
+    graph is freed at once rather than by the cycle collector.  None of
+    these fields takes part in equality, hashing or repr.
     """
 
     node_count: int
@@ -50,6 +54,7 @@ class ConnectivityGraph:
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
+    _pair_trees: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -72,6 +77,7 @@ class ConnectivityGraph:
         arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
+        object.__setattr__(self, "_pair_trees", {})
 
     def _bfs_reach(self, start: int) -> set[int]:
         seen = {start}
@@ -243,18 +249,30 @@ def steiner_approx(
       has both ends in layers >= k+1 and length >= 2k+3.  So the best key
       met is the global minimum, every tie has been met, and the labels,
       distances and parents it reads are those of the full search.
+
+    The search never reads the root, so a tree's edges depend on its
+    terminals alone.  A two-terminal call keeps its validated tree's edges
+    in the graph's `_pair_trees` memo under (smaller terminal, larger
+    terminal), and a later call for the same pair, under either root,
+    builds its tree from those edges without a search.
     """
     term_set = frozenset(terminals)
     if not term_set:
         raise ValueError("terminal set is empty")
     n = g.node_count
-    for t in (min(term_set), max(term_set)):
+    lo, hi = min(term_set), max(term_set)
+    for t in (lo, hi):
         if not 0 <= t < n:
             raise ValueError(f"terminal {t} out of range")
     if root is None:
-        root = min(term_set)
+        root = lo
     if root not in term_set:
         raise ValueError("root must be a terminal")
+    pair = len(term_set) == 2
+    if pair:
+        edges = g._pair_trees.get((lo, hi))
+        if edges is not None:
+            return SteinerTree(g, term_set, root, edges)
 
     adj = g._adj
     nodes = sorted(term_set)
@@ -331,6 +349,8 @@ def steiner_approx(
 
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()
+    if pair:
+        g._pair_trees[lo, hi] = tree.tree_edges
     return tree
 
 

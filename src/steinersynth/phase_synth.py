@@ -223,7 +223,8 @@ def synth_parity_network_constrained(
     the most extreme 0/1 split, recurse on the zero side, fold the one side
     together along a Steiner tree, recurse on the rest.  Each rotation is
     emitted the first moment its parity is realized on a wire.  Returns the
-    circuit and the linear transformation it applies.
+    circuit and the linear transformation it applies.  The recursion runs
+    on an explicit stack, so a call leaves no reference cycle behind.
     """
     n = s.num_qubits
     if n != g.node_count:
@@ -233,19 +234,27 @@ def synth_parity_network_constrained(
     state.emit_ready()
     rows = state.rows
 
-    def recurse(cols: int, candidates: set[int]) -> None:
+    # The recursion, on an explicit stack of (columns, candidate rows, fold
+    # pivot) tasks: a task with a pivot first folds its columns along it.
+    # The zero side is pushed last, so it runs before the fold of the one
+    # side, as in the recursive order.
+    stack = [(state.pending, frozenset(range(n)), -1)]
+    while stack:
+        cols, candidates, pivot = stack.pop()
+        if pivot >= 0:
+            _fold_rows(state, cols, pivot, g)
         cols &= state.pending
         if not cols:
-            return
+            continue
         if not candidates:
             # Candidates exhausted with work left: fold each column onto its
             # lowest participating wire directly.
             for cid in _bits(cols):
                 bit = 1 << cid
                 if state.pending & bit:
-                    pivot = next(q for q, row in enumerate(rows) if row & bit)
-                    _fold_rows(state, bit, pivot, g)
-            return
+                    low = next(q for q, row in enumerate(rows) if row & bit)
+                    _fold_rows(state, bit, low, g)
+            continue
         size = cols.bit_count()
         best = None
         for j in sorted(candidates):
@@ -255,12 +264,11 @@ def synth_parity_network_constrained(
                 best = (score, j)
         j = best[1]
         ones = rows[j] & cols
-        recurse(cols & ~ones, candidates - {j})
+        rest = candidates - {j}
         if ones:
-            _fold_rows(state, ones, j, g)
-            recurse(ones, candidates - {j})
+            stack.append((ones, rest, j))
+        stack.append((cols & ~ones, rest, -1))
 
-    recurse(state.pending, set(range(n)))
     assert not state.pending, "some parities were never realized"
     circuit = Circuit(n, tuple(state.gates))
     linear = BinaryMatrix(n, tuple(state.wires))
@@ -277,17 +285,29 @@ def synthesize_cnot_rz(
 
     The parity network realizes the phase polynomial and applies some linear
     map C; a constrained CNOT synthesis of A @ C^-1 is appended so the whole
-    circuit applies exactly the requested linear part A.
+    circuit applies exactly the requested linear part A.  An instance with
+    no phase terms skips the network: its circuit is the constrained
+    synthesis of A.
     """
     t0 = time.perf_counter()
+    if s.num_qubits != g.node_count:
+        raise ValueError(f"instance has {s.num_qubits} qubits but graph has {g.node_count}")
     circuit = _synthesize_cnot_rz(s, g)
     return circuit, _report("steiner_rz", g.name, circuit, t0)
 
 
 def _synthesize_cnot_rz(s: SumOverPaths, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `synthesize_cnot_rz`, without building a report.  The
-    fixup A @ C^-1 is invertible by construction, so it skips the checks
-    of the public `synthesize_constrained`."""
+    """The circuit of `synthesize_cnot_rz`, without building a report; the
+    caller checks that `s` has one qubit per graph node.  The fixup
+    A @ C^-1 is invertible by construction, so it skips the checks of the
+    public `synthesize_constrained`.
+
+    A phase-free instance (no terms) is synthesized as its linear part
+    alone.  That is the same circuit: the network would emit no gate and
+    apply C = I, so the fixup would be A itself.
+    """
+    if not s.phase.terms:
+        return _synthesize_constrained(s.linear, g)
     network, c_matrix = synth_parity_network_constrained(s, g)
     fixup_target = multiply(s.linear, invert(c_matrix))
     return network.extended(_synthesize_constrained(fixup_target, g).gates)

@@ -10,11 +10,13 @@ from steinersynth import (
     line_graph,
     parse_graph,
     random_connected_graph,
+    random_invertible,
     shortest_path,
     steiner_approx,
     steiner_exact,
 )
 from steinersynth.circuits import cnot
+from steinersynth.cnot_synth import _synthesize_constrained, plan_post_transpose, plan_pre_transpose
 from steinersynth.graphs import SteinerTree, _norm_edge, grid_graph
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
 
@@ -350,3 +352,87 @@ def test_graph_text_roundtrip(demo6_graph):
     assert g.edges == demo6_graph.edges
     with pytest.raises(ValueError):
         parse_graph("3 1\n0 1\n1 2\n")
+
+
+def memo_graphs():
+    """line(6), grid(3,3), tokyo20 and a random graph."""
+    return [
+        line_graph(6),
+        grid_graph(3, 3),
+        builtin_architecture("tokyo20"),
+        random_connected_graph(10, 0.3, 5),
+    ]
+
+
+def fresh_copy(g):
+    """The same graph, built again, with empty memos."""
+    return ConnectivityGraph(g.node_count, g.edges, name=g.name)
+
+
+def every_pair_call(g):
+    """(terminals, root) of every two-terminal call: each pair with its
+    smaller end, its larger end and the default as root."""
+    n = g.node_count
+    return [({a, b}, root) for a in range(n) for b in range(a + 1, n) for root in (a, b, None)]
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_pair_tree_memo_returns_the_tree_a_fresh_graph_builds(g):
+    for terminals, root in every_pair_call(g):
+        got = steiner_approx(g, terminals, root)
+        assert (min(terminals), max(terminals)) in g._pair_trees
+        again = steiner_approx(g, terminals, root)
+        want = steiner_approx(fresh_copy(g), terminals, root)
+        for tree in (got, again):
+            assert tree == want and tree._adj == want._adj, (sorted(terminals), root)
+        assert got.root == (min(terminals) if root is None else root)
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_pair_tree_memo_holds_one_edge_set_per_pair(g):
+    n = g.node_count
+    for terminals, root in every_pair_call(g) + every_pair_call(g):
+        steiner_approx(g, terminals, root)
+        assert len(g._pair_trees) <= n * (n - 1) // 2
+    assert len(g._pair_trees) == n * (n - 1) // 2
+    for (lo, hi), edges in g._pair_trees.items():
+        assert lo < hi and isinstance(edges, frozenset)
+        assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_pair_tree_memo_keeps_larger_terminal_sets_out(g):
+    rng = random.Random(g.node_count)
+    for terminals in random_terminal_sets(g, rng, 40):
+        steiner_approx(g, terminals, rng.choice(terminals))
+    assert g._pair_trees
+    for (lo, hi), edges in g._pair_trees.items():
+        assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_pair_tree_memo_leaves_graph_identity_alone(g):
+    before = (repr(g), hash(g))
+    for terminals, root in every_pair_call(g):
+        steiner_approx(g, terminals, root)
+    assert g._pair_trees
+    fresh = fresh_copy(g)
+    assert (repr(g), hash(g)) == before
+    assert g == fresh and hash(g) == hash(fresh) and "_pair_trees" not in repr(g)
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
+    for terminals, root in every_pair_call(g):
+        steiner_approx(g, terminals, root)
+    memo = dict(g._pair_trees)
+    trees = [steiner_approx(g, terminals, root) for terminals, root in every_pair_call(g)]
+    snapshot = [{u: list(ns) for u, ns in tree._adj.items()} for tree in trees]
+    for seed in range(10):
+        _synthesize_constrained(random_invertible(g.node_count, seed), g)
+    for tree in trees:
+        plan_pre_transpose(tree)
+        if tree.root == min(tree.terminals):
+            plan_post_transpose(tree)
+    assert [tree._adj for tree in trees] == snapshot
+    assert g._pair_trees == memo

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -9,13 +10,15 @@ from steinersynth import (
     build_parity_matrix,
     extract_sum_over_paths,
     random_connected_graph,
+    random_invertible,
     simulate_cnot_circuit,
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
 from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import plan_pre_transpose
+from steinersynth.cnot_synth import _synthesize_constrained, plan_pre_transpose
+from steinersynth.gf2 import invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
@@ -24,6 +27,7 @@ from steinersynth.graphs import (
     steiner_approx,
 )
 from steinersynth.phase_synth import parity_from_bits, parity_to_bits
+from steinersynth.pipeline import run
 from steinersynth.verify import edge_legal
 
 
@@ -309,3 +313,58 @@ def test_bit_sliced_network_matches_the_mask_reference():
                 assert (circ.gates, linear) == reference_parity_network(sop, g, fallbacks)
     # The candidates-exhausted branch was reached and matched as well.
     assert fallbacks
+
+
+def phase_free_graphs():
+    """A line, a grid, tokyo20 and a random graph."""
+    return [
+        line_graph(7),
+        grid_graph(3, 4),
+        builtin_architecture("tokyo20"),
+        random_connected_graph(12, 0.3, 8),
+    ]
+
+
+@pytest.mark.parametrize("g", phase_free_graphs(), ids=lambda g: g.name)
+def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
+    n = g.node_count
+    for seed in range(8):
+        sop = SumOverPaths(PhasePolynomial(n, {}), random_invertible(n, seed))
+        # The path through the parity network, written out.
+        network, c_matrix = synth_parity_network_constrained(sop, g)
+        fixup = _synthesize_constrained(multiply(sop.linear, invert(c_matrix)), g)
+        want = network.extended(fixup.gates)
+        got, _ = synthesize_cnot_rz(sop, g)
+        assert got == want and got.gates == want.gates
+
+
+def test_phase_free_instance_of_another_width_is_rejected():
+    sop = SumOverPaths(PhasePolynomial(3, {}), BinaryMatrix.identity(3))
+    with pytest.raises(ValueError, match="instance has 3 qubits but graph has 4"):
+        synthesize_cnot_rz(sop, line_graph(4))
+
+
+def test_parity_network_leaves_no_reference_cycle():
+    g = builtin_architecture("tokyo20")
+    sop = random_phase_instance(20, 20, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        synth_parity_network_constrained(sop, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_templates_baseline_frees_its_complete_graph_without_the_cycle_collector():
+    # The baseline synthesizes on a complete graph it builds and drops;
+    # that graph's pair-tree memo must not keep it alive in a cycle.
+    g = builtin_architecture("tokyo20")
+    sop = random_phase_instance(20, 20, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        run(sop, g, "templates")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

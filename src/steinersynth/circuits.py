@@ -191,12 +191,17 @@ class Circuit:
         return self.count("cnot") == len(self.gates)
 
 
+# Tokens on each line of the circuit format, the keyword included.
+_LINE_TOKENS = {"qubits": 2, "cnot": 3, "rz": 3, "h": 2, **dict.fromkeys(NAMED_ANGLES, 2)}
+
+
 def parse_circuit(text: str) -> Circuit:
     """Parse the line-based circuit format.
 
     Header "qubits n", then one gate per line: "cnot c t", "rz p/q t",
     "h t", or the rz aliases "s t", "t t", "sdg t", "tdg t".  Blank lines
-    and '#' comments are ignored.
+    and '#' comments are ignored.  A line with more or fewer tokens than
+    its keyword takes raises `CircuitFormatError`.
     """
     num_qubits = None
     gates: list[Gate] = []
@@ -206,6 +211,11 @@ def parse_circuit(text: str) -> Circuit:
             continue
         parts = line.split()
         op = parts[0].lower()
+        want = _LINE_TOKENS.get(op)
+        if want is not None and len(parts) != want:
+            raise CircuitFormatError(
+                lineno, f"{op!r} takes {want - 1} operand(s), got {len(parts) - 1} in {line!r}"
+            )
         try:
             if op == "qubits":
                 if num_qubits is not None:
@@ -228,7 +238,7 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitFormatError(lineno, f"unknown gate {op!r}")
         except CircuitFormatError:
             raise
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise CircuitFormatError(lineno, f"cannot parse {line!r}: {exc}") from exc
         for q in g.qubits:
             if not 0 <= q < num_qubits:

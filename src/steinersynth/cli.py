@@ -141,6 +141,8 @@ def _load_phase_file(path: str, n: int) -> PhasePolynomial:
 def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
                 report_file, no_cleanup):
     """Re-synthesize a CNOT+RZ circuit (or a phase file + matrix) edge-legally."""
+    if circuit_file and (phase_file or matrix_file):
+        _fail_input("--circuit cannot be combined with --phase or --matrix")
     g = _load_graph(graph_file, arch)
     try:
         if circuit_file:

@@ -18,13 +18,21 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 
 from .circuits import Circuit, Gate, cnot
 from .gf2 import BinaryMatrix, SingularMatrixError, check_invertible
-from .graphs import ConnectivityGraph, SteinerTree, distances_from, shortest_path, steiner_approx
+from .graphs import (
+    ConnectivityGraph,
+    SteinerTree,
+    _check_width,
+    distances_from,
+    shortest_path,
+    steiner_approx,
+)
 
 
 def _rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
@@ -187,13 +195,34 @@ def plan_post_transpose(t: SteinerTree) -> list[tuple[int, int]]:
 
 @dataclass
 class SynthesisReport:
+    """What a synthesis produced and how long it took.
+
+    The counts and the depth are read off `circuit` the first time each is
+    read, then kept.  A caller that replaces the circuit afterwards (with
+    a cleaned copy, say) may assign any of them; `to_dict` reports the
+    assigned value.
+    """
+
     method: str
     graph_name: str
-    cnot_count: int
-    rz_count: int = 0
-    h_count: int = 0
-    depth: int = 0
+    circuit: Circuit = field(repr=False)
     elapsed_ms: float = 0.0
+
+    @cached_property
+    def cnot_count(self) -> int:
+        return self.circuit.count("cnot")
+
+    @cached_property
+    def rz_count(self) -> int:
+        return self.circuit.count("rz")
+
+    @cached_property
+    def h_count(self) -> int:
+        return self.circuit.count("h")
+
+    @cached_property
+    def depth(self) -> int:
+        return self.circuit.depth()
 
     @property
     def total(self) -> int:
@@ -215,15 +244,8 @@ class SynthesisReport:
 
 
 def _report(method: str, graph_name: str, circuit: Circuit, t0: float) -> SynthesisReport:
-    return SynthesisReport(
-        method=method,
-        graph_name=graph_name,
-        cnot_count=circuit.count("cnot"),
-        rz_count=circuit.count("rz"),
-        h_count=circuit.count("h"),
-        depth=circuit.depth(),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    """The report on `circuit`, timed from `t0` (a `time.perf_counter` reading)."""
+    return SynthesisReport(method, graph_name, circuit, (time.perf_counter() - t0) * 1000.0)
 
 
 def _terminal_rows(rows: list[int], col: int, n: int) -> set[int]:
@@ -289,8 +311,7 @@ def synthesize_constrained(
     `a` exactly and every CNOT lies on an edge of `g`.
     """
     t0 = time.perf_counter()
-    if a.dim != g.node_count:
-        raise ValueError(f"matrix dim {a.dim} != graph nodes {g.node_count}")
+    _check_width(a.dim, g)
     check_invertible(a)
     circuit = _synthesize_constrained(a, g)
     return circuit, _report("steiner", g.name, circuit, t0)

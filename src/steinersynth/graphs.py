@@ -103,6 +103,13 @@ class ConnectivityGraph:
         return sorted(self.edges)
 
 
+def _check_width(width: int, g: ConnectivityGraph) -> None:
+    """Raise ValueError unless a task on `width` qubits has one qubit per
+    node of `g`: the one rule every synthesizer and `pipeline.run` share."""
+    if width != g.node_count:
+        raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
+
+
 @dataclass(frozen=True)
 class SteinerTree:
     """A tree inside a host graph spanning a terminal set.

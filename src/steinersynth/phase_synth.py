@@ -32,7 +32,7 @@ from .cnot_synth import (
     plan_pre_transpose,
 )
 from .gf2 import BinaryMatrix, invert, is_invertible, multiply, simulate_cnot_circuit
-from .graphs import ConnectivityGraph, steiner_approx
+from .graphs import ConnectivityGraph, _check_width, steiner_approx
 
 
 def parity_to_bits(mask: int, n: int) -> str:
@@ -227,8 +227,7 @@ def synth_parity_network_constrained(
     on an explicit stack, so a call leaves no reference cycle behind.
     """
     n = s.num_qubits
-    if n != g.node_count:
-        raise ValueError(f"instance has {n} qubits but graph has {g.node_count}")
+    _check_width(n, g)
     columns = [(mask, s.phase.terms[mask]) for mask in build_parity_matrix(s)]
     state = _NetworkState(n, columns, g)
     state.emit_ready()
@@ -290,8 +289,7 @@ def synthesize_cnot_rz(
     synthesis of A.
     """
     t0 = time.perf_counter()
-    if s.num_qubits != g.node_count:
-        raise ValueError(f"instance has {s.num_qubits} qubits but graph has {g.node_count}")
+    _check_width(s.num_qubits, g)
     circuit = _synthesize_cnot_rz(s, g)
     return circuit, _report("steiner_rz", g.name, circuit, t0)
 

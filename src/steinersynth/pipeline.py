@@ -22,7 +22,7 @@ from .cnot_synth import (
     section_widths,
 )
 from .gf2 import BinaryMatrix, check_invertible
-from .graphs import ConnectivityGraph, complete_graph
+from .graphs import ConnectivityGraph, _check_width, complete_graph
 from .optimizer import cancel_pass
 from .phase_synth import SumOverPaths, _synthesize_cnot_rz
 from .universal import _route_universal
@@ -47,8 +47,7 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     if not isinstance(task, (BinaryMatrix, SumOverPaths, Circuit)):
         raise TypeError(f"cannot synthesize a {type(task).__name__}")
     width = task.dim if isinstance(task, BinaryMatrix) else task.num_qubits
-    if width != g.node_count:
-        raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
+    _check_width(width, g)
     if isinstance(task, BinaryMatrix):
         check_invertible(task)
         if method == "steiner":

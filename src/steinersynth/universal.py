@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _report
-from .graphs import ConnectivityGraph
+from .graphs import ConnectivityGraph, _check_width
 from .phase_synth import _synthesize_cnot_rz, extract_sum_over_paths
 
 _S = Angle(1, 4)
@@ -185,8 +185,7 @@ def route_universal(
     full linear transformation on the original wires.
     """
     t0 = time.perf_counter()
-    if c.num_qubits != g.node_count:
-        raise ValueError(f"circuit has {c.num_qubits} wires, graph {g.node_count} nodes")
+    _check_width(c.num_qubits, g)
     circuit = _route_universal(c, g)
     return circuit, _report("route", g.name, circuit, t0)
 

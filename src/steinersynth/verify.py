@@ -9,6 +9,7 @@ but its phase polynomial is not empty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
@@ -49,6 +50,8 @@ def _check(task, circuit: Circuit, mode: str = "auto") -> EquivalenceReport | No
                 return None
             mode = "unitary"
         if mode == "unitary":
+            if circuit.num_qubits != task.num_qubits:
+                return EquivalenceReport("unitary", False, math.inf)
             dev = phase_aligned_deviation(circuit_unitary(task), circuit_unitary(circuit))
             return EquivalenceReport("unitary", dev < UNITARY_TOL, dev)
         if mode not in ("auto", "gf2"):
@@ -62,9 +65,18 @@ def _check(task, circuit: Circuit, mode: str = "auto") -> EquivalenceReport | No
 
 def certify(task, circuit: Circuit, graph: ConnectivityGraph) -> Certificate:
     """Check that every CNOT lies on a graph edge and the circuit does the
-    task, in `_check`'s mode or, when it has none, in mode "edges"."""
+    task, in `_check`'s mode or, when it has none, in mode "edges".
+
+    A circuit of another width than the task fails and never raises, in
+    the mode the task's kind is checked in: "gf2" for a matrix,
+    "sum-over-paths" for a sum-over-paths, and for a circuit task "gf2"
+    when both circuits are CNOT-only, else "unitary" for a task of up to
+    UNITARY_QUBIT_CAP wires and "edges" above."""
     report = _check(task, circuit)
-    mode, same = (report.mode, report.equivalent) if report else ("edges", True)
+    if report is None:
+        mode, same = "edges", circuit.num_qubits == task.num_qubits
+    else:
+        mode, same = report.mode, report.equivalent
     return Certificate(mode, edge_legal(circuit, graph) and same)
 
 

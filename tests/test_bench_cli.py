@@ -206,9 +206,10 @@ def test_cli_rejects_empty_graph_file(tmp_path):
 
 def test_cli_report_is_report_dict(tmp_path):
     # --report writes SynthesisReport.to_dict() untouched.
-    report = SynthesisReport(method="steiner", graph_name="line(2)", cnot_count=1)
+    circuit = Circuit(2, (cnot(0, 1),))
+    report = SynthesisReport(method="steiner", graph_name="line(2)", circuit=circuit)
     path = tmp_path / "r.json"
-    _write_outputs(Circuit(2, (cnot(0, 1),)), report, str(tmp_path / "c.txt"), str(path))
+    _write_outputs(circuit, report, str(tmp_path / "c.txt"), str(path))
     assert json.loads(path.read_text()) == report.to_dict()
 
 
@@ -236,6 +237,23 @@ def test_cli_synth_phase_from_files(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert "rz" in res.output
+
+
+def test_cli_synth_phase_rejects_a_circuit_with_phase_or_matrix_files(tmp_path):
+    # The circuit would be the task and the other files ignored, even a
+    # malformed phase file; the combination is an input error instead.
+    c3, p3, m3 = (tmp_path / name for name in ("c3.txt", "p3.txt", "m3.txt"))
+    c3.write_text(emit_circuit(Circuit(3, (cnot(0, 1),))))
+    p3.write_text("not a phase file\n")
+    m3.write_text(emit_matrix(random_invertible(3, 1)))
+    for extra in (["--phase", str(p3)], ["--matrix", str(m3)],
+                  ["--phase", str(p3), "--matrix", str(m3)]):
+        res = CliRunner().invoke(
+            main, ["synth-phase", "--circuit", str(c3), *extra, "--arch", "line(3)"]
+        )
+        assert res.exit_code == 2, (extra, res.output)
+        assert isinstance(res.exception, SystemExit), extra
+        assert res.output == "error: --circuit cannot be combined with --phase or --matrix\n"
 
 
 def test_cli_route_and_arch(tmp_path):

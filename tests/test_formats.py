@@ -3,10 +3,12 @@ import random
 from collections import Counter
 
 import pytest
+from click.testing import CliRunner
 
 from steinersynth import BinaryMatrix, emit_circuit, parse_circuit, parse_matrix, verify_equivalence
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, CircuitFormatError, Gate, cnot, h, rz
+from steinersynth.cli import main
 from steinersynth.cnot_synth import expand_templates
 from steinersynth.graphs import line_graph
 from steinersynth.verify import edge_legal
@@ -48,6 +50,32 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("cnot 0 1\n")
     with pytest.raises(CircuitFormatError):
         parse_circuit("qubits 2\nfoo 0\n")
+
+
+@pytest.mark.parametrize("text", [
+    "qubits 2\nh 1 0\n",
+    "qubits 2\nrz 1/8 0 1\n",
+    "qubits 2 7\n",
+    "qubits 2\ncnot 0 1 1\n",
+    "qubits 2\nt 0 1\n",
+    "qubits 2\ncnot 0\n",
+    "qubits\n",
+])
+def test_parse_rejects_a_line_with_the_wrong_token_count(text):
+    # Extra tokens are an error, as in the graph, matrix and phase formats;
+    # the bad line is the last one.
+    with pytest.raises(CircuitFormatError, match="operand") as err:
+        parse_circuit(text)
+    assert err.value.lineno == text.count("\n")
+
+
+def test_cli_reports_extra_tokens_as_an_input_error(tmp_path):
+    circuit = tmp_path / "c.txt"
+    circuit.write_text("qubits 2\nh 1 0\n")
+    res = CliRunner().invoke(main, ["route", "--circuit", str(circuit), "--arch", "line(2)"])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error: line 2: 'h' takes 1 operand(s), got 2 in 'h 1 0'\n"
 
 
 def test_roundtrip_random_circuits():

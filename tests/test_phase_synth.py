@@ -340,7 +340,7 @@ def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
 
 def test_phase_free_instance_of_another_width_is_rejected():
     sop = SumOverPaths(PhasePolynomial(3, {}), BinaryMatrix.identity(3))
-    with pytest.raises(ValueError, match="instance has 3 qubits but graph has 4"):
+    with pytest.raises(ValueError, match="^task has 3 qubits but graph has 4 nodes$"):
         synthesize_cnot_rz(sop, line_graph(4))
 
 

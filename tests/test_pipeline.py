@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 from click.testing import CliRunner
 
@@ -5,11 +8,18 @@ from steinersynth import cnot_synth, emit_circuit, emit_matrix, pipeline, random
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
-from steinersynth.cnot_synth import expand_templates, pmh_synthesize
+from steinersynth.cnot_synth import (
+    SynthesisReport,
+    expand_templates,
+    pmh_synthesize,
+    synthesize_constrained,
+)
 from steinersynth.gf2 import BinaryMatrix, SingularMatrixError, check_invertible
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
+from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import certify, run
+from steinersynth.universal import route_universal
 from steinersynth.unitary import UNITARY_QUBIT_CAP
 
 PROBS = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
@@ -42,6 +52,104 @@ def test_run_certifies_each_task_kind(n):
             assert report.cnot_count == circuit.cnot_count
             assert report.depth == circuit.depth()
             assert report.method.startswith("baseline_") == (method == "templates")
+
+
+def eager_dict(method: str, graph_name: str, circuit: Circuit, elapsed_ms: float) -> dict:
+    """The report dict with every value computed from the circuit up front."""
+    cnots, rzs, hs = circuit.count("cnot"), circuit.count("rz"), circuit.count("h")
+    return {
+        "method": method,
+        "graph": graph_name,
+        "counts": {"cnot": cnots, "rz": rzs, "h": hs, "total": cnots + rzs + hs},
+        "depth": circuit.depth(),
+        "elapsed_ms": round(elapsed_ms, 3),
+    }
+
+
+def five_wire_tasks():
+    return [random_invertible(5, 3), phase_task(5, 4), random_universal_circuit(5, 40, PROBS, 5)]
+
+
+def synthesized(g):
+    """(circuit, report) of each public synthesizer and of `run` on each
+    five-wire task, every method that takes it, with and without cleanup."""
+    a, s, c = five_wire_tasks()
+    out = [synthesize_constrained(a, g), synthesize_cnot_rz(s, g), route_universal(c, g)]
+    for task in (a, s, c):
+        methods = ("steiner", "pmh", "templates") if task is a else ("steiner", "templates")
+        for method in methods:
+            for cleanup in (True, False):
+                out.append(run(task, g, method, cleanup)[:2])
+    return out
+
+
+@pytest.fixture
+def depth_calls(monkeypatch):
+    """The circuits `Circuit.depth` is called on, in call order."""
+    calls = []
+    depth = Circuit.depth
+
+    def counted(self):
+        calls.append(self)
+        return depth(self)
+
+    monkeypatch.setattr(Circuit, "depth", counted)
+    return calls
+
+
+def test_report_takes_four_values():
+    assert [f.name for f in dataclasses.fields(SynthesisReport) if f.init] == [
+        "method", "graph_name", "circuit", "elapsed_ms"
+    ]
+    report = SynthesisReport("steiner", "line(2)", Circuit(2, (cnot(0, 1),)), 1.5)
+    assert repr(report) == "SynthesisReport(method='steiner', graph_name='line(2)', elapsed_ms=1.5)"
+
+
+def test_depth_is_computed_once_and_only_when_read(depth_calls):
+    # No synthesizer takes the depth of its circuit; the report takes it
+    # from its circuit the first time it is read, and keeps it.
+    results = synthesized(line_graph(5))
+    assert depth_calls == []
+    for circuit, report in results:
+        assert report.circuit is circuit
+        first = report.to_dict()
+        assert depth_calls == [circuit]
+        assert report.to_dict() == first and report.depth == first["depth"]
+        assert depth_calls == [circuit]
+        depth_calls.clear()
+
+
+def test_an_assigned_count_or_depth_is_what_the_report_says(depth_calls):
+    # A caller that cleans the circuit after synthesis may write the
+    # cleaned circuit's values into the report, as the benchmark does.
+    g = line_graph(5)
+    a, s, c = five_wire_tasks()
+    for circuit, report in (synthesize_constrained(a, g), synthesize_cnot_rz(s, g),
+                            route_universal(c, g)):
+        cleaned = cancel_pass(circuit)
+        report.cnot_count = cleaned.cnot_count
+        report.rz_count = cleaned.count("rz")
+        report.h_count = cleaned.count("h")
+        report.depth = cleaned.depth()
+        assert report.to_dict() == eager_dict(report.method, g.name, cleaned, report.elapsed_ms)
+        assert depth_calls == [cleaned, cleaned]  # the caller's, then the eager dict's
+        depth_calls.clear()
+    circuit, report = synthesize_constrained(a, g)
+    report.depth, report.cnot_count = 7, 1
+    assert (report.depth, report.cnot_count) == (7, 1)
+    counts = report.to_dict()["counts"]
+    assert counts == {"cnot": 1, "rz": 0, "h": 0, "total": 1}
+    assert report.to_dict()["depth"] == 7
+    assert depth_calls == []
+
+
+def test_report_dict_is_the_eager_dict():
+    # The same JSON, key order included, as when every value was copied
+    # into the report at construction.
+    g = line_graph(5)
+    for circuit, report in synthesized(g):
+        want = eager_dict(report.method, g.name, circuit, report.elapsed_ms)
+        assert json.dumps(report.to_dict(), indent=2) == json.dumps(want, indent=2)
 
 
 def test_run_rejects_unknown_methods():

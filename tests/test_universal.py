@@ -224,7 +224,7 @@ def test_route_random_universal_circuits():
 
 
 def test_route_wire_count_mismatch():
-    with pytest.raises(ValueError, match="circuit has 3 wires, graph 4 nodes"):
+    with pytest.raises(ValueError, match="^task has 3 qubits but graph has 4 nodes$"):
         route_universal(Circuit(3), line_graph(4))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.gf2 import random_invertible
+from steinersynth.gf2 import random_invertible, simulate_cnot_circuit
 from steinersynth.graphs import line_graph
 from steinersynth.phase_synth import extract_sum_over_paths
 from steinersynth.unitary import UNITARY_QUBIT_CAP, apply_circuit, circuit_unitary
@@ -122,3 +122,24 @@ def test_certify_fails_a_circuit_outside_the_task_gate_set():
     # Forcing gf2 on a pair with an H is still an input error.
     with pytest.raises(ValueError, match="CNOT-only"):
         verify_equivalence(Circuit(3, (h(0),)), Circuit(3, (h(0),)), "gf2")
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["narrower", "wider"])
+def test_certify_fails_a_circuit_of_another_width(delta):
+    # The task's own gates on one wire fewer or more fail in the mode of
+    # the task's kind, and nothing raises: no dense unitary is built for a
+    # pair whose widths differ.  The same gates at the task's width pass.
+    g = line_graph(UNITARY_QUBIT_CAP + 2)
+    phase_gates = (rz(Angle(1, 8), 0), cnot(0, 1))
+    mixed = (cnot(0, 1), h(1), rz(Angle(1, 8), 0))
+    for n in (3, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 1):
+        mode = "unitary" if n <= UNITARY_QUBIT_CAP else "edges"
+        tasks = [
+            (simulate_cnot_circuit(Circuit(n, (cnot(0, 1),))), (cnot(0, 1),), "gf2"),
+            (extract_sum_over_paths(Circuit(n, phase_gates)), phase_gates, "sum-over-paths"),
+            (Circuit(n, (cnot(0, 1),)), (cnot(0, 1),), "gf2"),
+            (Circuit(n, mixed), mixed, mode),
+        ]
+        for task, gates, want in tasks:
+            assert certify(task, Circuit(n, gates), g) == (want, True), (n, want)
+            assert certify(task, Circuit(n + delta, gates), g) == (want, False), (n, want)

@@ -48,6 +48,7 @@ from .phase_synth import (
     SumOverPaths,
     build_parity_matrix,
     extract_sum_over_paths,
+    parse_phase_polynomial,
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )

@@ -155,13 +155,16 @@ def bench_sparseness(
 
 
 def bench_architecture(
-    arch: str, sizes: list[int], trials: int, seed: int, mode: str = "cnot", cleanup: bool = True
+    arch: str, sizes: list[int] | None, trials: int, seed: int, mode: str = "cnot",
+    cleanup: bool = True,
 ) -> str:
-    """Both methods on prefix subgraphs of a named architecture; a cnot_rz
-    instance on k nodes has k phase terms.  Every size is checked before any
-    trial runs."""
+    """Both methods on prefix subgraphs of a named architecture, of each of
+    `sizes` nodes (None: the full device); a cnot_rz instance on k nodes has
+    k phase terms.  Every size is checked before any trial runs."""
     _check_mode(mode)
     full = builtin_architecture(arch)
+    if sizes is None:
+        sizes = [full.node_count]
     graphs = {}
     for size in sizes:
         if not 2 <= size <= full.node_count:

@@ -191,6 +191,13 @@ class Circuit:
         return self.count("cnot") == len(self.gates)
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of a text format that hold content, stripped, with their
+    1-based numbers: `#` starts a comment, and blank lines are skipped."""
+    return [(i, line) for i, raw in enumerate(text.splitlines(), 1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
 # Tokens on each line of the circuit format, the keyword included.
 _LINE_TOKENS = {"qubits": 2, "cnot": 3, "rz": 3, "h": 2, **dict.fromkeys(NAMED_ANGLES, 2)}
 
@@ -205,10 +212,7 @@ def parse_circuit(text: str) -> Circuit:
     """
     num_qubits = None
     gates: list[Gate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         op = parts[0].lower()
         want = _LINE_TOKENS.get(op)

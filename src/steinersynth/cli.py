@@ -1,9 +1,11 @@
 """Command-line interface.
 
-The synthesis commands (synth-cnot, synth-phase, route) parse their inputs
-and hand the task to `pipeline.run`, which synthesizes, cleans up and
-certifies; the bench commands call the suites in `bench`, which use the
-same pipeline.
+The synthesis commands (synth-cnot, synth-phase, route) read their task and
+share one body, `_synthesize`: load the graph, hand the task to
+`pipeline.run`, which synthesizes, cleans up and certifies, and write the
+outputs.  The bench commands call the suites in `bench`, which use the same
+pipeline.  Every command body runs under one input-error rule (`_Main`), and
+every output goes through one writer (`_write`).
 
 Exit codes: 0 = success / verified, 1 = verification failure, 2 = bad input.
 """
@@ -18,7 +20,7 @@ import click
 from click.core import ParameterSource
 
 from . import bench as bench_mod
-from .circuits import Angle, Circuit, emit_circuit, parse_circuit
+from .circuits import emit_circuit, parse_circuit
 from .gf2 import parse_matrix
 from .graphs import (
     builtin_architecture,
@@ -27,7 +29,7 @@ from .graphs import (
     parse_graph,
     random_connected_graph,
 )
-from .phase_synth import PhasePolynomial, SumOverPaths, extract_sum_over_paths, parity_from_bits
+from .phase_synth import SumOverPaths, extract_sum_over_paths, parse_phase_polynomial
 from .pipeline import run
 from .verify import UNITARY_QUBIT_CAP, verify_equivalence
 
@@ -36,126 +38,117 @@ VERIFY_FAIL = 1
 INPUT_FILE = click.Path(exists=True, dir_okay=False)  # a missing path or a directory exits 2
 
 
-def _fail_input(msg: str) -> None:
-    click.echo(f"error: {msg}", err=True)
-    sys.exit(INPUT_ERROR)
+class _Main(click.Group):
+    """The command group.  Every command below runs inside its `invoke`, so
+    one rule covers them all: an OSError or ValueError (a file that cannot
+    be read or written, a malformed input, a task that `run` rejects)
+    prints `error: <message>` and exits 2.  A closed stdout is left to
+    click."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (OSError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(INPUT_ERROR)
 
 
-def _load_graph(graph_file: str | None, arch: str | None):
+def _options(*options):
+    """An option group, declared once and applied as one decorator; the
+    options are listed in `--help` in the order given."""
+
+    def apply(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+
+    return apply
+
+
+_NO_CLEANUP = click.option("--no-cleanup", is_flag=True,
+                           help="skip the commute-and-cancel cleanup pass")
+_SYNTHESIS_OPTIONS = _options(
+    click.option("--graph", "graph_file", type=INPUT_FILE),
+    click.option("--arch", type=str),
+    click.option("--out", type=click.Path()),
+    click.option("--report", "report_file", type=click.Path()),
+    _NO_CLEANUP,
+)
+_BENCH_OPTIONS = _options(
+    click.option("--seed", default=1, show_default=True),
+    click.option("--csv", "csv_path", type=click.Path()),
+    _NO_CLEANUP,
+)
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write one output (a circuit, a report or a CSV) to `path`, or to
+    stdout when no path is given."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        click.echo(text, nl=False)
+
+
+def _synthesize(read_task, graph_file, arch, out, report_file, no_cleanup,
+                method: str = "steiner") -> None:
+    """The body of every synthesis command: load the graph, read the task
+    (`read_task()`), run the pipeline, then write the circuit and report,
+    or exit 1 when the result is not verified."""
     if (graph_file is None) == (arch is None):
-        _fail_input("provide exactly one of --graph or --arch")
-    try:
-        if graph_file is not None:
-            return parse_graph(Path(graph_file).read_text(), name=Path(graph_file).stem)
-        return builtin_architecture(arch)
-    except (OSError, ValueError) as exc:
-        _fail_input(str(exc))
-
-
-def _finish(task, graph, method: str, cleanup: bool, out: str | None,
-            report_file: str | None) -> None:
-    """Run the pipeline; write the circuit and report, or exit 1 unverified.
-    A task that `run` rejects (another width, a singular matrix) exits 2."""
-    try:
-        circuit, report, certificate = run(task, graph, method, cleanup)
-    except ValueError as exc:
-        _fail_input(str(exc))
+        raise ValueError("provide exactly one of --graph or --arch")
+    if graph_file is None:
+        graph = builtin_architecture(arch)
+    else:
+        graph = parse_graph(Path(graph_file).read_text(), name=Path(graph_file).stem)
+    circuit, report, certificate = run(read_task(), graph, method, not no_cleanup)
     if not certificate.ok:
         click.echo("verification FAILED", err=True)
         sys.exit(VERIFY_FAIL)
-    _write_outputs(circuit, report, out, report_file)
-
-
-def _write(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is an input error."""
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        _fail_input(str(exc))
-
-
-def _write_outputs(circuit: Circuit, report, out: str | None, report_file: str | None) -> None:
-    text = emit_circuit(circuit)
-    if out:
-        _write(out, text)
-    else:
-        click.echo(text, nl=False)
+    _write(out, emit_circuit(circuit))
     if report_file:
         _write(report_file, json.dumps(report.to_dict(), indent=2) + "\n")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Connectivity-aware CNOT / CNOT+RZ circuit synthesis."""
 
 
 @main.command("synth-cnot")
 @click.option("--matrix", "matrix_file", required=True, type=INPUT_FILE)
-@click.option("--graph", "graph_file", type=INPUT_FILE)
-@click.option("--arch", type=str)
 @click.option("--baseline", type=click.Choice(["pmh", "templates"]),
               help="synthesize ignoring connectivity (partitioned or plain "
                    "elimination) and expand long-range CNOTs afterwards")
-@click.option("--out", type=click.Path())
-@click.option("--report", "report_file", type=click.Path())
-@click.option("--no-cleanup", is_flag=True, help="skip the cancel pass")
-def synth_cnot(matrix_file, graph_file, arch, baseline, out, report_file, no_cleanup):
+@_SYNTHESIS_OPTIONS
+def synth_cnot(matrix_file, baseline, **shared):
     """Synthesize an edge-legal CNOT circuit for a GF(2) matrix."""
-    g = _load_graph(graph_file, arch)
-    try:
-        a = parse_matrix(Path(matrix_file).read_text())
-    except (OSError, ValueError) as exc:
-        _fail_input(str(exc))
-    _finish(a, g, baseline or "steiner", not no_cleanup, out, report_file)
-
-
-def _load_phase_file(path: str, n: int) -> PhasePolynomial:
-    terms = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            _fail_input(f"{path}:{lineno}: expected 'bitstring num/den'")
-        if len(parts[0]) != n:
-            _fail_input(f"{path}:{lineno}: bitstring length != matrix dim {n}")
-        try:
-            mask = parity_from_bits(parts[0])
-            angle = Angle.parse(parts[1])
-        except ValueError as exc:
-            _fail_input(f"{path}:{lineno}: {exc}")
-        terms[mask] = terms.get(mask, Angle(0)) + angle
-    return PhasePolynomial(n, terms)
+    _synthesize(lambda: parse_matrix(Path(matrix_file).read_text()), **shared,
+                method=baseline or "steiner")
 
 
 @main.command("synth-phase")
 @click.option("--circuit", "circuit_file", type=INPUT_FILE)
 @click.option("--phase", "phase_file", type=INPUT_FILE)
 @click.option("--matrix", "matrix_file", type=INPUT_FILE)
-@click.option("--graph", "graph_file", type=INPUT_FILE)
-@click.option("--arch", type=str)
-@click.option("--out", type=click.Path())
-@click.option("--report", "report_file", type=click.Path())
-@click.option("--no-cleanup", is_flag=True)
-def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
-                report_file, no_cleanup):
+@_SYNTHESIS_OPTIONS
+def synth_phase(circuit_file, phase_file, matrix_file, **shared):
     """Re-synthesize a CNOT+RZ circuit (or a phase file + matrix) edge-legally."""
     if circuit_file and (phase_file or matrix_file):
-        _fail_input("--circuit cannot be combined with --phase or --matrix")
-    g = _load_graph(graph_file, arch)
-    try:
+        raise ValueError("--circuit cannot be combined with --phase or --matrix")
+    if not (circuit_file or (phase_file and matrix_file)):
+        raise ValueError("provide --circuit or both --phase and --matrix")
+
+    def read_task():
         if circuit_file:
-            target = extract_sum_over_paths(parse_circuit(Path(circuit_file).read_text()))
-        elif phase_file and matrix_file:
-            linear = parse_matrix(Path(matrix_file).read_text())
-            phase = _load_phase_file(phase_file, linear.dim)
-            target = SumOverPaths(phase, linear)
-        else:
-            _fail_input("provide --circuit or both --phase and --matrix")
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _finish(target, g, "steiner", not no_cleanup, out, report_file)
+            return extract_sum_over_paths(parse_circuit(Path(circuit_file).read_text()))
+        linear = parse_matrix(Path(matrix_file).read_text())
+        return SumOverPaths(parse_phase_polynomial(Path(phase_file).read_text(), linear.dim),
+                            linear)
+
+    _synthesize(read_task, **shared)
 
 
 @main.command(
@@ -165,18 +158,9 @@ def synth_phase(circuit_file, phase_file, matrix_file, graph_file, arch, out,
     f"up to {UNITARY_QUBIT_CAP} wires; above that only edge legality is checked.",
 )
 @click.option("--circuit", "circuit_file", required=True, type=INPUT_FILE)
-@click.option("--graph", "graph_file", type=INPUT_FILE)
-@click.option("--arch", type=str)
-@click.option("--out", type=click.Path())
-@click.option("--report", "report_file", type=click.Path())
-@click.option("--no-cleanup", is_flag=True)
-def route(circuit_file, graph_file, arch, out, report_file, no_cleanup):
-    g = _load_graph(graph_file, arch)
-    try:
-        c = parse_circuit(Path(circuit_file).read_text())
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _finish(c, g, "steiner", not no_cleanup, out, report_file)
+@_SYNTHESIS_OPTIONS
+def route(circuit_file, **shared):
+    _synthesize(lambda: parse_circuit(Path(circuit_file).read_text()), **shared)
 
 
 @main.command("verify")
@@ -185,12 +169,8 @@ def route(circuit_file, graph_file, arch, out, report_file, no_cleanup):
 @click.option("--mode", type=click.Choice(["auto", "gf2", "unitary"]), default="auto")
 def verify_cmd(circuit_a, circuit_b, mode):
     """Check two circuit files for equivalence."""
-    try:
-        a = parse_circuit(Path(circuit_a).read_text())
-        b = parse_circuit(Path(circuit_b).read_text())
-        rep = verify_equivalence(a, b, mode)
-    except ValueError as exc:
-        _fail_input(str(exc))
+    a, b = (parse_circuit(Path(path).read_text()) for path in (circuit_a, circuit_b))
+    rep = verify_equivalence(a, b, mode)
     click.echo(f"mode={rep.mode} equivalent={rep.equivalent} deviation={rep.deviation:.3e}")
     sys.exit(0 if rep.equivalent else VERIFY_FAIL)
 
@@ -200,73 +180,52 @@ def bench_group():
     """Random benchmark suites (CSV output)."""
 
 
-def _emit_csv(text: str, csv_path: str | None) -> None:
-    if csv_path:
-        _write(csv_path, text)
-    else:
-        click.echo(text, nl=False)
-
-
 @bench_group.command("sparseness")
 @click.option("--n", default=20, show_default=True)
 @click.option("--trials", default=20, show_default=True)
-@click.option("--seed", default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["cnot", "cnot_rz"]), default="cnot")
-@click.option("--csv", "csv_path", type=click.Path())
-@click.option("--no-cleanup", is_flag=True)
-def bench_sparseness_cmd(n, trials, seed, mode, csv_path, no_cleanup):
-    try:
-        text = bench_mod.bench_sparseness(n, trials, seed, mode, cleanup=not no_cleanup)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _emit_csv(text, csv_path)
+@_BENCH_OPTIONS
+def bench_sparseness_cmd(n, trials, mode, seed, csv_path, no_cleanup):
+    _write(csv_path, bench_mod.bench_sparseness(n, trials, seed, mode, cleanup=not no_cleanup))
 
 
 @bench_group.command("arch")
 @click.option("--arch", required=True)
-@click.option("--sizes", default="", help="comma list; defaults to the full device")
+@click.option("--sizes", default="",
+              help="comma-separated list of integers; defaults to the full device")
 @click.option("--trials", default=10, show_default=True)
-@click.option("--seed", default=1, show_default=True)
 @click.option("--mode", type=click.Choice(["cnot", "cnot_rz"]), default="cnot")
-@click.option("--csv", "csv_path", type=click.Path())
-@click.option("--no-cleanup", is_flag=True)
-def bench_arch_cmd(arch, sizes, trials, seed, mode, csv_path, no_cleanup):
+@_BENCH_OPTIONS
+def bench_arch_cmd(arch, sizes, trials, mode, seed, csv_path, no_cleanup):
     try:
-        g = builtin_architecture(arch)
-        size_list = [int(s) for s in sizes.split(",") if s] or [g.node_count]
-        text = bench_mod.bench_architecture(
-            arch, size_list, trials, seed, mode, cleanup=not no_cleanup
-        )
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _emit_csv(text, csv_path)
+        size_list = [int(s) for s in sizes.split(",") if s] or None
+    except ValueError:
+        raise ValueError(
+            f"--sizes takes a comma-separated list of integers, got {sizes!r}"
+        ) from None
+    _write(csv_path, bench_mod.bench_architecture(
+        arch, size_list, trials, seed, mode, cleanup=not no_cleanup))
 
 
 @bench_group.command("h-ratio")
 @click.option("--n", default=20, show_default=True)
 @click.option("--gates", default=1000, show_default=True)
 @click.option("--trials", default=5, show_default=True)
-@click.option("--seed", default=1, show_default=True)
 @click.option("--arch", default=None,
               help="named architecture, instead of a random graph of --n nodes")
 @click.option("--sparseness", default=0.3, show_default=True)
-@click.option("--csv", "csv_path", type=click.Path())
-@click.option("--no-cleanup", is_flag=True)
-def bench_h_ratio_cmd(n, gates, trials, seed, arch, sparseness, csv_path, no_cleanup):
+@_BENCH_OPTIONS
+def bench_h_ratio_cmd(n, gates, trials, arch, sparseness, seed, csv_path, no_cleanup):
     if arch:
         ctx = click.get_current_context()
         for name in ("n", "sparseness"):
             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT:
-                _fail_input(f"--{name} shapes the random graph and cannot be combined with --arch")
-    try:
-        if arch:
-            g = builtin_architecture(arch)
-        else:
-            g = random_connected_graph(n, sparseness, seed)
-        text = bench_mod.bench_h_ratio(g, trials, seed, gates, cleanup=not no_cleanup)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    _emit_csv(text, csv_path)
+                raise ValueError(
+                    f"--{name} shapes the random graph and cannot be combined with --arch")
+        g = builtin_architecture(arch)
+    else:
+        g = random_connected_graph(n, sparseness, seed)
+    _write(csv_path, bench_mod.bench_h_ratio(g, trials, seed, gates, cleanup=not no_cleanup))
 
 
 @main.group("arch")
@@ -283,11 +242,7 @@ def arch_list():
 @arch_group.command("show")
 @click.argument("name")
 def arch_show(name):
-    try:
-        g = builtin_architecture(name)
-    except ValueError as exc:
-        _fail_input(str(exc))
-    click.echo(emit_graph(g), nl=False)
+    click.echo(emit_graph(builtin_architecture(name)), nl=False)
 
 
 if __name__ == "__main__":

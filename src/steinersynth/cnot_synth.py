@@ -459,22 +459,15 @@ def _pmh_pairs(a: BinaryMatrix, section: int | None) -> list[tuple[int, int]]:
     return [(t, c) for c, t in second] + first[::-1]
 
 
-def pmh_synthesize(a: BinaryMatrix, partition: bool = True, section: int | None = None) -> Circuit:
-    """Full-connectivity elimination synthesis (no coupling constraints).
-
-    partition=True enables sectioned elimination with duplicate sub-row
-    removal; partition=False is plain Gaussian elimination.  When no section
-    width is given, the small range of sensible widths (2 up to ~log2 n) is
-    tried and the shortest result kept, which is what the asymptotic width
-    rule converges to anyway.  The CNOTs are those of `_pmh_pairs`.
+def pmh_synthesize(a: BinaryMatrix) -> Circuit:
+    """Full-connectivity partitioned elimination (no coupling constraints):
+    sectioned elimination with duplicate sub-row removal, at each sensible
+    section width (2 up to ~log2 n), keeping the shortest result, which is
+    what the asymptotic width rule converges to anyway.  The CNOTs are
+    those of `_pmh_pairs`.
     """
     check_invertible(a)
-    if not partition:
-        pairs = _pmh_pairs(a, None)
-    elif section is not None:
-        pairs = _pmh_pairs(a, max(1, section))
-    else:
-        pairs = min((_pmh_pairs(a, w) for w in section_widths(a.dim)), key=len)
+    pairs = min((_pmh_pairs(a, w) for w in section_widths(a.dim)), key=len)
     return Circuit(a.dim, tuple(cnot(c, t) for c, t in pairs))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuits import Circuit
+from .circuits import Circuit, content_lines
 
 _MATRIX_DRAWS = 1000  # random_invertible gives up after this many draws
 
@@ -182,8 +182,7 @@ def random_invertible(n: int, seed: int) -> BinaryMatrix:
 
 def parse_matrix(text: str) -> BinaryMatrix:
     """Parse the matrix text format: a line "n", then n rows of n '0'/'1' chars."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [line for _, line in content_lines(text)]
     if not lines:
         raise ValueError("empty matrix file")
     try:

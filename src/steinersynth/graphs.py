@@ -22,7 +22,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .circuits import Gate, cnot
+from .circuits import Gate, cnot, content_lines
 
 _GRAPH_DRAWS = 10_000  # random_connected_graph gives up after this many draws
 
@@ -507,8 +507,7 @@ _NAMED_ARCH_FILES = {
 
 def parse_graph(text: str, name: str = "graph") -> ConnectivityGraph:
     """Parse the graph text format: "n m" then m lines "u v"; '#' comments."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = [line for _, line in content_lines(text)]
     if not lines:
         raise ValueError("empty graph file")
     head = lines[0].split()

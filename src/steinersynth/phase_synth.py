@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .circuits import Angle, Circuit, Gate, rz
+from .circuits import Angle, Circuit, Gate, content_lines, rz
 from .cnot_synth import (
     SynthesisReport,
     _report,
@@ -44,6 +44,28 @@ def parity_from_bits(bits: str) -> int:
     if set(bits) - {"0", "1"}:
         raise ValueError(f"bad parity bitstring {bits!r}")
     return sum((bits[q] == "1") << q for q in range(len(bits)))
+
+
+def parse_phase_polynomial(text: str, n: int) -> PhasePolynomial:
+    """Parse the phase file format: one term "bitstring num/den" per line,
+    the bitstring n characters of 0/1, qubit 0 first; terms on the same
+    parity add.  A bad line raises `ValueError` naming its number."""
+    terms: dict[int, Angle] = {}
+    for lineno, line in content_lines(text):
+        parts = line.split()
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected 'bitstring num/den'")
+            if len(parts[0]) != n:
+                raise ValueError(f"bitstring length != matrix dim {n}")
+            mask = parity_from_bits(parts[0])
+            if mask == 0:
+                raise ValueError("zero parity cannot carry a phase term")
+            angle = Angle.parse(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        terms[mask] = terms.get(mask, Angle(0)) + angle
+    return PhasePolynomial(n, terms)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 from steinersynth import BinaryMatrix, ConnectivityGraph, builtin_architecture, random_connected_graph
-from steinersynth.circuits import Angle, cnot, h, rz
+from steinersynth.circuits import Angle, Circuit, cnot, h, rz
+from steinersynth.cnot_synth import _pmh_pairs
 from steinersynth.graphs import grid_graph
 
 
@@ -44,6 +45,12 @@ def grid12_graph() -> ConnectivityGraph:
     return ConnectivityGraph(
         12, frozenset((u - 1, v - 1) for u, v in edges_1based), name="grid12"
     )
+
+
+def pmh_at(a: BinaryMatrix, section: int | None) -> Circuit:
+    """Full-connectivity elimination of `a` at one section width, or plain
+    Gaussian elimination for None: the CNOTs of `cnot_synth._pmh_pairs`."""
+    return Circuit(a.dim, tuple(cnot(c, t) for c, t in _pmh_pairs(a, section)))
 
 
 def all_gates_up_to(n):

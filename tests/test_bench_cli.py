@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import steinersynth
-from steinersynth import pipeline
+from steinersynth import cli, pipeline
 from steinersynth import emit_circuit, emit_graph, emit_matrix, random_invertible
 from steinersynth.bench import (
     DEFAULT_GATE_PROBS,
@@ -18,9 +19,10 @@ from steinersynth.bench import (
     random_universal_circuit,
 )
 from steinersynth.circuits import Circuit, cnot
-from steinersynth.cli import _write_outputs, main
+from steinersynth.cli import main
 from steinersynth.cnot_synth import SynthesisReport
 from steinersynth.graphs import line_graph, random_connected_graph
+from steinersynth.verify import Certificate
 
 
 SMALL = dict(n=6, trials=2, seed=3, sparseness_values=(0.4, 1.0))
@@ -46,20 +48,40 @@ def test_bench_sparseness_complete_graph_bucket():
     # column equals the bare partitioned-elimination count.
     from steinersynth.bench import baseline_pmh_templates
     from steinersynth.graphs import complete_graph
-    from steinersynth.cnot_synth import pmh_synthesize
+    from steinersynth.cnot_synth import _pmh_pairs
 
     a = random_invertible(6, 11)
     g = complete_graph(6)
     base = baseline_pmh_templates(a, g, cleanup=False)
-    assert base.cnot_count == min(
-        pmh_synthesize(a, partition=True, section=w).cnot_count for w in (2, 3)
-    )
+    assert base.cnot_count == min(len(_pmh_pairs(a, w)) for w in (2, 3))
 
 
 def test_bench_architecture_smoke():
     out = bench_architecture("tokyo20", [6, 10], trials=2, seed=5)
     assert out.splitlines()[0] == "size,trial,seed,constrained_cnots,baseline_cnots,verified"
     assert out == bench_architecture("tokyo20", [6, 10], trials=2, seed=5)
+
+
+def test_bench_architecture_defaults_to_the_full_device():
+    full = bench_architecture("line(5)", [5], trials=1, seed=2)
+    assert bench_architecture("line(5)", None, trials=1, seed=2) == full
+    res = CliRunner().invoke(main, ["bench", "arch", "--arch", "line(5)", "--trials", "1",
+                                    "--seed", "2"])
+    assert res.exit_code == 0, res.output
+    assert res.output == full
+
+
+@pytest.mark.parametrize("sizes", ["5,x", "x", "5,3.5"])
+def test_cli_bench_arch_names_sizes_in_a_bad_size_list(monkeypatch, sizes):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    res = CliRunner().invoke(main, ["bench", "arch", "--arch", "line(5)", "--sizes", sizes])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == (
+        f"error: --sizes takes a comma-separated list of integers, got {sizes!r}\n"
+    )
+    assert calls == []
 
 
 def test_bench_architecture_checks_every_size_before_any_trial(monkeypatch):
@@ -204,12 +226,17 @@ def test_cli_rejects_empty_graph_file(tmp_path):
     assert "at least one node" in res.output
 
 
-def test_cli_report_is_report_dict(tmp_path):
+def test_cli_report_is_report_dict(tmp_path, monkeypatch):
     # --report writes SynthesisReport.to_dict() untouched.
     circuit = Circuit(2, (cnot(0, 1),))
     report = SynthesisReport(method="steiner", graph_name="line(2)", circuit=circuit)
+    monkeypatch.setattr(cli, "run", lambda *args: (circuit, report, Certificate("gf2", True)))
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(emit_matrix(random_invertible(2, 1)))
     path = tmp_path / "r.json"
-    _write_outputs(circuit, report, str(tmp_path / "c.txt"), str(path))
+    res = CliRunner().invoke(main, ["synth-cnot", "--matrix", str(matrix), "--arch", "line(2)",
+                                    "--out", str(tmp_path / "c.txt"), "--report", str(path)])
+    assert res.exit_code == 0, res.output
     assert json.loads(path.read_text()) == report.to_dict()
 
 
@@ -401,6 +428,60 @@ def test_cli_rejects_a_directory_for_every_input_file(tmp_path):
         assert isinstance(res.exception, SystemExit), case
         assert "is a directory" in res.output, case
         assert "Traceback" not in res.output, case
+
+
+def test_cli_exits_2_when_an_input_file_cannot_be_read(tmp_path, monkeypatch):
+    # A read that fails (EIO, as reading /proc/self/mem does) is an input
+    # error for every input file: exit 2 with an error line, not an OSError
+    # traceback with exit 1, which would read as a verification failure.
+    m3, c3, p3, g3 = (tmp_path / name for name in ("m3.txt", "c3.txt", "p3.txt", "g3.txt"))
+    m3.write_text(emit_matrix(random_invertible(3, 1)))
+    c3.write_text(emit_circuit(Circuit(3, (cnot(0, 1),))))
+    p3.write_text("110 1/8\n")
+    g3.write_text(emit_graph(line_graph(3)))
+    bad = tmp_path / "eio.txt"
+    bad.write_text("")
+    read_text = Path.read_text
+
+    def read_or_fail(path, *args, **kwargs):
+        if path == bad:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_or_fail)
+    d = str(bad)
+    cases = {
+        "synth-cnot --matrix": ["synth-cnot", "--matrix", d, "--arch", "line(3)"],
+        "synth-cnot --graph": ["synth-cnot", "--matrix", str(m3), "--graph", d],
+        "synth-phase --circuit": ["synth-phase", "--circuit", d, "--arch", "line(3)"],
+        "synth-phase --phase": ["synth-phase", "--phase", d, "--matrix", str(m3), "--arch", "line(3)"],
+        "synth-phase --matrix": ["synth-phase", "--phase", str(p3), "--matrix", d, "--arch", "line(3)"],
+        "synth-phase --graph": ["synth-phase", "--circuit", str(c3), "--graph", d],
+        "route --circuit": ["route", "--circuit", d, "--arch", "line(3)"],
+        "route --graph": ["route", "--circuit", str(c3), "--graph", d],
+        "verify a": ["verify", d, str(c3)],
+        "verify b": ["verify", str(c3), d],
+    }
+    for case, args in cases.items():
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, (case, res.output)
+        assert isinstance(res.exception, SystemExit), case
+        assert res.output.startswith("error: "), (case, res.output)
+        assert "Input/output error" in res.output, case
+        assert "Traceback" not in res.output, case
+
+
+def test_cli_leaves_a_closed_stdout_to_click(monkeypatch):
+    # A broken pipe on stdout is an OSError but not an input error: click
+    # exits 1 without an error line, as it does for any command.
+    def closed_stdout(*args, **kwargs):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    monkeypatch.setattr(cli, "emit_graph", closed_stdout)
+    res = CliRunner().invoke(main, ["arch", "show", "tokyo20"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "error:" not in res.output
 
 
 def test_cli_rejects_a_singular_matrix(tmp_path):

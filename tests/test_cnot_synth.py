@@ -22,7 +22,7 @@ from steinersynth.cnot_synth import _path_ops, _preorder
 from steinersynth.graphs import SteinerTree, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
-from conftest import oracle_graphs, random_terminal_sets
+from conftest import oracle_graphs, pmh_at, random_terminal_sets
 
 
 def reference_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
@@ -512,8 +512,7 @@ def test_pmh_identity_and_roundtrip():
     assert len(pmh_synthesize(BinaryMatrix.identity(6))) == 0
     for seed in range(30):
         a = random_invertible(12, seed)
-        for partition in (False, True):
-            c = pmh_synthesize(a, partition=partition)
+        for c in (pmh_at(a, None), pmh_synthesize(a)):
             assert simulate_cnot_circuit(c) == a
 
 
@@ -521,8 +520,8 @@ def test_pmh_partitioning_beats_plain_on_average():
     total_part = total_plain = 0
     for seed in range(50):
         a = random_invertible(20, seed)
-        total_part += len(pmh_synthesize(a, partition=True))
-        total_plain += len(pmh_synthesize(a, partition=False))
+        total_part += len(pmh_synthesize(a))
+        total_plain += len(pmh_at(a, None))
     assert total_part < total_plain
 
 

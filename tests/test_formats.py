@@ -7,10 +7,13 @@ from click.testing import CliRunner
 
 from steinersynth import BinaryMatrix, emit_circuit, parse_circuit, parse_matrix, verify_equivalence
 from steinersynth.bench import random_universal_circuit
-from steinersynth.circuits import Angle, Circuit, CircuitFormatError, Gate, cnot, h, rz
+from steinersynth.circuits import (
+    Angle, Circuit, CircuitFormatError, Gate, cnot, content_lines, h, rz,
+)
 from steinersynth.cli import main
 from steinersynth.cnot_synth import expand_templates
-from steinersynth.graphs import line_graph
+from steinersynth.graphs import line_graph, parse_graph
+from steinersynth.phase_synth import PhasePolynomial, parse_phase_polynomial
 from steinersynth.verify import edge_legal
 
 
@@ -132,6 +135,35 @@ def test_parse_matrix_comments_anywhere():
     # '#' starts a comment anywhere on a line, indented or trailing.
     text = "# header\n2 # dimension\n  # note\n10 # x\n01\n"
     assert parse_matrix(text) == BinaryMatrix.identity(2)
+
+
+def test_content_lines_is_the_comment_rule_of_every_format():
+    text = "# header\n\nqubits 2 # wires\n   \n  cnot 0 1\n#cnot 1 0\n"
+    assert content_lines(text) == [(3, "qubits 2"), (5, "cnot 0 1")]
+    g = parse_graph("# g\n2 1 # n m\n\n0 1 # edge\n")
+    assert (g.node_count, g.edges) == (2, line_graph(2).edges)
+
+
+def test_parse_phase_polynomial_adds_terms_on_one_parity():
+    text = "# terms\n1100 1/8\n\n0110 3/4  # second\n1100 1/8\n0011 1/2\n0011 1/2\n"
+    assert parse_phase_polynomial(text, 4) == PhasePolynomial(
+        4, {0b0011: Angle(1, 4), 0b0110: Angle(3, 4)}
+    )
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("1100", "expected 'bitstring num/den'"),
+    ("1100 1/8 2", "expected 'bitstring num/den'"),
+    ("110 1/8", "bitstring length != matrix dim 4"),
+    ("11x0 1/8", "bad parity bitstring '11x0'"),
+    ("0000 1/8", "zero parity cannot carry a phase term"),
+    ("1100 1/0", "zero denominator"),
+])
+def test_parse_phase_polynomial_names_the_bad_line(line, reason):
+    with pytest.raises(ValueError) as err:
+        parse_phase_polynomial(f"# terms\n1000 1/4\n\n{line}\n", 4)
+    assert str(err.value).startswith("line 4: ")
+    assert reason in str(err.value)
 
 
 def reference_depth(c: Circuit) -> int:

@@ -12,7 +12,7 @@ from steinersynth.gf2 import simulate_cnot_circuit
 from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
 from steinersynth.optimizer import DEFAULT_WINDOW, _decode, _first_round
 from steinersynth.verify import verify_equivalence
-from conftest import all_gates_up_to, commutes
+from conftest import all_gates_up_to, commutes, pmh_at
 
 
 def reference_cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
@@ -145,7 +145,7 @@ def _ladder_inputs() -> list[Circuit]:
     several section widths, then relay ladders on sparse graphs."""
     graphs = [line_graph(8), grid_graph(3, 3), random_connected_graph(10, 0.3, 4)]
     out = [
-        expand_templates(pmh_synthesize(random_invertible(g.node_count, seed), section=w), g)
+        expand_templates(pmh_at(random_invertible(g.node_count, seed), w), g)
         for g in graphs
         for seed, w in ((1, 1), (2, 2), (3, 3))
     ]

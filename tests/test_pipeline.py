@@ -11,7 +11,6 @@ from steinersynth.cli import main
 from steinersynth.cnot_synth import (
     SynthesisReport,
     expand_templates,
-    pmh_synthesize,
     synthesize_constrained,
 )
 from steinersynth.gf2 import BinaryMatrix, SingularMatrixError, check_invertible
@@ -21,6 +20,7 @@ from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import certify, run
 from steinersynth.universal import route_universal
 from steinersynth.unitary import UNITARY_QUBIT_CAP
+from conftest import pmh_at
 
 PROBS = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
 
@@ -306,7 +306,7 @@ def test_pmh_candidates_are_the_expanded_elimination_at_every_width(g):
         assert name == "baseline_pmh"
         assert len(candidates) == len(widths)
         for w, got in zip(widths, candidates):
-            want = expand_templates(pmh_synthesize(a, section=w), g)
+            want = expand_templates(pmh_at(a, w), g)
             assert got.num_qubits == n
             assert got.gates == want.gates, w
             assert all(gate is g._arcs[gate.qubits] for gate in got.gates), w
@@ -314,7 +314,7 @@ def test_pmh_candidates_are_the_expanded_elimination_at_every_width(g):
         candidates, name = pipeline._candidates(a, g, "templates")
         (got,) = candidates
         assert name == "baseline_templates"
-        want = expand_templates(pmh_synthesize(a, partition=False), g)
+        want = expand_templates(pmh_at(a, None), g)
         assert got.num_qubits == n
         assert got.gates == want.gates
         assert all(gate is g._arcs[gate.qubits] for gate in got.gates)

@@ -181,20 +181,23 @@ def random_invertible(n: int, seed: int) -> BinaryMatrix:
 
 
 def parse_matrix(text: str) -> BinaryMatrix:
-    """Parse the matrix text format: a line "n", then n rows of n '0'/'1' chars."""
-    lines = [line for _, line in content_lines(text)]
+    """Parse the matrix text format: a line "n", then n rows of n '0'/'1'
+    chars.  A bad dimension or row line raises `ValueError` naming its
+    number."""
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty matrix file")
+    lineno, head = lines[0]
     try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise ValueError(f"bad dimension line {lines[0]!r}") from exc
+        n = int(head)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected 'n', the dimension, got {head!r}") from None
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []
-    for i, line in enumerate(lines[1:]):
+    for lineno, line in lines[1:]:
         if len(line) != n or set(line) - {"0", "1"}:
-            raise ValueError(f"row {i}: expected {n} characters of 0/1, got {line!r}")
+            raise ValueError(f"line {lineno}: expected {n} characters of 0/1, got {line!r}")
         rows.append(sum((line[j] == "1") << j for j in range(n)))
     return BinaryMatrix(n, tuple(rows))
 

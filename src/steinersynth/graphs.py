@@ -506,23 +506,25 @@ _NAMED_ARCH_FILES = {
 
 
 def parse_graph(text: str, name: str = "graph") -> ConnectivityGraph:
-    """Parse the graph text format: "n m" then m lines "u v"; '#' comments."""
-    lines = [line for _, line in content_lines(text)]
+    """Parse the graph text format: "n m" then m lines "u v"; '#' comments.
+    A bad header or edge line raises `ValueError` naming its number."""
+    lines = content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'n m'")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(*lines[0], "'n m'")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.add(_norm_edge(int(parts[0]), int(parts[1])))
+    edges = {_norm_edge(*_int_pair(*line, "'u v'")) for line in lines[1:]}
     return ConnectivityGraph(n, frozenset(edges), name=name)
+
+
+def _int_pair(lineno: int, line: str, form: str) -> tuple[int, int]:
+    """The two integers of a graph file line, which must read `form`."""
+    try:
+        u, v = map(int, line.split())
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected {form}, two integers, got {line!r}") from None
+    return u, v
 
 
 def emit_graph(g: ConnectivityGraph) -> str:

@@ -249,3 +249,12 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
             queue, later = later, bytearray(n)
             i = queue.find(1)
     return Circuit(c.num_qubits, tuple(compress(gates, alive)))
+
+
+def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
+    """The candidate with the fewest CNOTs, each one cleaned first when
+    `cleanup` is set; the first wins ties.  `pipeline.run` picks a task's
+    circuit with it, and `universal` each CNOT+RZ segment's gates."""
+    if cleanup:
+        candidates = map(cancel_pass, candidates)
+    return min(candidates, key=attrgetter("cnot_count"))

@@ -9,7 +9,6 @@ synthesis commands and the bench suites all go through it.
 from __future__ import annotations
 
 import time
-from operator import attrgetter
 
 from .circuits import Circuit
 from .cnot_synth import (
@@ -23,7 +22,7 @@ from .cnot_synth import (
 )
 from .gf2 import BinaryMatrix, check_invertible
 from .graphs import ConnectivityGraph, _check_width, complete_graph
-from .optimizer import cancel_pass
+from .optimizer import _fewest_cnots
 from .phase_synth import SumOverPaths, _synthesize_cnot_rz
 from .universal import _route_universal
 from .verify import Certificate, certify
@@ -67,14 +66,6 @@ def _candidates(task, g: ConnectivityGraph, method: str):
         source = task
     # A baseline ignores connectivity, then expands each long-range CNOT.
     return [expand_templates(source, g)], "baseline_templates"
-
-
-def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
-    """The candidate with the fewest CNOTs, each one cleaned first when
-    `cleanup` is set; the first wins ties."""
-    if cleanup:
-        candidates = map(cancel_pass, candidates)
-    return min(candidates, key=attrgetter("cnot_count"))
 
 
 def baseline_pmh_templates(

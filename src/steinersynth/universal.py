@@ -2,9 +2,14 @@
 
 Hadamard gates break the phase-polynomial picture, so the circuit is cut
 into alternating H-only and CNOT+RZ segments.  A two-pass commutation
-heuristic grows the CNOT+RZ segments as large as possible, each segment is
-re-synthesized against the coupling graph, and the H gates pass through
-untouched (single-qubit gates need no routing).
+heuristic grows the CNOT+RZ segments as large as possible, and the H gates
+pass through untouched (single-qubit gates need no routing).  Each CNOT+RZ
+segment has two candidates: its resynthesis against the coupling graph
+from its sum-over-paths form, and its own gates with every long-range CNOT
+expanded into a ladder of 4(l-1) edge CNOTs.  The one with fewer CNOTs
+before cleanup is kept, and the resynthesis wins ties.  So a route never
+has more CNOTs before cleanup than the template expansion of its
+H-reduced input, segment by segment.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import time
 from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
-from .cnot_synth import SynthesisReport, _report
+from .cnot_synth import SynthesisReport, _report, expand_templates
 from .graphs import ConnectivityGraph, _check_width
+from .optimizer import _fewest_cnots
 from .phase_synth import _synthesize_cnot_rz, extract_sum_over_paths
 
 _S = Angle(1, 4)
@@ -179,8 +185,11 @@ def route_universal(
 ) -> tuple[Circuit, SynthesisReport]:
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
-    H segments pass through; every CNOT+RZ segment is re-synthesized from
-    its phase-polynomial form under the connectivity constraints.  Wire
+    H segments pass through.  Every CNOT+RZ segment becomes whichever of
+    two exact, edge-legal candidates has fewer CNOTs: its resynthesis from
+    its phase-polynomial form under the connectivity constraints, or its
+    own gates with each long-range CNOT expanded into a 4(l-1) ladder
+    (`expand_templates`); on a tie the resynthesis is kept.  Wire
     numbering is the identity map throughout: each segment implements its
     full linear transformation on the original wires.
     """
@@ -199,6 +208,7 @@ def _route_universal(c: Circuit, g: ConnectivityGraph) -> Circuit:
         if seg.kind == "h_block":
             gates.extend(seg.gates)
             continue
-        sop = extract_sum_over_paths(Circuit(c.num_qubits, seg.gates))
-        gates.extend(_synthesize_cnot_rz(sop, g).gates)
+        own = Circuit(c.num_qubits, seg.gates)
+        resynth = _synthesize_cnot_rz(extract_sum_over_paths(own), g)
+        gates.extend(_fewest_cnots((resynth, expand_templates(own, g)), cleanup=False).gates)
     return Circuit(c.num_qubits, tuple(gates))

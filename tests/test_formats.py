@@ -166,6 +166,52 @@ def test_parse_phase_polynomial_names_the_bad_line(line, reason):
     assert reason in str(err.value)
 
 
+@pytest.mark.parametrize("text, lineno, form", [
+    ("x 1\n0 1\n", 1, "'n m'"),
+    ("3\n", 1, "'n m'"),
+    ("3 2 1\n0 1\n", 1, "'n m'"),
+    ("3 2\n0 1\n1 x\n", 3, "'u v'"),
+    ("# g\n3 2\n\n0 1  # edge\n1 2 0\n", 5, "'u v'"),
+    ("3 2\n0\n1 2\n", 2, "'u v'"),
+])
+def test_parse_graph_names_the_bad_line(text, lineno, form):
+    with pytest.raises(ValueError) as err:
+        parse_graph(text)
+    assert str(err.value).startswith(f"line {lineno}: expected {form}, two integers, got ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x\n01\n10\n", "line 1: expected 'n', the dimension, got 'x'"),
+    ("2 2\n01\n10\n", "line 1: expected 'n', the dimension, got '2 2'"),
+    ("2\n01\n02\n", "line 3: expected 2 characters of 0/1, got '02'"),
+    ("# m\n2\n\n01  # row\n0\n", "line 5: expected 2 characters of 0/1, got '0'"),
+])
+def test_parse_matrix_names_the_bad_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_matrix(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--graph", "3 2\n0 1\n1 x\n", "line 3: expected 'u v', two integers, got '1 x'"),
+    ("--graph", "x 1\n0 1\n", "line 1: expected 'n m', two integers, got 'x 1'"),
+    ("--matrix", "x\n", "line 1: expected 'n', the dimension, got 'x'"),
+    ("--matrix", "3\n100\n010\n0011\n", "line 4: expected 3 characters of 0/1, got '0011'"),
+])
+def test_cli_graph_and_matrix_errors_name_their_line(tmp_path, option, text, message):
+    # The exact output is one error line: no traceback, and the line named.
+    inputs = {"--matrix": "3\n100\n010\n001\n", "--graph": "3 2\n0 1\n1 2\n", option: text}
+    args = ["synth-cnot"]
+    for opt, body in inputs.items():
+        path = tmp_path / f"{opt[2:]}.txt"
+        path.write_text(body)
+        args += [opt, str(path)]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"error: {message}\n"
+
+
 def reference_depth(c: Circuit) -> int:
     """The running-maximum depth loop the faster Circuit.depth replaced."""
     frontier = [0] * c.num_qubits

@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from steinersynth import cnot_synth, emit_circuit, emit_matrix, pipeline, random_invertible
+from steinersynth import cnot_synth, emit_circuit, emit_matrix, optimizer, pipeline, random_invertible
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
@@ -250,7 +250,7 @@ def test_certify_rejects_a_non_edge_cnot_and_a_wrong_unitary():
 @pytest.fixture
 def faulty_cleanup(monkeypatch):
     """Make the pipeline's cleanup drop the last gate of every circuit."""
-    monkeypatch.setattr(pipeline, "cancel_pass", drop_last)
+    monkeypatch.setattr(optimizer, "cancel_pass", drop_last)
 
 
 def test_cli_exits_1_when_verification_fails(tmp_path, faulty_cleanup):

@@ -13,9 +13,11 @@ from steinersynth import (
 )
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
-from steinersynth.graphs import line_graph
+from steinersynth.cnot_synth import expand_templates
+from steinersynth.graphs import complete_graph, line_graph
+from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.unitary import circuit_unitary
-from steinersynth.universal import Segment
+from steinersynth.universal import Segment, _route_universal
 from steinersynth.verify import edge_legal, verify_equivalence
 from conftest import all_gates_up_to, commutes
 
@@ -208,19 +210,75 @@ def test_route_small_mixed_circuit():
     assert verify_equivalence(c, routed, "unitary").equivalent
 
 
+def _route_graphs(rng, n, trial):
+    """A random connected graph on n nodes, and the complete one."""
+    return random_connected_graph(n, rng.uniform(0.2, 1.0), trial), complete_graph(n)
+
+
 def test_route_random_universal_circuits():
+    # Every width up to the unitary cap, on a random graph and on the
+    # complete one, so segments of both candidate kinds are checked.
     rng = random.Random(77)
     for trial in range(30):
-        n = rng.randint(2, 6)
-        g = random_connected_graph(n, rng.uniform(0.4, 1.0), trial)
+        n = rng.randint(2, 8)
         p_h = rng.uniform(0.0, 0.2)
         probs = {"s": 0.01, "t": 0.01, "sdg": 0.01, "tdg": 0.01,
                  "h": p_h, "cnot": 0.96 - p_h}
         c = random_universal_circuit(n, 60, probs, trial)
-        routed, report = route_universal(c, g)
-        assert edge_legal(routed, g)
-        assert verify_equivalence(c, routed, "unitary").equivalent
-        assert report.cnot_count == routed.cnot_count
+        for g in _route_graphs(rng, n, trial):
+            routed, report = route_universal(c, g)
+            assert edge_legal(routed, g), (trial, g.name)
+            assert verify_equivalence(c, routed, "unitary").equivalent, (trial, g.name)
+            assert report.cnot_count == routed.cnot_count
+
+
+def test_route_needs_no_more_cnots_than_template_expansion():
+    # Before cleanup, each CNOT+RZ segment keeps the cheaper of its
+    # resynthesis and its own gates expanded into ladders, so the whole
+    # route costs no more than expanding the H-reduced input.  On a
+    # complete graph the expansion is the input itself.
+    rng = random.Random(21)
+    for trial in range(40):
+        n = rng.randint(2, 10)
+        p_h = rng.uniform(0.0, 0.3)
+        probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
+        c = random_universal_circuit(n, 150, probs, 500 + trial)
+        for g in _route_graphs(rng, n, trial):
+            templates = expand_templates(merge_delete_h(c), g)
+            assert _route_universal(c, g).cnot_count <= templates.cnot_count, (trial, g.name)
+
+
+def test_route_on_a_complete_graph_keeps_the_input_cnot_count_as_a_bound():
+    # Resynthesizing every segment gave 3,093 CNOTs for these 1,701.
+    probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": 0.1, "cnot": 0.84}
+    c = random_universal_circuit(16, 2000, probs, 1)
+    routed, _ = route_universal(c, complete_graph(16))
+    assert routed.cnot_count <= c.cnot_count
+
+
+def reference_route(c: Circuit, g) -> Circuit:
+    """Each CNOT+RZ segment of the H-reduced circuit as its resynthesis
+    unless its ladder expansion has strictly fewer CNOTs."""
+    gates = []
+    for seg in partition_segments(merge_delete_h(c)):
+        if seg.kind == "h_block":
+            gates += seg.gates
+            continue
+        own = Circuit(c.num_qubits, seg.gates)
+        resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
+        templates = expand_templates(own, g)
+        gates += (templates if templates.cnot_count < resynth.cnot_count else resynth).gates
+    return Circuit(c.num_qubits, tuple(gates))
+
+
+def test_route_keeps_each_segments_cheaper_candidate_and_ties_go_to_resynthesis():
+    rng = random.Random(22)
+    for trial in range(30):
+        n = rng.randint(2, 8)
+        probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": 0.15, "cnot": 0.79}
+        c = random_universal_circuit(n, 80, probs, 700 + trial)
+        for g in _route_graphs(rng, n, trial):
+            assert emit_circuit(_route_universal(c, g)) == emit_circuit(reference_route(c, g))
 
 
 def test_route_wire_count_mismatch():

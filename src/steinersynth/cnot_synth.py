@@ -1,14 +1,21 @@
 """Connectivity-constrained synthesis of linear reversible (CNOT) circuits.
 
-The central tool converts a Steiner tree into a row-operation sequence that
-adds a chosen root row into a set of terminal rows while leaving every other
-row untouched, using only graph-adjacent operations.  Gaussian elimination
-drives one such plan per matrix column; a transpose pass finishes the job.
+Gaussian elimination clears one matrix column per Steiner tree, using only
+graph-adjacent row operations; a transpose pass finishes the job.  The first
+pass keeps each tree inside the unfinished rows (`steiner_approx` floored at
+the pivot), in a label order whose every suffix induces a connected
+subgraph (`ConnectivityGraph._relabelled`), so a cheap fill-and-clear walk
+clears every column and no finished row is borrowed.  The second pass uses
+fill-and-clear where its tree allows it and clean ladders
+(`plan_post_transpose`) otherwise.  `plan_pre_transpose`, the restoring
+plan that adds a root row into any tree's terminal rows and leaves every
+other row untouched, serves the parity-network folds and the grouped
+column cost.
 
 A row op "row[target] ^= row[control]" is a (control, target) int pair
-throughout: the plans (`plan_pre_transpose`, `plan_post_transpose`) return
-lists of them, and the elimination loop turns each into the shared gate the
-graph built for that directed edge (`ConnectivityGraph._arcs`).
+throughout: the plans return lists of them, and the elimination loop turns
+each into the shared gate the graph built for that directed edge
+(`ConnectivityGraph._arcs`).
 
 Two full-connectivity baselines live here as well: partitioned elimination
 (with duplicate sub-row removal) and long-range CNOT template expansion.
@@ -279,8 +286,8 @@ def _fill_clear_column(
     walks child-first, adding each parent row into its child, which zeroes
     every non-root row.  Steiner rows end up modified in later columns,
     which is harmless exactly when no tree node precedes the pivot (their
-    already-cleared prefixes stay zero); callers use the restoring plan
-    otherwise.
+    already-cleared prefixes stay zero), as in the first pass, whose trees
+    are floored at the pivot.
 
     For the transposed pass the caller additionally requires every parent
     index to be smaller than its child, which keeps each individual row
@@ -304,11 +311,12 @@ def synthesize_constrained(
 ) -> tuple[Circuit, SynthesisReport]:
     """Synthesize an edge-legal CNOT circuit implementing the matrix `a`.
 
-    Column by column, a Steiner tree over the rows still carrying a one is
-    turned into adjacent row operations that clear them together; after
-    upper-triangular form is reached the matrix is transposed and the pass
-    repeats with the direction-restricted plans.  The output simulates to
-    `a` exactly and every CNOT lies on an edge of `g`.
+    Column by column, a Steiner tree over the rows still carrying a one,
+    kept inside the unfinished rows, is turned into adjacent row operations
+    that clear them together; after upper-triangular form is reached the
+    matrix is transposed and the pass repeats with the direction-restricted
+    plans.  The output simulates to `a` exactly and every CNOT lies on an
+    edge of `g`.
     """
     t0 = time.perf_counter()
     _check_width(a.dim, g)
@@ -320,15 +328,29 @@ def synthesize_constrained(
 def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     """The circuit of `synthesize_constrained`, without building a report.
 
-    Row ops are kept as (control, target) int pairs: the zero-pivot repair
-    ladder, the fill-and-clear walks over each tree's cached adjacency, and
-    the ops of the restoring plans `plan_pre_transpose` and
-    `plan_post_transpose`.  Every op lies on a graph edge, so each becomes
-    the gate the graph built for that directed edge.  The caller checks
-    that `a` is invertible and has one row per graph node.
+    Elimination runs in the graph's elimination labels (`g._relabelled`):
+    its own when every suffix {i, ..., n-1} of them induces a connected
+    subgraph, and a reverse breadth-first order otherwise.  The matrix is
+    relabelled on the way in, and each op maps back to the gate `g` built
+    for the edge it stands for.
+
+    In the first pass each column's tree is floored at its pivot
+    (`steiner_approx(..., floor=i)`), so it lies inside the unfinished rows
+    i..n-1, and fill-and-clear clears every column.  A zero pivot is first
+    repaired by a clean ladder from the nearest row holding a one.  The
+    transposed pass builds unfloored trees and uses fill-and-clear where
+    every child exceeds its parent, `plan_post_transpose` otherwise.  Row
+    ops are kept as (control, target) int pairs throughout.  The caller
+    checks that `a` is invertible and has one row per graph node.
     """
     n = a.dim
     rows = list(a.rows)
+    arcs = g._arcs
+    if g._relabelled is not None:
+        order, g, arcs = g._relabelled  # g and rows now in the elimination labels
+        rows = [
+            sum(((rows[r] >> c) & 1) << k for k, c in enumerate(order)) for r in order
+        ]
 
     def apply_ops(ops) -> None:
         for control, target in ops:
@@ -345,14 +367,8 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
             ops_a.extend(repair)
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
-            tree = steiner_approx(g, terms, root=i)
-            adj = tree._adj  # every leaf of its trees is a terminal: nothing to prune
-            if min(adj) == i:
-                ops = _fill_clear_column(rows, i, _preorder(adj, i))
-            else:
-                ops = plan_pre_transpose(tree)
-                apply_ops(ops)
-            ops_a.extend(ops)
+            tree = steiner_approx(g, terms, root=i, floor=i)
+            ops_a += _fill_clear_column(rows, i, _preorder(tree._adj, i))
 
     assert all(rows[r] & ((1 << r) - 1) == 0 for r in range(n)), (
         "first pass did not reach upper-triangular form"
@@ -375,7 +391,6 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
 
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
-    arcs = g._arcs
     gates = [arcs[t, c] for c, t in ops_b] + [arcs[op] for op in reversed(ops_a)]
     return Circuit(n, tuple(gates))
 
@@ -500,6 +515,17 @@ def _expand_pairs(pairs, g: ConnectivityGraph) -> list[Gate]:
         else:
             gates.extend(memo.get(pair) or _template(g, pair))
     return gates
+
+
+def _expanded_cnot_count(pairs, g: ConnectivityGraph) -> int:
+    """The CNOT count of `_expand_pairs(pairs, g)`, without building its
+    gates: 1 per pair on an edge, and the length of its ladder, 4(l-1) at
+    distance l, from the graph's memo per other pair."""
+    arcs = g._arcs
+    memo = g._templates
+    return sum(
+        1 if pair in arcs else len(memo.get(pair) or _template(g, pair)) for pair in pairs
+    )
 
 
 def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:

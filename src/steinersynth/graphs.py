@@ -21,6 +21,7 @@ import importlib.resources
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuits import Gate, cnot, content_lines
 
@@ -37,15 +38,18 @@ class ConnectivityGraph:
     Besides the adjacency lists, construction builds the CNOT of every
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
-    synthesizers emit these gates and no other CNOTs.  Two memos start
+    synthesizers emit these gates and no other CNOTs.  Three memos start
     empty and live exactly as long as the graph.  Template expansion
     (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
     of each non-adjacent ordered pair it meets.  `steiner_approx` fills
     `_pair_trees` with the edge set of each two-terminal tree it builds,
-    keyed (smaller terminal, larger terminal), so it holds at most
-    n(n-1)/2 entries.  Neither memo refers back to the graph, so a dropped
-    graph is freed at once rather than by the cycle collector.  None of
-    these fields takes part in equality, hashing or repr.
+    and `_floor_trees` with that of each two-terminal tree floored at its
+    smaller terminal (a floor can change the tree), both keyed (smaller terminal, larger terminal), so
+    each holds at most n(n-1)/2 entries.  `_relabelled`, the elimination
+    order of Steiner-Gauss synthesis, is computed on first use and kept.
+    No memo refers back to the graph, so a dropped graph is freed at once
+    rather than by the cycle collector.  None of these takes part in
+    equality, hashing or repr.
     """
 
     node_count: int
@@ -55,6 +59,7 @@ class ConnectivityGraph:
     _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
     _pair_trees: dict = field(init=False, repr=False, compare=False)
+    _floor_trees: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -78,17 +83,51 @@ class ConnectivityGraph:
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
         object.__setattr__(self, "_pair_trees", {})
+        object.__setattr__(self, "_floor_trees", {})
 
-    def _bfs_reach(self, start: int) -> set[int]:
+    def _bfs_reach(self, start: int, floor: int = 0) -> set[int]:
+        """The nodes reachable from `start` through nodes >= floor."""
         seen = {start}
         queue = [start]
         while queue:
             u = queue.pop()
             for v in self._adj[u]:
-                if v not in seen:
+                if v not in seen and v >= floor:
                     seen.add(v)
                     queue.append(v)
         return seen
+
+    @cached_property
+    def _relabelled(self) -> tuple[tuple[int, ...], ConnectivityGraph, dict] | None:
+        """The labels Steiner-Gauss elimination works in, or None for the
+        graph's own.
+
+        Elimination clears rows 0, 1, ... in label order and keeps every
+        tree inside the unfinished rows, so each suffix {i, ..., n-1} of
+        the labels must induce a connected subgraph.  When the graph's own
+        labels do that, they are kept.  Otherwise the order is the reverse
+        of the breadth-first order from node 0 (neighbours ascending),
+        whose every suffix is a breadth-first prefix and so connected.
+        Returns (order, h, arcs): node k of `h` is node order[k] here, and
+        `arcs` maps each arc of `h` to the gate this graph built for the
+        arc it stands for (`_arcs`).
+        """
+        n = self.node_count
+        if all(len(self._bfs_reach(i, floor=i)) == n - i for i in range(n)):
+            return None
+        order, seen = [0], {0}
+        for u in order:
+            for v in self._adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+        order.reverse()
+        pos = {u: k for k, u in enumerate(order)}
+        h = ConnectivityGraph(
+            n, frozenset((pos[u], pos[v]) for u, v in self.edges), name=self.name
+        )
+        arcs = {(pos[c], pos[t]): gate for (c, t), gate in self._arcs.items()}
+        return tuple(order), h, arcs
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._adj[u]
@@ -224,9 +263,15 @@ def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
 
 
 def steiner_approx(
-    g: ConnectivityGraph, terminals, root: int | None = None
+    g: ConnectivityGraph, terminals, root: int | None = None, floor: int | None = None
 ) -> SteinerTree:
     """Approximate minimum Steiner tree by colliding BFS waves.
+
+    With `floor` given, which must be the smallest terminal, the waves
+    never enter a node below it, so the tree lies inside the nodes >=
+    floor, which must induce a connected subgraph.  Steiner-Gauss
+    elimination floors each first-pass tree at its pivot, the smallest
+    terminal, so that the tree lies inside the unfinished rows.
 
     Each round runs one breadth-first search seeded from every current
     super-terminal, picks the shortest connecting path between two distinct
@@ -258,10 +303,12 @@ def steiner_approx(
       distances and parents it reads are those of the full search.
 
     The search never reads the root, so a tree's edges depend on its
-    terminals alone.  A two-terminal call keeps its validated tree's edges
-    in the graph's `_pair_trees` memo under (smaller terminal, larger
-    terminal), and a later call for the same pair, under either root,
-    builds its tree from those edges without a search.
+    terminals and its floor alone.  A two-terminal call keeps its
+    validated tree's edges under (smaller terminal, larger terminal): in
+    the graph's `_pair_trees` memo without a floor, and in `_floor_trees`
+    with one, since a floor can change the tree.  A later call for the
+    same pair, floored or not as before, under either root, builds its
+    tree from those edges without a search.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -275,9 +322,15 @@ def steiner_approx(
         root = lo
     if root not in term_set:
         raise ValueError("root must be a terminal")
+    if floor is None:
+        floor, memo = 0, g._pair_trees
+    elif floor == lo:
+        memo = g._floor_trees
+    else:
+        raise ValueError(f"floor {floor} is not the smallest terminal {lo}")
     pair = len(term_set) == 2
     if pair:
-        edges = g._pair_trees.get((lo, hi))
+        edges = memo.get((lo, hi))
         if edges is not None:
             return SteinerTree(g, term_set, root, edges)
 
@@ -323,10 +376,11 @@ def steiner_approx(
                 for v in adj[u]:
                     cv = comp[v]
                     if cv < 0:
-                        comp[v] = cu
-                        dist[v] = depth + 1
-                        parent[v] = u
-                        next_queue.append(v)
+                        if v >= floor:  # a node below the floor stays unclaimed
+                            comp[v] = cu
+                            dist[v] = depth + 1
+                            parent[v] = u
+                            next_queue.append(v)
                     elif cv != cu:
                         length = depth + dist[v] + 1
                         key = (length, u, v) if u < v else (length, v, u)
@@ -357,7 +411,7 @@ def steiner_approx(
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()
     if pair:
-        g._pair_trees[lo, hi] = tree.tree_edges
+        memo[lo, hi] = tree.tree_edges
     return tree
 
 
@@ -507,14 +561,26 @@ _NAMED_ARCH_FILES = {
 
 def parse_graph(text: str, name: str = "graph") -> ConnectivityGraph:
     """Parse the graph text format: "n m" then m lines "u v"; '#' comments.
-    A bad header or edge line raises `ValueError` naming its number."""
+    A bad header or edge line raises `ValueError` naming its number: an
+    edge line must hold two distinct nodes in [0, n), not an edge given on
+    an earlier line in either orientation."""
     lines = content_lines(text)
     if not lines:
         raise ValueError("empty graph file")
     n, m = _int_pair(*lines[0], "'n m'")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = {_norm_edge(*_int_pair(*line, "'u v'")) for line in lines[1:]}
+    edges: set[tuple[int, int]] = set()
+    for lineno, line in lines[1:]:
+        u, v = _int_pair(lineno, line, "'u v'")
+        if u == v:
+            raise ValueError(f"line {lineno}: self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: edge ({u},{v}) out of range for {n} nodes")
+        edge = _norm_edge(u, v)
+        if edge in edges:
+            raise ValueError(f"line {lineno}: repeated edge ({u},{v})")
+        edges.add(edge)
     return ConnectivityGraph(n, frozenset(edges), name=name)
 
 

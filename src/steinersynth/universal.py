@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
-from .cnot_synth import SynthesisReport, _report, expand_templates
+from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
 from .graphs import ConnectivityGraph, _check_width
 from .optimizer import _fewest_cnots
 from .phase_synth import _synthesize_cnot_rz, extract_sum_over_paths
@@ -180,6 +180,25 @@ def partition_segments(c: Circuit) -> list[Segment]:
     ]
 
 
+class _Expansion:
+    """A segment's template candidate: its own gates with each long-range
+    CNOT as its ladder (`expand_templates`).  Its CNOT count is read off
+    the graph's ladder memo, and its gates are built only when read, so a
+    segment whose resynthesis wins builds none."""
+
+    def __init__(self, own: Circuit, g: ConnectivityGraph):
+        self.own, self.g = own, g
+
+    @property
+    def cnot_count(self) -> int:
+        pairs = (gate.qubits for gate in self.own.gates if gate.kind == "cnot")
+        return _expanded_cnot_count(pairs, self.g)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        return expand_templates(self.own, self.g).gates
+
+
 def route_universal(
     c: Circuit, g: ConnectivityGraph
 ) -> tuple[Circuit, SynthesisReport]:
@@ -210,5 +229,5 @@ def _route_universal(c: Circuit, g: ConnectivityGraph) -> Circuit:
             continue
         own = Circuit(c.num_qubits, seg.gates)
         resynth = _synthesize_cnot_rz(extract_sum_over_paths(own), g)
-        gates.extend(_fewest_cnots((resynth, expand_templates(own, g)), cleanup=False).gates)
+        gates.extend(_fewest_cnots((resynth, _Expansion(own, g)), cleanup=False).gates)
     return Circuit(c.num_qubits, tuple(gates))

@@ -4,6 +4,8 @@ import pytest
 
 from steinersynth import (
     BinaryMatrix,
+    ConnectivityGraph,
+    builtin_architecture,
     eliminate_column_cost,
     expand_templates,
     naive_column_cost,
@@ -17,9 +19,10 @@ from steinersynth import (
     steiner_approx,
     synthesize_constrained,
 )
+from steinersynth import cnot_synth
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import _path_ops, _preorder
-from steinersynth.graphs import SteinerTree, grid_graph, line_graph
+from steinersynth.graphs import SteinerTree, complete_graph, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
 from conftest import oracle_graphs, pmh_at, random_terminal_sets
@@ -555,3 +558,112 @@ def test_template_passes_non_cnot_through():
     assert out.gates[0] == c.gates[0]
     assert out.gates[-1] == c.gates[-1]
     assert out.cnot_count == 8
+
+
+def star_graph(n: int) -> ConnectivityGraph:
+    """The star with centre 0: every suffix of its labels from 1 on falls apart."""
+    return ConnectivityGraph(n, frozenset((0, k) for k in range(1, n)), name=f"star({n})")
+
+
+def suffixes_connected(g, order) -> bool:
+    """Whether every suffix order[k:] induces a connected subgraph of g."""
+    for k in range(len(order)):
+        rest = set(order[k:])
+        seen, stack = {order[k]}, [order[k]]
+        while stack:
+            for v in g.neighbors(stack.pop()):
+                if v in rest and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if seen != rest:
+            return False
+    return True
+
+
+def reverse_bfs_order(g) -> list[int]:
+    order = [0]
+    for u in order:
+        order += [v for v in sorted(g.neighbors(u)) if v not in order]
+    return order[::-1]
+
+
+def order_graphs():
+    """Graphs whose own labels have a disconnected suffix, then graphs whose
+    labels are valid."""
+    broken = [star_graph(12), builtin_architecture("acorn19"), builtin_architecture("bristlecone72")]
+    broken += [random_connected_graph(20, p, seed) for p in (0.1, 0.15, 0.3) for seed in (1, 5)]
+    valid = [builtin_architecture("tokyo20"), grid_graph(5, 4), grid_graph(2, 2), line_graph(9)]
+    valid += [complete_graph(7), ConnectivityGraph(16, frozenset((k, (k + 1) % 16) for k in range(16)),
+                                                  name="ring(16)")]
+    return broken, valid
+
+
+def test_elimination_order_keeps_valid_labels_and_connects_every_suffix():
+    broken, valid = order_graphs()
+    for g in valid:
+        assert suffixes_connected(g, range(g.node_count)), g.name
+        assert g._relabelled is None, g.name
+    for g in broken:
+        assert not suffixes_connected(g, range(g.node_count)), g.name
+        order, h, arcs = g._relabelled
+        assert list(order) == reverse_bfs_order(g)
+        assert sorted(order) == list(range(g.node_count))
+        assert suffixes_connected(g, order), g.name
+        assert suffixes_connected(h, range(h.node_count)) and h._relabelled is None
+        pos = {u: k for k, u in enumerate(order)}
+        assert h.edges == {tuple(sorted((pos[u], pos[v]))) for u, v in g.edges}
+        # Every arc of h stands for an arc of g and emits g's own gate.
+        assert arcs == {(pos[c], pos[t]): gate for (c, t), gate in g._arcs.items()}
+        assert all(arcs[c, t] is g._arcs[order[c], order[t]] for c, t in h._arcs)
+        assert g._relabelled is g._relabelled  # computed once per graph
+        assert "_relabelled" not in repr(g) and g == ConnectivityGraph(g.node_count, g.edges, g.name)
+
+
+def test_synthesis_is_exact_and_edge_legal_in_either_labelling():
+    broken, valid = order_graphs()
+    for g in broken + valid:
+        n = g.node_count
+        for seed in range(6 if n < 72 else 1):
+            a = random_invertible(n, 31 * n + seed)
+            circ, _ = synthesize_constrained(a, g)
+            assert simulate_cnot_circuit(circ) == a, (g.name, seed)
+            assert edge_legal(circ, g), (g.name, seed)
+            assert all(gate is g._arcs[gate.qubits] for gate in circ.gates)
+
+
+def test_matrix_synthesis_never_calls_the_restoring_plan(monkeypatch):
+    calls = []
+    real = cnot_synth.plan_pre_transpose
+
+    def counted(tree):
+        calls.append(tree)
+        return real(tree)
+
+    monkeypatch.setattr(cnot_synth, "plan_pre_transpose", counted)
+    broken, valid = order_graphs()
+    for g in broken + valid:
+        for seed in range(4 if g.node_count < 72 else 1):
+            cnot_synth._synthesize_constrained(random_invertible(g.node_count, seed), g)
+    assert calls == []
+    # The patch is live: the grouped column cost still builds the plan.
+    eliminate_column_cost([2, 3], 0, line_graph(4))
+    assert len(calls) == 1
+
+
+def test_first_pass_trees_lie_inside_the_unfinished_rows(monkeypatch):
+    floors = []
+    real = cnot_synth.steiner_approx
+
+    def recorded(g, terminals, root=None, floor=None):
+        tree = real(g, terminals, root, floor)
+        if floor is not None:
+            floors.append(floor)
+            assert floor == root == min(terminals)
+            assert min(tree.nodes) == floor
+        return tree
+
+    monkeypatch.setattr(cnot_synth, "steiner_approx", recorded)
+    broken, valid = order_graphs()
+    for g in broken[:2] + valid[:2]:
+        cnot_synth._synthesize_constrained(random_invertible(g.node_count, 3), g)
+    assert floors

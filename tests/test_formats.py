@@ -181,6 +181,19 @@ def test_parse_graph_names_the_bad_line(text, lineno, form):
 
 
 @pytest.mark.parametrize("text, message", [
+    ("2 2\n0 1\n1 0\n", "line 3: repeated edge (1,0)"),
+    ("# g\n3 3\n0 1\n1 2  # edge\n\n0 1\n", "line 6: repeated edge (0,1)"),
+    ("3 2\n0 1\n0 5\n", "line 3: edge (0,5) out of range for 3 nodes"),
+    ("3 2\n-1 1\n1 2\n", "line 2: edge (-1,1) out of range for 3 nodes"),
+    ("3 2\n0 1\n2 2\n", "line 3: self-loop at node 2"),
+])
+def test_parse_graph_names_the_bad_edge_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
     ("x\n01\n10\n", "line 1: expected 'n', the dimension, got 'x'"),
     ("2 2\n01\n10\n", "line 1: expected 'n', the dimension, got '2 2'"),
     ("2\n01\n02\n", "line 3: expected 2 characters of 0/1, got '02'"),
@@ -195,6 +208,9 @@ def test_parse_matrix_names_the_bad_line(text, message):
 @pytest.mark.parametrize("option, text, message", [
     ("--graph", "3 2\n0 1\n1 x\n", "line 3: expected 'u v', two integers, got '1 x'"),
     ("--graph", "x 1\n0 1\n", "line 1: expected 'n m', two integers, got 'x 1'"),
+    ("--graph", "3 3\n0 1\n1 2\n1 0\n", "line 4: repeated edge (1,0)"),
+    ("--graph", "3 2\n0 1\n0 5\n", "line 3: edge (0,5) out of range for 3 nodes"),
+    ("--graph", "3 2\n0 1\n1 1\n", "line 3: self-loop at node 1"),
     ("--matrix", "x\n", "line 1: expected 'n', the dimension, got 'x'"),
     ("--matrix", "3\n100\n010\n0011\n", "line 4: expected 3 characters of 0/1, got '0011'"),
 ])

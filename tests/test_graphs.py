@@ -436,3 +436,55 @@ def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
             plan_post_transpose(tree)
     assert [tree._adj for tree in trees] == snapshot
     assert g._pair_trees == memo
+
+
+def elimination_graph(g):
+    """The graph Steiner-Gauss elimination works in: g itself when its
+    labels serve, its relabelled copy otherwise."""
+    return g if g._relabelled is None else g._relabelled[1]
+
+
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_floored_tree_has_no_node_below_its_pivot(g):
+    h = elimination_graph(g)
+    rng = random.Random(h.node_count)
+    for terminals in random_terminal_sets(h, rng, 60):
+        floor = min(terminals)
+        tree = steiner_approx(h, terminals, root=floor, floor=floor)
+        tree.validate()
+        assert min(tree.nodes) == floor, sorted(terminals)
+        again = steiner_approx(fresh_copy(h), terminals, root=floor, floor=floor)
+        assert tree == again and tree._adj == again._adj
+        # A floor at 0 leaves every node open: the unfloored tree.
+        if floor == 0:
+            assert tree.tree_edges == steiner_approx(fresh_copy(h), terminals).tree_edges
+
+
+def test_floored_pair_trees_have_their_own_memo():
+    # On the 4-cycle 0-1-3-2, the pair (1, 2) joins through 0 unless the
+    # floor at 1 shuts node 0 out, when it joins through 3.
+    g = grid_graph(2, 2)
+    assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
+    floored = steiner_approx(g, {1, 2}, root=2, floor=1)
+    assert floored.tree_edges == {(1, 3), (2, 3)} and floored.root == 2
+    assert g._pair_trees == {(1, 2): frozenset({(0, 1), (0, 2)})}
+    assert g._floor_trees == {(1, 2): frozenset({(1, 3), (2, 3)})}
+    assert steiner_approx(g, {1, 2}, floor=1) == steiner_approx(g, {1, 2}, root=1, floor=1)
+    assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
+    for floor in (0, 2):
+        with pytest.raises(ValueError, match=f"^floor {floor} is not the smallest terminal 1$"):
+            steiner_approx(g, {1, 3}, floor=floor)
+    assert set(g._floor_trees) == set(g._pair_trees) == {(1, 2)}
+
+
+@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
+def test_floored_pair_memo_holds_one_edge_set_per_pair(g):
+    h = elimination_graph(g)
+    n = h.node_count
+    for lo, hi, root in [(a, b, r) for a in range(n) for b in range(a + 1, n) for r in (a, b)]:
+        steiner_approx(h, {lo, hi}, root=root, floor=lo)
+        assert len(h._floor_trees) <= n * (n - 1) // 2
+    assert len(h._floor_trees) == n * (n - 1) // 2
+    for (lo, hi), edges in h._floor_trees.items():
+        assert edges == steiner_approx(fresh_copy(h), {lo, hi}, floor=lo).tree_edges
+        assert min(v for e in edges for v in e) == lo

@@ -17,6 +17,7 @@ from steinersynth.cnot_synth import expand_templates
 from steinersynth.graphs import complete_graph, line_graph
 from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.unitary import circuit_unitary
+from steinersynth import universal
 from steinersynth.universal import Segment, _route_universal
 from steinersynth.verify import edge_legal, verify_equivalence
 from conftest import all_gates_up_to, commutes
@@ -279,6 +280,32 @@ def test_route_keeps_each_segments_cheaper_candidate_and_ties_go_to_resynthesis(
         c = random_universal_circuit(n, 80, probs, 700 + trial)
         for g in _route_graphs(rng, n, trial):
             assert emit_circuit(_route_universal(c, g)) == emit_circuit(reference_route(c, g))
+
+
+def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
+    # The template candidate is counted off the graph's ladder memo; its
+    # gates are built only for the segments whose resynthesis it beats.
+    real = universal.expand_templates
+    built = []
+    monkeypatch.setattr(universal, "expand_templates", lambda c, g: built.append(c) or real(c, g))
+    rng = random.Random(23)
+    for trial in range(20):
+        n = rng.randint(2, 8)
+        probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": 0.15, "cnot": 0.79}
+        c = random_universal_circuit(n, 80, probs, 900 + trial)
+        for g in _route_graphs(rng, n, trial):
+            wins = []
+            for seg in partition_segments(merge_delete_h(c)):
+                if seg.kind == "cnot_block":
+                    own = Circuit(n, seg.gates)
+                    templates = expand_templates(own, g)
+                    assert universal._Expansion(own, g).cnot_count == templates.cnot_count
+                    resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
+                    if templates.cnot_count < resynth.cnot_count:
+                        wins.append(own)
+            built.clear()
+            _route_universal(c, g)
+            assert built == wins, (trial, g.name)
 
 
 def test_route_wire_count_mismatch():

@@ -10,7 +10,9 @@ fill-and-clear where its tree allows it and clean ladders
 (`plan_post_transpose`) otherwise.  `plan_pre_transpose`, the restoring
 plan that adds a root row into any tree's terminal rows and leaves every
 other row untouched, serves the parity-network folds and the grouped
-column cost.
+column cost.  Each tree is walked once from its root, on first use
+(`SteinerTree.preorder`), and fill-and-clear in both passes and the
+restoring plan all read that one walk.
 
 A row op "row[target] ^= row[control]" is a (control, target) int pair
 throughout: the plans return lists of them, and the elimination loop turns
@@ -40,45 +42,6 @@ from .graphs import (
     shortest_path,
     steiner_approx,
 )
-
-
-def _rooted(adj: dict[int, list[int]], root: int) -> dict[int, list[int]]:
-    """Children lists of the tree rooted at root.
-
-    Each node's children keep the order of its adjacency entry, so the
-    ascending adjacency of a `SteinerTree` gives ascending children.
-    """
-    children: dict[int, list[int]] = {root: []}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        kids = children[u]
-        for v in adj[u]:
-            if v not in children:
-                kids.append(v)
-                children[v] = []
-                stack.append(v)
-    return children
-
-
-def _pruned_adjacency(tree: SteinerTree) -> dict[int, list[int]]:
-    """Tree adjacency with non-terminal leaf branches trimmed away.
-
-    A tree whose every leaf is a terminal, as `steiner_approx` builds,
-    has nothing to trim: its cached adjacency comes back as it is.
-    """
-    terminals = tree.terminals
-    leaves = [n for n, ns in tree._adj.items() if len(ns) == 1 and n not in terminals]
-    if not leaves:
-        return tree._adj
-    adj = {n: set(ns) for n, ns in tree._adj.items()}
-    while leaves:
-        leaf = leaves.pop()
-        (parent,) = adj.pop(leaf)
-        adj[parent].discard(leaf)
-        if len(adj[parent]) == 1 and parent not in terminals:
-            leaves.append(parent)
-    return {n: sorted(ns) for n, ns in adj.items()}
 
 
 def _path_ops(path: list[int]) -> list[tuple[int, int]]:
@@ -113,17 +76,24 @@ def plan_pre_transpose(t: SteinerTree) -> list[tuple[int, int]]:
     rows only ever read the root or other Steiner rows, so R* adds the
     root row into each of them a second time, which restores them exactly.
 
-    The pruned tree is rooted once.  Within a subtree, its root and its
+    One reversed pass over the tree's `preorder`, which meets every child
+    before its parent, builds the children lists and trims the branches
+    that hold no terminal: a node keeps an edge to a child that is a
+    terminal or has kept children.  Within a subtree, its root and its
     Steiner nodes keep their children lists of the whole tree, and its
     leaves have none.  R is the subtree's child-last edge walk (children
     ascending), so read backwards it is a parent-first walk with children
     descending, which one stack writes out.
     """
-    adj = _pruned_adjacency(t)
-    if len(adj) == 1:
-        return []
-    children = _rooted(adj, t.root)
     terminals = t.terminals
+    children: dict[int, list[int]] = {}
+    for u, v in reversed(t.preorder):  # each node's children descending
+        if v in terminals or v in children:
+            children.setdefault(u, []).append(v)
+    if t.root not in children:
+        return []
+    for kids in children.values():
+        kids.reverse()
 
     subtree_roots = [t.root]
     plans: list[list[tuple[int, int]]] = []
@@ -136,7 +106,7 @@ def plan_pre_transpose(t: SteinerTree) -> list[tuple[int, int]]:
             for v in children[u]:
                 if v not in terminals:
                     queue.append(v)
-                elif children[v]:
+                elif v in children:
                     subtree_roots.append(v)
         steiner = set(queue[1:])
         backwards: list[tuple[int, int]] = []
@@ -259,27 +229,13 @@ def _terminal_rows(rows: list[int], col: int, n: int) -> set[int]:
     return {col} | {j for j in range(col + 1, n) if (rows[j] >> col) & 1}
 
 
-def _preorder(adj: dict[int, list[int]], root: int) -> list[tuple[int, int]]:
-    """(parent, child) edges of the tree rooted at root, parent-first,
-    children ascending.  `adj` is a tree's ascending adjacency."""
-    edges: list[tuple[int, int]] = []
-    stack = [(root, v) for v in reversed(adj[root])]
-    while stack:
-        edge = stack.pop()
-        edges.append(edge)
-        u, v = edge
-        for w in reversed(adj[v]):
-            if w != u:
-                stack.append((v, w))
-    return edges
-
-
 def _fill_clear_column(
-    rows: list[int], col: int, edges: list[tuple[int, int]]
+    rows: list[int], col: int, edges: tuple[tuple[int, int], ...]
 ) -> list[tuple[int, int]]:
     """Cheap column clearing that does not restore Steiner rows.
 
-    `edges` is `_preorder` of the tree rooted at the pivot row `col`.
+    `edges` is the `preorder` of a tree rooted at the pivot row `col`,
+    the walk the tree keeps, so neither pass walks a tree of its own.
     Mutates `rows` in place and returns the ops applied as (control,
     target) pairs.  First pass walks the tree parent-first and seeds a one
     into every tree row still holding a zero in the column; second pass
@@ -368,7 +324,7 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i, floor=i)
-            ops_a += _fill_clear_column(rows, i, _preorder(tree._adj, i))
+            ops_a += _fill_clear_column(rows, i, tree.preorder)
 
     assert all(rows[r] & ((1 << r) - 1) == 0 for r in range(n)), (
         "first pass did not reach upper-triangular form"
@@ -381,7 +337,7 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
             tree = steiner_approx(g, terms, root=i)
-            edges = _preorder(tree._adj, i)
+            edges = tree.preorder
             if all(u < v for u, v in edges):  # every child exceeds its parent
                 ops = _fill_clear_column(rows, i, edges)
             else:
@@ -406,13 +362,7 @@ def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
 
 def naive_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
     """CNOT count when each row is cleared by its own long-range template."""
-    total = 0
-    for r in rows:
-        if r == control:
-            continue
-        l = len(shortest_path(g, control, r)) - 1
-        total += 1 if l == 1 else 4 * (l - 1)
-    return total
+    return _expanded_cnot_count(((control, r) for r in rows if r != control), g)
 
 
 def _triangularize(rows: list[int], n: int, section: int | None) -> list[tuple[int, int]]:

@@ -38,15 +38,14 @@ class ConnectivityGraph:
     Besides the adjacency lists, construction builds the CNOT of every
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
-    synthesizers emit these gates and no other CNOTs.  Three memos start
+    synthesizers emit these gates and no other CNOTs.  Two memos start
     empty and live exactly as long as the graph.  Template expansion
     (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
     of each non-adjacent ordered pair it meets.  `steiner_approx` fills
-    `_pair_trees` with the edge set of each two-terminal tree it builds,
-    and `_floor_trees` with that of each two-terminal tree floored at its
-    smaller terminal (a floor can change the tree), both keyed (smaller terminal, larger terminal), so
-    each holds at most n(n-1)/2 entries.  `_relabelled`, the elimination
-    order of Steiner-Gauss synthesis, is computed on first use and kept.
+    `_trees` with the edge set of each two-terminal tree it builds, keyed
+    (smaller terminal, larger terminal, floor), the floor 0 when none is
+    given.  `_relabelled`, the elimination order of Steiner-Gauss
+    synthesis, is computed on first use and kept.
     No memo refers back to the graph, so a dropped graph is freed at once
     rather than by the cycle collector.  None of these takes part in
     equality, hashing or repr.
@@ -58,8 +57,7 @@ class ConnectivityGraph:
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
-    _pair_trees: dict = field(init=False, repr=False, compare=False)
-    _floor_trees: dict = field(init=False, repr=False, compare=False)
+    _trees: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -82,17 +80,16 @@ class ConnectivityGraph:
         arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
-        object.__setattr__(self, "_pair_trees", {})
-        object.__setattr__(self, "_floor_trees", {})
+        object.__setattr__(self, "_trees", {})
 
-    def _bfs_reach(self, start: int, floor: int = 0) -> set[int]:
-        """The nodes reachable from `start` through nodes >= floor."""
+    def _bfs_reach(self, start: int) -> set[int]:
+        """The nodes reachable from `start`."""
         seen = {start}
         queue = [start]
         while queue:
             u = queue.pop()
             for v in self._adj[u]:
-                if v not in seen and v >= floor:
+                if v not in seen:
                     seen.add(v)
                     queue.append(v)
         return seen
@@ -104,16 +101,18 @@ class ConnectivityGraph:
 
         Elimination clears rows 0, 1, ... in label order and keeps every
         tree inside the unfinished rows, so each suffix {i, ..., n-1} of
-        the labels must induce a connected subgraph.  When the graph's own
-        labels do that, they are kept.  Otherwise the order is the reverse
-        of the breadth-first order from node 0 (neighbours ascending),
-        whose every suffix is a breadth-first prefix and so connected.
+        the labels must induce a connected subgraph, which holds exactly
+        when every node but the last has a larger neighbour.  When the
+        graph's own labels do that, they are kept.  Otherwise the order is
+        the reverse of the breadth-first order from node 0 (neighbours
+        ascending), whose every suffix is a breadth-first prefix and so
+        connected.
         Returns (order, h, arcs): node k of `h` is node order[k] here, and
         `arcs` maps each arc of `h` to the gate this graph built for the
         arc it stands for (`_arcs`).
         """
         n = self.node_count
-        if all(len(self._bfs_reach(i, floor=i)) == n - i for i in range(n)):
+        if all(self._adj[i][-1] > i for i in range(n - 1)):
             return None
         order, seen = [0], {0}
         for u in order:
@@ -157,9 +156,11 @@ class SteinerTree:
     a distinguished terminal (the elimination pivot).
 
     Construction builds the adjacency once (`_adj`: each node to the
-    ascending list of its tree neighbours, which nothing may mutate).
-    `validate`, the plans and the synthesizers walk it; `adjacency()` hands
-    out a copy.  It takes no part in equality, hashing or repr.
+    ascending list of its tree neighbours, which nothing may mutate), and
+    `preorder` walks it from the root once, on first read; `validate`,
+    `cnot_synth.plan_pre_transpose` and the synthesizers share that walk,
+    and `adjacency()` hands out a copy.  Neither takes part in equality,
+    hashing or repr.
     """
 
     graph: ConnectivityGraph
@@ -201,6 +202,29 @@ class SteinerTree:
     def weight(self) -> int:
         return len(self.tree_edges)
 
+    @cached_property
+    def preorder(self) -> tuple[tuple[int, int], ...]:
+        """The (parent, child) edges of the tree rooted at `root`, each
+        parent's edge before its children's, children ascending.
+
+        On edges that are not a tree, `seen` makes it walk a spanning tree
+        of the root's component, which `validate` counts."""
+        adj = self._adj
+        seen = {self.root}
+        edges = []
+        stack = [(self.root, v) for v in reversed(adj[self.root])]
+        while stack:
+            edge = stack.pop()
+            u, v = edge
+            if v in seen:  # only on a cycle
+                continue
+            seen.add(v)
+            edges.append(edge)
+            for w in reversed(adj[v]):
+                if w != u:
+                    stack.append((v, w))
+        return tuple(edges)
+
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on failure."""
         assert self.root in self.terminals, "root must be a terminal"
@@ -208,16 +232,7 @@ class SteinerTree:
         adj = self._adj
         assert self.terminals.issubset(adj), "terminal missing from tree"
         assert len(self.tree_edges) == len(adj) - 1, "edge count is not |nodes|-1"
-        # Connectivity of the edge-induced subgraph.
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        assert len(seen) == len(adj), "tree edges do not form a connected subgraph"
+        assert len(self.preorder) == len(adj) - 1, "tree edges do not form a connected subgraph"
 
     def adjacency(self) -> dict[int, list[int]]:
         """Each node's tree neighbours in ascending order, as a fresh copy."""
@@ -303,12 +318,11 @@ def steiner_approx(
       distances and parents it reads are those of the full search.
 
     The search never reads the root, so a tree's edges depend on its
-    terminals and its floor alone.  A two-terminal call keeps its
-    validated tree's edges under (smaller terminal, larger terminal): in
-    the graph's `_pair_trees` memo without a floor, and in `_floor_trees`
-    with one, since a floor can change the tree.  A later call for the
-    same pair, floored or not as before, under either root, builds its
-    tree from those edges without a search.
+    terminals and its floor alone, and a floor at 0 searches as no floor
+    does.  A two-terminal call keeps its validated tree's edges in the
+    graph's `_trees` memo under (smaller terminal, larger terminal, floor),
+    the floor 0 when none is given; a later call with the same key, under
+    either root, builds its tree from those edges without a search.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -323,14 +337,12 @@ def steiner_approx(
     if root not in term_set:
         raise ValueError("root must be a terminal")
     if floor is None:
-        floor, memo = 0, g._pair_trees
-    elif floor == lo:
-        memo = g._floor_trees
-    else:
+        floor = 0
+    elif floor != lo:
         raise ValueError(f"floor {floor} is not the smallest terminal {lo}")
     pair = len(term_set) == 2
     if pair:
-        edges = memo.get((lo, hi))
+        edges = g._trees.get((lo, hi, floor))
         if edges is not None:
             return SteinerTree(g, term_set, root, edges)
 
@@ -411,7 +423,7 @@ def steiner_approx(
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()
     if pair:
-        memo[lo, hi] = tree.tree_edges
+        g._trees[lo, hi, floor] = tree.tree_edges
     return tree
 
 
@@ -620,8 +632,9 @@ def builtin_architecture(name: str) -> ConnectivityGraph:
     m = re.fullmatch(r"grid\((\d+),\s*(\d+)\)", key)
     if m:
         return grid_graph(int(m.group(1)), int(m.group(2)))
-    known = sorted(_NAMED_ARCH_FILES) + ["line(n)", "grid(r,c)"]
-    raise ValueError(f"unknown architecture {name!r}; known: {', '.join(known)}")
+    raise ValueError(
+        f"unknown architecture {name!r}; known: {', '.join(list_architectures())}"
+    )
 
 
 def list_architectures() -> list[str]:

@@ -89,13 +89,6 @@ class PhasePolynomial:
     def support(self) -> list[int]:
         return sorted(self.terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PhasePolynomial)
-            and self.num_qubits == other.num_qubits
-            and self.terms == other.terms
-        )
-
 
 @dataclass(frozen=True)
 class SumOverPaths:

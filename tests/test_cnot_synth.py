@@ -21,7 +21,7 @@ from steinersynth import (
 )
 from steinersynth import cnot_synth
 from steinersynth.circuits import Circuit, cnot
-from steinersynth.cnot_synth import _path_ops, _preorder
+from steinersynth.cnot_synth import _path_ops
 from steinersynth.graphs import SteinerTree, complete_graph, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError
 from steinersynth.verify import edge_legal
@@ -335,9 +335,10 @@ def test_preorder_matches_the_rooted_reference():
     rng = random.Random(3)
     for _ in range(200):
         _, tree = random_tree_instance(rng)
-        root = rng.choice(sorted(tree.terminals))
-        want = reference_preorder_edges(reference_rooted(reference_adjacency(tree), root), root)
-        assert _preorder(tree._adj, root) == want
+        for root in sorted(tree.terminals):
+            rooted = SteinerTree(tree.graph, tree.terminals, root, tree.tree_edges)
+            want = reference_preorder_edges(reference_rooted(reference_adjacency(tree), root), root)
+            assert list(rooted.preorder) == want
 
 
 def test_steiner_tree_identity_ignores_the_cached_adjacency(demo6_graph):
@@ -363,7 +364,7 @@ def test_steiner_tree_identity_ignores_the_cached_adjacency(demo6_graph):
 
 def test_mutating_the_adjacency_copy_changes_no_plan():
     tree = branchy_grid_tree(0)
-    pre, post, walk = plan_pre_transpose(tree), plan_post_transpose(tree), _preorder(tree._adj, 0)
+    pre, post, walk = plan_pre_transpose(tree), plan_post_transpose(tree), tree.preorder
     adj = tree.adjacency()
     for ns in adj.values():
         ns.reverse()
@@ -372,7 +373,7 @@ def test_mutating_the_adjacency_copy_changes_no_plan():
     del adj[0]
     assert plan_pre_transpose(tree) == pre
     assert plan_post_transpose(tree) == post
-    assert _preorder(tree._adj, 0) == walk
+    assert tree.preorder == walk
     assert tree.adjacency() == reference_adjacency(tree)
 
 
@@ -617,6 +618,22 @@ def test_elimination_order_keeps_valid_labels_and_connects_every_suffix():
         assert all(arcs[c, t] is g._arcs[order[c], order[t]] for c, t in h._arcs)
         assert g._relabelled is g._relabelled  # computed once per graph
         assert "_relabelled" not in repr(g) and g == ConnectivityGraph(g.node_count, g.edges, g.name)
+
+
+def test_elimination_order_rule_matches_the_per_suffix_search():
+    # `_relabelled` keeps a graph's labels when every node but the last has
+    # a larger neighbour; the reference searches each suffix instead.
+    rng = random.Random(23)
+    graphs = oracle_graphs() + [
+        random_connected_graph(n, rng.uniform(0.2, 0.9), rng.randrange(10**6))
+        for n in [rng.randint(2, 14) for _ in range(300)]
+    ]
+    kept = 0
+    for g in graphs:
+        own = suffixes_connected(g, range(g.node_count))
+        assert (g._relabelled is None) == own, g.name
+        kept += own
+    assert 0 < kept < len(graphs)
 
 
 def test_synthesis_is_exact_and_edge_legal_in_either_labelling():

@@ -240,15 +240,28 @@ def test_tree_adjacency_is_ascending_whichever_way_edges_are_given():
 
 def test_validate_keeps_its_messages():
     g = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}))
+    k5 = complete_graph(5)
     cases = [
-        (frozenset({1, 2}), 0, {(0, 1), (1, 2)}, "root must be a terminal"),
-        (frozenset({0, 2}), 0, {(0, 2)}, "tree edge not in host graph"),
-        (frozenset({0, 5}), 0, {(0, 1), (1, 2)}, "terminal missing from tree"),
-        (frozenset({0, 4}), 0, {(0, 1), (3, 4)}, "edge count is not |nodes|-1"),
+        (g, frozenset({1, 2}), 0, {(0, 1), (1, 2)}, "root must be a terminal"),
+        (g, frozenset({0, 2}), 0, {(0, 2)}, "tree edge not in host graph"),
+        (g, frozenset({0, 5}), 0, {(0, 1), (1, 2)}, "terminal missing from tree"),
+        (g, frozenset({0, 4}), 0, {(0, 1), (3, 4)}, "edge count is not |nodes|-1"),
+        # |nodes|-1 edges, but a cycle through the root and a split-off edge.
+        (k5, frozenset({0, 3}), 0, {(0, 1), (1, 2), (0, 2), (3, 4)},
+         "tree edges do not form a connected subgraph"),
+        # The root's component is a tree; the cycle lies in another one.
+        (k5, frozenset({0, 2}), 0, {(0, 1), (2, 3), (3, 4), (2, 4)},
+         "tree edges do not form a connected subgraph"),
     ]
-    for terminals, root, edges, message in cases:
+    for host, terminals, root, edges, message in cases:
         with pytest.raises(AssertionError, match=message.replace("|", r"\|")):
-            SteinerTree(g, terminals, root, frozenset(edges)).validate()
+            SteinerTree(host, terminals, root, frozenset(edges)).validate()
+
+
+def test_a_built_tree_keeps_the_walk_validate_took(grid12_graph):
+    tree = steiner_approx(grid12_graph, {0, 5, 6, 10})
+    assert "preorder" in vars(tree)
+    assert len(tree.preorder) == tree.weight and tree.preorder[0][0] == tree.root
 
 
 @pytest.mark.parametrize("a, b", [(a, b) for a in range(3, 9) for b in range(a + 1, 9)])
@@ -380,7 +393,7 @@ def every_pair_call(g):
 def test_pair_tree_memo_returns_the_tree_a_fresh_graph_builds(g):
     for terminals, root in every_pair_call(g):
         got = steiner_approx(g, terminals, root)
-        assert (min(terminals), max(terminals)) in g._pair_trees
+        assert (min(terminals), max(terminals), 0) in g._trees
         again = steiner_approx(g, terminals, root)
         want = steiner_approx(fresh_copy(g), terminals, root)
         for tree in (got, again):
@@ -393,10 +406,10 @@ def test_pair_tree_memo_holds_one_edge_set_per_pair(g):
     n = g.node_count
     for terminals, root in every_pair_call(g) + every_pair_call(g):
         steiner_approx(g, terminals, root)
-        assert len(g._pair_trees) <= n * (n - 1) // 2
-    assert len(g._pair_trees) == n * (n - 1) // 2
-    for (lo, hi), edges in g._pair_trees.items():
-        assert lo < hi and isinstance(edges, frozenset)
+        assert len(g._trees) <= n * (n - 1) // 2
+    assert len(g._trees) == n * (n - 1) // 2
+    for (lo, hi, floor), edges in g._trees.items():
+        assert lo < hi and floor == 0 and isinstance(edges, frozenset)
         assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
 
 
@@ -405,8 +418,8 @@ def test_pair_tree_memo_keeps_larger_terminal_sets_out(g):
     rng = random.Random(g.node_count)
     for terminals in random_terminal_sets(g, rng, 40):
         steiner_approx(g, terminals, rng.choice(terminals))
-    assert g._pair_trees
-    for (lo, hi), edges in g._pair_trees.items():
+    assert g._trees
+    for (lo, hi, _), edges in g._trees.items():
         assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
 
 
@@ -415,17 +428,17 @@ def test_pair_tree_memo_leaves_graph_identity_alone(g):
     before = (repr(g), hash(g))
     for terminals, root in every_pair_call(g):
         steiner_approx(g, terminals, root)
-    assert g._pair_trees
+    assert g._trees
     fresh = fresh_copy(g)
     assert (repr(g), hash(g)) == before
-    assert g == fresh and hash(g) == hash(fresh) and "_pair_trees" not in repr(g)
+    assert g == fresh and hash(g) == hash(fresh) and "_trees" not in repr(g)
 
 
 @pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
 def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
     for terminals, root in every_pair_call(g):
         steiner_approx(g, terminals, root)
-    memo = dict(g._pair_trees)
+    memo = dict(g._trees)
     trees = [steiner_approx(g, terminals, root) for terminals, root in every_pair_call(g)]
     snapshot = [{u: list(ns) for u, ns in tree._adj.items()} for tree in trees]
     for seed in range(10):
@@ -435,7 +448,8 @@ def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
         if tree.root == min(tree.terminals):
             plan_post_transpose(tree)
     assert [tree._adj for tree in trees] == snapshot
-    assert g._pair_trees == memo
+    # Synthesis may add floored entries; the unfloored ones stay as they were.
+    assert {key: edges for key, edges in g._trees.items() if key[2] == 0} == memo
 
 
 def elimination_graph(g):
@@ -467,14 +481,20 @@ def test_floored_pair_trees_have_their_own_memo():
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
     floored = steiner_approx(g, {1, 2}, root=2, floor=1)
     assert floored.tree_edges == {(1, 3), (2, 3)} and floored.root == 2
-    assert g._pair_trees == {(1, 2): frozenset({(0, 1), (0, 2)})}
-    assert g._floor_trees == {(1, 2): frozenset({(1, 3), (2, 3)})}
+    assert g._trees == {
+        (1, 2, 0): frozenset({(0, 1), (0, 2)}),
+        (1, 2, 1): frozenset({(1, 3), (2, 3)}),
+    }
     assert steiner_approx(g, {1, 2}, floor=1) == steiner_approx(g, {1, 2}, root=1, floor=1)
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
     for floor in (0, 2):
         with pytest.raises(ValueError, match=f"^floor {floor} is not the smallest terminal 1$"):
             steiner_approx(g, {1, 3}, floor=floor)
-    assert set(g._floor_trees) == set(g._pair_trees) == {(1, 2)}
+    assert set(g._trees) == {(1, 2, 0), (1, 2, 1)}
+    # A floor at 0 searches as no floor does, so it reads the unfloored
+    # entry: an edge set planted there for the pair (0, 3) comes back.
+    g._trees[0, 3, 0] = planted = frozenset({(0, 2), (2, 3)})
+    assert steiner_approx(g, {0, 3}, root=3, floor=0).tree_edges == planted
 
 
 @pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
@@ -483,8 +503,9 @@ def test_floored_pair_memo_holds_one_edge_set_per_pair(g):
     n = h.node_count
     for lo, hi, root in [(a, b, r) for a in range(n) for b in range(a + 1, n) for r in (a, b)]:
         steiner_approx(h, {lo, hi}, root=root, floor=lo)
-        assert len(h._floor_trees) <= n * (n - 1) // 2
-    assert len(h._floor_trees) == n * (n - 1) // 2
-    for (lo, hi), edges in h._floor_trees.items():
+        assert len(h._trees) <= n * (n - 1) // 2
+    assert len(h._trees) == n * (n - 1) // 2
+    for (lo, hi, floor), edges in h._trees.items():
+        assert floor == lo
         assert edges == steiner_approx(fresh_copy(h), {lo, hi}, floor=lo).tree_edges
         assert min(v for e in edges for v in e) == lo

@@ -87,6 +87,16 @@ def test_extract_drops_cancelled_terms():
     assert extract_sum_over_paths(c).phase.terms == {}
 
 
+def test_phase_polynomial_equality_compares_fields_and_is_unhashable():
+    p = PhasePolynomial(2, {0b11: Angle(1, 8), 0b01: Angle(0)})
+    assert p == PhasePolynomial(2, {0b11: Angle(1, 8)})
+    assert p != PhasePolynomial(3, {0b11: Angle(1, 8)})
+    assert p != PhasePolynomial(2, {0b11: Angle(1, 4)})
+    assert p != (2, {0b11: Angle(1, 8)}) and p != p.terms
+    with pytest.raises(TypeError):
+        hash(p)
+
+
 def test_extract_rejects_h():
     with pytest.raises(ValueError):
         extract_sum_over_paths(Circuit(1, (h(0),)))

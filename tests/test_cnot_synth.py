@@ -23,7 +23,7 @@ from steinersynth import cnot_synth
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import _path_ops
 from steinersynth.graphs import SteinerTree, complete_graph, grid_graph, line_graph
-from steinersynth.gf2 import SingularMatrixError
+from steinersynth.gf2 import SingularMatrixError, is_invertible
 from steinersynth.verify import edge_legal
 from conftest import oracle_graphs, pmh_at, random_terminal_sets
 
@@ -684,3 +684,113 @@ def test_first_pass_trees_lie_inside_the_unfinished_rows(monkeypatch):
     for g in broken[:2] + valid[:2]:
         cnot_synth._synthesize_constrained(random_invertible(g.node_count, 3), g)
     assert floors
+
+
+def rowcol_graphs():
+    """Random graphs of 1 to 12 nodes, some whose own labels have a
+    disconnected suffix, then the elimination-order graphs."""
+    rng = random.Random(24)
+    graphs = [line_graph(1), line_graph(2)]
+    graphs += [random_connected_graph(n, rng.uniform(0.15, 0.9), rng.randrange(10**6))
+               for n in [rng.randint(3, 12) for _ in range(60)]]
+    broken, valid = order_graphs()
+    return graphs + broken + valid
+
+
+def rowcol_ops(a, g):
+    """The rows of `a` and the row ops `_synthesize_rowcol(a, g)` clears them
+    with, in execution order, both in the graph's elimination labels."""
+    rows, _, arcs = cnot_synth._in_elimination_labels(a, g)
+    arc_of = {gate: arc for arc, gate in arcs.items()}
+    circ = cnot_synth._synthesize_rowcol(a, g)
+    return rows, [arc_of[gate] for gate in reversed(circ.gates)]
+
+
+def zero_pivot_matrices(n: int, rng) -> list[BinaryMatrix]:
+    """A cyclic shift of the rows, and random invertible matrices, each with
+    a zero diagonal (n >= 2), which a relabelling keeps."""
+    assert n >= 2
+    out = [BinaryMatrix(n, tuple(1 << ((i + 1) % n) for i in range(n)))]
+    while len(out) < 4:
+        rows = [rng.getrandbits(n) & ~(1 << i) for i in range(n)]
+        if is_invertible(BinaryMatrix(n, tuple(rows))):
+            out.append(BinaryMatrix(n, tuple(rows)))
+    return out
+
+
+def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
+    graphs = rowcol_graphs()
+    assert any(g._relabelled is not None for g in graphs)
+    assert any(g._relabelled is None for g in graphs)
+    for g in graphs:
+        n = g.node_count
+        for seed in range(4 if n < 72 else 1):
+            a = random_invertible(n, 17 * n + seed)
+            circ = cnot_synth._synthesize_rowcol(a, g)
+            assert simulate_cnot_circuit(circ) == a, (g.name, seed)
+            assert edge_legal(circ, g), (g.name, seed)
+            assert all(gate is g._arcs[gate.qubits] for gate in circ.gates)
+
+
+def test_rowcol_identity_emits_no_gate():
+    for g in rowcol_graphs():
+        assert cnot_synth._synthesize_rowcol(BinaryMatrix.identity(g.node_count), g).gates == ()
+
+
+def test_rowcol_repairs_zero_pivots_inside_the_tree():
+    # Every pivot of the matrices below starts at zero, in the elimination
+    # labels too; the child-first fill repairs each with no ladder.
+    rng = random.Random(5)
+    for g in rowcol_graphs():
+        n = g.node_count
+        if n < 2 or n > 20:
+            continue
+        for a in zero_pivot_matrices(n, rng):
+            rows, _, _ = cnot_synth._in_elimination_labels(a, g)
+            assert not any((r >> i) & 1 for i, r in enumerate(rows)), g.name
+            circ = cnot_synth._synthesize_rowcol(a, g)
+            assert simulate_cnot_circuit(circ) == a and edge_legal(circ, g), g.name
+
+
+def test_rowcol_never_touches_a_finished_row():
+    # Vertices 0..k-1 are finished when their rows and columns are unit
+    # vectors; vertex i starts with 0..i-1 finished, and no op may read or
+    # write a row below the current vertex.
+    rng = random.Random(9)
+    for g in rowcol_graphs():
+        n = g.node_count
+        if n > 20:
+            continue
+        matrices = [random_invertible(n, 3 * n + s) for s in range(3)]
+        for a in matrices + (zero_pivot_matrices(n, rng) if n > 1 else []):
+            rows, ops = rowcol_ops(a, g)
+            k = 0
+            for control, target in ops:
+                while k < n and rows[k] == 1 << k and not any(
+                    (r >> k) & 1 for j, r in enumerate(rows) if j != k
+                ):
+                    k += 1
+                assert min(control, target) >= k, (g.name, control, target, k)
+                rows[target] ^= rows[control]
+            assert rows == [1 << i for i in range(n)]
+
+
+def test_rowcol_builds_two_floored_trees_per_vertex_and_no_plan(monkeypatch):
+    trees = []
+    real = cnot_synth.steiner_approx
+
+    def recorded(g, terminals, root=None, floor=None):
+        assert floor == root == min(terminals)
+        trees.append(floor)
+        return real(g, terminals, root, floor)
+
+    def no_plan(tree):
+        raise AssertionError("RowCol builds no ladder or restoring plan")
+
+    monkeypatch.setattr(cnot_synth, "steiner_approx", recorded)
+    monkeypatch.setattr(cnot_synth, "plan_post_transpose", no_plan)
+    monkeypatch.setattr(cnot_synth, "plan_pre_transpose", no_plan)
+    for g in rowcol_graphs()[:20]:
+        trees.clear()
+        cnot_synth._synthesize_rowcol(random_invertible(g.node_count, 2), g)
+        assert all(trees.count(i) <= 2 for i in set(trees))

@@ -17,7 +17,7 @@ from steinersynth import (
 )
 from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import _synthesize_constrained, plan_pre_transpose
+from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
 from steinersynth.gf2 import invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
@@ -342,7 +342,7 @@ def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
         sop = SumOverPaths(PhasePolynomial(n, {}), random_invertible(n, seed))
         # The path through the parity network, written out.
         network, c_matrix = synth_parity_network_constrained(sop, g)
-        fixup = _synthesize_constrained(multiply(sop.linear, invert(c_matrix)), g)
+        fixup = _synthesize_rowcol(multiply(sop.linear, invert(c_matrix)), g)
         want = network.extended(fixup.gates)
         got, _ = synthesize_cnot_rz(sop, g)
         assert got == want and got.gates == want.gates

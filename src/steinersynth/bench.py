@@ -160,7 +160,8 @@ def bench_architecture(
 ) -> str:
     """Both methods on prefix subgraphs of a named architecture, of each of
     `sizes` nodes (None: the full device); a cnot_rz instance on k nodes has
-    k phase terms.  Every size is checked before any trial runs."""
+    k phase terms.  Every size is checked before any trial runs, and none
+    may be given twice."""
     _check_mode(mode)
     full = builtin_architecture(arch)
     if sizes is None:
@@ -169,6 +170,8 @@ def bench_architecture(
     for size in sizes:
         if not 2 <= size <= full.node_count:
             raise ValueError(f"size {size} out of range for {arch}")
+        if size in graphs:
+            raise ValueError(f"size {size} is given twice")
         graphs[size] = prefix_subgraph(full, size)
 
     def instance(size: int, iseed: int):

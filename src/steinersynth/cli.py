@@ -197,8 +197,11 @@ def bench_sparseness_cmd(n, trials, mode, seed, csv_path, no_cleanup):
 @click.option("--mode", type=click.Choice(["cnot", "cnot_rz"]), default="cnot")
 @_BENCH_OPTIONS
 def bench_arch_cmd(arch, sizes, trials, mode, seed, csv_path, no_cleanup):
+    items = sizes.split(",") if sizes else []
+    if "" in items:
+        raise ValueError(f"--sizes item {items.index('') + 1} of {sizes!r} is empty")
     try:
-        size_list = [int(s) for s in sizes.split(",") if s] or None
+        size_list = [int(s) for s in items] or None
     except ValueError:
         raise ValueError(
             f"--sizes takes a comma-separated list of integers, got {sizes!r}"

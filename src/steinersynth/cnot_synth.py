@@ -23,6 +23,9 @@ ladder plan.  Matrix tasks keep the paper's two-pass Steiner-Gauss
 paper's crossover, where the full-connectivity baseline wins on dense
 graphs, and RowCol beats that baseline at sparseness 0.9 (201.2 against
 204.6 CNOTs over 100 random 20-node instances), which flips it.
+`synthesize_constrained` is the one body for matrix tasks: it checks the
+matrix, synthesizes and names its method in its report; `pipeline.run`
+calls it as it is.
 
 A row op "row[target] ^= row[control]" is a (control, target) int pair
 throughout: the plans return lists of them, and the elimination loop turns
@@ -297,17 +300,9 @@ def synthesize_constrained(
     that clear them together; after upper-triangular form is reached the
     matrix is transposed and the pass repeats with the direction-restricted
     plans.  The output simulates to `a` exactly and every CNOT lies on an
-    edge of `g`.
-    """
-    t0 = time.perf_counter()
-    _check_width(a.dim, g)
-    check_invertible(a)
-    circuit = _synthesize_constrained(a, g)
-    return circuit, _report("steiner", g.name, circuit, t0)
-
-
-def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `synthesize_constrained`, without building a report.
+    edge of `g`.  Raises ValueError unless `a` has one row per graph node
+    and is invertible (`SingularMatrixError`); these are the checks
+    `pipeline.run` makes of a matrix task under its Steiner method.
 
     Elimination runs in the graph's elimination labels (`g._relabelled`):
     its own when every suffix {i, ..., n-1} of them induces a connected
@@ -321,9 +316,12 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     repaired by a clean ladder from the nearest row holding a one.  The
     transposed pass builds unfloored trees and uses fill-and-clear where
     every child exceeds its parent, `plan_post_transpose` otherwise.  Row
-    ops are kept as (control, target) int pairs throughout.  The caller
-    checks that `a` is invertible and has one row per graph node.
+    ops are kept as (control, target) int pairs throughout.
     """
+    t0 = time.perf_counter()
+    _check_width(a.dim, g)
+    check_invertible(a)
+    graph_name = g.name
     n = a.dim
     rows, g, arcs = _in_elimination_labels(a, g)
 
@@ -367,7 +365,8 @@ def _synthesize_constrained(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
     gates = [arcs[t, c] for c, t in ops_b] + [arcs[op] for op in reversed(ops_a)]
-    return Circuit(n, tuple(gates))
+    circuit = Circuit(n, tuple(gates))
+    return circuit, _report("steiner", graph_name, circuit, t0)
 
 
 def _synthesize_rowcol(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:

@@ -192,6 +192,8 @@ def parse_matrix(text: str) -> BinaryMatrix:
         n = int(head)
     except ValueError:
         raise ValueError(f"line {lineno}: expected 'n', the dimension, got {head!r}") from None
+    if n < 1:
+        raise ValueError(f"line {lineno}: dimension must be positive, got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} rows, got {len(lines) - 1}")
     rows = []

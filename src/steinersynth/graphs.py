@@ -44,8 +44,9 @@ class ConnectivityGraph:
     of each non-adjacent ordered pair it meets.  `steiner_approx` fills
     `_trees` with the edge set of each two-terminal tree it builds, keyed
     (smaller terminal, larger terminal, floor), the floor 0 when none is
-    given.  `_relabelled`, the elimination order of Steiner-Gauss
-    synthesis, is computed on first use and kept.
+    given.  `_bfs_order` is kept from the connectivity check, and
+    `_relabelled`, the elimination order of Steiner-Gauss synthesis, is
+    computed on first use and kept.
     No memo refers back to the graph, so a dropped graph is freed at once
     rather than by the cycle collector.  None of these takes part in
     equality, hashing or repr.
@@ -73,26 +74,25 @@ class ConnectivityGraph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(ns)) for ns in adj))
-        if self.node_count > 1:
-            seen = self._bfs_reach(0)
-            if len(seen) != self.node_count:
-                raise ValueError("graph is not connected")
+        if len(self._bfs_order) != self.node_count:
+            raise ValueError("graph is not connected")
         arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
         object.__setattr__(self, "_trees", {})
 
-    def _bfs_reach(self, start: int) -> set[int]:
-        """The nodes reachable from `start`."""
-        seen = {start}
-        queue = [start]
-        while queue:
-            u = queue.pop()
+    @cached_property
+    def _bfs_order(self) -> list[int]:
+        """The nodes reachable from node 0 in breadth-first order,
+        neighbours ascending: every node exactly when the graph is
+        connected."""
+        order, seen = [0], {0}
+        for u in order:
             for v in self._adj[u]:
                 if v not in seen:
                     seen.add(v)
-                    queue.append(v)
-        return seen
+                    order.append(v)
+        return order
 
     @cached_property
     def _relabelled(self) -> tuple[tuple[int, ...], ConnectivityGraph, dict] | None:
@@ -104,9 +104,8 @@ class ConnectivityGraph:
         the labels must induce a connected subgraph, which holds exactly
         when every node but the last has a larger neighbour.  When the
         graph's own labels do that, they are kept.  Otherwise the order is
-        the reverse of the breadth-first order from node 0 (neighbours
-        ascending), whose every suffix is a breadth-first prefix and so
-        connected.
+        the reverse of the breadth-first order from node 0 (`_bfs_order`),
+        whose every suffix is a breadth-first prefix and so connected.
         Returns (order, h, arcs): node k of `h` is node order[k] here, and
         `arcs` maps each arc of `h` to the gate this graph built for the
         arc it stands for (`_arcs`).
@@ -114,13 +113,7 @@ class ConnectivityGraph:
         n = self.node_count
         if all(self._adj[i][-1] > i for i in range(n - 1)):
             return None
-        order, seen = [0], {0}
-        for u in order:
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-        order.reverse()
+        order = self._bfs_order[::-1]
         pos = {u: k for k, u in enumerate(order)}
         h = ConnectivityGraph(
             n, frozenset((pos[u], pos[v]) for u, v in self.edges), name=self.name
@@ -284,7 +277,7 @@ def steiner_approx(
 
     With `floor` given, which must be the smallest terminal, the waves
     never enter a node below it, so the tree lies inside the nodes >=
-    floor, which must induce a connected subgraph.  Steiner-Gauss
+    floor, which must connect the terminals (else ValueError).  Steiner-Gauss
     elimination floors each first-pass tree at its pivot, the smallest
     terminal, so that the tree lies inside the unfinished rows.
 
@@ -381,7 +374,8 @@ def steiner_approx(
         best = None
         depth = 0
         while best is None:
-            assert queue, "connected graph must yield a collision"
+            if not queue:
+                raise ValueError(f"the nodes >= floor {floor} do not connect the terminals")
             next_queue = []
             for u in queue:
                 cu = comp[u]
@@ -580,6 +574,10 @@ def parse_graph(text: str, name: str = "graph") -> ConnectivityGraph:
     if not lines:
         raise ValueError("empty graph file")
     n, m = _int_pair(*lines[0], "'n m'")
+    if n < 1:
+        raise ValueError(f"line {lines[0][0]}: graph needs at least one node, got {n}")
+    if m < 0:
+        raise ValueError(f"line {lines[0][0]}: edge count must be >= 0, got {m}")
     if len(lines) != m + 1:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     edges: set[tuple[int, int]] = set()

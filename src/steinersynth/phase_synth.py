@@ -170,7 +170,6 @@ class _NetworkState:
                 if (mask >> q) & 1:
                     self.rows[q] |= 1 << cid
         self.pending = (1 << len(columns)) - 1
-        self.wires = [1 << q for q in range(n)]  # physical wire parities
         self.gates: list[Gate] = []
 
     def emit_ready(self) -> None:
@@ -197,7 +196,6 @@ class _NetworkState:
         distinct, so at most one column becomes ready.
         """
         self.gates.append(self.arcs[control, target])
-        self.wires[target] ^= self.wires[control]
         rows = self.rows
         ready = rows[control] & rows[target] & self.pending
         rows[control] ^= rows[target]
@@ -242,8 +240,9 @@ def synth_parity_network_constrained(
     the most extreme 0/1 split, recurse on the zero side, fold the one side
     together along a Steiner tree, recurse on the rest.  Each rotation is
     emitted the first moment its parity is realized on a wire.  Returns the
-    circuit and the linear transformation it applies.  The recursion runs
-    on an explicit stack, so a call leaves no reference cycle behind.
+    circuit and the linear transformation it applies, simulated from its
+    CNOTs (`simulate_cnot_circuit`).  The recursion runs on an explicit
+    stack, so a call leaves no reference cycle behind.
     """
     n = s.num_qubits
     _check_width(n, g)
@@ -289,11 +288,8 @@ def synth_parity_network_constrained(
 
     assert not state.pending, "some parities were never realized"
     circuit = Circuit(n, tuple(state.gates))
-    linear = BinaryMatrix(n, tuple(state.wires))
-    assert simulate_cnot_circuit(
-        Circuit(n, tuple(g for g in circuit.gates if g.kind == "cnot"))
-    ) == linear
-    return circuit, linear
+    cnots = Circuit(n, tuple(gate for gate in state.gates if gate.kind == "cnot"))
+    return circuit, simulate_cnot_circuit(cnots)
 
 
 def synthesize_cnot_rz(
@@ -307,28 +303,19 @@ def synthesize_cnot_rz(
     fixup is built by RowCol elimination: vertex by vertex, in an order
     whose unfinished vertices stay connected, one Steiner tree clears the
     vertex's column and a second clears its row, both inside the
-    unfinished vertices, so no transpose pass and no ladder is needed.  An
-    instance with no phase terms skips the network: its circuit is the
-    RowCol synthesis of A.
+    unfinished vertices, so no transpose pass and no ladder is needed.  The
+    fixup is invertible by construction, so it needs no invertibility
+    check.  An instance with no phase terms skips the network, which would
+    emit no gate and apply C = I: its circuit is the RowCol synthesis of A.
+    Raises ValueError unless `s` has one qubit per graph node, the one
+    check `pipeline.run` makes of a sum-over-paths task.
     """
     t0 = time.perf_counter()
     _check_width(s.num_qubits, g)
-    circuit = _synthesize_cnot_rz(s, g)
+    if s.phase.terms:
+        network, c_matrix = synth_parity_network_constrained(s, g)
+        fixup_target = multiply(s.linear, invert(c_matrix))
+        circuit = network.extended(_synthesize_rowcol(fixup_target, g).gates)
+    else:
+        circuit = _synthesize_rowcol(s.linear, g)
     return circuit, _report("steiner_rz", g.name, circuit, t0)
-
-
-def _synthesize_cnot_rz(s: SumOverPaths, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `synthesize_cnot_rz`, without building a report; the
-    caller checks that `s` has one qubit per graph node.  The fixup
-    A @ C^-1 is invertible by construction, so it needs no invertibility
-    check.
-
-    A phase-free instance (no terms) is synthesized as its linear part
-    alone.  That is the same circuit: the network would emit no gate and
-    apply C = I, so the fixup would be A itself.
-    """
-    if not s.phase.terms:
-        return _synthesize_rowcol(s.linear, g)
-    network, c_matrix = synth_parity_network_constrained(s, g)
-    fixup_target = multiply(s.linear, invert(c_matrix))
-    return network.extended(_synthesize_rowcol(fixup_target, g).gates)

@@ -3,7 +3,8 @@
 `run` builds the task's candidate circuits, applies the commute-and-cancel
 cleanup to each, keeps the one with the fewest CNOTs, builds one report
 from it and certifies it against the task with `verify.certify`.  The CLI
-synthesis commands and the bench suites all go through it.
+synthesis commands and the bench suites all go through it.  Its Steiner
+method is the public synthesizer for the task's type, called as it is.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from .cnot_synth import (
     _expand_pairs,
     _pmh_pairs,
     _report,
-    _synthesize_constrained,
     expand_templates,
     section_widths,
+    synthesize_constrained,
 )
 from .gf2 import BinaryMatrix, check_invertible
 from .graphs import ConnectivityGraph, _check_width, complete_graph
 from .optimizer import _fewest_cnots
-from .phase_synth import SumOverPaths, _synthesize_cnot_rz
-from .universal import _route_universal
+from .phase_synth import SumOverPaths, synthesize_cnot_rz
+from .universal import route_universal
 from .verify import Certificate, certify
 
 
@@ -32,9 +33,12 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     """The uncleaned candidate circuits for the task, first preferred, and
     the report's method name.
 
-    This is where `run` checks the task against the graph, once, before
-    any synthesis: it must act on one qubit per graph node, and a matrix
-    must be invertible.  The synthesizers below trust it.
+    The "steiner" method hands the task to the public synthesizer for its
+    type (`synthesize_constrained`, `synthesize_cnot_rz` or
+    `route_universal`), whose checks are the run's checks, and takes the
+    method name from its report.  For a baseline, this is where `run`
+    checks the task against the graph, once, before any synthesis: it must
+    act on one qubit per graph node, and a matrix must be invertible.
 
     Both matrix baselines expand full-connectivity elimination
     (`_pmh_pairs`) straight from its (control, target) ops into the graph's
@@ -45,24 +49,23 @@ def _candidates(task, g: ConnectivityGraph, method: str):
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(task, (BinaryMatrix, SumOverPaths, Circuit)):
         raise TypeError(f"cannot synthesize a {type(task).__name__}")
+    if method == "steiner":
+        synthesize = (synthesize_constrained if isinstance(task, BinaryMatrix) else
+                      synthesize_cnot_rz if isinstance(task, SumOverPaths) else route_universal)
+        circuit, report = synthesize(task, g)
+        return [circuit], report.method
     width = task.dim if isinstance(task, BinaryMatrix) else task.num_qubits
     _check_width(width, g)
     if isinstance(task, BinaryMatrix):
         check_invertible(task)
-        if method == "steiner":
-            return [_synthesize_constrained(task, g)], "steiner"
         widths = section_widths(width) if method == "pmh" else (None,)
         circuits = (Circuit(width, _expand_pairs(_pmh_pairs(task, w), g)) for w in widths)
         return circuits, f"baseline_{method}"
     if method == "pmh":
         raise ValueError("the pmh baseline needs a matrix task")
     if isinstance(task, SumOverPaths):
-        if method == "steiner":
-            return [_synthesize_cnot_rz(task, g)], "steiner_rz"
-        source = _synthesize_cnot_rz(task, complete_graph(g.node_count))
+        source, _ = synthesize_cnot_rz(task, complete_graph(g.node_count))
     else:  # a Circuit
-        if method == "steiner":
-            return [_route_universal(task, g)], "route"
         source = task
     # A baseline ignores connectivity, then expands each long-range CNOT.
     return [expand_templates(source, g)], "baseline_templates"

@@ -21,7 +21,7 @@ from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
 from .graphs import ConnectivityGraph, _check_width
 from .optimizer import _fewest_cnots
-from .phase_synth import _synthesize_cnot_rz, extract_sum_over_paths
+from .phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 
 _S = Angle(1, 4)
 _SDG = Angle(3, 4)
@@ -205,29 +205,24 @@ def route_universal(
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
     H segments pass through.  Every CNOT+RZ segment becomes whichever of
-    two exact, edge-legal candidates has fewer CNOTs: its resynthesis from
-    its phase-polynomial form under the connectivity constraints, or its
-    own gates with each long-range CNOT expanded into a 4(l-1) ladder
+    two exact, edge-legal candidates has fewer CNOTs: its resynthesis by
+    `synthesize_cnot_rz` from its phase-polynomial form, or its own gates
+    with each long-range CNOT expanded into a 4(l-1) ladder
     (`expand_templates`); on a tie the resynthesis is kept.  Wire
     numbering is the identity map throughout: each segment implements its
-    full linear transformation on the original wires.
+    full linear transformation on the original wires.  Raises ValueError
+    unless `c` has one wire per graph node, the one check `pipeline.run`
+    makes of a circuit task under its Steiner method.
     """
     t0 = time.perf_counter()
     _check_width(c.num_qubits, g)
-    circuit = _route_universal(c, g)
-    return circuit, _report("route", g.name, circuit, t0)
-
-
-def _route_universal(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """The circuit of `route_universal`, without building a report; the
-    caller checks that `c` has one wire per graph node."""
-    reduced = merge_delete_h(c)
     gates: list[Gate] = []
-    for seg in partition_segments(reduced):
+    for seg in partition_segments(merge_delete_h(c)):
         if seg.kind == "h_block":
             gates.extend(seg.gates)
             continue
         own = Circuit(c.num_qubits, seg.gates)
-        resynth = _synthesize_cnot_rz(extract_sum_over_paths(own), g)
+        resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
         gates.extend(_fewest_cnots((resynth, _Expansion(own, g)), cleanup=False).gates)
-    return Circuit(c.num_qubits, tuple(gates))
+    circuit = Circuit(c.num_qubits, tuple(gates))
+    return circuit, _report("route", g.name, circuit, t0)

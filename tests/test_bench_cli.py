@@ -533,3 +533,20 @@ def test_cli_phase_file_with_a_zero_denominator_is_an_input_error(tmp_path):
     assert res.stderr.startswith("error: ")
     assert "Traceback" not in res.stderr
     assert "zero denominator" in res.stderr
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("3,,4", "--sizes item 2 of '3,,4' is empty"),
+    (",3", "--sizes item 1 of ',3' is empty"),
+    ("3,4,3", "size 3 is given twice"),
+])
+def test_cli_bench_arch_rejects_an_empty_or_repeated_size(monkeypatch, sizes, message):
+    calls = []
+    monkeypatch.setattr(pipeline, "run", lambda *args, **kw: calls.append(args))
+    res = CliRunner().invoke(main, ["bench", "arch", "--arch", "line(5)", "--sizes", sizes])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == f"error: {message}\n"
+    assert calls == []
+    with pytest.raises(ValueError, match="^size 3 is given twice$"):
+        bench_architecture("line(5)", [3, 3], trials=1, seed=1)

@@ -660,7 +660,7 @@ def test_matrix_synthesis_never_calls_the_restoring_plan(monkeypatch):
     broken, valid = order_graphs()
     for g in broken + valid:
         for seed in range(4 if g.node_count < 72 else 1):
-            cnot_synth._synthesize_constrained(random_invertible(g.node_count, seed), g)
+            cnot_synth.synthesize_constrained(random_invertible(g.node_count, seed), g)
     assert calls == []
     # The patch is live: the grouped column cost still builds the plan.
     eliminate_column_cost([2, 3], 0, line_graph(4))
@@ -682,7 +682,7 @@ def test_first_pass_trees_lie_inside_the_unfinished_rows(monkeypatch):
     monkeypatch.setattr(cnot_synth, "steiner_approx", recorded)
     broken, valid = order_graphs()
     for g in broken[:2] + valid[:2]:
-        cnot_synth._synthesize_constrained(random_invertible(g.node_count, 3), g)
+        cnot_synth.synthesize_constrained(random_invertible(g.node_count, 3), g)
     assert floors
 
 

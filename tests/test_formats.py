@@ -198,6 +198,8 @@ def test_parse_graph_names_the_bad_edge_line(text, message):
     ("2 2\n01\n10\n", "line 1: expected 'n', the dimension, got '2 2'"),
     ("2\n01\n02\n", "line 3: expected 2 characters of 0/1, got '02'"),
     ("# m\n2\n\n01  # row\n0\n", "line 5: expected 2 characters of 0/1, got '0'"),
+    ("-1\n", "line 1: dimension must be positive, got -1"),
+    ("# m\n0\n", "line 2: dimension must be positive, got 0"),
 ])
 def test_parse_matrix_names_the_bad_line(text, message):
     with pytest.raises(ValueError) as err:
@@ -322,3 +324,13 @@ def test_count_and_cnot_only_match_a_reference():
         assert c.is_cnot_only() == all(g.kind == "cnot" for g in c.gates), case
     assert Circuit(2).is_cnot_only()
     assert not Circuit(2, (cnot(0, 1), h(1))).is_cnot_only()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 -1\n", "line 1: edge count must be >= 0, got -1"),
+    ("# g\n0 0\n", "line 2: graph needs at least one node, got 0"),
+])
+def test_parse_graph_names_a_bad_header_count(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_graph(text)
+    assert str(err.value) == message

@@ -16,7 +16,7 @@ from steinersynth import (
     steiner_exact,
 )
 from steinersynth.circuits import cnot
-from steinersynth.cnot_synth import _synthesize_constrained, plan_post_transpose, plan_pre_transpose
+from steinersynth.cnot_synth import plan_post_transpose, plan_pre_transpose, synthesize_constrained
 from steinersynth.graphs import SteinerTree, _norm_edge, grid_graph
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
 
@@ -442,7 +442,7 @@ def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
     trees = [steiner_approx(g, terminals, root) for terminals, root in every_pair_call(g)]
     snapshot = [{u: list(ns) for u, ns in tree._adj.items()} for tree in trees]
     for seed in range(10):
-        _synthesize_constrained(random_invertible(g.node_count, seed), g)
+        synthesize_constrained(random_invertible(g.node_count, seed), g)
     for tree in trees:
         plan_pre_transpose(tree)
         if tree.root == min(tree.terminals):
@@ -509,3 +509,11 @@ def test_floored_pair_memo_holds_one_edge_set_per_pair(g):
         assert floor == lo
         assert edges == steiner_approx(fresh_copy(h), {lo, hi}, floor=lo).tree_edges
         assert min(v for e in edges for v in e) == lo
+
+
+def test_a_floor_that_separates_the_terminals_is_an_input_error():
+    # A star with centre 0: above floor 1 the leaves 1 and 2 share no path.
+    star = ConnectivityGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), name="star4")
+    with pytest.raises(ValueError, match="^the nodes >= floor 1 do not connect the terminals$"):
+        steiner_approx(star, {1, 2}, root=1, floor=1)
+    assert steiner_approx(star, {1, 2}).tree_edges == {(0, 1), (0, 2)}

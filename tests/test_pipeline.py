@@ -4,7 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from steinersynth import cnot_synth, emit_circuit, emit_matrix, optimizer, pipeline, random_invertible
+from steinersynth import (
+    cnot_synth, emit_circuit, emit_matrix, optimizer, pipeline, random_invertible, universal,
+)
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
@@ -18,7 +20,7 @@ from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, ra
 from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import certify, run
-from steinersynth.universal import route_universal
+from steinersynth.universal import merge_delete_h, partition_segments, route_universal
 from steinersynth.unitary import UNITARY_QUBIT_CAP
 from conftest import pmh_at
 
@@ -362,3 +364,26 @@ def test_each_matrix_task_is_checked_once_and_no_fixup_is(invertibility_checks):
     assert cert.ok and routed.count("h") > 0
     synthesize_cnot_rz(phase_task(6, 4), g)
     assert invertibility_checks == []
+
+
+def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monkeypatch):
+    # Each CNOT+RZ segment of a route is one `synthesize_cnot_rz` call, and
+    # `run` names its method after the report of the synthesizer it called.
+    calls = []
+    real = universal.synthesize_cnot_rz
+    monkeypatch.setattr(universal, "synthesize_cnot_rz", lambda s, g: calls.append(s) or real(s, g))
+    g = line_graph(6)
+    c = random_universal_circuit(6, 120, PROBS, 7)
+    segments = [seg for seg in partition_segments(merge_delete_h(c)) if seg.kind == "cnot_block"]
+    _, report, cert = run(c, g)
+    assert cert.ok and report.method == "route"
+    assert len(calls) == len(segments) > 1
+    assert calls == [extract_sum_over_paths(Circuit(6, seg.gates)) for seg in segments]
+
+    def renamed(task, graph):
+        circuit, report = real(task, graph)
+        report.method = "renamed"
+        return circuit, report
+
+    monkeypatch.setattr(pipeline, "synthesize_cnot_rz", renamed)
+    assert run(phase_task(6, 4), g)[1].method == "renamed"

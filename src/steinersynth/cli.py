@@ -154,8 +154,9 @@ def synth_phase(circuit_file, phase_file, matrix_file, **shared):
 @main.command(
     "route",
     help="Route a {CNOT, RZ, H} circuit onto a coupling graph.  The output is "
-    "compared with the input over GF(2) if CNOT-only, else as a dense unitary "
-    f"up to {UNITARY_QUBIT_CAP} wires; above that only edge legality is checked.",
+    "compared with the input over GF(2) if CNOT-only, else by path sum at any "
+    "width, then, when the path sums do not prove it, as a dense unitary up to "
+    f"{UNITARY_QUBIT_CAP} wires; above that only edge legality is checked.",
 )
 @click.option("--circuit", "circuit_file", required=True, type=INPUT_FILE)
 @_SYNTHESIS_OPTIONS
@@ -166,9 +167,12 @@ def route(circuit_file, **shared):
 @main.command("verify")
 @click.argument("circuit_a", type=INPUT_FILE)
 @click.argument("circuit_b", type=INPUT_FILE)
-@click.option("--mode", type=click.Choice(["auto", "gf2", "unitary"]), default="auto")
+@click.option("--mode", type=click.Choice(["auto", "gf2", "pathsum", "unitary"]),
+              default="auto")
 def verify_cmd(circuit_a, circuit_b, mode):
-    """Check two circuit files for equivalence."""
+    """Check two circuit files for equivalence.  A pair that no check
+    proves, such as one whose path sums differ above the unitary cap, is
+    "not proven" and exits 2, apart from a disproof (exit 1)."""
     a, b = (parse_circuit(Path(path).read_text()) for path in (circuit_a, circuit_b))
     rep = verify_equivalence(a, b, mode)
     click.echo(f"mode={rep.mode} equivalent={rep.equivalent} deviation={rep.deviation:.3e}")

@@ -2,10 +2,10 @@
 
 Gaussian elimination clears one matrix column per Steiner tree, using only
 graph-adjacent row operations; a transpose pass finishes the job.  The first
-pass keeps each tree inside the unfinished rows (`steiner_approx` floored at
-the pivot), in a label order whose every suffix induces a connected
-subgraph (`ConnectivityGraph._relabelled`), so a cheap fill-and-clear walk
-clears every column and no finished row is borrowed.  The second pass uses
+pass keeps each tree inside the unfinished rows (`steiner_approx` allowed
+the labels >= the pivot), in a label order whose every suffix induces a
+connected subgraph (`ConnectivityGraph._relabelled`), so a cheap
+fill-and-clear walk clears every column and no finished row is borrowed.  The second pass uses
 fill-and-clear where its tree allows it and clean ladders
 (`plan_post_transpose`) otherwise.  `plan_pre_transpose`, the restoring
 plan that adds a root row into any tree's terminal rows and leaves every
@@ -17,12 +17,15 @@ restoring plan all read that one walk.
 The CNOT+RZ linear fixup, and a phase-free instance's linear part, use
 RowCol elimination instead (`_synthesize_rowcol`, Wu et al.,
 arXiv:1910.14478): in the same label order, each vertex has its column and
-then its row cleared along two floored trees, with no transpose pass and no
-ladder plan.  Matrix tasks keep the paper's two-pass Steiner-Gauss
-(`synthesize_constrained`): the acceptance suite's criterion 3 pins the
-paper's crossover, where the full-connectivity baseline wins on dense
-graphs, and RowCol beats that baseline at sparseness 0.9 (201.2 against
-204.6 CNOTs over 100 random 20-node instances), which flips it.
+then its row cleared along two trees inside the unfinished rows, with no
+transpose pass and no ladder plan.  A `route` fixup that precedes an H run
+eliminates only that run's wires and leaves a residual for the next
+segment (`_synthesize_rowcol` with a stop set).  Matrix tasks keep the
+paper's two-pass Steiner-Gauss (`synthesize_constrained`): the acceptance
+suite's criterion 3 pins the paper's crossover, where the full-connectivity
+baseline wins on dense graphs, and RowCol beats that baseline at
+sparseness 0.9 (201.2 against 204.6 CNOTs over 100 random 20-node
+instances), which flips it.
 `synthesize_constrained` is the one body for matrix tasks: it checks the
 matrix, synthesizes and names its method in its report; `pipeline.run`
 calls it as it is.
@@ -38,6 +41,7 @@ Two full-connectivity baselines live here as well: partitioned elimination
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,7 +50,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .circuits import Circuit, Gate, cnot
-from .gf2 import BinaryMatrix, SingularMatrixError, check_invertible, invert
+from .gf2 import BinaryMatrix, SingularMatrixError, _bits, check_invertible, invert
 from .graphs import (
     ConnectivityGraph,
     SteinerTree,
@@ -256,7 +260,7 @@ def _fill_clear_column(
     every non-root row.  Steiner rows end up modified in later columns,
     which is harmless exactly when no tree node precedes the pivot (their
     already-cleared prefixes stay zero), as in the first pass, whose trees
-    are floored at the pivot.
+    lie inside the labels >= the pivot.
 
     For the transposed pass the caller additionally requires every parent
     index to be smaller than its child, which keeps each individual row
@@ -310,13 +314,14 @@ def synthesize_constrained(
     relabelled on the way in, and each op maps back to the gate `g` built
     for the edge it stands for.
 
-    In the first pass each column's tree is floored at its pivot
-    (`steiner_approx(..., floor=i)`), so it lies inside the unfinished rows
-    i..n-1, and fill-and-clear clears every column.  A zero pivot is first
-    repaired by a clean ladder from the nearest row holding a one.  The
-    transposed pass builds unfloored trees and uses fill-and-clear where
-    every child exceeds its parent, `plan_post_transpose` otherwise.  Row
-    ops are kept as (control, target) int pairs throughout.
+    In the first pass each column's tree is allowed the labels >= its
+    pivot (`steiner_approx(..., allowed=...)`), so it lies inside the
+    unfinished rows i..n-1, and fill-and-clear clears every column.  A zero
+    pivot is first repaired by a clean ladder from the nearest row holding
+    a one.  The transposed pass builds unrestricted trees and uses
+    fill-and-clear where every child exceeds its parent,
+    `plan_post_transpose` otherwise.  Row ops are kept as (control, target)
+    int pairs throughout.
     """
     t0 = time.perf_counter()
     _check_width(a.dim, g)
@@ -324,6 +329,7 @@ def synthesize_constrained(
     graph_name = g.name
     n = a.dim
     rows, g, arcs = _in_elimination_labels(a, g)
+    full = (1 << n) - 1
 
     def apply_ops(ops) -> None:
         for control, target in ops:
@@ -340,7 +346,7 @@ def synthesize_constrained(
             ops_a.extend(repair)
         terms = _terminal_rows(rows, i, n)
         if len(terms) > 1:
-            tree = steiner_approx(g, terms, root=i, floor=i)
+            tree = steiner_approx(g, terms, root=i, allowed=full >> i << i)
             ops_a += _fill_clear_column(rows, i, tree.preorder)
 
     assert all(rows[r] & ((1 << r) - 1) == 0 for r in range(n)), (
@@ -369,34 +375,35 @@ def synthesize_constrained(
     return circuit, _report("steiner", graph_name, circuit, t0)
 
 
-def _synthesize_rowcol(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
-    """An edge-legal CNOT circuit for the invertible matrix `a` by RowCol
-    elimination (Wu et al., arXiv:1910.14478), with no transpose pass.
+@functools.lru_cache(maxsize=4096)
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of `mask`, lowest first, built once per mask: the
+    unfinished rows of a RowCol step, whose masks recur."""
+    return tuple(_bits(mask))
 
-    Vertices are eliminated in the graph's elimination labels
-    (`_in_elimination_labels`), so the unfinished rows i..n-1 always
-    induce a connected subgraph and every tree below is floored at i.
-    Vertex i first has its column cleared, then its row:
+
+def _rowcol_step(
+    rows: list[int], inv_t: list[int], i: int, allowed: int, g: ConnectivityGraph
+) -> list[tuple[int, int]]:
+    """Clear vertex i's column, then its row, with trees inside the
+    `allowed` rows (a node bitmask holding i); returns the row ops applied.
 
     - Column: a tree over i and the rows holding a one in column i.  A
       child-first walk fills each tree row still holding a zero there
       with its child's row, which also repairs a zero pivot; a second
       child-first walk adds each parent row into its child.
-    - Row: a tree over i and the rows j > i whose sum with row i is the
-      unit row, the ones of row i of the inverse.  A parent-first walk
-      adds each Steiner child into its parent, then a child-first walk
-      adds each child into its parent.  Row i ends as the unit row, each
-      Steiner row cancels out of it, and only rows above i, which hold
-      a zero in column i, are ever added into another row.
+    - Row: a tree over i and the rows whose sum with row i is the unit
+      row, the ones of row i of the inverse.  A parent-first walk adds
+      each Steiner child into its parent, then a child-first walk adds
+      each child into its parent.  Row i ends as the unit row, and each
+      Steiner row cancels out of it.
 
-    The inverse is kept transposed, one int per column: a row op (c, t)
-    adds column t of the inverse into column c, so it is one more XOR,
-    `inv_t[c] ^= inv_t[t]`.  Every op targets a row >= i.  The caller
-    checks that `a` is invertible and has one row per graph node.
+    Rows outside `allowed` must be finished (unit rows whose columns are
+    unit too), so no op touches them and their columns stay clear.  The
+    inverse is kept transposed, one int per column: a row op (c, t) adds
+    column t of the inverse into column c, so it is one more XOR,
+    `inv_t[c] ^= inv_t[t]`.
     """
-    n = a.dim
-    rows, g, arcs = _in_elimination_labels(a, g)
-    inv_t = list(invert(BinaryMatrix(n, tuple(rows))).transpose().rows)
     ops: list[tuple[int, int]] = []
 
     def apply(control: int, target: int) -> None:
@@ -404,26 +411,101 @@ def _synthesize_rowcol(a: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
         inv_t[control] ^= inv_t[target]
         ops.append((control, target))
 
-    for i in range(n):
-        terms = _terminal_rows(rows, i, n)
-        if len(terms) > 1:
-            edges = steiner_approx(g, terms, root=i, floor=i).preorder
-            for u, v in reversed(edges):
-                if not (rows[u] >> i) & 1:
-                    apply(v, u)
-            for u, v in reversed(edges):
-                apply(u, v)
-        terms = _terminal_rows(inv_t, i, n)
-        if len(terms) > 1:
-            edges = steiner_approx(g, terms, root=i, floor=i).preorder
-            for u, v in edges:
-                if v not in terms:
-                    apply(v, u)
-            for u, v in reversed(edges):
+    unfinished = _members(allowed)
+    terms = {i} | {j for j in unfinished if (rows[j] >> i) & 1}
+    if len(terms) > 1:
+        edges = steiner_approx(g, terms, root=i, allowed=allowed).preorder
+        for u, v in reversed(edges):
+            if not (rows[u] >> i) & 1:
                 apply(v, u)
+        for u, v in reversed(edges):
+            apply(u, v)
+    terms = {i} | {j for j in unfinished if (inv_t[j] >> i) & 1}
+    if len(terms) > 1:
+        edges = steiner_approx(g, terms, root=i, allowed=allowed).preorder
+        for u, v in edges:
+            if v not in terms:
+                apply(v, u)
+        for u, v in reversed(edges):
+            apply(v, u)
+    return ops
 
-    assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
-    return Circuit(n, tuple(arcs[op] for op in reversed(ops)))
+
+def _separates(adj_masks: tuple[int, ...], nodes: int, v: int) -> bool:
+    """True when removing node v disconnects the subgraph on `nodes` (a
+    node bitmask holding v): v is one of its cut vertices."""
+    rest = nodes & ~(1 << v)
+    reach = frontier = rest & -rest
+    while frontier:
+        grow = 0
+        for u in _bits(frontier):
+            grow |= adj_masks[u]
+        frontier = grow & rest & ~reach
+        reach |= frontier
+    return reach != rest
+
+
+def _synthesize_rowcol(
+    a: BinaryMatrix, g: ConnectivityGraph, stop: frozenset[int] | None = None
+) -> tuple[Circuit, BinaryMatrix]:
+    """An edge-legal CNOT circuit F for the invertible matrix `a` by RowCol
+    elimination (Wu et al., arXiv:1910.14478), with no transpose pass, and
+    the residual M with M·F = a: F followed by M applies `a`.
+
+    With no stop set, M is the identity.  Vertices are eliminated in the
+    graph's elimination labels (`_in_elimination_labels`), so the
+    unfinished rows i..n-1 always induce a connected subgraph and every
+    tree of vertex i's step (`_rowcol_step`) lies inside them.
+
+    With a stop set, only the stop wires are eliminated, so M is left
+    trivial on them: its row and column of each stop wire are unit
+    vectors.  The steps run on aᵀ in the graph's own labels, and each row
+    op (c, t) there is the gate (t, c), in order: the ops multiply a on
+    the right, and M is what is left.  Each step eliminates, among the
+    stop wires that are no cut vertex of the unfinished wires, the one
+    whose step emits the fewest ops (trial-run on copies, ties to the
+    lowest label), so that the unfinished wires stay connected.  The last
+    stop wire may be a cut vertex, since no step follows it.  When two or
+    more stop wires are left and every one is a cut vertex, the cheapest
+    non-stop wire that is no cut vertex goes first.  The caller checks
+    that `a` is invertible and has one row per graph node.
+    """
+    n = a.dim
+    if stop is None:
+        rows, h, arcs = _in_elimination_labels(a, g)
+        inv_t = list(invert(BinaryMatrix(n, tuple(rows))).transpose().rows)
+        full = (1 << n) - 1
+        ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, full >> i << i, h)]
+        assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
+        return Circuit(n, tuple(arcs[op] for op in reversed(ops))), BinaryMatrix.identity(n)
+
+    rows = list(a.transpose().rows)
+    inv_t = list(invert(a).rows)
+    adj_masks = g._adj_masks
+    unfinished = (1 << n) - 1
+    todo = set(stop)
+    ops = []
+    while todo:
+        choices = sorted(v for v in todo
+                         if len(todo) == 1 or not _separates(adj_masks, unfinished, v))
+        if not choices:
+            choices = [v for v in _bits(unfinished) if v not in todo
+                       and not _separates(adj_masks, unfinished, v)]
+        best = None
+        for v in choices:  # a free step cannot be beaten
+            trial_rows, trial_inv_t = rows[:], inv_t[:]
+            step = _rowcol_step(trial_rows, trial_inv_t, v, unfinished, g)
+            if best is None or len(step) < len(best[0]):
+                best = step, trial_rows, trial_inv_t, v
+                if not step:
+                    break
+        step, rows, inv_t, v = best
+        ops += step
+        unfinished &= ~(1 << v)
+        todo.discard(v)
+    arcs = g._arcs
+    circuit = Circuit(n, tuple(arcs[t, c] for c, t in ops))
+    return circuit, BinaryMatrix(n, tuple(rows)).transpose()
 
 
 def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:

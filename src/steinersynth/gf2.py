@@ -14,6 +14,15 @@ from .circuits import Circuit, content_lines
 
 _MATRIX_DRAWS = 1000  # random_invertible gives up after this many draws
 
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class SingularMatrixError(ValueError):
     """Inversion failed; pivot_column is the first column without a pivot."""
 

@@ -16,6 +16,7 @@ prefers the lowest node index, so every result is deterministic.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import importlib.resources
 import random
@@ -43,9 +44,10 @@ class ConnectivityGraph:
     (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
     of each non-adjacent ordered pair it meets.  `steiner_approx` fills
     `_trees` with the edge set of each two-terminal tree it builds, keyed
-    (smaller terminal, larger terminal, floor), the floor 0 when none is
-    given.  `_bfs_order` is kept from the connectivity check, and
-    `_relabelled`, the elimination order of Steiner-Gauss synthesis, is
+    (smaller terminal, larger terminal, allowed-node mask), the mask of
+    every node when none is given.  `_bfs_order` is kept from the
+    connectivity check, and `_adj_masks`, the adjacency as bitmasks, and
+    `_relabelled`, the elimination order of Steiner-Gauss synthesis, are
     computed on first use and kept.
     No memo refers back to the graph, so a dropped graph is freed at once
     rather than by the cycle collector.  None of these takes part in
@@ -93,6 +95,11 @@ class ConnectivityGraph:
                     seen.add(v)
                     order.append(v)
         return order
+
+    @cached_property
+    def _adj_masks(self) -> tuple[int, ...]:
+        """Each node's neighbours as a bitmask, bit v for node v."""
+        return tuple(sum(1 << v for v in ns) for ns in self._adj)
 
     @cached_property
     def _relabelled(self) -> tuple[tuple[int, ...], ConnectivityGraph, dict] | None:
@@ -270,16 +277,30 @@ def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
     return dist
 
 
+_OUTSIDE = -2  # the start label of a node outside the allowed ones
+
+
+@functools.lru_cache(maxsize=4096)
+def _start_labels(n: int, allowed: int) -> tuple[int, ...]:
+    """`steiner_approx`'s start label of each of n nodes: -1 (on no tree
+    yet) for an allowed node, `_OUTSIDE` for any other.  Few masks recur
+    (a floor per label, a partial fixup's unfinished wires), so each tuple
+    is built once."""
+    return tuple(-1 if (allowed >> v) & 1 else _OUTSIDE for v in range(n))
+
+
 def steiner_approx(
-    g: ConnectivityGraph, terminals, root: int | None = None, floor: int | None = None
+    g: ConnectivityGraph, terminals, root: int | None = None, allowed: int | None = None
 ) -> SteinerTree:
     """Approximate minimum Steiner tree by colliding BFS waves.
 
-    With `floor` given, which must be the smallest terminal, the waves
-    never enter a node below it, so the tree lies inside the nodes >=
-    floor, which must connect the terminals (else ValueError).  Steiner-Gauss
-    elimination floors each first-pass tree at its pivot, the smallest
-    terminal, so that the tree lies inside the unfinished rows.
+    With `allowed` given, a node bitmask (bit v set when node v may be
+    used) that must hold every terminal, the waves never enter a node
+    outside it, so the tree lies inside the allowed nodes, which must
+    connect the terminals (else ValueError).  Elimination keeps each tree
+    inside its unfinished rows this way: Steiner-Gauss's first pass and
+    RowCol's static order allow the labels >= the pivot, and a partial
+    RowCol fixup the wires it has not finished.
 
     Each round runs one breadth-first search seeded from every current
     super-terminal, picks the shortest connecting path between two distinct
@@ -311,11 +332,12 @@ def steiner_approx(
       distances and parents it reads are those of the full search.
 
     The search never reads the root, so a tree's edges depend on its
-    terminals and its floor alone, and a floor at 0 searches as no floor
-    does.  A two-terminal call keeps its validated tree's edges in the
-    graph's `_trees` memo under (smaller terminal, larger terminal, floor),
-    the floor 0 when none is given; a later call with the same key, under
-    either root, builds its tree from those edges without a search.
+    terminals and its allowed nodes alone, and allowing every node searches
+    as giving no mask does.  A two-terminal call keeps its validated tree's
+    edges in the graph's `_trees` memo under (smaller terminal, larger
+    terminal, allowed), the mask of every node when none is given; a later
+    call with the same key, under either root, builds its tree from those
+    edges without a search.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -329,20 +351,20 @@ def steiner_approx(
         root = lo
     if root not in term_set:
         raise ValueError("root must be a terminal")
-    if floor is None:
-        floor = 0
-    elif floor != lo:
-        raise ValueError(f"floor {floor} is not the smallest terminal {lo}")
+    if allowed is None:
+        allowed = (1 << n) - 1
     pair = len(term_set) == 2
-    if pair:
-        edges = g._trees.get((lo, hi, floor))
+    if pair:  # a key is kept only once its terminals were checked
+        edges = g._trees.get((lo, hi, allowed))
         if edges is not None:
             return SteinerTree(g, term_set, root, edges)
 
     adj = g._adj
     nodes = sorted(term_set)
-    label = [-1] * n
+    label = list(_start_labels(n, allowed))
     for t in nodes:
+        if label[t] == _OUTSIDE:
+            raise ValueError("a terminal lies outside the allowed nodes")
         label[t] = t
     members = {t: [t] for t in nodes}
     tree_edges: set[tuple[int, int]] = set()
@@ -375,14 +397,14 @@ def steiner_approx(
         depth = 0
         while best is None:
             if not queue:
-                raise ValueError(f"the nodes >= floor {floor} do not connect the terminals")
+                raise ValueError("the allowed nodes do not connect the terminals")
             next_queue = []
             for u in queue:
                 cu = comp[u]
                 for v in adj[u]:
                     cv = comp[v]
                     if cv < 0:
-                        if v >= floor:  # a node below the floor stays unclaimed
+                        if cv == -1:  # unclaimed; a node outside reads _OUTSIDE
                             comp[v] = cu
                             dist[v] = depth + 1
                             parent[v] = u
@@ -417,7 +439,7 @@ def steiner_approx(
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()
     if pair:
-        g._trees[lo, hi, floor] = tree.tree_edges
+        g._trees[lo, hi, allowed] = tree.tree_edges
     return tree
 
 

@@ -35,7 +35,7 @@ from .cnot_synth import (
     _synthesize_rowcol,
     plan_pre_transpose,
 )
-from .gf2 import BinaryMatrix, invert, is_invertible, multiply, simulate_cnot_circuit
+from .gf2 import BinaryMatrix, _bits, invert, is_invertible, multiply, simulate_cnot_circuit
 from .graphs import ConnectivityGraph, _check_width, steiner_approx
 
 
@@ -112,19 +112,41 @@ class SumOverPaths:
         return self.linear.dim
 
 
-def extract_sum_over_paths(c: Circuit) -> SumOverPaths:
-    """Walk a CNOT+RZ circuit, accumulating parities and rotation angles."""
-    wires = [1 << q for q in range(c.num_qubits)]
+def _read_path_sum(gates, wires: list[int]) -> tuple[dict[int, Angle], list[tuple[int, int]]]:
+    """Walk {CNOT, RZ, H} gates over parity masks: the one reader of
+    `extract_sum_over_paths` and of the path-sum check (`verify`).
+
+    `wires[q]` starts as the mask wire q holds over the variables and is
+    updated in place: a CNOT XORs its control's mask into its target's, and
+    an RZ adds its angle to the term of its wire's mask.  The k-th H, on
+    wire q, records (q, the mask it reads) and puts the fresh variable
+    bit len(wires) + k on the wire, for the phase (-1)^(mask·variable).
+    Returns the terms (mask to angle, zero angles kept) and the H records.
+    """
     terms: dict[int, Angle] = {}
-    for g in c.gates:
-        if g.kind == "cnot":
+    hs: list[tuple[int, int]] = []
+    fresh = len(wires)
+    for g in gates:
+        kind = g.kind
+        if kind == "cnot":
             wires[g.target] ^= wires[g.control]
-        elif g.kind == "rz":
+        elif kind == "rz":
             mask = wires[g.target]
             acc = terms.get(mask)
             terms[mask] = g.angle if acc is None else acc + g.angle
         else:
-            raise ValueError(f"gate {g.kind!r} is outside the CNOT+RZ set")
+            q = g.target
+            hs.append((q, wires[q]))
+            wires[q] = 1 << (fresh + len(hs) - 1)
+    return terms, hs
+
+
+def extract_sum_over_paths(c: Circuit) -> SumOverPaths:
+    """Walk a CNOT+RZ circuit, accumulating parities and rotation angles."""
+    wires = [1 << q for q in range(c.num_qubits)]
+    terms, hs = _read_path_sum(c.gates, wires)
+    if hs:
+        raise ValueError("gate 'h' is outside the CNOT+RZ set")
     phase = PhasePolynomial(c.num_qubits, terms)
     return SumOverPaths(phase, BinaryMatrix(c.num_qubits, tuple(wires)))
 
@@ -137,14 +159,6 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
     """
     n = s.num_qubits
     return sorted(s.phase.support(), key=lambda m: parity_to_bits(m, n))
-
-
-def _bits(mask: int):
-    """The set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class _NetworkState:
@@ -292,6 +306,25 @@ def synth_parity_network_constrained(
     return circuit, simulate_cnot_circuit(cnots)
 
 
+def _synthesize_up_to(
+    s: SumOverPaths, g: ConnectivityGraph, stop: frozenset[int] | None = None
+) -> tuple[Circuit, BinaryMatrix]:
+    """The one CNOT+RZ body: the parity network, then the RowCol fixup up
+    to the stop set.  Returns the circuit and the residual M that must
+    follow it to apply `s` exactly: the identity with no stop set, and a
+    map trivial on the stop wires otherwise (`_synthesize_rowcol`).
+
+    The network applies some linear map C, so the fixup target is
+    A·C⁻¹.  An instance with no phase terms skips the network, which
+    would emit no gate and apply C = I: the target is A itself.
+    """
+    if not s.phase.terms:
+        return _synthesize_rowcol(s.linear, g, stop)
+    network, c_matrix = synth_parity_network_constrained(s, g)
+    fixup, residual = _synthesize_rowcol(multiply(s.linear, invert(c_matrix)), g, stop)
+    return network.extended(fixup.gates), residual
+
+
 def synthesize_cnot_rz(
     s: SumOverPaths, g: ConnectivityGraph
 ) -> tuple[Circuit, SynthesisReport]:
@@ -307,15 +340,11 @@ def synthesize_cnot_rz(
     fixup is invertible by construction, so it needs no invertibility
     check.  An instance with no phase terms skips the network, which would
     emit no gate and apply C = I: its circuit is the RowCol synthesis of A.
-    Raises ValueError unless `s` has one qubit per graph node, the one
-    check `pipeline.run` makes of a sum-over-paths task.
+    This is `_synthesize_up_to` with no stop set.  Raises ValueError
+    unless `s` has one qubit per graph node, the one check `pipeline.run`
+    makes of a sum-over-paths task.
     """
     t0 = time.perf_counter()
     _check_width(s.num_qubits, g)
-    if s.phase.terms:
-        network, c_matrix = synth_parity_network_constrained(s, g)
-        fixup_target = multiply(s.linear, invert(c_matrix))
-        circuit = network.extended(_synthesize_rowcol(fixup_target, g).gates)
-    else:
-        circuit = _synthesize_rowcol(s.linear, g)
+    circuit, _ = _synthesize_up_to(s, g)
     return circuit, _report("steiner_rz", g.name, circuit, t0)

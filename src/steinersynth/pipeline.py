@@ -9,6 +9,7 @@ method is the public synthesizer for the task's type, called as it is.
 
 from __future__ import annotations
 
+import functools
 import time
 
 from .circuits import Circuit
@@ -27,6 +28,13 @@ from .optimizer import _fewest_cnots
 from .phase_synth import SumOverPaths, synthesize_cnot_rz
 from .universal import route_universal
 from .verify import Certificate, certify
+
+
+@functools.cache
+def _full_connectivity(n: int) -> ConnectivityGraph:
+    """One `complete_graph(n)` per width, for the CNOT+RZ templates
+    baseline, so that its memos outlive a single run."""
+    return complete_graph(n)
 
 
 def _candidates(task, g: ConnectivityGraph, method: str):
@@ -64,7 +72,7 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     if method == "pmh":
         raise ValueError("the pmh baseline needs a matrix task")
     if isinstance(task, SumOverPaths):
-        source, _ = synthesize_cnot_rz(task, complete_graph(g.node_count))
+        source, _ = synthesize_cnot_rz(task, _full_connectivity(g.node_count))
     else:  # a Circuit
         source = task
     # A baseline ignores connectivity, then expands each long-range CNOT.

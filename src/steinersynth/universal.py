@@ -3,13 +3,18 @@
 Hadamard gates break the phase-polynomial picture, so the circuit is cut
 into alternating H-only and CNOT+RZ segments.  A two-pass commutation
 heuristic grows the CNOT+RZ segments as large as possible, and the H gates
-pass through untouched (single-qubit gates need no routing).  Each CNOT+RZ
-segment has two candidates: its resynthesis against the coupling graph
-from its sum-over-paths form, and its own gates with every long-range CNOT
-expanded into a ladder of 4(l-1) edge CNOTs.  The one with fewer CNOTs
-before cleanup is kept, and the resynthesis wins ties.  So a route never
-has more CNOTs before cleanup than the template expansion of its
-H-reduced input, segment by segment.
+pass through untouched (single-qubit gates need no routing).  The route
+carries a pending linear residual across the H runs: each CNOT+RZ segment
+is resynthesized in the frame the gates emitted so far leave, and its
+fixup clears only the wires of the next H run, so the next segment takes
+over the rest; the last segment's fixup clears every wire.  When that
+route has more CNOTs before cleanup than the template expansion of the
+H-reduced input, a route that carries nothing is built as well, whose
+every segment implements its full linear map as the cheaper of its
+resynthesis and its own gates with every long-range CNOT expanded into a
+ladder of 4(l-1) edge CNOTs, and the route with fewer CNOTs is kept.  So a
+route never has more CNOTs before cleanup than the template expansion of
+its H-reduced input.
 """
 
 from __future__ import annotations
@@ -19,9 +24,17 @@ from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
+from .gf2 import BinaryMatrix
 from .graphs import ConnectivityGraph, _check_width
 from .optimizer import _fewest_cnots
-from .phase_synth import extract_sum_over_paths, synthesize_cnot_rz
+from .phase_synth import (
+    PhasePolynomial,
+    SumOverPaths,
+    _read_path_sum,
+    _synthesize_up_to,
+    extract_sum_over_paths,
+    synthesize_cnot_rz,
+)
 
 _S = Angle(1, 4)
 _SDG = Angle(3, 4)
@@ -181,10 +194,11 @@ def partition_segments(c: Circuit) -> list[Segment]:
 
 
 class _Expansion:
-    """A segment's template candidate: its own gates with each long-range
-    CNOT as its ladder (`expand_templates`).  Its CNOT count is read off
-    the graph's ladder memo, and its gates are built only when read, so a
-    segment whose resynthesis wins builds none."""
+    """A circuit's own gates with each long-range CNOT as its ladder
+    (`expand_templates`): a segment's template candidate, and the bound a
+    route's CNOT count is held to.  Its CNOT count is read off the graph's
+    ladder memo, and its gates are built only when read, so a segment
+    whose resynthesis wins builds none."""
 
     def __init__(self, own: Circuit, g: ConnectivityGraph):
         self.own, self.g = own, g
@@ -199,30 +213,85 @@ class _Expansion:
         return expand_templates(self.own, self.g).gates
 
 
+def _route_segmentwise(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
+    """The route that carries nothing across an H: every CNOT+RZ segment
+    becomes whichever of two exact, edge-legal candidates has fewer CNOTs,
+    its resynthesis by `synthesize_cnot_rz` from its phase-polynomial form
+    or its own gates with each long-range CNOT expanded into a 4(l-1)
+    ladder (`expand_templates`); on a tie the resynthesis is kept.  Each
+    segment implements its full linear transformation on the original
+    wires.  So it never has more CNOTs than the template expansion of its
+    segments."""
+    n = g.node_count
+    gates: list[Gate] = []
+    for seg in segments:
+        if seg.kind == "h_block":
+            gates.extend(seg.gates)
+            continue
+        own = Circuit(n, seg.gates)
+        resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
+        gates.extend(_fewest_cnots((resynth, _Expansion(own, g)), cleanup=False).gates)
+    return Circuit(n, tuple(gates))
+
+
+def _route_carrying(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
+    """The route that carries a pending linear residual R across H runs.
+
+    The gates emitted so far equal R applied after the input's prefix;
+    R starts as the identity, and only R⁻¹ is kept.  A CNOT+RZ segment
+    is read in the emitted frame: its wires start as the rows of R⁻¹, so
+    each parity p of its phase polynomial becomes p·R⁻¹ and its linear
+    part B becomes B·R⁻¹.  Its synthesis (`_synthesize_up_to`) ends with a
+    fixup that eliminates only the wires of the next H run, every H block
+    up to the next CNOT+RZ segment, and returns the new R⁻¹, trivial on
+    those wires, so each H commutes with R and meets the parity it meets
+    in the input.  The last CNOT+RZ segment gets a full fixup, so R ends as
+    the identity and the output applies exactly the input, with no output
+    permutation.
+    """
+    n = g.node_count
+    r_inv = BinaryMatrix.identity(n)
+    cnot_at = [k for k, seg in enumerate(segments) if seg.kind == "cnot_block"]
+    after = dict(zip(cnot_at, cnot_at[1:]))  # the next CNOT+RZ segment
+    gates: list[Gate] = []
+    for k, seg in enumerate(segments):
+        if seg.kind == "h_block":
+            gates.extend(seg.gates)
+            continue
+        stop = None
+        if k in after:
+            run = segments[k + 1:after[k]]
+            stop = frozenset(gate.target for block in run for gate in block.gates)
+        wires = list(r_inv.rows)
+        terms, _ = _read_path_sum(seg.gates, wires)
+        frame = SumOverPaths(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
+        circuit, r_inv = _synthesize_up_to(frame, g, stop)
+        gates.extend(circuit.gates)
+    return Circuit(n, tuple(gates))
+
+
 def route_universal(
     c: Circuit, g: ConnectivityGraph
 ) -> tuple[Circuit, SynthesisReport]:
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
-    H segments pass through.  Every CNOT+RZ segment becomes whichever of
-    two exact, edge-legal candidates has fewer CNOTs: its resynthesis by
-    `synthesize_cnot_rz` from its phase-polynomial form, or its own gates
-    with each long-range CNOT expanded into a 4(l-1) ladder
-    (`expand_templates`); on a tie the resynthesis is kept.  Wire
-    numbering is the identity map throughout: each segment implements its
-    full linear transformation on the original wires.  Raises ValueError
-    unless `c` has one wire per graph node, the one check `pipeline.run`
-    makes of a circuit task under its Steiner method.
+    H segments pass through, and every CNOT+RZ segment is resynthesized
+    with the linear residual carried across the H runs
+    (`_route_carrying`): each segment's fixup clears only the wires of the
+    next H run, and the last one clears every wire.  When that route has
+    more CNOTs than the template expansion of the H-reduced input, the
+    segment-by-segment route (`_route_segmentwise`) is built too, and the
+    one with fewer CNOTs is kept.  So a route never has more CNOTs before
+    cleanup than the template expansion of its H-reduced input.  Wire
+    numbering is the identity map at both ends.  Raises ValueError unless
+    `c` has one wire per graph node, the one check `pipeline.run` makes of
+    a circuit task under its Steiner method.
     """
     t0 = time.perf_counter()
     _check_width(c.num_qubits, g)
-    gates: list[Gate] = []
-    for seg in partition_segments(merge_delete_h(c)):
-        if seg.kind == "h_block":
-            gates.extend(seg.gates)
-            continue
-        own = Circuit(c.num_qubits, seg.gates)
-        resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
-        gates.extend(_fewest_cnots((resynth, _Expansion(own, g)), cleanup=False).gates)
-    circuit = Circuit(c.num_qubits, tuple(gates))
+    reduced = merge_delete_h(c)
+    segments = partition_segments(reduced)
+    circuit = _route_carrying(segments, g)
+    if circuit.cnot_count > _Expansion(reduced, g).cnot_count:
+        circuit = _fewest_cnots((circuit, _route_segmentwise(segments, g)), cleanup=False)
     return circuit, _report("route", g.name, circuit, t0)

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import steinersynth
-from steinersynth import cli, pipeline
+from steinersynth import cli, pipeline, verify
 from steinersynth import emit_circuit, emit_graph, emit_matrix, random_invertible
 from steinersynth.bench import (
     DEFAULT_GATE_PROBS,
@@ -18,7 +18,7 @@ from steinersynth.bench import (
     bench_sparseness,
     random_universal_circuit,
 )
-from steinersynth.circuits import Circuit, cnot
+from steinersynth.circuits import Angle, Circuit, cnot, rz
 from steinersynth.cli import main
 from steinersynth.cnot_synth import SynthesisReport
 from steinersynth.graphs import line_graph, random_connected_graph
@@ -137,12 +137,20 @@ def test_bench_h_ratio_smoke():
     assert out == bench_h_ratio(line_graph(5), **kw)
 
 
-def test_bench_h_ratio_marks_skipped_verification():
-    # Nine wires is above the dense unitary cap: a route with an RZ or H gets
-    # the edge-legality check only, so its row reads skip, yet it still enters
+def test_bench_h_ratio_marks_skipped_verification(monkeypatch):
+    # Nine wires is above the dense unitary cap, and the path sums prove
+    # every route: each row reads 1 and none is skipped.
+    kw = dict(trials=2, seed=7, gate_count=30, h_values=(0.0, 0.1))
+    out = bench_h_ratio(line_graph(9), **kw)
+    lines = out.splitlines()
+    assert [r.split(",")[-1] for r in lines[1:5]] == ["1"] * 4
+    assert lines[-1] == "# unverified_skip 0"
+    # With no path sum proven, a route with an RZ or H gets the
+    # edge-legality check only, so its row reads skip, yet it still enters
     # the means.  Trial 1 at p_h=0 drew only CNOTs, so it is still compared
     # over GF(2) and reads 1.
-    out = bench_h_ratio(line_graph(9), trials=2, seed=7, gate_count=30, h_values=(0.0, 0.1))
+    monkeypatch.setattr(verify, "_path_sum", lambda c: object())
+    out = bench_h_ratio(line_graph(9), **kw)
     lines = out.splitlines()
     rows = [ln for ln in lines[1:] if not ln.startswith("#")]
     assert [r.split(",")[-1] for r in rows] == ["skip", "1", "skip", "skip"]
@@ -248,6 +256,30 @@ def test_cli_verify_detects_difference(tmp_path):
     b.write_text(emit_circuit(Circuit(2, (cnot(1, 0),))))
     res = runner.invoke(main, ["verify", str(a), str(b)])
     assert res.exit_code == 1
+
+
+def test_cli_verify_proves_a_9_wire_route_by_path_sum_and_says_not_proven(tmp_path):
+    # Above the dense unitary cap a route is proven by path sum.  The
+    # half-turn identity is unitary-equal to the empty circuit but has
+    # another path sum: that is "not proven", an input error (exit 2),
+    # in auto and pathsum mode alike, never a verification failure.
+    runner = CliRunner()
+    circ, out = tmp_path / "c.txt", tmp_path / "out.txt"
+    circ.write_text(emit_circuit(random_universal_circuit(
+        9, 200, {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}, 3)))
+    res = runner.invoke(main, ["route", "--circuit", str(circ), "--arch", "line(9)",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["verify", str(circ), str(out)])
+    assert res.exit_code == 0 and "mode=pathsum equivalent=True" in res.output
+    half = Angle(1, 2)
+    a, empty = tmp_path / "half.txt", tmp_path / "empty.txt"
+    a.write_text(emit_circuit(Circuit(9, (rz(half, 0), rz(half, 1), cnot(0, 1), rz(half, 1),
+                                          cnot(0, 1)))))
+    empty.write_text(emit_circuit(Circuit(9)))
+    for mode in ("auto", "pathsum"):
+        res = runner.invoke(main, ["verify", "--mode", mode, str(a), str(empty)])
+        assert res.exit_code == 2 and "not proven" in res.output, mode
 
 
 def test_cli_synth_phase_from_files(tmp_path):

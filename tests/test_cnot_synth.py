@@ -671,11 +671,12 @@ def test_first_pass_trees_lie_inside_the_unfinished_rows(monkeypatch):
     floors = []
     real = cnot_synth.steiner_approx
 
-    def recorded(g, terminals, root=None, floor=None):
-        tree = real(g, terminals, root, floor)
-        if floor is not None:
+    def recorded(g, terminals, root=None, allowed=None):
+        tree = real(g, terminals, root, allowed)
+        if allowed is not None:
+            floor = min(terminals)
             floors.append(floor)
-            assert floor == root == min(terminals)
+            assert floor == root and allowed == ((1 << g.node_count) - 1) >> floor << floor
             assert min(tree.nodes) == floor
         return tree
 
@@ -702,7 +703,7 @@ def rowcol_ops(a, g):
     with, in execution order, both in the graph's elimination labels."""
     rows, _, arcs = cnot_synth._in_elimination_labels(a, g)
     arc_of = {gate: arc for arc, gate in arcs.items()}
-    circ = cnot_synth._synthesize_rowcol(a, g)
+    circ, _ = cnot_synth._synthesize_rowcol(a, g)
     return rows, [arc_of[gate] for gate in reversed(circ.gates)]
 
 
@@ -726,7 +727,8 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
         n = g.node_count
         for seed in range(4 if n < 72 else 1):
             a = random_invertible(n, 17 * n + seed)
-            circ = cnot_synth._synthesize_rowcol(a, g)
+            circ, residual = cnot_synth._synthesize_rowcol(a, g)
+            assert residual == BinaryMatrix.identity(n)
             assert simulate_cnot_circuit(circ) == a, (g.name, seed)
             assert edge_legal(circ, g), (g.name, seed)
             assert all(gate is g._arcs[gate.qubits] for gate in circ.gates)
@@ -734,7 +736,7 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
 
 def test_rowcol_identity_emits_no_gate():
     for g in rowcol_graphs():
-        assert cnot_synth._synthesize_rowcol(BinaryMatrix.identity(g.node_count), g).gates == ()
+        assert cnot_synth._synthesize_rowcol(BinaryMatrix.identity(g.node_count), g)[0].gates == ()
 
 
 def test_rowcol_repairs_zero_pivots_inside_the_tree():
@@ -748,7 +750,7 @@ def test_rowcol_repairs_zero_pivots_inside_the_tree():
         for a in zero_pivot_matrices(n, rng):
             rows, _, _ = cnot_synth._in_elimination_labels(a, g)
             assert not any((r >> i) & 1 for i, r in enumerate(rows)), g.name
-            circ = cnot_synth._synthesize_rowcol(a, g)
+            circ, _ = cnot_synth._synthesize_rowcol(a, g)
             assert simulate_cnot_circuit(circ) == a and edge_legal(circ, g), g.name
 
 
@@ -779,10 +781,11 @@ def test_rowcol_builds_two_floored_trees_per_vertex_and_no_plan(monkeypatch):
     trees = []
     real = cnot_synth.steiner_approx
 
-    def recorded(g, terminals, root=None, floor=None):
-        assert floor == root == min(terminals)
-        trees.append(floor)
-        return real(g, terminals, root, floor)
+    def recorded(g, terminals, root=None, allowed=None):
+        assert root == min(terminals)
+        assert allowed == ((1 << g.node_count) - 1) >> root << root
+        trees.append(root)
+        return real(g, terminals, root, allowed)
 
     def no_plan(tree):
         raise AssertionError("RowCol builds no ladder or restoring plan")

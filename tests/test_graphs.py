@@ -382,6 +382,11 @@ def fresh_copy(g):
     return ConnectivityGraph(g.node_count, g.edges, name=g.name)
 
 
+def from_label(g, i: int) -> int:
+    """The allowed-node mask of the labels >= i: a floor at i."""
+    return ((1 << g.node_count) - 1) >> i << i
+
+
 def every_pair_call(g):
     """(terminals, root) of every two-terminal call: each pair with its
     smaller end, its larger end and the default as root."""
@@ -393,7 +398,7 @@ def every_pair_call(g):
 def test_pair_tree_memo_returns_the_tree_a_fresh_graph_builds(g):
     for terminals, root in every_pair_call(g):
         got = steiner_approx(g, terminals, root)
-        assert (min(terminals), max(terminals), 0) in g._trees
+        assert (min(terminals), max(terminals), from_label(g, 0)) in g._trees
         again = steiner_approx(g, terminals, root)
         want = steiner_approx(fresh_copy(g), terminals, root)
         for tree in (got, again):
@@ -408,8 +413,8 @@ def test_pair_tree_memo_holds_one_edge_set_per_pair(g):
         steiner_approx(g, terminals, root)
         assert len(g._trees) <= n * (n - 1) // 2
     assert len(g._trees) == n * (n - 1) // 2
-    for (lo, hi, floor), edges in g._trees.items():
-        assert lo < hi and floor == 0 and isinstance(edges, frozenset)
+    for (lo, hi, allowed), edges in g._trees.items():
+        assert lo < hi and allowed == from_label(g, 0) and isinstance(edges, frozenset)
         assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
 
 
@@ -449,7 +454,7 @@ def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
             plan_post_transpose(tree)
     assert [tree._adj for tree in trees] == snapshot
     # Synthesis may add floored entries; the unfloored ones stay as they were.
-    assert {key: edges for key, edges in g._trees.items() if key[2] == 0} == memo
+    assert {key: edges for key, edges in g._trees.items() if key[2] == from_label(g, 0)} == memo
 
 
 def elimination_graph(g):
@@ -464,10 +469,11 @@ def test_floored_tree_has_no_node_below_its_pivot(g):
     rng = random.Random(h.node_count)
     for terminals in random_terminal_sets(h, rng, 60):
         floor = min(terminals)
-        tree = steiner_approx(h, terminals, root=floor, floor=floor)
+        tree = steiner_approx(h, terminals, root=floor, allowed=from_label(h, floor))
         tree.validate()
         assert min(tree.nodes) == floor, sorted(terminals)
-        again = steiner_approx(fresh_copy(h), terminals, root=floor, floor=floor)
+        again = steiner_approx(fresh_copy(h), terminals, root=floor,
+                               allowed=from_label(h, floor))
         assert tree == again and tree._adj == again._adj
         # A floor at 0 leaves every node open: the unfloored tree.
         if floor == 0:
@@ -479,22 +485,24 @@ def test_floored_pair_trees_have_their_own_memo():
     # floor at 1 shuts node 0 out, when it joins through 3.
     g = grid_graph(2, 2)
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
-    floored = steiner_approx(g, {1, 2}, root=2, floor=1)
+    floored = steiner_approx(g, {1, 2}, root=2, allowed=0b1110)
     assert floored.tree_edges == {(1, 3), (2, 3)} and floored.root == 2
     assert g._trees == {
-        (1, 2, 0): frozenset({(0, 1), (0, 2)}),
-        (1, 2, 1): frozenset({(1, 3), (2, 3)}),
+        (1, 2, 0b1111): frozenset({(0, 1), (0, 2)}),
+        (1, 2, 0b1110): frozenset({(1, 3), (2, 3)}),
     }
-    assert steiner_approx(g, {1, 2}, floor=1) == steiner_approx(g, {1, 2}, root=1, floor=1)
+    assert steiner_approx(g, {1, 2}, allowed=0b1110) == steiner_approx(
+        g, {1, 2}, root=1, allowed=0b1110)
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
-    for floor in (0, 2):
-        with pytest.raises(ValueError, match=f"^floor {floor} is not the smallest terminal 1$"):
-            steiner_approx(g, {1, 3}, floor=floor)
-    assert set(g._trees) == {(1, 2, 0), (1, 2, 1)}
-    # A floor at 0 searches as no floor does, so it reads the unfloored
-    # entry: an edge set planted there for the pair (0, 3) comes back.
-    g._trees[0, 3, 0] = planted = frozenset({(0, 2), (2, 3)})
-    assert steiner_approx(g, {0, 3}, root=3, floor=0).tree_edges == planted
+    # A mask must hold every terminal: one from label 2 leaves terminal 1 out.
+    with pytest.raises(ValueError, match="^a terminal lies outside the allowed nodes$"):
+        steiner_approx(g, {1, 3}, allowed=0b1100)
+    assert set(g._trees) == {(1, 2, 0b1111), (1, 2, 0b1110)}
+    # Allowing every node searches as giving no mask does, so it reads the
+    # unrestricted entry: an edge set planted there for the pair (0, 3)
+    # comes back.
+    g._trees[0, 3, 0b1111] = planted = frozenset({(0, 2), (2, 3)})
+    assert steiner_approx(g, {0, 3}, root=3, allowed=0b1111).tree_edges == planted
 
 
 @pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
@@ -502,18 +510,18 @@ def test_floored_pair_memo_holds_one_edge_set_per_pair(g):
     h = elimination_graph(g)
     n = h.node_count
     for lo, hi, root in [(a, b, r) for a in range(n) for b in range(a + 1, n) for r in (a, b)]:
-        steiner_approx(h, {lo, hi}, root=root, floor=lo)
+        steiner_approx(h, {lo, hi}, root=root, allowed=from_label(h, lo))
         assert len(h._trees) <= n * (n - 1) // 2
     assert len(h._trees) == n * (n - 1) // 2
-    for (lo, hi, floor), edges in h._trees.items():
-        assert floor == lo
-        assert edges == steiner_approx(fresh_copy(h), {lo, hi}, floor=lo).tree_edges
+    for (lo, hi, allowed), edges in h._trees.items():
+        assert allowed == from_label(h, lo)
+        assert edges == steiner_approx(fresh_copy(h), {lo, hi}, allowed=allowed).tree_edges
         assert min(v for e in edges for v in e) == lo
 
 
 def test_a_floor_that_separates_the_terminals_is_an_input_error():
     # A star with centre 0: above floor 1 the leaves 1 and 2 share no path.
     star = ConnectivityGraph(4, frozenset({(0, 1), (0, 2), (0, 3)}), name="star4")
-    with pytest.raises(ValueError, match="^the nodes >= floor 1 do not connect the terminals$"):
-        steiner_approx(star, {1, 2}, root=1, floor=1)
+    with pytest.raises(ValueError, match="^the allowed nodes do not connect the terminals$"):
+        steiner_approx(star, {1, 2}, root=1, allowed=0b1110)
     assert steiner_approx(star, {1, 2}).tree_edges == {(0, 1), (0, 2)}

@@ -38,10 +38,10 @@ def drop_last(c: Circuit) -> Circuit:
 
 @pytest.mark.parametrize("n", [5, UNITARY_QUBIT_CAP - 1, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 1])
 def test_run_certifies_each_task_kind(n):
-    # Routes are compared as dense unitaries up to the cap, at 7 and 8 wires
-    # included; above it only their edges are checked.
+    # Routes are proven by path sum at every width, below and above the
+    # dense unitary cap alike.
     g = line_graph(n)
-    routed_mode = "unitary" if n <= UNITARY_QUBIT_CAP else "edges"
+    routed_mode = "pathsum"
     tasks = {
         "gf2": random_invertible(n, 3),
         "sum-over-paths": phase_task(n, 4),
@@ -237,9 +237,10 @@ def test_certify_rejects_a_non_edge_cnot_and_a_wrong_unitary():
     g = line_graph(5)
     c = random_universal_circuit(5, 40, PROBS, 10)
     routed, _, _ = run(c, g)
-    # cnot(0, 2) cancels itself, so only the edge check can catch it.
+    # cnot(0, 2) cancels itself, so only the edge check can catch it: the
+    # path sum proves the unitary right.
     detour = routed.extended((cnot(0, 2), cnot(0, 2)))
-    assert certify(c, detour, g) == ("unitary", False)
+    assert certify(c, detour, g) == ("pathsum", False)
     assert certify(c, routed.extended((h(3),)), g) == ("unitary", False)
     # Above the unitary cap only the edges are checked.
     wide = random_universal_circuit(UNITARY_QUBIT_CAP + 1, 40, PROBS, 11)
@@ -367,8 +368,9 @@ def test_each_matrix_task_is_checked_once_and_no_fixup_is(invertibility_checks):
 
 
 def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monkeypatch):
-    # Each CNOT+RZ segment of a route is one `synthesize_cnot_rz` call, and
-    # `run` names its method after the report of the synthesizer it called.
+    # Each CNOT+RZ segment of the no-carry route is one `synthesize_cnot_rz`
+    # call, and `run` names its method after the report of the synthesizer
+    # it called.
     calls = []
     real = universal.synthesize_cnot_rz
     monkeypatch.setattr(universal, "synthesize_cnot_rz", lambda s, g: calls.append(s) or real(s, g))
@@ -377,6 +379,10 @@ def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monke
     segments = [seg for seg in partition_segments(merge_delete_h(c)) if seg.kind == "cnot_block"]
     _, report, cert = run(c, g)
     assert cert.ok and report.method == "route"
+    # The route that carries no residual across an H, the fallback of
+    # `route_universal`, resynthesizes each segment on the original wires.
+    calls.clear()
+    universal._route_segmentwise(partition_segments(merge_delete_h(c)), g)
     assert len(calls) == len(segments) > 1
     assert calls == [extract_sum_over_paths(Circuit(6, seg.gates)) for seg in segments]
 

@@ -6,21 +6,28 @@ import numpy as np
 import pytest
 
 from steinersynth import (
+    BinaryMatrix,
+    builtin_architecture,
     merge_delete_h,
+    multiply,
     partition_segments,
     random_connected_graph,
+    random_invertible,
     route_universal,
+    run,
+    simulate_cnot_circuit,
 )
-from steinersynth.bench import random_universal_circuit
+from steinersynth.bench import prefix_subgraph, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
-from steinersynth.cnot_synth import expand_templates
-from steinersynth.graphs import complete_graph, line_graph
-from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
+from steinersynth.cnot_synth import _synthesize_rowcol, expand_templates
+from steinersynth.graphs import complete_graph, grid_graph, line_graph
+from steinersynth.phase_synth import _read_path_sum, extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.unitary import circuit_unitary
 from steinersynth import universal
 from steinersynth.universal import Segment
-from steinersynth.verify import edge_legal, verify_equivalence
+from steinersynth.verify import certify, edge_legal, verify_equivalence
 from conftest import all_gates_up_to, commutes
+from structured import cuccaro_adder, qaoa, toffoli_chain
 
 
 def test_commutes_sound_against_matrices():
@@ -257,6 +264,12 @@ def test_route_on_a_complete_graph_keeps_the_input_cnot_count_as_a_bound():
     assert routed.cnot_count <= c.cnot_count
 
 
+def no_carry(c: Circuit, g) -> Circuit:
+    """The route that carries no residual across an H, the fallback of
+    `route_universal`: each segment as the cheaper of its two candidates."""
+    return universal._route_segmentwise(partition_segments(merge_delete_h(c)), g)
+
+
 def reference_route(c: Circuit, g) -> Circuit:
     """Each CNOT+RZ segment of the H-reduced circuit as its resynthesis
     unless its ladder expansion has strictly fewer CNOTs."""
@@ -279,7 +292,7 @@ def test_route_keeps_each_segments_cheaper_candidate_and_ties_go_to_resynthesis(
         probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": 0.15, "cnot": 0.79}
         c = random_universal_circuit(n, 80, probs, 700 + trial)
         for g in _route_graphs(rng, n, trial):
-            assert emit_circuit(route_universal(c, g)[0]) == emit_circuit(reference_route(c, g))
+            assert emit_circuit(no_carry(c, g)) == emit_circuit(reference_route(c, g))
 
 
 def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
@@ -304,8 +317,108 @@ def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
                     if templates.cnot_count < resynth.cnot_count:
                         wins.append(own)
             built.clear()
-            route_universal(c, g)
+            no_carry(c, g)
             assert built == wins, (trial, g.name)
+
+
+def carry(c: Circuit, g) -> Circuit:
+    """The route that carries the linear residual across H runs."""
+    return universal._route_carrying(partition_segments(merge_delete_h(c)), g)
+
+
+def h_mix(p_h: float) -> dict:
+    return {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
+
+
+def structured_graphs() -> list:
+    return [prefix_subgraph(builtin_architecture("tokyo20"), 16), grid_graph(4, 4), line_graph(16)]
+
+
+def test_carry_routes_are_exact_and_edge_legal():
+    # Every width from 3 to the unitary cap, on a line, a random graph and
+    # the complete graph.  When the carry route needs no more CNOTs than
+    # the template expansion, it is the route.
+    rng = random.Random(41)
+    for trial in range(24):
+        n = rng.randint(3, 8)
+        c = random_universal_circuit(n, 80, h_mix(rng.uniform(0.05, 0.3)), 1200 + trial)
+        for g in (line_graph(n), *_route_graphs(rng, n, trial)):
+            routed = carry(c, g)
+            assert edge_legal(routed, g), (trial, g.name)
+            assert verify_equivalence(c, routed, "unitary").equivalent, (trial, g.name)
+            if routed.cnot_count <= expand_templates(merge_delete_h(c), g).cnot_count:
+                assert route_universal(c, g)[0] == routed, (trial, g.name)
+
+
+def test_each_h_of_a_carry_route_reads_the_parity_it_reads_in_the_input():
+    # The residual is trivial on every wire of the next H run, so the k-th
+    # H of the route reads the mask the k-th H of the H-reduced input
+    # reads, every rotation lands on the input's parity, and the route
+    # ends on the input's wires, with no output permutation.
+    for n, seed in ((6, 1), (9, 2), (16, 3)):
+        c = random_universal_circuit(n, 300, h_mix(0.15), seed)
+        reduced = merge_delete_h(c)
+        for g in (line_graph(n), random_connected_graph(n, 0.3, seed)):
+            read = []
+            for circuit in (reduced, carry(c, g)):
+                wires = [1 << q for q in range(n)]
+                terms, hs = _read_path_sum(circuit.gates, wires)
+                read.append((wires, hs, {m: a for m, a in terms.items() if not a.is_zero}))
+            assert read[0][1], (n, g.name)
+            assert read[1] == read[0], (n, g.name)
+
+
+def test_a_partial_fixup_leaves_the_stop_wires_unit_in_the_residual():
+    # The fixup F followed by the residual M applies the matrix, and M's
+    # row and column of every stop wire are unit vectors, so an H on one
+    # commutes with M.  With every wire a stop wire, M is the identity.
+    rng = random.Random(43)
+    graphs = [line_graph(7), grid_graph(3, 3), complete_graph(6),
+              random_connected_graph(10, 0.3, 2), *structured_graphs()]
+    for g in graphs:
+        n = g.node_count
+        for seed in range(6):
+            a = random_invertible(n, 31 * n + seed)
+            stop = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            fixup, residual = _synthesize_rowcol(a, g, stop)
+            assert edge_legal(fixup, g), (g.name, seed)
+            assert multiply(residual, simulate_cnot_circuit(fixup)) == a, (g.name, seed)
+            for q in stop:
+                column = [(row >> q) & 1 for row in residual.rows]
+                assert residual.rows[q] == 1 << q and sum(column) == 1, (g.name, seed, q)
+            if len(stop) == n:
+                assert residual == BinaryMatrix.identity(n)
+
+
+def test_a_16_wire_route_is_certified_by_path_sum():
+    # Above the dense unitary cap, a route is proven exactly, not only
+    # checked for edge legality.
+    for g in structured_graphs():
+        c = random_universal_circuit(16, 600, h_mix(0.1), 5)
+        routed, _, cert = run(c, g)
+        assert cert == ("pathsum", True), g.name
+        assert routed.count("h") > 0
+
+
+def test_structured_routes_need_no_more_cnots_than_template_expansion():
+    # Toffoli chains, QAOA layers and an adder cut into short segments,
+    # where the template ladders are strong; each route is proven by path
+    # sum at 16 wires.
+    for c in (toffoli_chain(16, 12, 2), qaoa(16, 24, 2, 1), cuccaro_adder(7)):
+        for g in structured_graphs():
+            routed, _ = route_universal(c, g)
+            bound = expand_templates(merge_delete_h(c), g).cnot_count
+            assert routed.cnot_count <= bound, g.name
+            assert certify(c, routed, g) == ("pathsum", True), g.name
+
+
+def test_a_toffoli_chain_falls_back_to_the_no_carry_route_byte_for_byte():
+    # Each Toffoli's segments are short, and carrying the residual costs
+    # more than the ladders do, so the route is the no-carry one.
+    c = toffoli_chain(16, 48, 1)
+    for g in structured_graphs():
+        assert carry(c, g).cnot_count > expand_templates(merge_delete_h(c), g).cnot_count
+        assert emit_circuit(route_universal(c, g)[0]) == emit_circuit(no_carry(c, g)), g.name
 
 
 def test_route_wire_count_mismatch():

@@ -9,9 +9,11 @@ import pytest
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.gf2 import random_invertible, simulate_cnot_circuit
 from steinersynth.graphs import line_graph
+from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import extract_sum_over_paths
 from steinersynth.unitary import UNITARY_QUBIT_CAP, apply_circuit, circuit_unitary
-from steinersynth.verify import certify, verify_equivalence
+from steinersynth.universal import merge_delete_h
+from steinersynth.verify import EquivalenceReport, _path_sum, certify, verify_equivalence
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -100,11 +102,20 @@ def test_auto_mode_checks_cnot_only_pairs_over_gf2_at_any_width():
     assert (rep.mode, rep.equivalent) == ("gf2", False)
 
 
+def half_turn_identity(n: int) -> Circuit:
+    """RZ(1/2) on wire 0, on wire 1 and on the parity 0^1: the identity,
+    whose path sum is not the empty circuit's."""
+    half = Angle(1, 2)
+    return Circuit(n, (rz(half, 0), rz(half, 1), cnot(0, 1), rz(half, 1), cnot(0, 1)))
+
+
 def test_auto_mode_raises_above_the_cap_unless_cnot_only():
+    # Above the cap, a pair that is not CNOT-only and that the path sums
+    # do not prove equal has no exact check.
     n = UNITARY_QUBIT_CAP + 1
-    a = Circuit(n, (cnot(0, 1), h(2)))
+    a = half_turn_identity(n)
     with pytest.raises(ValueError, match="capped at"):
-        verify_equivalence(a, a)
+        verify_equivalence(a, Circuit(n))
     with pytest.raises(ValueError, match="unknown mode"):
         verify_equivalence(Circuit(2), Circuit(2), "sum-over-paths")
 
@@ -131,15 +142,80 @@ def test_certify_fails_a_circuit_of_another_width(delta):
     # pair whose widths differ.  The same gates at the task's width pass.
     g = line_graph(UNITARY_QUBIT_CAP + 2)
     phase_gates = (rz(Angle(1, 8), 0), cnot(0, 1))
+    # A pair of circuits of one width is proven by path sum; with the
+    # widths apart no path sum proves it, so it falls through to the dense
+    # check up to the cap and to the edges above.
     mixed = (cnot(0, 1), h(1), rz(Angle(1, 8), 0))
     for n in (3, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 1):
         mode = "unitary" if n <= UNITARY_QUBIT_CAP else "edges"
         tasks = [
-            (simulate_cnot_circuit(Circuit(n, (cnot(0, 1),))), (cnot(0, 1),), "gf2"),
-            (extract_sum_over_paths(Circuit(n, phase_gates)), phase_gates, "sum-over-paths"),
-            (Circuit(n, (cnot(0, 1),)), (cnot(0, 1),), "gf2"),
-            (Circuit(n, mixed), mixed, mode),
+            (simulate_cnot_circuit(Circuit(n, (cnot(0, 1),))), (cnot(0, 1),), "gf2", "gf2"),
+            (extract_sum_over_paths(Circuit(n, phase_gates)), phase_gates, "sum-over-paths",
+             "sum-over-paths"),
+            (Circuit(n, (cnot(0, 1),)), (cnot(0, 1),), "gf2", "gf2"),
+            (Circuit(n, mixed), mixed, "pathsum", mode),
         ]
-        for task, gates, want in tasks:
+        for task, gates, want, other in tasks:
             assert certify(task, Circuit(n, gates), g) == (want, True), (n, want)
-            assert certify(task, Circuit(n + delta, gates), g) == (want, False), (n, want)
+            assert certify(task, Circuit(n + delta, gates), g) == (other, False), (n, other)
+
+
+def test_path_sums_prove_cleaned_circuits_and_only_equal_ones():
+    # Heavy S/T/H mixes up to 6 wires: every pair the path sums prove is
+    # unitary-equal, most cleaned and H-reduced copies are proven against
+    # the input itself, and no single-gate deletion is proven.
+    rng = random.Random(12)
+    proven = 0
+    for trial in range(120):
+        n = rng.randint(1, 6)
+        c = random_circuit(n, 40, 500 + trial)
+        cleaned = cancel_pass(merge_delete_h(c))
+        rep = verify_equivalence(c, cleaned)
+        assert rep.equivalent, trial
+        proven += rep.mode == "pathsum"
+        for _ in range(3):
+            if not len(cleaned):
+                break
+            k = rng.randrange(len(cleaned))
+            mutant = Circuit(n, cleaned.gates[:k] + cleaned.gates[k + 1:])
+            if _path_sum(mutant) == _path_sum(c):
+                assert verify_equivalence(c, mutant, "unitary").equivalent, trial
+    assert proven >= 110
+
+
+def test_the_omega_rule_proves_an_s_sandwich():
+    # H·S·H = Sdg·H·Sdg and H·Sdg·H = S·H·S, up to a global phase, inside
+    # a larger circuit too.
+    s, sdg = Angle(1, 4), Angle(3, 4)
+    for a, b in ((s, sdg), (sdg, s)):
+        left = Circuit(2, (cnot(0, 1), h(1), rz(a, 1), h(1), cnot(1, 0)))
+        right = Circuit(2, (cnot(0, 1), rz(b, 1), h(1), rz(b, 1), cnot(1, 0)))
+        rep = verify_equivalence(left, right, "pathsum")
+        assert rep == EquivalenceReport("pathsum", True, 0.0)
+    t_sandwich = Circuit(1, (h(0), rz(Angle(1, 8), 0), h(0)))
+    with pytest.raises(ValueError, match="^not proven"):
+        verify_equivalence(t_sandwich, Circuit(1, (rz(Angle(7, 8), 0), h(0), rz(Angle(7, 8), 0))),
+                           "pathsum")
+
+
+def test_an_unproven_pair_falls_through_and_is_never_a_disproof():
+    # The half-turn identity is unitary-equal to the empty circuit, but its
+    # path sum differs: auto mode falls through to the dense check up to
+    # the cap, and certify to the edges above it; pathsum mode says "not
+    # proven" instead of reporting the pair unequal.
+    g = line_graph(UNITARY_QUBIT_CAP + 1)
+    for n in (2, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 1):
+        a, empty = half_turn_identity(n), Circuit(n)
+        with pytest.raises(ValueError, match="^not proven: the path sums differ;"):
+            verify_equivalence(a, empty, "pathsum")
+        if n <= UNITARY_QUBIT_CAP:
+            rep = verify_equivalence(a, empty)
+            assert (rep.mode, rep.equivalent) == ("unitary", True)
+            assert certify(a, empty, line_graph(n)) == ("unitary", True)
+        else:
+            assert certify(a, empty, g) == ("edges", True)
+    # A path-sum proof at any width.
+    n = UNITARY_QUBIT_CAP + 8
+    c = random_circuit(n, 300, 7)
+    rep = verify_equivalence(c, cancel_pass(merge_delete_h(c)))
+    assert rep == EquivalenceReport("pathsum", True, 0.0)

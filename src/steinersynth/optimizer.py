@@ -254,9 +254,7 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
 def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
     """The candidate with the fewest CNOTs, each one cleaned first when
     `cleanup` is set; the first wins ties.  `pipeline.run` picks a task's
-    circuit with it, and `universal` a route and, in a route that carries
-    no residual, each CNOT+RZ segment's gates, where the template candidate
-    only counts its CNOTs (`cnot_count`) until its gates are read."""
+    circuit with it."""
     if cleanup:
         candidates = map(cancel_pass, candidates)
     return min(candidates, key=attrgetter("cnot_count"))

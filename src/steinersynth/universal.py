@@ -9,12 +9,13 @@ is resynthesized in the frame the gates emitted so far leave, and its
 fixup clears only the wires of the next H run, so the next segment takes
 over the rest; the last segment's fixup clears every wire.  When that
 route has more CNOTs before cleanup than the template expansion of the
-H-reduced input, a route that carries nothing is built as well, whose
-every segment implements its full linear map as the cheaper of its
-resynthesis and its own gates with every long-range CNOT expanded into a
-ladder of 4(l-1) edge CNOTs, and the route with fewer CNOTs is kept.  So a
-route never has more CNOTs before cleanup than the template expansion of
-its H-reduced input.
+H-reduced input, the route that carries nothing is returned instead: its
+every segment implements its full linear map as its resynthesis, or as
+its own gates with every long-range CNOT expanded into a ladder of 4(l-1)
+edge CNOTs when that has strictly fewer CNOTs.  The segments hold exactly
+the H-reduced input's gates, so that route never has more CNOTs than the
+expansion, and no route has more CNOTs before cleanup than the template
+expansion of its H-reduced input.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
 from .gf2 import BinaryMatrix
 from .graphs import ConnectivityGraph, _check_width
-from .optimizer import _fewest_cnots
 from .phase_synth import (
     PhasePolynomial,
     SumOverPaths,
     _read_path_sum,
     _synthesize_up_to,
-    extract_sum_over_paths,
     synthesize_cnot_rz,
 )
 
@@ -193,61 +192,36 @@ def partition_segments(c: Circuit) -> list[Segment]:
     ]
 
 
-class _Expansion:
-    """A circuit's own gates with each long-range CNOT as its ladder
-    (`expand_templates`): a segment's template candidate, and the bound a
-    route's CNOT count is held to.  Its CNOT count is read off the graph's
-    ladder memo, and its gates are built only when read, so a segment
-    whose resynthesis wins builds none."""
-
-    def __init__(self, own: Circuit, g: ConnectivityGraph):
-        self.own, self.g = own, g
-
-    @property
-    def cnot_count(self) -> int:
-        pairs = (gate.qubits for gate in self.own.gates if gate.kind == "cnot")
-        return _expanded_cnot_count(pairs, self.g)
-
-    @property
-    def gates(self) -> tuple[Gate, ...]:
-        return expand_templates(self.own, self.g).gates
+def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
+    """The CNOT count of `expand_templates` on these gates, read off the
+    graph's ladder memo without building a gate."""
+    return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 
-def _route_segmentwise(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
-    """The route that carries nothing across an H: every CNOT+RZ segment
-    becomes whichever of two exact, edge-legal candidates has fewer CNOTs,
-    its resynthesis by `synthesize_cnot_rz` from its phase-polynomial form
-    or its own gates with each long-range CNOT expanded into a 4(l-1)
-    ladder (`expand_templates`); on a tie the resynthesis is kept.  Each
-    segment implements its full linear transformation on the original
-    wires.  So it never has more CNOTs than the template expansion of its
-    segments."""
-    n = g.node_count
-    gates: list[Gate] = []
-    for seg in segments:
-        if seg.kind == "h_block":
-            gates.extend(seg.gates)
-            continue
-        own = Circuit(n, seg.gates)
-        resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
-        gates.extend(_fewest_cnots((resynth, _Expansion(own, g)), cleanup=False).gates)
-    return Circuit(n, tuple(gates))
+def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circuit:
+    """The one route loop: H blocks pass through, and each CNOT+RZ segment
+    is resynthesized in the frame the gates emitted so far leave.
 
+    The gates emitted so far equal a pending linear residual R applied
+    after the input's prefix; R starts as the identity, and only R⁻¹ is
+    kept.  A CNOT+RZ segment is read in the emitted frame: its wires start
+    as the rows of R⁻¹, so each parity p of its phase polynomial becomes
+    p·R⁻¹ and its linear part B becomes B·R⁻¹.
 
-def _route_carrying(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
-    """The route that carries a pending linear residual R across H runs.
-
-    The gates emitted so far equal R applied after the input's prefix;
-    R starts as the identity, and only R⁻¹ is kept.  A CNOT+RZ segment
-    is read in the emitted frame: its wires start as the rows of R⁻¹, so
-    each parity p of its phase polynomial becomes p·R⁻¹ and its linear
-    part B becomes B·R⁻¹.  Its synthesis (`_synthesize_up_to`) ends with a
-    fixup that eliminates only the wires of the next H run, every H block
-    up to the next CNOT+RZ segment, and returns the new R⁻¹, trivial on
-    those wires, so each H commutes with R and meets the parity it meets
-    in the input.  The last CNOT+RZ segment gets a full fixup, so R ends as
-    the identity and the output applies exactly the input, with no output
+    With `carry`, its synthesis (`_synthesize_up_to`) ends with a fixup
+    that eliminates only the wires of the next H run, every H block up to
+    the next CNOT+RZ segment, and returns the new R⁻¹, trivial on those
+    wires, so each H commutes with R and meets the parity it meets in the
+    input.  The last CNOT+RZ segment gets a full fixup, so R ends as the
+    identity and the output applies exactly the input, with no output
     permutation.
+
+    Without `carry`, every fixup is full, so R stays the identity, and each
+    segment becomes its resynthesis (`synthesize_cnot_rz`) unless its own
+    gates with each long-range CNOT expanded into a 4(l-1) ladder
+    (`expand_templates`) have strictly fewer CNOTs; that expansion is built
+    only when it wins.  So this route never has more CNOTs than the
+    template expansion of its segments.
     """
     n = g.node_count
     r_inv = BinaryMatrix.identity(n)
@@ -258,14 +232,19 @@ def _route_carrying(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
         if seg.kind == "h_block":
             gates.extend(seg.gates)
             continue
-        stop = None
-        if k in after:
-            run = segments[k + 1:after[k]]
-            stop = frozenset(gate.target for block in run for gate in block.gates)
         wires = list(r_inv.rows)
         terms, _ = _read_path_sum(seg.gates, wires)
         frame = SumOverPaths(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
-        circuit, r_inv = _synthesize_up_to(frame, g, stop)
+        if carry:
+            stop = None
+            if k in after:
+                run = segments[k + 1:after[k]]
+                stop = frozenset(gate.target for block in run for gate in block.gates)
+            circuit, r_inv = _synthesize_up_to(frame, g, stop)
+        else:
+            circuit, _ = synthesize_cnot_rz(frame, g)
+            if _ladder_cnots(seg.gates, g) < circuit.cnot_count:
+                circuit = expand_templates(Circuit(n, seg.gates), g)
         gates.extend(circuit.gates)
     return Circuit(n, tuple(gates))
 
@@ -276,13 +255,13 @@ def route_universal(
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
     H segments pass through, and every CNOT+RZ segment is resynthesized
-    with the linear residual carried across the H runs
-    (`_route_carrying`): each segment's fixup clears only the wires of the
-    next H run, and the last one clears every wire.  When that route has
-    more CNOTs than the template expansion of the H-reduced input, the
-    segment-by-segment route (`_route_segmentwise`) is built too, and the
-    one with fewer CNOTs is kept.  So a route never has more CNOTs before
-    cleanup than the template expansion of its H-reduced input.  Wire
+    with the linear residual carried across the H runs (`_route` with
+    `carry`): each segment's fixup clears only the wires of the next H
+    run, and the last one clears every wire.  When that route has more
+    CNOTs than the template expansion of the H-reduced input, the route
+    that carries nothing (`_route` without `carry`) is returned instead,
+    which never has more.  So a route never has more CNOTs before cleanup
+    than the template expansion of its H-reduced input.  Wire
     numbering is the identity map at both ends.  Raises ValueError unless
     `c` has one wire per graph node, the one check `pipeline.run` makes of
     a circuit task under its Steiner method.
@@ -291,7 +270,7 @@ def route_universal(
     _check_width(c.num_qubits, g)
     reduced = merge_delete_h(c)
     segments = partition_segments(reduced)
-    circuit = _route_carrying(segments, g)
-    if circuit.cnot_count > _Expansion(reduced, g).cnot_count:
-        circuit = _fewest_cnots((circuit, _route_segmentwise(segments, g)), cleanup=False)
+    circuit = _route(segments, g, carry=True)
+    if circuit.cnot_count > _ladder_cnots(reduced.gates, g):
+        circuit = _route(segments, g, carry=False)
     return circuit, _report("route", g.name, circuit, t0)

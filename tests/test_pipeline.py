@@ -382,7 +382,7 @@ def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monke
     # The route that carries no residual across an H, the fallback of
     # `route_universal`, resynthesizes each segment on the original wires.
     calls.clear()
-    universal._route_segmentwise(partition_segments(merge_delete_h(c)), g)
+    universal._route(partition_segments(merge_delete_h(c)), g, carry=False)
     assert len(calls) == len(segments) > 1
     assert calls == [extract_sum_over_paths(Circuit(6, seg.gates)) for seg in segments]
 

@@ -208,6 +208,18 @@ def test_route_h_free_reduces_to_phase_synthesis():
     assert routed.count("h") == 0
     assert verify_equivalence(c, routed, "unitary").equivalent
     assert edge_legal(routed, g)
+    # An H-free circuit is one CNOT+RZ segment: its route is the CNOT+RZ
+    # synthesis of its path sum, unless its ladder expansion has fewer CNOTs.
+    rng = random.Random(20)
+    probs = {"s": 0.05, "t": 0.05, "sdg": 0.05, "tdg": 0.05, "h": 0.0, "cnot": 0.8}
+    for trial in range(24):
+        n = rng.randint(2, 8)
+        c = random_universal_circuit(n, rng.randint(1, 60), probs, 300 + trial)
+        for g in (line_graph(n), *_route_graphs(rng, n, trial)):
+            resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(c), g)
+            templates = expand_templates(c, g)
+            want = resynth if resynth.cnot_count <= templates.cnot_count else templates
+            assert emit_circuit(route_universal(c, g)[0]) == emit_circuit(want), (trial, g.name)
 
 
 def test_route_small_mixed_circuit():
@@ -253,7 +265,14 @@ def test_route_needs_no_more_cnots_than_template_expansion():
         c = random_universal_circuit(n, 150, probs, 500 + trial)
         for g in _route_graphs(rng, n, trial):
             templates = expand_templates(merge_delete_h(c), g)
-            assert route_universal(c, g)[0].cnot_count <= templates.cnot_count, (trial, g.name)
+            routed = route_universal(c, g)[0]
+            assert routed.cnot_count <= templates.cnot_count, (trial, g.name)
+            # The no-carry route is within the bound, so it is the route
+            # whenever the carry route is not.
+            fallback = no_carry(c, g)
+            assert fallback.cnot_count <= templates.cnot_count, (trial, g.name)
+            if carry(c, g).cnot_count > templates.cnot_count:
+                assert emit_circuit(routed) == emit_circuit(fallback), (trial, g.name)
 
 
 def test_route_on_a_complete_graph_keeps_the_input_cnot_count_as_a_bound():
@@ -267,7 +286,7 @@ def test_route_on_a_complete_graph_keeps_the_input_cnot_count_as_a_bound():
 def no_carry(c: Circuit, g) -> Circuit:
     """The route that carries no residual across an H, the fallback of
     `route_universal`: each segment as the cheaper of its two candidates."""
-    return universal._route_segmentwise(partition_segments(merge_delete_h(c)), g)
+    return universal._route(partition_segments(merge_delete_h(c)), g, carry=False)
 
 
 def reference_route(c: Circuit, g) -> Circuit:
@@ -312,7 +331,7 @@ def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
                 if seg.kind == "cnot_block":
                     own = Circuit(n, seg.gates)
                     templates = expand_templates(own, g)
-                    assert universal._Expansion(own, g).cnot_count == templates.cnot_count
+                    assert universal._ladder_cnots(own.gates, g) == templates.cnot_count
                     resynth, _ = synthesize_cnot_rz(extract_sum_over_paths(own), g)
                     if templates.cnot_count < resynth.cnot_count:
                         wins.append(own)
@@ -323,7 +342,7 @@ def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
 
 def carry(c: Circuit, g) -> Circuit:
     """The route that carries the linear residual across H runs."""
-    return universal._route_carrying(partition_segments(merge_delete_h(c)), g)
+    return universal._route(partition_segments(merge_delete_h(c)), g, carry=True)
 
 
 def h_mix(p_h: float) -> dict:
@@ -410,6 +429,10 @@ def test_structured_routes_need_no_more_cnots_than_template_expansion():
             bound = expand_templates(merge_delete_h(c), g).cnot_count
             assert routed.cnot_count <= bound, g.name
             assert certify(c, routed, g) == ("pathsum", True), g.name
+            fallback = no_carry(c, g)
+            assert fallback.cnot_count <= bound, g.name
+            if carry(c, g).cnot_count > bound:
+                assert emit_circuit(routed) == emit_circuit(fallback), g.name
 
 
 def test_a_toffoli_chain_falls_back_to_the_no_carry_route_byte_for_byte():

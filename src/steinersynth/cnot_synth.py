@@ -19,11 +19,12 @@ RowCol elimination instead (`_synthesize_rowcol`, Wu et al.,
 arXiv:1910.14478): in the same label order, each vertex has its column and
 then its row cleared along two trees inside the unfinished rows, with no
 transpose pass and no ladder plan.  A `route` fixup that precedes an H run
-eliminates only that run's wires and leaves a residual for the next
-segment (`_synthesize_rowcol` with a stop set).  Matrix tasks keep the
-paper's two-pass Steiner-Gauss (`synthesize_constrained`): the acceptance
-suite's criterion 3 pins the paper's crossover, where the full-connectivity
-baseline wins on dense graphs, and RowCol beats that baseline at
+frees only that run's qubits, each alone on a pivot wire of its choosing,
+and leaves a residual for the next segment (`_synthesize_rowcol` with a
+stop set).  Matrix tasks keep the paper's two-pass Steiner-Gauss
+(`synthesize_constrained`): the acceptance suite's criterion 3 pins the
+paper's crossover, where the full-connectivity baseline wins on dense
+graphs, and RowCol beats that baseline at
 sparseness 0.9 (201.2 against 204.6 CNOTs over 100 random 20-node
 instances), which flips it.
 `synthesize_constrained` is the one body for matrix tasks: it checks the
@@ -383,26 +384,27 @@ def _members(mask: int) -> tuple[int, ...]:
 
 
 def _rowcol_step(
-    rows: list[int], inv_t: list[int], i: int, allowed: int, g: ConnectivityGraph
+    rows: list[int], inv_t: list[int], w: int, q: int, allowed: int, g: ConnectivityGraph
 ) -> list[tuple[int, int]]:
-    """Clear vertex i's column, then its row, with trees inside the
-    `allowed` rows (a node bitmask holding i); returns the row ops applied.
+    """Clear column q onto pivot row w, then make row w the unit row e_q,
+    with trees inside the `allowed` rows (a node bitmask holding w);
+    returns the row ops applied.  RowCol's own step is w = q.
 
-    - Column: a tree over i and the rows holding a one in column i.  A
-      child-first walk fills each tree row still holding a zero there
-      with its child's row, which also repairs a zero pivot; a second
-      child-first walk adds each parent row into its child.
-    - Row: a tree over i and the rows whose sum with row i is the unit
-      row, the ones of row i of the inverse.  A parent-first walk adds
-      each Steiner child into its parent, then a child-first walk adds
-      each child into its parent.  Row i ends as the unit row, and each
-      Steiner row cancels out of it.
+    - Column: a tree rooted at w over w and the rows holding a one in
+      column q.  A child-first walk fills each tree row still holding a
+      zero there with its child's row, which also repairs a zero pivot; a
+      second child-first walk adds each parent row into its child.
+    - Row: a tree rooted at w over w and the rows whose sum is e_q, the
+      ones of row q of the inverse (w is one once column q is e_w).  A
+      parent-first walk adds each Steiner child into its parent, then a
+      child-first walk adds each child into its parent.  Row w ends as
+      e_q, and each Steiner row cancels out of it.
 
-    Rows outside `allowed` must be finished (unit rows whose columns are
-    unit too), so no op touches them and their columns stay clear.  The
-    inverse is kept transposed, one int per column: a row op (c, t) adds
-    column t of the inverse into column c, so it is one more XOR,
-    `inv_t[c] ^= inv_t[t]`.
+    Rows outside `allowed` must be finished (each a unit row e_p whose
+    column p is unit too), so no op touches them and their columns stay
+    clear.  The inverse is kept transposed, one int per column: a row op
+    (c, t) adds column t of the inverse into column c, so it is one more
+    XOR, `inv_t[c] ^= inv_t[t]`.
     """
     ops: list[tuple[int, int]] = []
 
@@ -412,17 +414,17 @@ def _rowcol_step(
         ops.append((control, target))
 
     unfinished = _members(allowed)
-    terms = {i} | {j for j in unfinished if (rows[j] >> i) & 1}
+    terms = {w} | {j for j in unfinished if (rows[j] >> q) & 1}
     if len(terms) > 1:
-        edges = steiner_approx(g, terms, root=i, allowed=allowed).preorder
+        edges = steiner_approx(g, terms, root=w, allowed=allowed).preorder
         for u, v in reversed(edges):
-            if not (rows[u] >> i) & 1:
+            if not (rows[u] >> q) & 1:
                 apply(v, u)
         for u, v in reversed(edges):
             apply(u, v)
-    terms = {i} | {j for j in unfinished if (inv_t[j] >> i) & 1}
+    terms = {w} | {j for j in unfinished if (inv_t[j] >> q) & 1}
     if len(terms) > 1:
-        edges = steiner_approx(g, terms, root=i, allowed=allowed).preorder
+        edges = steiner_approx(g, terms, root=w, allowed=allowed).preorder
         for u, v in edges:
             if v not in terms:
                 apply(v, u)
@@ -457,25 +459,30 @@ def _synthesize_rowcol(
     unfinished rows i..n-1 always induce a connected subgraph and every
     tree of vertex i's step (`_rowcol_step`) lies inside them.
 
-    With a stop set, only the stop wires are eliminated, so M is left
-    trivial on them: its row and column of each stop wire are unit
-    vectors.  The steps run on aᵀ in the graph's own labels, and each row
-    op (c, t) there is the gate (t, c), in order: the ops multiply a on
-    the right, and M is what is left.  Each step eliminates, among the
-    stop wires that are no cut vertex of the unfinished wires, the one
-    whose step emits the fewest ops (trial-run on copies, ties to the
-    lowest label), so that the unfinished wires stay connected.  The last
-    stop wire may be a cut vertex, since no step follows it.  When two or
-    more stop wires are left and every one is a cut vertex, the cheapest
-    non-stop wire that is no cut vertex goes first.  The caller checks
-    that `a` is invertible and has one row per graph node.
+    With a stop set, only the stop columns are eliminated, each onto a
+    pivot wire of its own, so each stop q ends alone on its pivot w in M:
+    row q of M is e_w and column w is e_q, with the w distinct.  The steps
+    run on aᵀ in the graph's own labels, and each row op (c, t) there is
+    the gate (t, c), in order: the ops multiply a on the right, and M is
+    what is left.  A wire may go next when it is no cut vertex of the
+    unfinished wires, so that they stay connected, or on the last step,
+    since no step follows it.  Each stop column q has one candidate pivot,
+    a wire that may go next and is a terminal of both of the step's trees
+    (a one in column q of the working aᵀ and in row q of its inverse): q
+    itself when it is one, else the lowest-labelled one.  Each step takes
+    the candidate whose step (`_rowcol_step` with w and q) emits the
+    fewest ops, trial-run on copies, ties to the lowest column.  Only when
+    no column has a candidate are all pairs of a stop column and a wire
+    that may go next tried.  A full stop set leaves M a permutation
+    matrix.  The caller checks that `a` is invertible and has one row per
+    graph node.
     """
     n = a.dim
     if stop is None:
         rows, h, arcs = _in_elimination_labels(a, g)
         inv_t = list(invert(BinaryMatrix(n, tuple(rows))).transpose().rows)
         full = (1 << n) - 1
-        ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, full >> i << i, h)]
+        ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
         assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
         return Circuit(n, tuple(arcs[op] for op in reversed(ops))), BinaryMatrix.identity(n)
 
@@ -483,26 +490,38 @@ def _synthesize_rowcol(
     inv_t = list(invert(a).rows)
     adj_masks = g._adj_masks
     unfinished = (1 << n) - 1
-    todo = set(stop)
+    todo = sorted(stop)
     ops = []
+    cut: dict[int, bool] = {}  # wire -> a cut vertex of the unfinished wires
+
+    def may_go(w: int) -> bool:
+        if w not in cut:  # asked on demand: most steps ask about few wires
+            cut[w] = len(todo) > 1 and _separates(adj_masks, unfinished, w)
+        return not cut[w]
+
     while todo:
-        choices = sorted(v for v in todo
-                         if len(todo) == 1 or not _separates(adj_masks, unfinished, v))
-        if not choices:
-            choices = [v for v in _bits(unfinished) if v not in todo
-                       and not _separates(adj_masks, unfinished, v)]
+        cut.clear()
+        pairs = []
+        for q in todo:
+            both = [w for w in _bits(unfinished) if (rows[w] >> q) & 1 and (inv_t[w] >> q) & 1]
+            both.sort(key=lambda w: w != q)  # q first, then the lowest label
+            w = next(filter(may_go, both), None)
+            if w is not None:
+                pairs.append((q, w))
+        if not pairs:
+            pairs = [(q, w) for q in todo for w in filter(may_go, _bits(unfinished))]
         best = None
-        for v in choices:  # a free step cannot be beaten
+        for q, w in pairs:  # a free step cannot be beaten
             trial_rows, trial_inv_t = rows[:], inv_t[:]
-            step = _rowcol_step(trial_rows, trial_inv_t, v, unfinished, g)
+            step = _rowcol_step(trial_rows, trial_inv_t, w, q, unfinished, g)
             if best is None or len(step) < len(best[0]):
-                best = step, trial_rows, trial_inv_t, v
+                best = step, trial_rows, trial_inv_t, q, w
                 if not step:
                     break
-        step, rows, inv_t, v = best
+        step, rows, inv_t, q, w = best
         ops += step
-        unfinished &= ~(1 << v)
-        todo.discard(v)
+        unfinished &= ~(1 << w)
+        todo.remove(q)
     arcs = g._arcs
     circuit = Circuit(n, tuple(arcs[t, c] for c, t in ops))
     return circuit, BinaryMatrix(n, tuple(rows)).transpose()

@@ -35,7 +35,7 @@ from .cnot_synth import (
     _synthesize_rowcol,
     plan_pre_transpose,
 )
-from .gf2 import BinaryMatrix, _bits, invert, is_invertible, multiply, simulate_cnot_circuit
+from .gf2 import BinaryMatrix, _bits, is_invertible, multiply, simulate_cnot_circuit
 from .graphs import ConnectivityGraph, _check_width, steiner_approx
 
 
@@ -110,6 +110,16 @@ class SumOverPaths:
     @property
     def num_qubits(self) -> int:
         return self.linear.dim
+
+
+def _frame(phase: PhasePolynomial, linear: BinaryMatrix) -> SumOverPaths:
+    """A `SumOverPaths` whose linear part is a product of CNOTs, so
+    invertible by construction: built without `__post_init__`'s
+    Gauss-Jordan check, for the frames `route` reads its segments in."""
+    frame = object.__new__(SumOverPaths)
+    object.__setattr__(frame, "phase", phase)
+    object.__setattr__(frame, "linear", linear)
+    return frame
 
 
 def _read_path_sum(gates, wires: list[int]) -> tuple[dict[int, Angle], list[tuple[int, int]]]:
@@ -311,17 +321,21 @@ def _synthesize_up_to(
 ) -> tuple[Circuit, BinaryMatrix]:
     """The one CNOT+RZ body: the parity network, then the RowCol fixup up
     to the stop set.  Returns the circuit and the residual M that must
-    follow it to apply `s` exactly: the identity with no stop set, and a
-    map trivial on the stop wires otherwise (`_synthesize_rowcol`).
+    follow it to apply `s` exactly: the identity with no stop set, and
+    otherwise a map that holds each stop qubit alone on one wire
+    (`_synthesize_rowcol`).
 
     The network applies some linear map C, so the fixup target is
-    A·C⁻¹.  An instance with no phase terms skips the network, which
-    would emit no gate and apply C = I: the target is A itself.
+    A·C⁻¹; C⁻¹ is the network's CNOTs simulated in reverse order, with no
+    Gauss-Jordan pass.  An instance with no phase terms skips the network,
+    which would emit no gate and apply C = I: the target is A itself.
     """
     if not s.phase.terms:
         return _synthesize_rowcol(s.linear, g, stop)
-    network, c_matrix = synth_parity_network_constrained(s, g)
-    fixup, residual = _synthesize_rowcol(multiply(s.linear, invert(c_matrix)), g, stop)
+    network, _ = synth_parity_network_constrained(s, g)
+    undo = tuple(gate for gate in reversed(network.gates) if gate.kind == "cnot")
+    c_inv = simulate_cnot_circuit(Circuit(s.num_qubits, undo))
+    fixup, residual = _synthesize_rowcol(multiply(s.linear, c_inv), g, stop)
     return network.extended(fixup.gates), residual
 
 

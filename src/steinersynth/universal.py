@@ -3,17 +3,18 @@
 Hadamard gates break the phase-polynomial picture, so the circuit is cut
 into alternating H-only and CNOT+RZ segments.  A two-pass commutation
 heuristic grows the CNOT+RZ segments as large as possible, and the H gates
-pass through untouched (single-qubit gates need no routing).  The route
-carries a pending linear residual across the H runs: each CNOT+RZ segment
-is resynthesized in the frame the gates emitted so far leave, and its
-fixup clears only the wires of the next H run, so the next segment takes
-over the rest; the last segment's fixup clears every wire.  When that
-route has more CNOTs before cleanup than the template expansion of the
-H-reduced input, the route that carries nothing is returned instead: its
-every segment implements its full linear map as its resynthesis, or as
-its own gates with every long-range CNOT expanded into a ladder of 4(l-1)
-edge CNOTs when that has strictly fewer CNOTs.  The segments hold exactly
-the H-reduced input's gates, so that route never has more CNOTs than the
+need no routing.  The route carries a pending linear residual across the
+H runs: each CNOT+RZ segment is resynthesized in the frame the gates
+emitted so far leave, and its fixup only frees each qubit of the next H
+run, alone on a wire of the fixup's choosing, where its H runs; the next
+segment takes over the rest, and the last segment's fixup clears every
+wire, so both ends keep the identity layout.  When that route has more
+CNOTs before cleanup than the template expansion of the H-reduced input,
+the route that carries nothing is returned instead: its every segment
+implements its full linear map as its resynthesis, or as its own gates
+with every long-range CNOT expanded into a ladder of 4(l-1) edge CNOTs
+when that has strictly fewer CNOTs.  The segments hold exactly the
+H-reduced input's gates, so that route never has more CNOTs than the
 expansion, and no route has more CNOTs before cleanup than the template
 expansion of its H-reduced input.
 """
@@ -29,7 +30,7 @@ from .gf2 import BinaryMatrix
 from .graphs import ConnectivityGraph, _check_width
 from .phase_synth import (
     PhasePolynomial,
-    SumOverPaths,
+    _frame,
     _read_path_sum,
     _synthesize_up_to,
     synthesize_cnot_rz,
@@ -199,8 +200,9 @@ def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
 
 
 def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circuit:
-    """The one route loop: H blocks pass through, and each CNOT+RZ segment
-    is resynthesized in the frame the gates emitted so far leave.
+    """The one route loop: each H runs on the wire its qubit sits alone on,
+    and each CNOT+RZ segment is resynthesized in the frame the gates
+    emitted so far leave.
 
     The gates emitted so far equal a pending linear residual R applied
     after the input's prefix; R starts as the identity, and only R⁻¹ is
@@ -209,19 +211,24 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     p·R⁻¹ and its linear part B becomes B·R⁻¹.
 
     With `carry`, its synthesis (`_synthesize_up_to`) ends with a fixup
-    that eliminates only the wires of the next H run, every H block up to
-    the next CNOT+RZ segment, and returns the new R⁻¹, trivial on those
-    wires, so each H commutes with R and meets the parity it meets in the
+    that frees only the qubits of the next H run, every H block up to the
+    next CNOT+RZ segment, and returns the new R⁻¹, in which each such
+    qubit q sits alone on a wire w: row q is e_w and column w is e_q.  So
+    each H of q runs on wire w, the one set bit of row q of R⁻¹, where it
+    commutes with R as an H on q and meets the parity it meets in the
     input.  The last CNOT+RZ segment gets a full fixup, so R ends as the
     identity and the output applies exactly the input, with no output
     permutation.
 
-    Without `carry`, every fixup is full, so R stays the identity, and each
-    segment becomes its resynthesis (`synthesize_cnot_rz`) unless its own
-    gates with each long-range CNOT expanded into a 4(l-1) ladder
-    (`expand_templates`) have strictly fewer CNOTs; that expansion is built
-    only when it wins.  So this route never has more CNOTs than the
-    template expansion of its segments.
+    Without `carry`, every fixup is full, so R stays the identity, each H
+    runs on its own wire, and each segment becomes its resynthesis
+    (`synthesize_cnot_rz`) unless its own gates with each long-range CNOT
+    expanded into a 4(l-1) ladder (`expand_templates`) have strictly fewer
+    CNOTs; that expansion is built only when it wins.  So this route never
+    has more CNOTs than the template expansion of its segments.
+
+    The frames are built without the invertibility check of
+    `SumOverPaths` (`_frame`): B·R⁻¹ is a product of CNOTs.
     """
     n = g.node_count
     r_inv = BinaryMatrix.identity(n)
@@ -230,11 +237,11 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     gates: list[Gate] = []
     for k, seg in enumerate(segments):
         if seg.kind == "h_block":
-            gates.extend(seg.gates)
+            gates.extend(h(r_inv.rows[gate.target].bit_length() - 1) for gate in seg.gates)
             continue
         wires = list(r_inv.rows)
         terms, _ = _read_path_sum(seg.gates, wires)
-        frame = SumOverPaths(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
+        frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
         if carry:
             stop = None
             if k in after:
@@ -254,17 +261,17 @@ def route_universal(
 ) -> tuple[Circuit, SynthesisReport]:
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
-    H segments pass through, and every CNOT+RZ segment is resynthesized
-    with the linear residual carried across the H runs (`_route` with
-    `carry`): each segment's fixup clears only the wires of the next H
-    run, and the last one clears every wire.  When that route has more
-    CNOTs than the template expansion of the H-reduced input, the route
-    that carries nothing (`_route` without `carry`) is returned instead,
-    which never has more.  So a route never has more CNOTs before cleanup
-    than the template expansion of its H-reduced input.  Wire
-    numbering is the identity map at both ends.  Raises ValueError unless
-    `c` has one wire per graph node, the one check `pipeline.run` makes of
-    a circuit task under its Steiner method.
+    Every CNOT+RZ segment is resynthesized with the linear residual
+    carried across the H runs (`_route` with `carry`): each segment's
+    fixup frees only the qubits of the next H run, each on a wire of its
+    choosing where its H runs, and the last one clears every wire.  When
+    that route has more CNOTs than the template expansion of the
+    H-reduced input, the route that carries nothing (`_route` without
+    `carry`) is returned instead, which never has more.  So a route never
+    has more CNOTs before cleanup than the template expansion of its
+    H-reduced input.  Wire numbering is the identity map at both ends.
+    Raises ValueError unless `c` has one wire per graph node, the one
+    check `pipeline.run` makes of a circuit task under its Steiner method.
     """
     t0 = time.perf_counter()
     _check_width(c.num_qubits, g)

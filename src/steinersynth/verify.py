@@ -12,6 +12,7 @@ never "not equivalent".
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -63,9 +64,14 @@ def _path_sum(c: Circuit) -> tuple:
 
     The rules apply until neither does.  A rule changes only the masks
     holding the variables of L1 and y2, so within one sweep those wait
-    for the next.  Last, the surviving H variables are renamed by wire
-    and, on each wire, in order, so that an H pair that cleanup removed
-    leaves no gap.
+    for the next.  Last, the surviving H variables are renamed by what
+    they read, not by their wires, so that a route that runs an H on
+    another wire, where its qubit sits alone, or a cleanup that removed an
+    H pair leaves the same form: repeatedly, among the unnamed variables
+    whose read mask holds only named ones (the inputs are named as they
+    are), the one whose renamed mask is least, ties to the lower index,
+    takes the next name.  Each variable reads only earlier ones, so every
+    variable gets a name, and renaming summed variables is always sound.
     """
     n = c.num_qubits
     wires = [1 << q for q in range(n)]
@@ -114,15 +120,32 @@ def _path_sum(c: Circuit) -> tuple:
                 waiting |= l1
             changed = True
 
-    on_wire = {1 << (n + k): q for k, (q, _) in enumerate(hs)}
     low = (1 << n) - 1
-    name = {y: 1 << (n + k) for k, y in enumerate(sorted(reads, key=lambda y: (on_wire[y], y)))}
+    name: dict[int, int] = {}
 
     def rename(mask: int) -> int:
         out = mask & low
         for k in _bits(mask >> n):
             out |= name[1 << (n + k)]
         return out
+
+    # A variable's renamed mask is fixed once it reads only named ones:
+    # `unnamed[y]` counts the unnamed variables y reads, and `readers[x]`
+    # lists the variables that read x.
+    unnamed = {y: (mask >> n).bit_count() for y, mask in reads.items()}
+    readers: dict[int, list[int]] = {y: [] for y in reads}
+    for y, mask in reads.items():
+        for k in _bits(mask >> n):
+            readers[1 << (n + k)].append(y)
+    ready = [(mask, y) for y, mask in reads.items() if not unnamed[y]]
+    heapq.heapify(ready)
+    while ready:
+        _, y = heapq.heappop(ready)
+        name[y] = 1 << (n + len(name))
+        for reader in readers[y]:
+            unnamed[reader] -= 1
+            if not unnamed[reader]:
+                heapq.heappush(ready, (rename(reads[reader]), reader))
 
     return (
         tuple(map(rename, wires)),

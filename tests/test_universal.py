@@ -370,43 +370,78 @@ def test_carry_routes_are_exact_and_edge_legal():
 
 
 def test_each_h_of_a_carry_route_reads_the_parity_it_reads_in_the_input():
-    # The residual is trivial on every wire of the next H run, so the k-th
-    # H of the route reads the mask the k-th H of the H-reduced input
-    # reads, every rotation lands on the input's parity, and the route
-    # ends on the input's wires, with no output permutation.
+    # The residual holds every qubit of the next H run alone on one wire,
+    # so the k-th H of the route reads the mask the k-th H of the
+    # H-reduced input reads, on whichever wire its qubit was freed on;
+    # every rotation lands on the input's parity, and the route ends on
+    # the input's wires, with no output permutation.
+    moved = 0
     for n, seed in ((6, 1), (9, 2), (16, 3)):
         c = random_universal_circuit(n, 300, h_mix(0.15), seed)
         reduced = merge_delete_h(c)
         for g in (line_graph(n), random_connected_graph(n, 0.3, seed)):
-            read = []
+            read, on = [], []
             for circuit in (reduced, carry(c, g)):
                 wires = [1 << q for q in range(n)]
                 terms, hs = _read_path_sum(circuit.gates, wires)
-                read.append((wires, hs, {m: a for m, a in terms.items() if not a.is_zero}))
+                read.append((wires, [mask for _, mask in hs],
+                             {m: a for m, a in terms.items() if not a.is_zero}))
+                on.append([q for q, _ in hs])
             assert read[0][1], (n, g.name)
             assert read[1] == read[0], (n, g.name)
+            moved += on[1] != on[0]
+    assert moved, "every H ran on its own qubit's wire"
+
+
+def assert_partial_fixup(a: BinaryMatrix, g, stop: frozenset) -> int:
+    """Check `_synthesize_rowcol(a, g, stop)`: the fixup F is edge-legal,
+    F followed by the residual M applies `a`, and each stop qubit q sits
+    alone on a wire w of its own in M (row q is e_w, column w is e_q, the
+    w distinct), so an H on wire w commutes with M as an H on q; a full
+    stop set leaves M a permutation matrix.  Returns how many stop qubits
+    were freed on another wire than their own."""
+    fixup, residual = _synthesize_rowcol(a, g, stop)
+    key = (g.name, sorted(stop))
+    assert edge_legal(fixup, g), key
+    assert multiply(residual, simulate_cnot_circuit(fixup)) == a, key
+    n = a.dim
+    pivot = {}
+    for q in stop:
+        w = residual.rows[q].bit_length() - 1
+        assert residual.rows[q] == 1 << w, (key, q)
+        column = [(row >> w) & 1 for row in residual.rows]
+        assert column == [int(p == q) for p in range(n)], (key, q)
+        pivot[q] = w
+    assert len(set(pivot.values())) == len(stop), key
+    if len(stop) == n:
+        assert sorted(residual.rows) == [1 << w for w in range(n)], key
+    return sum(w != q for q, w in pivot.items())
 
 
 def test_a_partial_fixup_leaves_the_stop_wires_unit_in_the_residual():
-    # The fixup F followed by the residual M applies the matrix, and M's
-    # row and column of every stop wire are unit vectors, so an H on one
-    # commutes with M.  With every wire a stop wire, M is the identity.
+    # Random stop sets on small and 16-node graphs; some stop qubits are
+    # freed on another wire than their own.
     rng = random.Random(43)
     graphs = [line_graph(7), grid_graph(3, 3), complete_graph(6),
               random_connected_graph(10, 0.3, 2), *structured_graphs()]
+    moved = 0
     for g in graphs:
         n = g.node_count
         for seed in range(6):
             a = random_invertible(n, 31 * n + seed)
-            stop = frozenset(rng.sample(range(n), rng.randint(1, n)))
-            fixup, residual = _synthesize_rowcol(a, g, stop)
-            assert edge_legal(fixup, g), (g.name, seed)
-            assert multiply(residual, simulate_cnot_circuit(fixup)) == a, (g.name, seed)
-            for q in stop:
-                column = [(row >> q) & 1 for row in residual.rows]
-                assert residual.rows[q] == 1 << q and sum(column) == 1, (g.name, seed, q)
-            if len(stop) == n:
-                assert residual == BinaryMatrix.identity(n)
+            moved += assert_partial_fixup(a, g, frozenset(rng.sample(range(n), rng.randint(1, n))))
+    assert moved, "every stop qubit was freed on its own wire"
+
+
+def test_a_partial_fixup_with_only_cut_vertex_stop_wires_on_a_line_is_exact():
+    # On line(n) every middle wire is a cut vertex, so while two or more
+    # stop qubits are left only an end wire may go next.
+    for n in (4, 5, 7, 9):
+        g = line_graph(n)
+        for seed in range(8):
+            a = random_invertible(n, 53 * n + seed)
+            for stop in (range(1, n - 1), {n // 2}, {1, n - 2}):
+                assert_partial_fixup(a, g, frozenset(stop))
 
 
 def test_a_16_wire_route_is_certified_by_path_sum():

@@ -6,13 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.gf2 import random_invertible, simulate_cnot_circuit
 from steinersynth.graphs import line_graph
 from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import extract_sum_over_paths
 from steinersynth.unitary import UNITARY_QUBIT_CAP, apply_circuit, circuit_unitary
-from steinersynth.universal import merge_delete_h
+from steinersynth.universal import merge_delete_h, route_universal
 from steinersynth.verify import EquivalenceReport, _path_sum, certify, verify_equivalence
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -219,3 +220,46 @@ def test_an_unproven_pair_falls_through_and_is_never_a_disproof():
     c = random_circuit(n, 300, 7)
     rep = verify_equivalence(c, cancel_pass(merge_delete_h(c)))
     assert rep == EquivalenceReport("pathsum", True, 0.0)
+
+
+def swap_ladder(k: int) -> tuple:
+    """CNOTs that carry wire 0's state to wire k, one SWAP per step."""
+    return tuple(g for q in range(k) for g in (cnot(q, q + 1), cnot(q + 1, q), cnot(q, q + 1)))
+
+
+def test_path_sums_prove_an_h_run_on_the_wire_its_qubit_was_moved_to():
+    # H on wire 0 against a SWAP ladder to wire k, H there and the ladder
+    # back: the two H variables are named by the masks they read, not by
+    # their wires.  At 2 wires, at the cap, and above it.
+    for n in (2, UNITARY_QUBIT_CAP, UNITARY_QUBIT_CAP + 4):
+        k = n - 1
+        ladder = swap_ladder(k)
+        before, after = random_circuit(n, 30, n), random_circuit(n, 30, 100 + n)
+        left = Circuit(n, before.gates + (h(0),) + after.gates)
+        right = Circuit(n, before.gates + ladder + (h(k),) + ladder[::-1] + after.gates)
+        rep = verify_equivalence(left, right, "pathsum")
+        assert rep == EquivalenceReport("pathsum", True, 0.0), n
+        if n <= UNITARY_QUBIT_CAP:
+            assert verify_equivalence(left, right, "unitary").equivalent, n
+
+
+def test_a_route_with_one_h_moved_to_another_wire_is_not_proven():
+    # Renaming the H variables by the masks they read must not let an H on
+    # the wrong wire through: each mutant is "not proven" and, at up to 8
+    # wires, unitary-unequal to the input.
+    rng = random.Random(29)
+    probs = {"cnot": 0.7, "t": 0.08, "s": 0.04, "sdg": 0.02, "tdg": 0.04, "h": 0.12}
+    for trial in range(12):
+        n = rng.randint(3, UNITARY_QUBIT_CAP)
+        c = random_universal_circuit(n, 120, probs, 40 + trial)
+        routed, _ = route_universal(c, line_graph(n))
+        assert verify_equivalence(c, routed, "pathsum").equivalent, trial
+        at = [k for k, gate in enumerate(routed.gates) if gate.kind == "h"]
+        k = rng.choice(at)
+        wire = rng.choice([q for q in range(n) if q != routed.gates[k].target])
+        gates = list(routed.gates)
+        gates[k] = h(wire)
+        mutant = Circuit(n, tuple(gates))
+        with pytest.raises(ValueError, match="^not proven"):
+            verify_equivalence(c, mutant, "pathsum")
+        assert not verify_equivalence(c, mutant, "unitary").equivalent, trial

@@ -147,7 +147,20 @@ def h(target: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on a fixed number of wires."""
+    """An ordered gate list on a fixed number of wires.
+
+    The public constructor checks every gate's wires against
+    `num_qubits`, and `parse_circuit` checks each line's, so every circuit
+    that enters from outside the program is checked.  Builders whose
+    wires are in range by construction skip the re-check with
+    `_unchecked`: cleanup (its survivors and merged RZs sit on its input's
+    wires), the synthesizers and the matrix baselines' candidates (their
+    CNOTs are arcs of a graph with one node per wire of the task, a width
+    checked on entry), the parity network and its views, and the route's
+    H-reduced input, segments and output.  `expand_templates` keeps the
+    check, since it checks no width itself: a ladder can leave a narrower
+    circuit's wires.
+    """
 
     num_qubits: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
@@ -160,6 +173,15 @@ class Circuit:
             for q in qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"wire {q} out of range for {self.num_qubits} qubits")
+
+    @classmethod
+    def _unchecked(cls, num_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit on a gate tuple whose wires are all in [0, num_qubits)
+        by construction, built without `__post_init__`'s wire check."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "num_qubits", num_qubits)
+        object.__setattr__(circuit, "gates", gates)
+        return circuit
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -372,7 +372,7 @@ def synthesize_constrained(
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
 
     gates = [arcs[t, c] for c, t in ops_b] + [arcs[op] for op in reversed(ops_a)]
-    circuit = Circuit(n, tuple(gates))
+    circuit = Circuit._unchecked(n, tuple(gates))
     return circuit, _report("steiner", graph_name, circuit, t0)
 
 
@@ -448,11 +448,14 @@ def _separates(adj_masks: tuple[int, ...], nodes: int, v: int) -> bool:
 
 
 def _synthesize_rowcol(
-    a: BinaryMatrix, g: ConnectivityGraph, stop: frozenset[int] | None = None
-) -> tuple[Circuit, BinaryMatrix]:
+    a: BinaryMatrix,
+    g: ConnectivityGraph,
+    stop: frozenset[int] | None = None,
+    a_inv: BinaryMatrix | None = None,
+) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
     """An edge-legal CNOT circuit F for the invertible matrix `a` by RowCol
-    elimination (Wu et al., arXiv:1910.14478), with no transpose pass, and
-    the residual M with M·F = a: F followed by M applies `a`.
+    elimination (Wu et al., arXiv:1910.14478), with no transpose pass, the
+    residual M with M·F = a (F followed by M applies `a`) and M⁻¹.
 
     With no stop set, M is the identity.  Vertices are eliminated in the
     graph's elimination labels (`_in_elimination_labels`), so the
@@ -474,8 +477,11 @@ def _synthesize_rowcol(
     fewest ops, trial-run on copies, ties to the lowest column.  Only when
     no column has a candidate are all pairs of a stop column and a wire
     that may go next tried.  A full stop set leaves M a permutation
-    matrix.  The caller checks that `a` is invertible and has one row per
-    graph node.
+    matrix.  The steps keep the inverse of the working aᵀ transposed, so
+    they start from a⁻¹, which the caller passes as `a_inv` with a stop
+    set (a route knows it without a Gauss-Jordan pass), and end with M⁻¹.
+    The caller checks that `a` is invertible and has one row per graph
+    node.
     """
     n = a.dim
     if stop is None:
@@ -484,10 +490,11 @@ def _synthesize_rowcol(
         full = (1 << n) - 1
         ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
         assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
-        return Circuit(n, tuple(arcs[op] for op in reversed(ops))), BinaryMatrix.identity(n)
+        identity = BinaryMatrix.identity(n)
+        return Circuit._unchecked(n, tuple(arcs[op] for op in reversed(ops))), identity, identity
 
     rows = list(a.transpose().rows)
-    inv_t = list(invert(a).rows)
+    inv_t = list(a_inv.rows)
     adj_masks = g._adj_masks
     unfinished = (1 << n) - 1
     todo = sorted(stop)
@@ -523,8 +530,8 @@ def _synthesize_rowcol(
         unfinished &= ~(1 << w)
         todo.remove(q)
     arcs = g._arcs
-    circuit = Circuit(n, tuple(arcs[t, c] for c, t in ops))
-    return circuit, BinaryMatrix(n, tuple(rows)).transpose()
+    circuit = Circuit._unchecked(n, tuple(arcs[t, c] for c, t in ops))
+    return circuit, BinaryMatrix(n, tuple(rows)).transpose(), BinaryMatrix(n, tuple(inv_t))
 
 
 def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:

@@ -7,6 +7,7 @@ immutable; every operation returns a fresh value.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -29,6 +30,23 @@ class SingularMatrixError(ValueError):
     def __init__(self, pivot_column: int):
         super().__init__(f"matrix is singular: no pivot in column {pivot_column}")
         self.pivot_column = pivot_column
+
+
+@functools.cache
+def _transpose_swaps(side: int) -> tuple[tuple[int, int], ...]:
+    """The (shift, mask) rounds that transpose a side x side bit square
+    packed row-major into one int (entry (i, j) at bit i * side + j), for
+    a power-of-two side.  The round for block side 2h moves entry (i, j)
+    with bit h of j set and bit h of i clear to (i + h, j - h), h * (side
+    - 1) bits up, and back; the mask marks those entries."""
+    rounds = []
+    h = side >> 1
+    while h:
+        row = sum(1 << j for j in range(side) if j & h)
+        mask = sum(row << (i * side) for i in range(side) if not i & h)
+        rounds.append((h * (side - 1), mask))
+        h >>= 1
+    return tuple(rounds)
 
 
 @dataclass(frozen=True)
@@ -69,13 +87,20 @@ class BinaryMatrix:
         return [[self.bit(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
     def transpose(self) -> "BinaryMatrix":
-        cols = [0] * self.dim
+        """The transpose, by delta swaps on one int: the rows are packed
+        into a square of side 2**k >= dim, row i at bit i * 2**k, and each
+        round swaps the off-diagonal blocks of every block on the diagonal
+        at once, halving the block side until it is one bit."""
+        n = self.dim
+        side = 1 << (n - 1).bit_length()
+        packed = 0
         for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
-                cols[j] |= 1 << i
-                r &= r - 1
-        return BinaryMatrix(self.dim, tuple(cols))
+            packed |= r << (i * side)
+        for shift, mask in _transpose_swaps(side):
+            t = (packed ^ (packed >> shift)) & mask
+            packed ^= t ^ (t << shift)
+        full = (1 << n) - 1
+        return BinaryMatrix(n, tuple((packed >> (i * side)) & full for i in range(n)))
 
     def is_identity(self) -> bool:
         return all(r == 1 << i for i, r in enumerate(self.rows))
@@ -86,13 +111,14 @@ class BinaryMatrix:
         )
 
 
-def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
-    """Fold the circuit's CNOTs as row ops starting from the identity.
+def simulate_cnot_circuit(c: Circuit, start: BinaryMatrix | None = None) -> BinaryMatrix:
+    """Fold the circuit's CNOTs as row ops starting from the identity, or
+    from `start`, which gives the product C·start for the circuit's matrix C.
 
     CNOT(control, target) is the row op row[target] ^= row[control]: the
     target wire's parity picks up the control wire's parity.
     """
-    rows = [1 << i for i in range(c.num_qubits)]
+    rows = [1 << i for i in range(c.num_qubits)] if start is None else list(start.rows)
     for g in c.gates:
         if g.kind != "cnot":
             raise ValueError(f"non-CNOT gate {g.kind!r} in linear simulation")

@@ -248,7 +248,7 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
         if i < 0:
             queue, later = later, bytearray(n)
             i = queue.find(1)
-    return Circuit(c.num_qubits, tuple(compress(gates, alive)))
+    return Circuit._unchecked(c.num_qubits, tuple(compress(gates, alive)))
 
 
 def _fewest_cnots(candidates, cleanup: bool) -> Circuit:

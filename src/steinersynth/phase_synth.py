@@ -311,32 +311,44 @@ def synth_parity_network_constrained(
         stack.append((cols & ~ones, rest, -1))
 
     assert not state.pending, "some parities were never realized"
-    circuit = Circuit(n, tuple(state.gates))
-    cnots = Circuit(n, tuple(gate for gate in state.gates if gate.kind == "cnot"))
+    circuit = Circuit._unchecked(n, tuple(state.gates))
+    cnots = Circuit._unchecked(n, tuple(gate for gate in state.gates if gate.kind == "cnot"))
     return circuit, simulate_cnot_circuit(cnots)
 
 
 def _synthesize_up_to(
-    s: SumOverPaths, g: ConnectivityGraph, stop: frozenset[int] | None = None
-) -> tuple[Circuit, BinaryMatrix]:
+    s: SumOverPaths,
+    g: ConnectivityGraph,
+    stop: frozenset[int] | None = None,
+    linear_inv: BinaryMatrix | None = None,
+) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
     """The one CNOT+RZ body: the parity network, then the RowCol fixup up
-    to the stop set.  Returns the circuit and the residual M that must
-    follow it to apply `s` exactly: the identity with no stop set, and
-    otherwise a map that holds each stop qubit alone on one wire
+    to the stop set.  Returns the circuit, the residual M that must follow
+    it to apply `s` exactly, and M⁻¹: M is the identity with no stop set,
+    and otherwise a map that holds each stop qubit alone on one wire
     (`_synthesize_rowcol`).
 
     The network applies some linear map C, so the fixup target is
     A·C⁻¹; C⁻¹ is the network's CNOTs simulated in reverse order, with no
-    Gauss-Jordan pass.  An instance with no phase terms skips the network,
-    which would emit no gate and apply C = I: the target is A itself.
+    Gauss-Jordan pass.  With a stop set the fixup also needs the target's
+    inverse C·A⁻¹: the caller passes A⁻¹ as `linear_inv`, and the network's
+    CNOTs run on its rows.  An instance with no phase terms skips the
+    network, which would emit no gate and apply C = I: the target is A
+    itself.
     """
     if not s.phase.terms:
-        return _synthesize_rowcol(s.linear, g, stop)
+        return _synthesize_rowcol(s.linear, g, stop, linear_inv)
+    n = s.num_qubits
     network, _ = synth_parity_network_constrained(s, g)
-    undo = tuple(gate for gate in reversed(network.gates) if gate.kind == "cnot")
-    c_inv = simulate_cnot_circuit(Circuit(s.num_qubits, undo))
-    fixup, residual = _synthesize_rowcol(multiply(s.linear, c_inv), g, stop)
-    return network.extended(fixup.gates), residual
+    cnots = tuple(gate for gate in network.gates if gate.kind == "cnot")
+    c_inv = simulate_cnot_circuit(Circuit._unchecked(n, cnots[::-1]))
+    target_inv = None
+    if stop is not None:
+        target_inv = simulate_cnot_circuit(Circuit._unchecked(n, cnots), linear_inv)
+    fixup, residual, residual_inv = _synthesize_rowcol(
+        multiply(s.linear, c_inv), g, stop, target_inv)
+    circuit = Circuit._unchecked(n, network.gates + fixup.gates)
+    return circuit, residual, residual_inv
 
 
 def synthesize_cnot_rz(
@@ -360,5 +372,5 @@ def synthesize_cnot_rz(
     """
     t0 = time.perf_counter()
     _check_width(s.num_qubits, g)
-    circuit, _ = _synthesize_up_to(s, g)
+    circuit, _, _ = _synthesize_up_to(s, g)
     return circuit, _report("steiner_rz", g.name, circuit, t0)

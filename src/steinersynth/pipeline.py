@@ -67,7 +67,8 @@ def _candidates(task, g: ConnectivityGraph, method: str):
     if isinstance(task, BinaryMatrix):
         check_invertible(task)
         widths = section_widths(width) if method == "pmh" else (None,)
-        circuits = (Circuit(width, _expand_pairs(_pmh_pairs(task, w), g)) for w in widths)
+        circuits = (Circuit._unchecked(width, tuple(_expand_pairs(_pmh_pairs(task, w), g)))
+                    for w in widths)
         return circuits, f"baseline_{method}"
     if method == "pmh":
         raise ValueError("the pmh baseline needs a matrix task")

@@ -81,7 +81,7 @@ def merge_delete_h(c: Circuit) -> Circuit:
                 conj = rz(-gates[j].angle, q)
                 gates[i], gates[j], gates[p] = conj, h(q), conj
             run.append(p)
-    return Circuit(c.num_qubits, tuple(filter(None, gates)))
+    return Circuit._unchecked(c.num_qubits, tuple(filter(None, gates)))
 
 
 _SEGMENT_KINDS = {"h_block": ("h",), "cnot_block": ("cnot", "rz")}
@@ -199,26 +199,40 @@ def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
     return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 
+def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
+    """R·B⁻¹ for the linear map B of the CNOTs among `gates`, with no
+    Gauss-Jordan pass: B⁻¹ is the CNOTs E_1, ..., E_m in order as the
+    product E_1···E_m, so (R·B⁻¹)ᵀ = E_mᵀ···E_1ᵀ·Rᵀ, and the transpose of
+    CNOT (c, t)'s row op is the row op (t, c)."""
+    cols = list(r.transpose().rows)
+    for gate in gates:
+        if gate.kind == "cnot":
+            c, t = gate.qubits
+            cols[c] ^= cols[t]
+    return BinaryMatrix(r.dim, tuple(cols)).transpose()
+
+
 def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circuit:
     """The one route loop: each H runs on the wire its qubit sits alone on,
     and each CNOT+RZ segment is resynthesized in the frame the gates
     emitted so far leave.
 
     The gates emitted so far equal a pending linear residual R applied
-    after the input's prefix; R starts as the identity, and only R⁻¹ is
-    kept.  A CNOT+RZ segment is read in the emitted frame: its wires start
-    as the rows of R⁻¹, so each parity p of its phase polynomial becomes
-    p·R⁻¹ and its linear part B becomes B·R⁻¹.
+    after the input's prefix; R starts as the identity, and both R and R⁻¹
+    are kept.  A CNOT+RZ segment is read in the emitted frame: its wires
+    start as the rows of R⁻¹, so each parity p of its phase polynomial
+    becomes p·R⁻¹ and its linear part B becomes B·R⁻¹.
 
     With `carry`, its synthesis (`_synthesize_up_to`) ends with a fixup
     that frees only the qubits of the next H run, every H block up to the
-    next CNOT+RZ segment, and returns the new R⁻¹, in which each such
+    next CNOT+RZ segment, and returns the new R⁻¹ and R, in which each such
     qubit q sits alone on a wire w: row q is e_w and column w is e_q.  So
     each H of q runs on wire w, the one set bit of row q of R⁻¹, where it
     commutes with R as an H on q and meets the parity it meets in the
-    input.  The last CNOT+RZ segment gets a full fixup, so R ends as the
-    identity and the output applies exactly the input, with no output
-    permutation.
+    input.  Such a partial fixup starts from the frame's inverse R·B⁻¹
+    (`_times_inverse`), so no fixup of the route inverts a matrix but the
+    last.  That one is full, so R ends as the identity and the output
+    applies exactly the input, with no output permutation.
 
     Without `carry`, every fixup is full, so R stays the identity, each H
     runs on its own wire, and each segment becomes its resynthesis
@@ -231,7 +245,7 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     `SumOverPaths` (`_frame`): B·R⁻¹ is a product of CNOTs.
     """
     n = g.node_count
-    r_inv = BinaryMatrix.identity(n)
+    r = r_inv = BinaryMatrix.identity(n)
     cnot_at = [k for k, seg in enumerate(segments) if seg.kind == "cnot_block"]
     after = dict(zip(cnot_at, cnot_at[1:]))  # the next CNOT+RZ segment
     gates: list[Gate] = []
@@ -243,17 +257,18 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
         terms, _ = _read_path_sum(seg.gates, wires)
         frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
         if carry:
-            stop = None
+            stop = frame_inv = None
             if k in after:
                 run = segments[k + 1:after[k]]
                 stop = frozenset(gate.target for block in run for gate in block.gates)
-            circuit, r_inv = _synthesize_up_to(frame, g, stop)
+                frame_inv = _times_inverse(r, seg.gates)
+            circuit, r_inv, r = _synthesize_up_to(frame, g, stop, frame_inv)
         else:
             circuit, _ = synthesize_cnot_rz(frame, g)
             if _ladder_cnots(seg.gates, g) < circuit.cnot_count:
-                circuit = expand_templates(Circuit(n, seg.gates), g)
+                circuit = expand_templates(Circuit._unchecked(n, seg.gates), g)
         gates.extend(circuit.gates)
-    return Circuit(n, tuple(gates))
+    return Circuit._unchecked(n, tuple(gates))
 
 
 def route_universal(

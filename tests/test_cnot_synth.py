@@ -703,7 +703,7 @@ def rowcol_ops(a, g):
     with, in execution order, both in the graph's elimination labels."""
     rows, _, arcs = cnot_synth._in_elimination_labels(a, g)
     arc_of = {gate: arc for arc, gate in arcs.items()}
-    circ, _ = cnot_synth._synthesize_rowcol(a, g)
+    circ, _, _ = cnot_synth._synthesize_rowcol(a, g)
     return rows, [arc_of[gate] for gate in reversed(circ.gates)]
 
 
@@ -727,8 +727,8 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
         n = g.node_count
         for seed in range(4 if n < 72 else 1):
             a = random_invertible(n, 17 * n + seed)
-            circ, residual = cnot_synth._synthesize_rowcol(a, g)
-            assert residual == BinaryMatrix.identity(n)
+            circ, residual, residual_inv = cnot_synth._synthesize_rowcol(a, g)
+            assert residual == residual_inv == BinaryMatrix.identity(n)
             assert simulate_cnot_circuit(circ) == a, (g.name, seed)
             assert edge_legal(circ, g), (g.name, seed)
             assert all(gate is g._arcs[gate.qubits] for gate in circ.gates)
@@ -750,7 +750,7 @@ def test_rowcol_repairs_zero_pivots_inside_the_tree():
         for a in zero_pivot_matrices(n, rng):
             rows, _, _ = cnot_synth._in_elimination_labels(a, g)
             assert not any((r >> i) & 1 for i, r in enumerate(rows)), g.name
-            circ, _ = cnot_synth._synthesize_rowcol(a, g)
+            circ, _, _ = cnot_synth._synthesize_rowcol(a, g)
             assert simulate_cnot_circuit(circ) == a and edge_legal(circ, g), g.name
 
 

@@ -63,6 +63,19 @@ def test_simulate_concatenation_is_product():
         m2 = simulate_cnot_circuit(Circuit(n, gates2))
         whole = simulate_cnot_circuit(Circuit(n, gates1 + gates2))
         assert whole == multiply(m2, m1)
+        assert simulate_cnot_circuit(Circuit(n, gates2), m1) == whole
+
+
+def test_transpose_swaps_every_entry():
+    # Widths on both sides of each power of two, where the packed square
+    # the transpose works in changes size.
+    rng = random.Random(11)
+    for n in [*range(1, 18), 31, 32, 33, 63, 64, 65, 72, 129]:
+        for _ in range(3):
+            m = BinaryMatrix(n, tuple(rng.getrandbits(n) for _ in range(n)))
+            t = m.transpose()
+            assert all(t.bit(j, i) == m.bit(i, j) for i in range(n) for j in range(n)), n
+            assert t.transpose() == m
 
 
 def test_invert_identity():

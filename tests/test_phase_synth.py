@@ -342,7 +342,7 @@ def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
         sop = SumOverPaths(PhasePolynomial(n, {}), random_invertible(n, seed))
         # The path through the parity network, written out.
         network, c_matrix = synth_parity_network_constrained(sop, g)
-        fixup, _ = _synthesize_rowcol(multiply(sop.linear, invert(c_matrix)), g)
+        fixup, _, _ = _synthesize_rowcol(multiply(sop.linear, invert(c_matrix)), g)
         want = network.extended(fixup.gates)
         got, _ = synthesize_cnot_rz(sop, g)
         assert got == want and got.gates == want.gates

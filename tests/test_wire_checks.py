@@ -1,0 +1,100 @@
+"""Where `Circuit`'s wire check runs, and where it is skipped.
+
+The public constructor and the parser check every wire; their messages
+are pinned in `test_formats.py` and below.  Cleanup, the synthesizers, the
+matrix baselines' candidates, the parity network and the route build their
+results with `Circuit._unchecked`, because each of their wires is in range
+by construction.  These tests rebuild every such output through the public
+constructor, which raises on a wire outside the circuit, and keep the
+checks at the boundaries.
+"""
+
+import random
+
+import pytest
+
+from steinersynth import ConnectivityGraph, random_connected_graph, random_invertible
+from steinersynth.bench import random_universal_circuit
+from steinersynth.circuits import Circuit, CircuitFormatError, cnot, parse_circuit
+from steinersynth.cnot_synth import expand_templates
+from steinersynth.graphs import complete_graph, grid_graph, line_graph
+from steinersynth.optimizer import cancel_pass
+from steinersynth.phase_synth import extract_sum_over_paths
+from steinersynth.pipeline import _candidates, run
+from steinersynth.universal import _route, merge_delete_h, partition_segments
+
+PROBS = {"cnot": 0.6, "t": 0.1, "s": 0.1, "sdg": 0.05, "tdg": 0.05, "h": 0.1}
+GRIDS = {2: (1, 2), 4: (2, 2), 6: (2, 3), 9: (3, 3), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
+
+
+def graphs():
+    """Line, grid, random and complete graphs at 2 to 20 wires."""
+    for n, (rows, cols) in GRIDS.items():
+        yield line_graph(n)
+        yield grid_graph(rows, cols)
+        yield random_connected_graph(n, 0.4, n)
+        yield complete_graph(n)
+
+
+def tasks(n: int, seed: int) -> list:
+    """One task of each kind: a matrix, a sum over paths and a circuit."""
+    rng = random.Random(seed)
+    phase_free = {**PROBS, "h": 0.0}
+    return [
+        random_invertible(n, rng.randrange(1 << 30)),
+        extract_sum_over_paths(random_universal_circuit(n, 4 * n, phase_free, rng.randrange(1 << 30))),
+        random_universal_circuit(n, 5 * n, PROBS, rng.randrange(1 << 30)),
+    ]
+
+
+def assert_rebuilds(c: Circuit, key) -> None:
+    assert Circuit(c.num_qubits, c.gates) == c, key
+
+
+@pytest.mark.parametrize("g", list(graphs()), ids=lambda g: g.name)
+def test_every_unchecked_output_survives_the_public_constructor(g):
+    n = g.node_count
+    for seed in range(2):
+        matrix, phase, circuit = tasks(n, 97 * n + seed)
+        for task in (matrix, phase, circuit):
+            for method in ("steiner", "pmh", "templates"):
+                if method == "pmh" and task is not matrix:
+                    continue
+                for cleanup in (True, False):
+                    out, _, cert = run(task, g, method, cleanup)
+                    key = (g.name, seed, type(task).__name__, method, cleanup)
+                    assert cert[1], key
+                    assert_rebuilds(out, key)
+        for candidate in _candidates(matrix, g, "pmh")[0]:
+            assert_rebuilds(candidate, (g.name, seed, "pmh candidate"))
+        reduced = merge_delete_h(circuit)
+        assert_rebuilds(reduced, (g.name, seed, "merge_delete_h"))
+        assert_rebuilds(cancel_pass(circuit), (g.name, seed, "cancel_pass"))
+        assert_rebuilds(cancel_pass(reduced), (g.name, seed, "cancel_pass of merged"))
+        segments = partition_segments(reduced)
+        for carry in (True, False):
+            assert_rebuilds(_route(segments, g, carry), (g.name, seed, "route", carry))
+
+
+def test_cleanup_and_h_merging_keep_wide_inputs_in_range():
+    # Many merges and cancellations on few wires, and H/S/H sandwiches for
+    # merge_delete_h's rewrite, at widths where no synthesis runs.
+    probs = {"cnot": 0.3, "t": 0.1, "s": 0.25, "sdg": 0.05, "tdg": 0.0, "h": 0.3}
+    for n in (2, 3, 7, 20):
+        for seed in range(10):
+            c = random_universal_circuit(n, 200, probs, seed)
+            for out in (cancel_pass(c), merge_delete_h(c), cancel_pass(merge_delete_h(c))):
+                assert_rebuilds(out, (n, seed))
+
+
+def test_the_parser_still_names_the_line_of_a_bad_wire():
+    with pytest.raises(CircuitFormatError, match=r"^line 3: wire 3 out of range \(0\.\.2\)$"):
+        parse_circuit("qubits 3\ncnot 0 1\ncnot 1 3\n")
+
+
+def test_template_expansion_still_checks_wires():
+    # A star around node 4: the shortest 0-2 path runs through it, so the
+    # ladder of a 3-wire `cnot 0 2` leaves the circuit's wires.
+    g = ConnectivityGraph(5, frozenset({(0, 4), (1, 4), (2, 4), (3, 4)}))
+    with pytest.raises(ValueError, match=r"^wire 4 out of range for 3 qubits$"):
+        expand_templates(Circuit(3, (cnot(0, 2),)), g)

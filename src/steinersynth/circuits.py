@@ -153,13 +153,13 @@ class Circuit:
     `num_qubits`, and `parse_circuit` checks each line's, so every circuit
     that enters from outside the program is checked.  Builders whose
     wires are in range by construction skip the re-check with
-    `_unchecked`: cleanup (its survivors and merged RZs sit on its input's
-    wires), the synthesizers and the matrix baselines' candidates (their
-    CNOTs are arcs of a graph with one node per wire of the task, a width
-    checked on entry), the parity network and its views, and the route's
-    H-reduced input, segments and output.  `expand_templates` keeps the
-    check, since it checks no width itself: a ladder can leave a narrower
-    circuit's wires.
+    `_unchecked`: `parse_circuit` once its lines are checked, cleanup (its
+    survivors and merged RZs sit on its input's wires), the synthesizers
+    and the matrix baselines' candidates (their CNOTs are arcs of a graph
+    with one node per wire of the task, a width checked on entry), the
+    parity network and its views, and the route's H-reduced input,
+    segments and output.  `expand_templates` keeps the check, since it
+    checks no width itself: a ladder can leave a narrower circuit's wires.
     """
 
     num_qubits: int
@@ -272,7 +272,7 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(g)
     if num_qubits is None:
         raise CircuitFormatError(0, "empty input: missing 'qubits n' header")
-    return Circuit(num_qubits, tuple(gates))
+    return Circuit._unchecked(num_qubits, tuple(gates))
 
 
 def emit_circuit(c: Circuit) -> str:

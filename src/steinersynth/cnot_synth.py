@@ -51,7 +51,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .circuits import Circuit, Gate, cnot
-from .gf2 import BinaryMatrix, SingularMatrixError, _bits, check_invertible, invert
+from .gf2 import BinaryMatrix, SingularMatrixError, _bits, check_invertible
 from .graphs import (
     ConnectivityGraph,
     SteinerTree,
@@ -449,12 +449,12 @@ def _separates(adj_masks: tuple[int, ...], nodes: int, v: int) -> bool:
 
 def _synthesize_rowcol(
     a: BinaryMatrix,
+    a_inv: BinaryMatrix,
     g: ConnectivityGraph,
     stop: frozenset[int] | None = None,
-    a_inv: BinaryMatrix | None = None,
 ) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
-    """An edge-legal CNOT circuit F for the invertible matrix `a` by RowCol
-    elimination (Wu et al., arXiv:1910.14478), with no transpose pass, the
+    """An edge-legal CNOT circuit F for the matrix `a`, given its inverse
+    `a_inv`, by RowCol elimination (Wu et al., arXiv:1910.14478), the
     residual M with M·F = a (F followed by M applies `a`) and M⁻¹.
 
     With no stop set, M is the identity.  Vertices are eliminated in the
@@ -477,16 +477,15 @@ def _synthesize_rowcol(
     fewest ops, trial-run on copies, ties to the lowest column.  Only when
     no column has a candidate are all pairs of a stop column and a wire
     that may go next tried.  A full stop set leaves M a permutation
-    matrix.  The steps keep the inverse of the working aᵀ transposed, so
-    they start from a⁻¹, which the caller passes as `a_inv` with a stop
-    set (a route knows it without a Gauss-Jordan pass), and end with M⁻¹.
-    The caller checks that `a` is invertible and has one row per graph
-    node.
+    matrix.  The steps keep the working matrix's inverse transposed, so
+    no path inverts a matrix: with no stop set they start from `a_inv`ᵀ,
+    relabelled like `a`; with one, from `a_inv`, the transpose of aᵀ's
+    inverse.  The caller checks that `a` has one row per graph node.
     """
     n = a.dim
     if stop is None:
         rows, h, arcs = _in_elimination_labels(a, g)
-        inv_t = list(invert(BinaryMatrix(n, tuple(rows))).transpose().rows)
+        inv_t, _, _ = _in_elimination_labels(a_inv.transpose(), g)
         full = (1 << n) - 1
         ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
         assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"

@@ -127,6 +127,19 @@ def simulate_cnot_circuit(c: Circuit, start: BinaryMatrix | None = None) -> Bina
     return BinaryMatrix(c.num_qubits, tuple(rows))
 
 
+def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
+    """R·B⁻¹ for the linear map B of the CNOTs among `gates`, with no
+    Gauss-Jordan pass: B⁻¹ is the CNOTs E_1, ..., E_m in order as the
+    product E_1···E_m, so (R·B⁻¹)ᵀ = E_mᵀ···E_1ᵀ·Rᵀ, and the transpose of
+    CNOT (c, t)'s row op is the row op (t, c)."""
+    cols = list(r.transpose().rows)
+    for gate in gates:
+        if gate.kind == "cnot":
+            c, t = gate.qubits
+            cols[c] ^= cols[t]
+    return BinaryMatrix(r.dim, tuple(cols)).transpose()
+
+
 def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """GF(2) matrix product a @ b."""
     if a.dim != b.dim:

@@ -35,7 +35,14 @@ from .cnot_synth import (
     _synthesize_rowcol,
     plan_pre_transpose,
 )
-from .gf2 import BinaryMatrix, _bits, is_invertible, multiply, simulate_cnot_circuit
+from .gf2 import (
+    BinaryMatrix,
+    SingularMatrixError,
+    _bits,
+    _times_inverse,
+    invert,
+    simulate_cnot_circuit,
+)
 from .graphs import ConnectivityGraph, _check_width, steiner_approx
 
 
@@ -96,29 +103,33 @@ class PhasePolynomial:
 
 @dataclass(frozen=True)
 class SumOverPaths:
-    """The (phase polynomial, linear part) pair defining a CNOT+RZ unitary."""
+    """A CNOT+RZ unitary's (phase polynomial, linear part) pair, and that part's inverse."""
 
     phase: PhasePolynomial
     linear: BinaryMatrix
+    linear_inv: BinaryMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.phase.num_qubits != self.linear.dim:
             raise ValueError("phase and linear part disagree on qubit count")
-        if not is_invertible(self.linear):
-            raise ValueError("linear part must be invertible")
+        try:
+            object.__setattr__(self, "linear_inv", invert(self.linear))
+        except SingularMatrixError:
+            raise ValueError("linear part must be invertible") from None
 
     @property
     def num_qubits(self) -> int:
         return self.linear.dim
 
 
-def _frame(phase: PhasePolynomial, linear: BinaryMatrix) -> SumOverPaths:
-    """A `SumOverPaths` whose linear part is a product of CNOTs, so
-    invertible by construction: built without `__post_init__`'s
-    Gauss-Jordan check, for the frames `route` reads its segments in."""
+def _frame(phase: PhasePolynomial, linear: BinaryMatrix, linear_inv: BinaryMatrix) -> SumOverPaths:
+    """A `SumOverPaths` whose linear part is a product of CNOTs and whose
+    inverse the caller read off the same CNOTs (`_times_inverse`): built
+    without `__post_init__`'s Gauss-Jordan pass."""
     frame = object.__new__(SumOverPaths)
     object.__setattr__(frame, "phase", phase)
     object.__setattr__(frame, "linear", linear)
+    object.__setattr__(frame, "linear_inv", linear_inv)
     return frame
 
 
@@ -152,13 +163,15 @@ def _read_path_sum(gates, wires: list[int]) -> tuple[dict[int, Angle], list[tupl
 
 
 def extract_sum_over_paths(c: Circuit) -> SumOverPaths:
-    """Walk a CNOT+RZ circuit, accumulating parities and rotation angles."""
-    wires = [1 << q for q in range(c.num_qubits)]
+    """Walk a CNOT+RZ circuit, accumulating parities and rotation angles;
+    the linear part's inverse is read off the same CNOTs."""
+    n = c.num_qubits
+    wires = [1 << q for q in range(n)]
     terms, hs = _read_path_sum(c.gates, wires)
     if hs:
         raise ValueError("gate 'h' is outside the CNOT+RZ set")
-    phase = PhasePolynomial(c.num_qubits, terms)
-    return SumOverPaths(phase, BinaryMatrix(c.num_qubits, tuple(wires)))
+    inverse = _times_inverse(BinaryMatrix.identity(n), c.gates)
+    return _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)), inverse)
 
 
 def build_parity_matrix(s: SumOverPaths) -> list[int]:
@@ -317,10 +330,7 @@ def synth_parity_network_constrained(
 
 
 def _synthesize_up_to(
-    s: SumOverPaths,
-    g: ConnectivityGraph,
-    stop: frozenset[int] | None = None,
-    linear_inv: BinaryMatrix | None = None,
+    s: SumOverPaths, g: ConnectivityGraph, stop: frozenset[int] | None = None
 ) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
     """The one CNOT+RZ body: the parity network, then the RowCol fixup up
     to the stop set.  Returns the circuit, the residual M that must follow
@@ -328,25 +338,21 @@ def _synthesize_up_to(
     and otherwise a map that holds each stop qubit alone on one wire
     (`_synthesize_rowcol`).
 
-    The network applies some linear map C, so the fixup target is
-    A·C⁻¹; C⁻¹ is the network's CNOTs simulated in reverse order, with no
-    Gauss-Jordan pass.  With a stop set the fixup also needs the target's
-    inverse C·A⁻¹: the caller passes A⁻¹ as `linear_inv`, and the network's
-    CNOTs run on its rows.  An instance with no phase terms skips the
+    The network applies some linear map C, so the fixup target is A·C⁻¹,
+    read off the network's CNOTs (`_times_inverse`), and its inverse is
+    C·A⁻¹, the network's CNOTs run on the rows of `s.linear_inv`: neither
+    takes a Gauss-Jordan pass.  An instance with no phase terms skips the
     network, which would emit no gate and apply C = I: the target is A
     itself.
     """
     if not s.phase.terms:
-        return _synthesize_rowcol(s.linear, g, stop, linear_inv)
+        return _synthesize_rowcol(s.linear, s.linear_inv, g, stop)
     n = s.num_qubits
     network, _ = synth_parity_network_constrained(s, g)
-    cnots = tuple(gate for gate in network.gates if gate.kind == "cnot")
-    c_inv = simulate_cnot_circuit(Circuit._unchecked(n, cnots[::-1]))
-    target_inv = None
-    if stop is not None:
-        target_inv = simulate_cnot_circuit(Circuit._unchecked(n, cnots), linear_inv)
-    fixup, residual, residual_inv = _synthesize_rowcol(
-        multiply(s.linear, c_inv), g, stop, target_inv)
+    cnots = Circuit._unchecked(n, tuple(gate for gate in network.gates if gate.kind == "cnot"))
+    target = _times_inverse(s.linear, cnots.gates)
+    target_inv = simulate_cnot_circuit(cnots, s.linear_inv)
+    fixup, residual, residual_inv = _synthesize_rowcol(target, target_inv, g, stop)
     circuit = Circuit._unchecked(n, network.gates + fixup.gates)
     return circuit, residual, residual_inv
 

@@ -8,15 +8,15 @@ H runs: each CNOT+RZ segment is resynthesized in the frame the gates
 emitted so far leave, and its fixup only frees each qubit of the next H
 run, alone on a wire of the fixup's choosing, where its H runs; the next
 segment takes over the rest, and the last segment's fixup clears every
-wire, so both ends keep the identity layout.  When that route has more
-CNOTs before cleanup than the template expansion of the H-reduced input,
-the route that carries nothing is returned instead: its every segment
-implements its full linear map as its resynthesis, or as its own gates
-with every long-range CNOT expanded into a ladder of 4(l-1) edge CNOTs
-when that has strictly fewer CNOTs.  The segments hold exactly the
-H-reduced input's gates, so that route never has more CNOTs than the
-expansion, and no route has more CNOTs before cleanup than the template
-expansion of its H-reduced input.
+wire, so both ends keep the identity layout; no fixup inverts a matrix.
+When that route has more CNOTs before cleanup than the template expansion
+of the H-reduced input, the route that carries nothing is returned
+instead: its every segment implements its full linear map as its
+resynthesis, or as its own gates with every long-range CNOT expanded into
+a ladder of 4(l-1) edge CNOTs when that has strictly fewer CNOTs.  The
+segments hold exactly the H-reduced input's gates, so that route never has
+more CNOTs than the expansion, and no route has more CNOTs before cleanup
+than the template expansion of its H-reduced input.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, _times_inverse
 from .graphs import ConnectivityGraph, _check_width
 from .phase_synth import (
     PhasePolynomial,
@@ -199,19 +199,6 @@ def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
     return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 
-def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
-    """R·B⁻¹ for the linear map B of the CNOTs among `gates`, with no
-    Gauss-Jordan pass: B⁻¹ is the CNOTs E_1, ..., E_m in order as the
-    product E_1···E_m, so (R·B⁻¹)ᵀ = E_mᵀ···E_1ᵀ·Rᵀ, and the transpose of
-    CNOT (c, t)'s row op is the row op (t, c)."""
-    cols = list(r.transpose().rows)
-    for gate in gates:
-        if gate.kind == "cnot":
-            c, t = gate.qubits
-            cols[c] ^= cols[t]
-    return BinaryMatrix(r.dim, tuple(cols)).transpose()
-
-
 def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circuit:
     """The one route loop: each H runs on the wire its qubit sits alone on,
     and each CNOT+RZ segment is resynthesized in the frame the gates
@@ -221,7 +208,9 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     after the input's prefix; R starts as the identity, and both R and R⁻¹
     are kept.  A CNOT+RZ segment is read in the emitted frame: its wires
     start as the rows of R⁻¹, so each parity p of its phase polynomial
-    becomes p·R⁻¹ and its linear part B becomes B·R⁻¹.
+    becomes p·R⁻¹ and its linear part B becomes B·R⁻¹.  Its frame
+    (`_frame`) carries that product of CNOTs with its inverse R·B⁻¹, read
+    off the same CNOTs (`_times_inverse`), so no fixup inverts a matrix.
 
     With `carry`, its synthesis (`_synthesize_up_to`) ends with a fixup
     that frees only the qubits of the next H run, every H block up to the
@@ -229,10 +218,8 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     qubit q sits alone on a wire w: row q is e_w and column w is e_q.  So
     each H of q runs on wire w, the one set bit of row q of R⁻¹, where it
     commutes with R as an H on q and meets the parity it meets in the
-    input.  Such a partial fixup starts from the frame's inverse R·B⁻¹
-    (`_times_inverse`), so no fixup of the route inverts a matrix but the
-    last.  That one is full, so R ends as the identity and the output
-    applies exactly the input, with no output permutation.
+    input.  The last fixup is full, so R ends as the identity and the
+    output applies exactly the input, with no output permutation.
 
     Without `carry`, every fixup is full, so R stays the identity, each H
     runs on its own wire, and each segment becomes its resynthesis
@@ -240,14 +227,12 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     expanded into a 4(l-1) ladder (`expand_templates`) have strictly fewer
     CNOTs; that expansion is built only when it wins.  So this route never
     has more CNOTs than the template expansion of its segments.
-
-    The frames are built without the invertibility check of
-    `SumOverPaths` (`_frame`): B·R⁻¹ is a product of CNOTs.
     """
     n = g.node_count
     r = r_inv = BinaryMatrix.identity(n)
     cnot_at = [k for k, seg in enumerate(segments) if seg.kind == "cnot_block"]
-    after = dict(zip(cnot_at, cnot_at[1:]))  # the next CNOT+RZ segment
+    stops = {k: frozenset(gate.target for block in segments[k + 1:j] for gate in block.gates)
+             for k, j in zip(cnot_at, cnot_at[1:])}
     gates: list[Gate] = []
     for k, seg in enumerate(segments):
         if seg.kind == "h_block":
@@ -255,14 +240,10 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
             continue
         wires = list(r_inv.rows)
         terms, _ = _read_path_sum(seg.gates, wires)
-        frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)))
+        frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)),
+                       _times_inverse(r, seg.gates))
         if carry:
-            stop = frame_inv = None
-            if k in after:
-                run = segments[k + 1:after[k]]
-                stop = frozenset(gate.target for block in run for gate in block.gates)
-                frame_inv = _times_inverse(r, seg.gates)
-            circuit, r_inv, r = _synthesize_up_to(frame, g, stop, frame_inv)
+            circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
         else:
             circuit, _ = synthesize_cnot_rz(frame, g)
             if _ladder_cnots(seg.gates, g) < circuit.cnot_count:

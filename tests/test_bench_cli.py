@@ -528,6 +528,18 @@ def test_cli_rejects_a_singular_matrix(tmp_path):
         assert "singular" in res.output
 
 
+def test_cli_synth_phase_rejects_a_singular_matrix(tmp_path):
+    phase, matrix = tmp_path / "p.txt", tmp_path / "m.txt"
+    phase.write_text("110 1/8\n")
+    matrix.write_text("3\n110\n110\n001\n")
+    res = CliRunner().invoke(
+        main, ["synth-phase", "--phase", str(phase), "--matrix", str(matrix), "--arch", "line(3)"]
+    )
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: linear part must be invertible\n" in res.output
+
+
 def test_cli_reports_a_task_of_another_width_in_one_message(tmp_path):
     # Every synthesis command leaves the width check to `run`, so each input
     # form exits 2 with the same message and no traceback.

@@ -23,7 +23,7 @@ from steinersynth import cnot_synth
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import _path_ops
 from steinersynth.graphs import SteinerTree, complete_graph, grid_graph, line_graph
-from steinersynth.gf2 import SingularMatrixError, is_invertible
+from steinersynth.gf2 import SingularMatrixError, invert, is_invertible
 from steinersynth.verify import edge_legal
 from conftest import oracle_graphs, pmh_at, random_terminal_sets
 
@@ -699,11 +699,11 @@ def rowcol_graphs():
 
 
 def rowcol_ops(a, g):
-    """The rows of `a` and the row ops `_synthesize_rowcol(a, g)` clears them
-    with, in execution order, both in the graph's elimination labels."""
+    """The rows of `a` and the row ops `_synthesize_rowcol(a, a⁻¹, g)` clears
+    them with, in execution order, both in the graph's elimination labels."""
     rows, _, arcs = cnot_synth._in_elimination_labels(a, g)
     arc_of = {gate: arc for arc, gate in arcs.items()}
-    circ, _, _ = cnot_synth._synthesize_rowcol(a, g)
+    circ, _, _ = cnot_synth._synthesize_rowcol(a, invert(a), g)
     return rows, [arc_of[gate] for gate in reversed(circ.gates)]
 
 
@@ -727,7 +727,7 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
         n = g.node_count
         for seed in range(4 if n < 72 else 1):
             a = random_invertible(n, 17 * n + seed)
-            circ, residual, residual_inv = cnot_synth._synthesize_rowcol(a, g)
+            circ, residual, residual_inv = cnot_synth._synthesize_rowcol(a, invert(a), g)
             assert residual == residual_inv == BinaryMatrix.identity(n)
             assert simulate_cnot_circuit(circ) == a, (g.name, seed)
             assert edge_legal(circ, g), (g.name, seed)
@@ -736,7 +736,8 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
 
 def test_rowcol_identity_emits_no_gate():
     for g in rowcol_graphs():
-        assert cnot_synth._synthesize_rowcol(BinaryMatrix.identity(g.node_count), g)[0].gates == ()
+        identity = BinaryMatrix.identity(g.node_count)
+        assert cnot_synth._synthesize_rowcol(identity, identity, g)[0].gates == ()
 
 
 def test_rowcol_repairs_zero_pivots_inside_the_tree():
@@ -750,7 +751,7 @@ def test_rowcol_repairs_zero_pivots_inside_the_tree():
         for a in zero_pivot_matrices(n, rng):
             rows, _, _ = cnot_synth._in_elimination_labels(a, g)
             assert not any((r >> i) & 1 for i, r in enumerate(rows)), g.name
-            circ, _, _ = cnot_synth._synthesize_rowcol(a, g)
+            circ, _, _ = cnot_synth._synthesize_rowcol(a, invert(a), g)
             assert simulate_cnot_circuit(circ) == a and edge_legal(circ, g), g.name
 
 
@@ -795,5 +796,6 @@ def test_rowcol_builds_two_floored_trees_per_vertex_and_no_plan(monkeypatch):
     monkeypatch.setattr(cnot_synth, "plan_pre_transpose", no_plan)
     for g in rowcol_graphs()[:20]:
         trees.clear()
-        cnot_synth._synthesize_rowcol(random_invertible(g.node_count, 2), g)
+        a = random_invertible(g.node_count, 2)
+        cnot_synth._synthesize_rowcol(a, invert(a), g)
         assert all(trees.count(i) <= 2 for i in set(trees))

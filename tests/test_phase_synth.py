@@ -15,7 +15,8 @@ from steinersynth import (
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
-from steinersynth.bench import random_phase_instance
+from steinersynth import gf2, universal
+from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
 from steinersynth.gf2 import invert, multiply
@@ -26,7 +27,7 @@ from steinersynth.graphs import (
     line_graph,
     steiner_approx,
 )
-from steinersynth.phase_synth import parity_from_bits, parity_to_bits
+from steinersynth.phase_synth import _synthesize_up_to, parity_from_bits, parity_to_bits
 from steinersynth.pipeline import run
 from steinersynth.verify import edge_legal
 
@@ -100,6 +101,61 @@ def test_phase_polynomial_equality_compares_fields_and_is_unhashable():
 def test_extract_rejects_h():
     with pytest.raises(ValueError):
         extract_sum_over_paths(Circuit(1, (h(0),)))
+
+
+def test_a_sum_over_paths_carries_the_inverse_of_its_linear_part():
+    # Extraction reads the inverse off the circuit's CNOTs, and the public
+    # constructor inverts once; both give the Gauss-Jordan inverse.
+    rng = random.Random(31)
+    probs = {"cnot": 0.6, "t": 0.2, "s": 0.1, "tdg": 0.1}
+    circuits = [random_universal_circuit(n, rng.randrange(1, 6 * n), probs, rng.randrange(10**6))
+                for n in range(2, 21) for _ in range(3)]
+    bristlecone = builtin_architecture("bristlecone72")
+    circuits.append(synthesize_cnot_rz(random_phase_instance(72, 72, 5), bristlecone)[0])
+    for c in circuits:
+        sop = extract_sum_over_paths(c)
+        want = invert(sop.linear)
+        assert sop.linear_inv == want, c.num_qubits
+        built = SumOverPaths(sop.phase, sop.linear)
+        assert built.linear_inv == want and built == sop, c.num_qubits
+        assert "linear_inv" not in repr(built)
+
+
+def test_a_singular_linear_part_is_rejected():
+    singular = BinaryMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    with pytest.raises(ValueError, match="^linear part must be invertible$"):
+        SumOverPaths(PhasePolynomial(3, {0b011: Angle(1, 8)}), singular)
+
+
+def test_no_synthesizer_or_route_inverts_a_matrix(monkeypatch):
+    # A sum-over-paths task inverts its linear part once, when it is built;
+    # every fixup after that reads its target's inverse off CNOTs.
+    tokyo = builtin_architecture("tokyo20")
+    task = random_phase_instance(20, 20, 7)
+    probs = {"cnot": 0.8, "s": 0.04, "t": 0.03, "tdg": 0.03, "h": 0.1}
+    carried = random_universal_circuit(9, 120, probs, 1), grid_graph(3, 3)
+    fallback = random_universal_circuit(8, 60, probs, 2), complete_graph(8)
+    # On K8 the carry route has more CNOTs than the templates, so the route
+    # that carries nothing is returned.
+    reduced = universal.merge_delete_h(fallback[0])
+    carry = universal._route(universal.partition_segments(reduced), fallback[1], carry=True)
+    assert carry.cnot_count > universal._ladder_cnots(reduced.gates, fallback[1])
+
+    def outputs():
+        return [
+            synthesize_cnot_rz(task, tokyo)[0],
+            _synthesize_up_to(task, tokyo, frozenset({0, 5, 11})),
+            universal.route_universal(*carried)[0],
+            universal.route_universal(*fallback)[0],
+        ]
+
+    want = outputs()
+
+    def gauss_jordan(*args, **kwargs):
+        raise AssertionError("a Gauss-Jordan pass ran")
+
+    monkeypatch.setattr(gf2, "_eliminate", gauss_jordan)
+    assert outputs() == want
 
 
 def test_parity_matrix_columns():
@@ -342,7 +398,8 @@ def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
         sop = SumOverPaths(PhasePolynomial(n, {}), random_invertible(n, seed))
         # The path through the parity network, written out.
         network, c_matrix = synth_parity_network_constrained(sop, g)
-        fixup, _, _ = _synthesize_rowcol(multiply(sop.linear, invert(c_matrix)), g)
+        target = multiply(sop.linear, invert(c_matrix))
+        fixup, _, _ = _synthesize_rowcol(target, invert(target), g)
         want = network.extended(fixup.gates)
         got, _ = synthesize_cnot_rz(sop, g)
         assert got == want and got.gates == want.gates

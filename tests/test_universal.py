@@ -395,14 +395,14 @@ def test_each_h_of_a_carry_route_reads_the_parity_it_reads_in_the_input():
 
 
 def assert_partial_fixup(a: BinaryMatrix, g, stop: frozenset) -> int:
-    """Check `_synthesize_rowcol(a, g, stop, a⁻¹)`: the fixup F is edge-legal,
+    """Check `_synthesize_rowcol(a, a⁻¹, g, stop)`: the fixup F is edge-legal,
     F followed by the residual M applies `a`, and each stop qubit q sits
     alone on a wire w of its own in M (row q is e_w, column w is e_q, the
     w distinct), so an H on wire w commutes with M as an H on q; a full
     stop set leaves M a permutation matrix.  Returns how many stop qubits
     were freed on another wire than their own.  The residual's inverse
     comes back too, with no Gauss-Jordan pass."""
-    fixup, residual, residual_inv = _synthesize_rowcol(a, g, stop, invert(a))
+    fixup, residual, residual_inv = _synthesize_rowcol(a, invert(a), g, stop)
     key = (g.name, sorted(stop))
     assert edge_legal(fixup, g), key
     assert multiply(residual, simulate_cnot_circuit(fixup)) == a, key

@@ -72,12 +72,14 @@ class BinaryMatrix:
 
     @classmethod
     def from_rows(cls, bit_rows) -> "BinaryMatrix":
-        """Build from an iterable of 0/1 row iterables."""
-        packed = []
-        for row in bit_rows:
-            bits = list(row)
-            packed.append(sum((1 if b else 0) << j for j, b in enumerate(bits)))
-        n = len(packed)
+        """Build from an iterable of 0/1 row iterables.  Raises ValueError
+        naming the first row whose length is not the row count."""
+        rows = [list(row) for row in bit_rows]
+        n = len(rows)
+        for i, bits in enumerate(rows):
+            if len(bits) != n:
+                raise ValueError(f"row {i} has {len(bits)} entries, expected {n}")
+        packed = (sum((1 if b else 0) << j for j, b in enumerate(bits)) for bits in rows)
         return cls(n, tuple(packed))
 
     def bit(self, i: int, j: int) -> int:

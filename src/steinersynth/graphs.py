@@ -39,18 +39,15 @@ class ConnectivityGraph:
     Besides the adjacency lists, construction builds the CNOT of every
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
-    synthesizers emit these gates and no other CNOTs.  Two memos start
-    empty and live exactly as long as the graph.  Template expansion
+    synthesizers emit these gates and no other CNOTs.  One memo starts
+    empty and lives exactly as long as the graph: template expansion
     (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
-    of each non-adjacent ordered pair it meets.  `steiner_approx` fills
-    `_trees` with the edge set of each two-terminal tree it builds, keyed
-    (smaller terminal, larger terminal, allowed-node mask), the mask of
-    every node when none is given.  `_bfs_order` is kept from the
-    connectivity check, and `_adj_masks`, the adjacency as bitmasks, and
-    `_relabelled`, the elimination order of Steiner-Gauss synthesis, are
-    computed on first use and kept.
-    No memo refers back to the graph, so a dropped graph is freed at once
-    rather than by the cycle collector.  None of these takes part in
+    of each non-adjacent ordered pair it meets.  `_bfs_order` is kept from
+    the connectivity check, and `_adj_masks`, the adjacency as bitmasks,
+    and `_relabelled`, the elimination order of Steiner-Gauss synthesis,
+    are computed on first use and kept.
+    Nothing kept refers back to the graph, so a dropped graph is freed at
+    once rather than by the cycle collector.  None of these takes part in
     equality, hashing or repr.
     """
 
@@ -60,7 +57,6 @@ class ConnectivityGraph:
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
     _templates: dict = field(init=False, repr=False, compare=False)
-    _trees: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -81,7 +77,6 @@ class ConnectivityGraph:
         arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
         object.__setattr__(self, "_arcs", arcs)
         object.__setattr__(self, "_templates", {})
-        object.__setattr__(self, "_trees", {})
 
     @cached_property
     def _bfs_order(self) -> list[int]:
@@ -333,11 +328,7 @@ def steiner_approx(
 
     The search never reads the root, so a tree's edges depend on its
     terminals and its allowed nodes alone, and allowing every node searches
-    as giving no mask does.  A two-terminal call keeps its validated tree's
-    edges in the graph's `_trees` memo under (smaller terminal, larger
-    terminal, allowed), the mask of every node when none is given; a later
-    call with the same key, under either root, builds its tree from those
-    edges without a search.
+    as giving no mask does.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -353,11 +344,6 @@ def steiner_approx(
         raise ValueError("root must be a terminal")
     if allowed is None:
         allowed = (1 << n) - 1
-    pair = len(term_set) == 2
-    if pair:  # a key is kept only once its terminals were checked
-        edges = g._trees.get((lo, hi, allowed))
-        if edges is not None:
-            return SteinerTree(g, term_set, root, edges)
 
     adj = g._adj
     nodes = sorted(term_set)
@@ -438,8 +424,6 @@ def steiner_approx(
 
     tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
     tree.validate()
-    if pair:
-        g._trees[lo, hi, allowed] = tree.tree_edges
     return tree
 
 

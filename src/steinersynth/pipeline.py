@@ -33,7 +33,8 @@ from .verify import Certificate, certify
 @functools.cache
 def _full_connectivity(n: int) -> ConnectivityGraph:
     """One `complete_graph(n)` per width, for the CNOT+RZ templates
-    baseline, so that its memos outlive a single run."""
+    baseline, so that the n(n-1) arc gates are built once per width; its
+    ladder memo stays empty, since every pair is an edge."""
     return complete_graph(n)
 
 

@@ -28,13 +28,7 @@ from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
 from .gf2 import BinaryMatrix, _times_inverse
 from .graphs import ConnectivityGraph, _check_width
-from .phase_synth import (
-    PhasePolynomial,
-    _frame,
-    _read_path_sum,
-    _synthesize_up_to,
-    synthesize_cnot_rz,
-)
+from .phase_synth import PhasePolynomial, _frame, _read_path_sum, _synthesize_up_to
 
 _S = Angle(1, 4)
 _SDG = Angle(3, 4)
@@ -212,27 +206,30 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     (`_frame`) carries that product of CNOTs with its inverse R·B⁻¹, read
     off the same CNOTs (`_times_inverse`), so no fixup inverts a matrix.
 
-    With `carry`, its synthesis (`_synthesize_up_to`) ends with a fixup
-    that frees only the qubits of the next H run, every H block up to the
-    next CNOT+RZ segment, and returns the new R⁻¹ and R, in which each such
-    qubit q sits alone on a wire w: row q is e_w and column w is e_q.  So
-    each H of q runs on wire w, the one set bit of row q of R⁻¹, where it
-    commutes with R as an H on q and meets the parity it meets in the
-    input.  The last fixup is full, so R ends as the identity and the
-    output applies exactly the input, with no output permutation.
+    Its synthesis (`_synthesize_up_to`) ends with a fixup up to its stop
+    set and returns the new R⁻¹ and R.  With `carry`, a segment followed by
+    another CNOT+RZ segment stops at the qubits of every H block between
+    them: its fixup frees only those, each qubit q alone on a wire w, so
+    row q of R⁻¹ is e_w and column w is e_q.  So each H of q runs on wire
+    w, the one set bit of row q of R⁻¹, where it commutes with R as an H
+    on q and meets the parity it meets in the input.  The last fixup is
+    full, so R ends as the identity and the output applies exactly the
+    input, with no output permutation.
 
-    Without `carry`, every fixup is full, so R stays the identity, each H
-    runs on its own wire, and each segment becomes its resynthesis
-    (`synthesize_cnot_rz`) unless its own gates with each long-range CNOT
-    expanded into a 4(l-1) ladder (`expand_templates`) have strictly fewer
-    CNOTs; that expansion is built only when it wins.  So this route never
-    has more CNOTs than the template expansion of its segments.
+    With no stop set at all (no `carry`, or one CNOT+RZ segment), every
+    fixup is full, so R stays the identity, each H runs on its own wire,
+    and each segment's frame is the map its own gates implement.  So each
+    segment becomes its resynthesis unless its own gates with each
+    long-range CNOT expanded into a 4(l-1) ladder (`expand_templates`)
+    have strictly fewer CNOTs; that expansion is built only when it wins,
+    and such a route never has more CNOTs than the template expansion of
+    its segments.
     """
     n = g.node_count
     r = r_inv = BinaryMatrix.identity(n)
     cnot_at = [k for k, seg in enumerate(segments) if seg.kind == "cnot_block"]
     stops = {k: frozenset(gate.target for block in segments[k + 1:j] for gate in block.gates)
-             for k, j in zip(cnot_at, cnot_at[1:])}
+             for k, j in zip(cnot_at, cnot_at[1:])} if carry else {}
     gates: list[Gate] = []
     for k, seg in enumerate(segments):
         if seg.kind == "h_block":
@@ -242,12 +239,9 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
         terms, _ = _read_path_sum(seg.gates, wires)
         frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)),
                        _times_inverse(r, seg.gates))
-        if carry:
-            circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
-        else:
-            circuit, _ = synthesize_cnot_rz(frame, g)
-            if _ladder_cnots(seg.gates, g) < circuit.cnot_count:
-                circuit = expand_templates(Circuit._unchecked(n, seg.gates), g)
+        circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
+        if not stops and _ladder_cnots(seg.gates, g) < circuit.cnot_count:
+            circuit = expand_templates(Circuit._unchecked(n, seg.gates), g)
         gates.extend(circuit.gates)
     return Circuit._unchecked(n, tuple(gates))
 

@@ -89,6 +89,16 @@ def test_multiply_inverse_roundtrip():
         assert invert(invert(m)) == m
 
 
+def test_from_rows_rejects_ragged_rows():
+    # A short row is not padded with zeros: the first row whose length is
+    # not the row count is named, short or long.
+    with pytest.raises(ValueError, match="^row 1 has 1 entries, expected 2$"):
+        BinaryMatrix.from_rows([[1, 0], [1]])
+    with pytest.raises(ValueError, match="^row 0 has 3 entries, expected 2$"):
+        BinaryMatrix.from_rows([[1, 0, 0], [0, 1]])
+    assert BinaryMatrix.from_rows([[1, 0], [1, 1]]).rows == (0b01, 0b11)
+
+
 def test_rank_and_singularity():
     singular = BinaryMatrix.from_rows([[1, 1], [1, 1]])
     assert rank(singular) == 1

@@ -1,4 +1,6 @@
+import copy
 import random
+from functools import cached_property
 
 import pytest
 
@@ -367,7 +369,7 @@ def test_graph_text_roundtrip(demo6_graph):
         parse_graph("3 1\n0 1\n1 2\n")
 
 
-def memo_graphs():
+def pair_graphs():
     """line(6), grid(3,3), tokyo20 and a random graph."""
     return [
         line_graph(6),
@@ -378,7 +380,7 @@ def memo_graphs():
 
 
 def fresh_copy(g):
-    """The same graph, built again, with empty memos."""
+    """The same graph, built again, with nothing computed on it yet."""
     return ConnectivityGraph(g.node_count, g.edges, name=g.name)
 
 
@@ -394,11 +396,16 @@ def every_pair_call(g):
     return [({a, b}, root) for a in range(n) for b in range(a + 1, n) for root in (a, b, None)]
 
 
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_pair_tree_memo_returns_the_tree_a_fresh_graph_builds(g):
+def elimination_graph(g):
+    """The graph Steiner-Gauss elimination works in: g itself when its
+    labels serve, its relabelled copy otherwise."""
+    return g if g._relabelled is None else g._relabelled[1]
+
+
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_pair_tree_is_the_tree_a_fresh_graph_builds(g):
     for terminals, root in every_pair_call(g):
         got = steiner_approx(g, terminals, root)
-        assert (min(terminals), max(terminals), from_label(g, 0)) in g._trees
         again = steiner_approx(g, terminals, root)
         want = steiner_approx(fresh_copy(g), terminals, root)
         for tree in (got, again):
@@ -406,44 +413,57 @@ def test_pair_tree_memo_returns_the_tree_a_fresh_graph_builds(g):
         assert got.root == (min(terminals) if root is None else root)
 
 
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_pair_tree_memo_holds_one_edge_set_per_pair(g):
-    n = g.node_count
-    for terminals, root in every_pair_call(g) + every_pair_call(g):
-        steiner_approx(g, terminals, root)
-        assert len(g._trees) <= n * (n - 1) // 2
-    assert len(g._trees) == n * (n - 1) // 2
-    for (lo, hi, allowed), edges in g._trees.items():
-        assert lo < hi and allowed == from_label(g, 0) and isinstance(edges, frozenset)
-        assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
+def assert_edges_ignore_the_root(h, terminal_sets):
+    """Every root of each set, and the default, gives the same tree edges,
+    with no mask and with a floor at the set's smallest terminal."""
+    for terminals in terminal_sets:
+        for allowed in (None, from_label(h, min(terminals))):
+            trees = [steiner_approx(h, terminals, root, allowed) for root in (None, *terminals)]
+            assert [tree.root for tree in trees] == [min(terminals), *terminals]
+            assert {tree.tree_edges for tree in trees} == {trees[0].tree_edges}, (
+                sorted(terminals), allowed)
 
 
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_pair_tree_memo_keeps_larger_terminal_sets_out(g):
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_pair_tree_edges_do_not_depend_on_the_root(g):
+    # The search never reads the root, so a tree's edges depend on its
+    # terminals and its allowed nodes alone.
+    h = elimination_graph(g)
+    n = h.node_count
+    assert_edges_ignore_the_root(h, [[a, b] for a in range(n) for b in range(a + 1, n)])
+
+
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_tree_edges_do_not_depend_on_the_root(g):
+    h = elimination_graph(g)
+    rng = random.Random(h.node_count)
+    larger = [ts for ts in random_terminal_sets(h, rng, 60) if len(ts) > 2]
+    assert len(larger) > 20
+    assert_edges_ignore_the_root(h, larger)
+
+
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_steiner_approx_leaves_the_graph_as_it_was(g):
+    # No tree is kept on the graph: many calls, unmasked and floored, leave
+    # every field as it was, except the properties computed on first use.
+    cached = {name for name, attr in vars(ConnectivityGraph).items()
+              if isinstance(attr, cached_property)}
+    h = elimination_graph(g)
+    before = [{k: copy.copy(v) for k, v in vars(x).items() if k not in cached} for x in (g, h)]
+    identity = (repr(g), hash(g))
     rng = random.Random(g.node_count)
-    for terminals in random_terminal_sets(g, rng, 40):
-        steiner_approx(g, terminals, rng.choice(terminals))
-    assert g._trees
-    for (lo, hi, _), edges in g._trees.items():
-        assert edges == steiner_approx(fresh_copy(g), {lo, hi}).tree_edges
-
-
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_pair_tree_memo_leaves_graph_identity_alone(g):
-    before = (repr(g), hash(g))
-    for terminals, root in every_pair_call(g):
+    for terminals, root in every_pair_call(g) * 2:
         steiner_approx(g, terminals, root)
-    assert g._trees
-    fresh = fresh_copy(g)
-    assert (repr(g), hash(g)) == before
-    assert g == fresh and hash(g) == hash(fresh) and "_trees" not in repr(g)
+    for terminals in random_terminal_sets(h, rng, 40) * 2:
+        steiner_approx(g, terminals, terminals[0])
+        steiner_approx(h, terminals, terminals[0], from_label(h, min(terminals)))
+    after = [{k: v for k, v in vars(x).items() if k not in cached} for x in (g, h)]
+    assert after == before
+    assert (repr(g), hash(g)) == identity and g == fresh_copy(g)
 
 
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
-    for terminals, root in every_pair_call(g):
-        steiner_approx(g, terminals, root)
-    memo = dict(g._trees)
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_synthesis_and_plans_leave_built_trees_unchanged(g):
     trees = [steiner_approx(g, terminals, root) for terminals, root in every_pair_call(g)]
     snapshot = [{u: list(ns) for u, ns in tree._adj.items()} for tree in trees]
     for seed in range(10):
@@ -453,14 +473,6 @@ def test_synthesis_and_plans_on_memoized_trees_leave_them_unchanged(g):
         if tree.root == min(tree.terminals):
             plan_post_transpose(tree)
     assert [tree._adj for tree in trees] == snapshot
-    # Synthesis may add floored entries; the unfloored ones stay as they were.
-    assert {key: edges for key, edges in g._trees.items() if key[2] == from_label(g, 0)} == memo
-
-
-def elimination_graph(g):
-    """The graph Steiner-Gauss elimination works in: g itself when its
-    labels serve, its relabelled copy otherwise."""
-    return g if g._relabelled is None else g._relabelled[1]
 
 
 @pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
@@ -480,43 +492,33 @@ def test_floored_tree_has_no_node_below_its_pivot(g):
             assert tree.tree_edges == steiner_approx(fresh_copy(h), terminals).tree_edges
 
 
-def test_floored_pair_trees_have_their_own_memo():
+def test_floored_pair_trees_on_the_four_cycle():
     # On the 4-cycle 0-1-3-2, the pair (1, 2) joins through 0 unless the
     # floor at 1 shuts node 0 out, when it joins through 3.
     g = grid_graph(2, 2)
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
     floored = steiner_approx(g, {1, 2}, root=2, allowed=0b1110)
     assert floored.tree_edges == {(1, 3), (2, 3)} and floored.root == 2
-    assert g._trees == {
-        (1, 2, 0b1111): frozenset({(0, 1), (0, 2)}),
-        (1, 2, 0b1110): frozenset({(1, 3), (2, 3)}),
-    }
     assert steiner_approx(g, {1, 2}, allowed=0b1110) == steiner_approx(
         g, {1, 2}, root=1, allowed=0b1110)
     assert steiner_approx(g, {1, 2}).tree_edges == {(0, 1), (0, 2)}
+    # Allowing every node searches as giving no mask does.
+    for terminals, root in every_pair_call(g):
+        tree = steiner_approx(g, terminals, root, allowed=0b1111)
+        want = steiner_approx(g, terminals, root)
+        assert tree == want and tree._adj == want._adj
     # A mask must hold every terminal: one from label 2 leaves terminal 1 out.
     with pytest.raises(ValueError, match="^a terminal lies outside the allowed nodes$"):
         steiner_approx(g, {1, 3}, allowed=0b1100)
-    assert set(g._trees) == {(1, 2, 0b1111), (1, 2, 0b1110)}
-    # Allowing every node searches as giving no mask does, so it reads the
-    # unrestricted entry: an edge set planted there for the pair (0, 3)
-    # comes back.
-    g._trees[0, 3, 0b1111] = planted = frozenset({(0, 2), (2, 3)})
-    assert steiner_approx(g, {0, 3}, root=3, allowed=0b1111).tree_edges == planted
 
 
-@pytest.mark.parametrize("g", memo_graphs(), ids=lambda g: g.name)
-def test_floored_pair_memo_holds_one_edge_set_per_pair(g):
+@pytest.mark.parametrize("g", pair_graphs(), ids=lambda g: g.name)
+def test_floored_pair_tree_starts_at_its_smaller_terminal(g):
     h = elimination_graph(g)
     n = h.node_count
     for lo, hi, root in [(a, b, r) for a in range(n) for b in range(a + 1, n) for r in (a, b)]:
-        steiner_approx(h, {lo, hi}, root=root, allowed=from_label(h, lo))
-        assert len(h._trees) <= n * (n - 1) // 2
-    assert len(h._trees) == n * (n - 1) // 2
-    for (lo, hi, allowed), edges in h._trees.items():
-        assert allowed == from_label(h, lo)
-        assert edges == steiner_approx(fresh_copy(h), {lo, hi}, allowed=allowed).tree_edges
-        assert min(v for e in edges for v in e) == lo
+        tree = steiner_approx(h, {lo, hi}, root=root, allowed=from_label(h, lo))
+        assert min(tree.nodes) == lo and tree.root == root, (lo, hi, root)
 
 
 def test_a_floor_that_separates_the_terminals_is_an_input_error():

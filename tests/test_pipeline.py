@@ -368,26 +368,33 @@ def test_each_matrix_task_is_checked_once_and_no_fixup_is(invertibility_checks):
 
 
 def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monkeypatch):
-    # Each CNOT+RZ segment of the no-carry route is one `synthesize_cnot_rz`
-    # call, and `run` names its method after the report of the synthesizer
-    # it called.
+    # Each CNOT+RZ segment of the no-carry route is one full synthesis of
+    # its own sum-over-paths, and `run` names its method after the report
+    # of the synthesizer it called.
     calls = []
-    real = universal.synthesize_cnot_rz
-    monkeypatch.setattr(universal, "synthesize_cnot_rz", lambda s, g: calls.append(s) or real(s, g))
+    real = universal._synthesize_up_to
+
+    def recorded(s, g, stop=None):
+        calls.append((s, stop))
+        return real(s, g, stop)
+
+    monkeypatch.setattr(universal, "_synthesize_up_to", recorded)
     g = line_graph(6)
     c = random_universal_circuit(6, 120, PROBS, 7)
     segments = [seg for seg in partition_segments(merge_delete_h(c)) if seg.kind == "cnot_block"]
     _, report, cert = run(c, g)
     assert cert.ok and report.method == "route"
     # The route that carries no residual across an H, the fallback of
-    # `route_universal`, resynthesizes each segment on the original wires.
+    # `route_universal`, resynthesizes each segment on the original wires
+    # with no stop set.
     calls.clear()
     universal._route(partition_segments(merge_delete_h(c)), g, carry=False)
     assert len(calls) == len(segments) > 1
-    assert calls == [extract_sum_over_paths(Circuit(6, seg.gates)) for seg in segments]
+    assert calls == [(extract_sum_over_paths(Circuit(6, seg.gates)), None) for seg in segments]
+
 
     def renamed(task, graph):
-        circuit, report = real(task, graph)
+        circuit, report = synthesize_cnot_rz(task, graph)
         report.method = "renamed"
         return circuit, report
 

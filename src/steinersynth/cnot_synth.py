@@ -354,7 +354,7 @@ def synthesize_constrained(
         "first pass did not reach upper-triangular form"
     )
     # Transpose and clear the other half.
-    rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
+    rows = list(BinaryMatrix._unchecked(n, tuple(rows)).transpose().rows)
     ops_b: list[tuple[int, int]] = []
     for i in range(n):
         assert (rows[i] >> i) & 1, "transposed pass lost its unit diagonal"
@@ -530,7 +530,8 @@ def _synthesize_rowcol(
         todo.remove(q)
     arcs = g._arcs
     circuit = Circuit._unchecked(n, tuple(arcs[t, c] for c, t in ops))
-    return circuit, BinaryMatrix(n, tuple(rows)).transpose(), BinaryMatrix(n, tuple(inv_t))
+    residual = BinaryMatrix._unchecked(n, tuple(rows)).transpose()
+    return circuit, residual, BinaryMatrix._unchecked(n, tuple(inv_t))
 
 
 def eliminate_column_cost(rows, control: int, g: ConnectivityGraph) -> int:
@@ -600,7 +601,7 @@ def _pmh_pairs(a: BinaryMatrix, section: int | None) -> list[tuple[int, int]]:
     n = a.dim
     rows = list(a.rows)
     first = _triangularize(rows, n, section)
-    rows = list(BinaryMatrix(n, tuple(rows)).transpose().rows)
+    rows = list(BinaryMatrix._unchecked(n, tuple(rows)).transpose().rows)
     second = _triangularize(rows, n, section)
     assert all(r == 1 << i for i, r in enumerate(rows))
     return [(t, c) for c, t in second] + first[::-1]

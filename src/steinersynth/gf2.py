@@ -51,7 +51,15 @@ def _transpose_swaps(side: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Square GF(2) matrix; rows[i] packs row i with bit j = entry (i, j)."""
+    """Square GF(2) matrix; rows[i] packs row i with bit j = entry (i, j).
+
+    The constructor checks the dimension, the row count and every row's
+    width, so every matrix that enters from outside the program is
+    checked.  Matrices built by row operations on checked matrices or on
+    a checked circuit's wires (transposes, products, inverses, simulations,
+    and the synthesizers' and the route's frames) fit by construction and
+    skip the re-check with `_unchecked`.
+    """
 
     dim: int
     rows: tuple[int, ...]
@@ -65,6 +73,15 @@ class BinaryMatrix:
         for r in self.rows:
             if r & ~mask:
                 raise ValueError("row has bits outside the matrix width")
+
+    @classmethod
+    def _unchecked(cls, dim: int, rows: tuple[int, ...]) -> "BinaryMatrix":
+        """A matrix whose `dim` rows all lie in [0, 2**dim) by construction,
+        built without `__post_init__`'s checks."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "BinaryMatrix":
@@ -102,7 +119,7 @@ class BinaryMatrix:
             t = (packed ^ (packed >> shift)) & mask
             packed ^= t ^ (t << shift)
         full = (1 << n) - 1
-        return BinaryMatrix(n, tuple((packed >> (i * side)) & full for i in range(n)))
+        return BinaryMatrix._unchecked(n, tuple((packed >> (i * side)) & full for i in range(n)))
 
     def is_identity(self) -> bool:
         return all(r == 1 << i for i, r in enumerate(self.rows))
@@ -118,15 +135,19 @@ def simulate_cnot_circuit(c: Circuit, start: BinaryMatrix | None = None) -> Bina
     from `start`, which gives the product C·start for the circuit's matrix C.
 
     CNOT(control, target) is the row op row[target] ^= row[control]: the
-    target wire's parity picks up the control wire's parity.
+    target wire's parity picks up the control wire's parity.  A `start`
+    whose dimension is not the circuit's width raises ValueError.
     """
+    if start is not None and start.dim != c.num_qubits:
+        raise ValueError(
+            f"start matrix has dimension {start.dim}, circuit has {c.num_qubits} qubits")
     rows = [1 << i for i in range(c.num_qubits)] if start is None else list(start.rows)
     for g in c.gates:
         if g.kind != "cnot":
             raise ValueError(f"non-CNOT gate {g.kind!r} in linear simulation")
         control, target = g.qubits
         rows[target] ^= rows[control]
-    return BinaryMatrix(c.num_qubits, tuple(rows))
+    return BinaryMatrix._unchecked(c.num_qubits, tuple(rows))
 
 
 def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
@@ -139,7 +160,7 @@ def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
         if gate.kind == "cnot":
             c, t = gate.qubits
             cols[c] ^= cols[t]
-    return BinaryMatrix(r.dim, tuple(cols)).transpose()
+    return BinaryMatrix._unchecked(r.dim, tuple(cols)).transpose()
 
 
 def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
@@ -155,7 +176,7 @@ def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
             acc ^= b.rows[j]
             row &= row - 1
         out.append(acc)
-    return BinaryMatrix(a.dim, tuple(out))
+    return BinaryMatrix._unchecked(a.dim, tuple(out))
 
 
 def _eliminate(
@@ -210,7 +231,7 @@ def invert(m: BinaryMatrix) -> BinaryMatrix:
     rows = list(m.rows)
     companion = [1 << i for i in range(m.dim)]
     _eliminate(rows, m.dim, companion, strict=True)
-    return BinaryMatrix(m.dim, tuple(companion))
+    return BinaryMatrix._unchecked(m.dim, tuple(companion))
 
 
 def random_invertible(n: int, seed: int) -> BinaryMatrix:

@@ -8,7 +8,10 @@ unitary (up to global phase) never changes.
 Each round scans gates in circuit order.  A gate is rescanned only when a
 gate in the range its last scan examined was removed, or when it absorbed
 an RZ merge itself; every other gate would repeat a no-op, so the result
-equals rescanning every gate every round.
+equals rescanning every gate every round.  A rescan resumes where the last
+scan stopped.  Gates are only ever removed, or merged in place as RZs of
+the same kind and wire, so the survivors that scan passed still neither
+block nor match the gate: they only count toward its window.
 
 The first round is settled with arrays.  Nothing has been removed when it
 begins, so every gate's first scan can be read off the unmodified circuit:
@@ -143,6 +146,18 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
     no requeue: only an RZ on the same wire reads it, and that would have
     merged it.
 
+    A rescan of i whose stop[i] lies past its current successor starts at
+    stop[i] instead of the successor.  The survivors strictly between them
+    passed i's latest scan and still do (see the module docstring), so they
+    are counted toward the window with `alive.count`, and the scan goes on
+    from the first survivor at or after stop[i] (`alive.find`); with none
+    left, stop[i] becomes the last survivor passed.  They number fewer than
+    `window`, as they did when stop[i] was recorded, so the window still
+    reaches the first survivor at or after stop[i].  A queued gate's stop
+    lies past it, since its latest scan took a step, and a stop at or before
+    the successor gives the scan from the successor: the check only skips
+    the counting there.
+
     Scans read only the kind code and the first and last wire of each
     gate (see the module docstring for the rules per kind); the gates
     themselves are read for RZ angles and the result.
@@ -196,7 +211,12 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
         if alive[i]:
             k, a, b = kind[i], first[i], last[i]
             j, seen, steps = nxt[i], i, 0
-            succ = j
+            succ, s = j, stop[i]
+            if s > j:  # resume at the recorded stop; the survivors before it pass
+                steps = alive.count(1, j, s)
+                j = alive.find(1, s)
+                if j < 0:
+                    j, seen = n, alive.rfind(1, i, s)
             if k == _CNOT:  # control a, target b
                 while j < n and steps < window:
                     seen = j

@@ -171,7 +171,7 @@ def extract_sum_over_paths(c: Circuit) -> SumOverPaths:
     if hs:
         raise ValueError("gate 'h' is outside the CNOT+RZ set")
     inverse = _times_inverse(BinaryMatrix.identity(n), c.gates)
-    return _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)), inverse)
+    return _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)), inverse)
 
 
 def build_parity_matrix(s: SumOverPaths) -> list[int]:

@@ -237,7 +237,7 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
             continue
         wires = list(r_inv.rows)
         terms, _ = _read_path_sum(seg.gates, wires)
-        frame = _frame(PhasePolynomial(n, terms), BinaryMatrix(n, tuple(wires)),
+        frame = _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)),
                        _times_inverse(r, seg.gates))
         circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
         if not stops and _ladder_cnots(seg.gates, g) < circuit.cnot_count:

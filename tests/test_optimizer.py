@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import count, islice, product
 
 import numpy as np
 import pytest
@@ -289,6 +290,75 @@ def test_nested_zipper_ladders(window):
         out = cancel_pass(c, window)
         assert out == reference_cancel_pass(c, window)
     assert cancel_pass(Circuit(9, tuple(zipper)), window) == Circuit(9)
+
+
+# A rescan of gate g resumes at g's recorded stop.  Each family gives g,
+# its partner, a filler on wire w >= 3, a blocker of g that cancels with
+# its own copy, and a gate that g passes and that cancels with its own
+# copy.  The fillers commute with every other gate of the family.
+RESUME_FAMILIES = [
+    (cnot(0, 1), cnot(0, 1), lambda w: cnot(0, w), h(1), h(2)),  # H on the target
+    (h(0), h(0), h, cnot(0, 2), cnot(1, 2)),  # a CNOT on the wire
+    (rz(Angle(1, 8), 0), rz(Angle(1, 4), 0), h, cnot(2, 0), h(2)),  # a CNOT onto the wire
+]
+
+
+def _removed_with_partner(g) -> int:
+    return 1 if g.kind == "rz" else 2  # an RZ partner merges into g
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 32])
+def test_resume_past_a_removed_blocker(window):
+    # g's scan stops at a blocker, which then cancels with a copy further
+    # on; the next round resumes g's scan at the removed stop and meets
+    # g's partner beyond it.
+    for g, partner, filler, blocker, _ in RESUME_FAMILIES:
+        for before, between, after in product(range(4), range(3), range(4)):
+            fill = map(filler, count(3))
+            gates = (g, *islice(fill, before), blocker, *islice(fill, between), blocker,
+                     *islice(fill, after), partner)
+            c = Circuit(3 + before + between + after, gates)
+            out = cancel_pass(c, window)
+            assert out == reference_cancel_pass(c, window), (g, before, between, after)
+            if between < window and before + between + after < window:
+                assert len(out) == len(c) - 2 - _removed_with_partner(g)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 32])
+def test_resume_after_a_removal_inside_a_full_window(window):
+    # g's first scan passes a cancelling pair and ends at the last gate of
+    # its window, the removed pair's first gate when `at` is the window.
+    # Once the pair is gone, g's partner sits exactly at the window or one
+    # past it.
+    for g, partner, filler, _, passed in RESUME_FAMILIES:
+        for distance in (window, window + 1):
+            fillers = list(map(filler, range(3, 2 + distance)))
+            for at in range(1, window + 1):
+                c = Circuit(2 + distance, (g, *fillers[:at - 1], passed, passed,
+                                           *fillers[at - 1:], partner))
+                stop, _ = _first_round(*_decode(list(c.gates)), window)
+                assert int(stop[0]) == window
+                out = cancel_pass(c, window)
+                assert out == reference_cancel_pass(c, window), (g, distance, at)
+                assert len(out) == len(c) - 2 - _removed_with_partner(g) * (distance == window)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 32])
+def test_merged_rz_resumes_in_the_next_round(window):
+    # An RZ merges a copy and its scan goes on to a blocker or the end of
+    # its window.  The blocker cancels later in the same round, so the next
+    # round resumes the merged RZ at its stop, where it can merge again.
+    t = Angle(1, 8)
+    for blocker in (h(0), cnot(1, 0)):
+        for before, between, after in product(range(3), range(3), range(3)):
+            fill = (cnot(0, w) for w in count(2))
+            gates = (rz(t, 0), *islice(fill, before), rz(t, 0), *islice(fill, between),
+                     blocker, blocker, *islice(fill, after), rz(t, 0))
+            c = Circuit(2 + before + between + after, gates)
+            out = cancel_pass(c, window)
+            assert out == reference_cancel_pass(c, window), (blocker, before, between, after)
+            if window == DEFAULT_WINDOW:
+                assert out.gates[0] == rz(Angle(3, 8), 0) and out.count("rz") == 1
 
 
 def test_shared_and_distinct_equal_gate_objects():

@@ -1,25 +1,30 @@
-"""Where `Circuit`'s wire check runs, and where it is skipped.
+"""Where `Circuit`'s wire check and `BinaryMatrix`'s row checks run, and
+where they are skipped.
 
-The public constructor and the parser check every wire; their messages
-are pinned in `test_formats.py` and below.  Cleanup, the synthesizers, the
-matrix baselines' candidates, the parity network and the route build their
-results with `Circuit._unchecked`, because each of their wires is in range
-by construction.  These tests rebuild every such output through the public
-constructor, which raises on a wire outside the circuit, and keep the
-checks at the boundaries.
+The public constructors and the parser check every wire and row; their
+messages are pinned in `test_formats.py`, `test_gf2.py` and below.
+Cleanup, the synthesizers, the matrix baselines' candidates, the parity
+network and the route build their circuits with `Circuit._unchecked`,
+because each of their wires is in range by construction.  Transposes,
+products, inverses, simulations and the synthesizers' and the route's
+matrices are built with `BinaryMatrix._unchecked` from checked ones.
+These tests rebuild every such output through the public constructor,
+which raises on a wire outside the circuit or a row outside the matrix,
+and keep the checks at the boundaries.
 """
 
 import random
 
 import pytest
 
-from steinersynth import ConnectivityGraph, random_connected_graph, random_invertible
+from steinersynth import ConnectivityGraph, random_connected_graph, random_invertible, universal
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Circuit, CircuitFormatError, cnot, parse_circuit
-from steinersynth.cnot_synth import expand_templates
+from steinersynth.cnot_synth import _synthesize_rowcol, expand_templates, synthesize_constrained
+from steinersynth.gf2 import BinaryMatrix, _times_inverse, invert, multiply, simulate_cnot_circuit
 from steinersynth.graphs import complete_graph, grid_graph, line_graph
 from steinersynth.optimizer import cancel_pass
-from steinersynth.phase_synth import extract_sum_over_paths
+from steinersynth.phase_synth import _synthesize_up_to, extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import _candidates, run
 from steinersynth.universal import _route, merge_delete_h, partition_segments
 
@@ -74,6 +79,40 @@ def test_every_unchecked_output_survives_the_public_constructor(g):
         segments = partition_segments(reduced)
         for carry in (True, False):
             assert_rebuilds(_route(segments, g, carry), (g.name, seed, "route", carry))
+
+
+@pytest.mark.parametrize("g", list(graphs()), ids=lambda g: g.name)
+def test_every_unchecked_matrix_survives_the_public_constructor(g, monkeypatch):
+    routed = []
+
+    def recording(frame, graph, stop):
+        out = _synthesize_up_to(frame, graph, stop)
+        routed.extend((frame.linear, frame.linear_inv, *out[1:]))
+        return out
+
+    monkeypatch.setattr(universal, "_synthesize_up_to", recording)
+    n = g.node_count
+    for seed in range(2):
+        matrix, phase, circuit = tasks(n, 97 * n + seed)
+        inverse = invert(matrix)
+        synthesized, _ = synthesize_constrained(matrix, g)
+        phased, _ = synthesize_cnot_rz(phase, g)
+        back = extract_sum_over_paths(phased)
+        built = [
+            matrix.transpose(), multiply(matrix, inverse), inverse,
+            _times_inverse(matrix, synthesized.gates), simulate_cnot_circuit(synthesized),
+            simulate_cnot_circuit(synthesized, inverse), phase.linear, phase.linear_inv,
+            back.linear, back.linear_inv,
+        ]
+        for stop in (None, frozenset(range(0, n, 2))):
+            built += _synthesize_rowcol(matrix, inverse, g, stop)[1:]
+            built += _synthesize_up_to(phase, g, stop)[1:]
+        for carry in (True, False):
+            _route(partition_segments(merge_delete_h(circuit)), g, carry)
+        assert routed
+        for k, m in enumerate(built + routed):
+            assert m.dim == n and BinaryMatrix(m.dim, m.rows) == m, (g.name, seed, k)
+        routed.clear()
 
 
 def test_cleanup_and_h_merging_keep_wide_inputs_in_range():

@@ -155,7 +155,7 @@ class Circuit:
     wires are in range by construction skip the re-check with
     `_unchecked`: `parse_circuit` once its lines are checked, cleanup (its
     survivors and merged RZs sit on its input's wires), the synthesizers
-    and the matrix baselines' candidates (their CNOTs are arcs of a graph
+    and the matrix baselines' winner (its CNOTs are arcs of a graph
     with one node per wire of the task, a width checked on entry), the
     parity network and its views, and the route's H-reduced input,
     segments and output.  `expand_templates` keeps the check, since it

@@ -47,8 +47,10 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
+
+import numpy as np
 
 from .circuits import Circuit, Gate, cnot
 from .gf2 import BinaryMatrix, SingularMatrixError, _bits, check_invertible
@@ -619,13 +621,54 @@ def pmh_synthesize(a: BinaryMatrix) -> Circuit:
     return Circuit(a.dim, tuple(cnot(c, t) for c, t in pairs))
 
 
-def _template(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
-    """The ladder of `g._arcs` gates for a CNOT on a non-adjacent pair, memoized on g."""
-    gates = g._templates.get(pair)
+class _Ladders:
+    """A graph's relay ladders (`ConnectivityGraph._ladders`), made on
+    first use and kept for the graph's lifetime; nothing here refers back
+    to the graph.
+
+    `gates` maps each non-adjacent (control, target) pair met so far to
+    its ladder of the graph's arc gates (`_arcs`), built once (`_ladder`).
+    The matrix baselines read the same ladders as integers through an
+    index that `_expand_ids` makes on first use, with n*n entries for n
+    nodes: pair (c, t) has id c*n + t, and the routed ops of pair id p,
+    as pair ids, are ops[start[p]:start[p] + size[p]].  `ops` begins with
+    every pair id in order, so an arc's one op is itself, and a
+    non-adjacent pair has size 0 until its ladder is appended.
+    `arc_gates[p]` is the arc gate of pair id p.
+    """
+
+    def __init__(self):
+        self.gates: dict[tuple[int, int], tuple[Gate, ...]] = {}
+        self.ops = self.start = self.size = self.arc_gates = None
+
+    def index(self, g: ConnectivityGraph) -> None:
+        """Make the pair-id index, with every arc and no ladder."""
+        n = g.node_count
+        arcs = [c * n + t for c, t in g._arcs]
+        self.ops = np.arange(n * n, dtype=np.intc)
+        self.start = np.arange(n * n, dtype=np.intc)
+        self.size = np.zeros(n * n, dtype=np.intc)
+        self.size[arcs] = 1
+        self.arc_gates = np.empty(n * n, dtype=object)
+        self.arc_gates[arcs] = list(g._arcs.values())
+
+
+def _ladders(g: ConnectivityGraph) -> _Ladders:
+    """The graph's ladder memo, made on first use."""
+    memo = g._ladders
+    if memo is None:
+        memo = _Ladders()
+        object.__setattr__(g, "_ladders", memo)
+    return memo
+
+
+def _ladder(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
+    """The ladder of `g._arcs` gates for a CNOT on a non-adjacent pair."""
+    memo = _ladders(g).gates
+    gates = memo.get(pair)
     if gates is None:
         arcs = g._arcs
-        gates = tuple(arcs[op] for op in _path_ops(shortest_path(g, *pair)))
-        g._templates[pair] = gates
+        gates = memo[pair] = tuple(arcs[op] for op in _path_ops(shortest_path(g, *pair)))
     return gates
 
 
@@ -633,20 +676,19 @@ def _expand_pairs(pairs, g: ConnectivityGraph) -> list[Gate]:
     """The routed gates of CNOTs on the (control, target) `pairs`, in order.
 
     A pair on an edge becomes the gate the graph built for that directed
-    edge (`g._arcs`); any other pair becomes its `_template` ladder of
-    those edge gates, from the graph's memo.  This is the one expansion
-    rule: `expand_templates` applies it to a circuit's CNOTs, and the pmh
-    baseline to elimination's ops without building their CNOTs first.
+    edge (`g._arcs`); any other pair becomes its ladder of those edge
+    gates, from the graph's memo (`_ladder`).  This is the expansion rule
+    of `expand_templates`; `_expand_ids` applies it to pair ids.
     """
     arcs = g._arcs
-    memo = g._templates
+    memo = _ladders(g).gates
     gates: list[Gate] = []
     for pair in pairs:
         edge = arcs.get(pair)
         if edge is not None:
             gates.append(edge)
         else:
-            gates.extend(memo.get(pair) or _template(g, pair))
+            gates.extend(memo.get(pair) or _ladder(g, pair))
     return gates
 
 
@@ -655,10 +697,44 @@ def _expanded_cnot_count(pairs, g: ConnectivityGraph) -> int:
     gates: 1 per pair on an edge, and the length of its ladder, 4(l-1) at
     distance l, from the graph's memo per other pair."""
     arcs = g._arcs
-    memo = g._templates
+    memo = _ladders(g).gates
     return sum(
-        1 if pair in arcs else len(memo.get(pair) or _template(g, pair)) for pair in pairs
+        1 if pair in arcs else len(memo.get(pair) or _ladder(g, pair)) for pair in pairs
     )
+
+
+def _expand_ids(pairs, g: ConnectivityGraph) -> np.ndarray:
+    """The routed ops of CNOTs on the (control, target) `pairs`, in order,
+    as pair ids c*n + t (np.intc): `_expand_pairs`'s rule, gathered from
+    the graph's ladder memo with array indexing.  Ladders missing from
+    the memo's index are appended to it first."""
+    memo = _ladders(g)
+    if memo.ops is None:
+        memo.index(g)
+    n = g.node_count
+    wires = np.fromiter(chain.from_iterable(pairs), dtype=np.intc)
+    ids = wires[0::2] * n + wires[1::2]
+    size = memo.size[ids]
+    if not size.all():
+        new: list[int] = []
+        for p in np.unique(ids[size == 0]).tolist():
+            ladder = _ladder(g, divmod(p, n))
+            memo.start[p] = len(memo.ops) + len(new)
+            memo.size[p] = len(ladder)
+            new += (c * n + t for c, t in map(attrgetter("qubits"), ladder))
+        memo.ops = np.concatenate((memo.ops, np.array(new, dtype=np.intc)))
+        size = memo.size[ids]
+    ends = np.cumsum(size, dtype=np.intc)
+    total = int(ends[-1]) if len(ends) else 0
+    # Output op j, the k-th routed op of pair id p, is ops[start[p] + k],
+    # where k is j less the number of ops routed before p's.
+    at = np.repeat(memo.start[ids] + size - ends, size) + np.arange(total, dtype=np.intc)
+    return memo.ops[at]
+
+
+def _arc_gates(ids: np.ndarray, g: ConnectivityGraph) -> tuple[Gate, ...]:
+    """The graph's arc gates (`g._arcs`) of these arc pair ids."""
+    return tuple(_ladders(g).arc_gates[ids].tolist())
 
 
 def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
@@ -668,7 +744,7 @@ def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
     the lowest-index shortest path, and a CNOT on an edge the gate the graph
     built for that directed edge (`_expand_pairs`); other gates pass through
     unchanged.  Ladders are built on first use and kept in the graph's
-    template memo for its lifetime.
+    ladder memo for its lifetime (`_Ladders`).
     """
     gates: list[Gate] = []
     for kind, run in groupby(c.gates, key=attrgetter("kind")):

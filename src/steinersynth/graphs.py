@@ -40,12 +40,12 @@ class ConnectivityGraph:
     directed edge once: `_arcs` maps each (control, target) arc, both
     orientations of every edge, to its `cnot` gate, and the graph-aware
     synthesizers emit these gates and no other CNOTs.  One memo starts
-    empty and lives exactly as long as the graph: template expansion
-    (`cnot_synth._expand_pairs`) fills `_templates` with the relay ladder
-    of each non-adjacent ordered pair it meets.  `_bfs_order` is kept from
-    the connectivity check, and `_adj_masks`, the adjacency as bitmasks,
-    and `_relabelled`, the elimination order of Steiner-Gauss synthesis,
-    are computed on first use and kept.
+    as None and lives exactly as long as the graph: `_ladders`, made on
+    first use (`cnot_synth._Ladders`), holds the relay ladder of each
+    non-adjacent ordered pair that template expansion has met.
+    `_bfs_order` is kept from the connectivity check, and `_adj_masks`,
+    the adjacency as bitmasks, and `_relabelled`, the elimination order
+    of Steiner-Gauss synthesis, are computed on first use and kept.
     Nothing kept refers back to the graph, so a dropped graph is freed at
     once rather than by the cycle collector.  None of these takes part in
     equality, hashing or repr.
@@ -56,7 +56,7 @@ class ConnectivityGraph:
     name: str = "graph"
     _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _arcs: dict[tuple[int, int], Gate] = field(init=False, repr=False, compare=False)
-    _templates: dict = field(init=False, repr=False, compare=False)
+    _ladders: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.node_count < 1:
@@ -76,7 +76,6 @@ class ConnectivityGraph:
             raise ValueError("graph is not connected")
         arcs = {arc: cnot(*arc) for u, v in edges for arc in ((u, v), (v, u))}
         object.__setattr__(self, "_arcs", arcs)
-        object.__setattr__(self, "_templates", {})
 
     @cached_property
     def _bfs_order(self) -> list[int]:

@@ -19,16 +19,20 @@ numpy compares each gate with the gate at offset 1 over the whole circuit,
 then the gates that meet nothing there with offsets 2 to `window`, in
 chunks.  That gives each gate the position its scan stops at and whether
 it stops at a cancel or merge.  Only those event gates are queued for the
-first round; the scan loop in `cancel_pass`, the only scan implementation,
+first round; the scan loop in `_survivors`, the only scan implementation,
 runs on them and on whatever a removal requeues.
 
 The scans run on plain integers.  Each gate packs its kind code (CNOT 0,
 RZ 1, H 2) and its first and last wire (control and target of a CNOT, the
 one wire otherwise) into `Gate._code` when it is built; `_decode` unpacks
-the codes of the whole circuit with array shifts.  There is one scan loop
-per kind of scanned gate, with the rules of the reference commutation
-test (`commutes` in `tests/conftest.py`) written out as integer
-comparisons:
+the codes of the whole circuit with array shifts.  `cancel_pass` is
+`_decode`, then `_survivors` on those arrays, then the surviving gates.
+The matrix baselines (`pipeline._routed_elimination`) build the arrays of
+each candidate straight from elimination's ops and call `_survivors`
+themselves, so only the winner's gates are ever built.  There is one scan
+loop per kind of scanned gate, with the rules of the reference
+commutation test (`commutes` in `tests/conftest.py`) written out as
+integer comparisons:
 
 - CNOT (c, t): an identical CNOT cancels; a CNOT with control t or target c
   blocks, any other CNOT commutes; an RZ or H on t blocks, and so does an H
@@ -113,7 +117,19 @@ def _first_round(kind, first, last, window: int) -> tuple[np.ndarray, np.ndarray
 
 
 def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
-    """Cancel CNOT/H pairs and merge same-wire RZs until nothing changes.
+    """Cancel CNOT/H pairs and merge same-wire RZs until nothing changes:
+    the gates `_survivors` keeps, with the RZs it merged."""
+    gates = list(c.gates)
+    alive = _survivors(*_decode(gates), window, gates)
+    return Circuit._unchecked(c.num_qubits, tuple(compress(gates, alive)))
+
+
+def _survivors(kinds, firsts, lasts, window: int, gates) -> bytearray:
+    """The cleanup of the gates whose kind codes and first and last wires
+    are `kinds` (np.uint8) and `firsts` and `lasts` (np.intc): a mask of
+    the surviving positions, 1 for a survivor.  An RZ that absorbs merges
+    is rewritten in `gates[i]`, the only read of the gates themselves, so a
+    CNOT-only scan may pass None for them.
 
     A scan from gate i walks forward over at most `window` surviving gates
     (merged RZs count), stopping at the first gate it cannot commute past.
@@ -159,12 +175,9 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
     the counting there.
 
     Scans read only the kind code and the first and last wire of each
-    gate (see the module docstring for the rules per kind); the gates
-    themselves are read for RZ angles and the result.
+    gate (see the module docstring for the rules per kind).
     """
-    gates = list(c.gates)
-    n = len(gates)  # also the "no next gate" mark
-    kinds, firsts, lasts = _decode(gates)
+    n = len(kinds)  # also the "no next gate" mark
     stops, events = _first_round(kinds, firsts, lasts, window)
     kind, first, last = kinds.tobytes(), array("i", firsts.tobytes()), array("i", lasts.tobytes())
     after = np.arange(1, n + 1, dtype=np.intc)
@@ -268,13 +281,4 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
         if i < 0:
             queue, later = later, bytearray(n)
             i = queue.find(1)
-    return Circuit._unchecked(c.num_qubits, tuple(compress(gates, alive)))
-
-
-def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
-    """The candidate with the fewest CNOTs, each one cleaned first when
-    `cleanup` is set; the first wins ties.  `pipeline.run` picks a task's
-    circuit with it."""
-    if cleanup:
-        candidates = map(cancel_pass, candidates)
-    return min(candidates, key=attrgetter("cnot_count"))
+    return alive

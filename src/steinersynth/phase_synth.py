@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuits import Angle, Circuit, Gate, content_lines, rz
 from .cnot_synth import (
@@ -103,11 +104,17 @@ class PhasePolynomial:
 
 @dataclass(frozen=True)
 class SumOverPaths:
-    """A CNOT+RZ unitary's (phase polynomial, linear part) pair, and that part's inverse."""
+    """A CNOT+RZ unitary's (phase polynomial, linear part) pair, and that
+    part's inverse, `linear_inv`, which takes no part in equality or repr.
+
+    The public constructor checks that the linear part is invertible by
+    inverting it once.  A sum-over-paths built from CNOTs (`_frame`) is
+    invertible by construction: it is given its inverse, or, when extracted
+    from a circuit, inverts its linear part only when `linear_inv` is
+    first read, since verification never reads it."""
 
     phase: PhasePolynomial
     linear: BinaryMatrix
-    linear_inv: BinaryMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.phase.num_qubits != self.linear.dim:
@@ -117,19 +124,27 @@ class SumOverPaths:
         except SingularMatrixError:
             raise ValueError("linear part must be invertible") from None
 
+    @cached_property
+    def linear_inv(self) -> BinaryMatrix:
+        return invert(self.linear)
+
     @property
     def num_qubits(self) -> int:
         return self.linear.dim
 
 
-def _frame(phase: PhasePolynomial, linear: BinaryMatrix, linear_inv: BinaryMatrix) -> SumOverPaths:
-    """A `SumOverPaths` whose linear part is a product of CNOTs and whose
-    inverse the caller read off the same CNOTs (`_times_inverse`): built
-    without `__post_init__`'s Gauss-Jordan pass."""
+def _frame(
+    phase: PhasePolynomial, linear: BinaryMatrix, linear_inv: BinaryMatrix | None = None
+) -> SumOverPaths:
+    """A `SumOverPaths` whose linear part is a product of CNOTs, built
+    without `__post_init__`'s Gauss-Jordan pass: with the inverse the
+    caller read off the same CNOTs (`_times_inverse`), or with none, to be
+    computed when first read."""
     frame = object.__new__(SumOverPaths)
     object.__setattr__(frame, "phase", phase)
     object.__setattr__(frame, "linear", linear)
-    object.__setattr__(frame, "linear_inv", linear_inv)
+    if linear_inv is not None:
+        object.__setattr__(frame, "linear_inv", linear_inv)
     return frame
 
 
@@ -164,14 +179,13 @@ def _read_path_sum(gates, wires: list[int]) -> tuple[dict[int, Angle], list[tupl
 
 def extract_sum_over_paths(c: Circuit) -> SumOverPaths:
     """Walk a CNOT+RZ circuit, accumulating parities and rotation angles;
-    the linear part's inverse is read off the same CNOTs."""
+    the linear part's inverse is computed only when first read."""
     n = c.num_qubits
     wires = [1 << q for q in range(n)]
     terms, hs = _read_path_sum(c.gates, wires)
     if hs:
         raise ValueError("gate 'h' is outside the CNOT+RZ set")
-    inverse = _times_inverse(BinaryMatrix.identity(n), c.gates)
-    return _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)), inverse)
+    return _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)))
 
 
 def build_parity_matrix(s: SumOverPaths) -> list[int]:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
 import pytest
 
 from steinersynth import BinaryMatrix, ConnectivityGraph, builtin_architecture, random_connected_graph
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import _pmh_pairs
+from steinersynth.cnot_synth import _pmh_pairs, expand_templates
 from steinersynth.graphs import grid_graph
+from steinersynth.optimizer import cancel_pass
 
 
 @pytest.fixture
@@ -51,6 +53,23 @@ def pmh_at(a: BinaryMatrix, section: int | None) -> Circuit:
     """Full-connectivity elimination of `a` at one section width, or plain
     Gaussian elimination for None: the CNOTs of `cnot_synth._pmh_pairs`."""
     return Circuit(a.dim, tuple(cnot(c, t) for c, t in _pmh_pairs(a, section)))
+
+
+def _fewest_cnots(candidates, cleanup: bool) -> Circuit:
+    """The candidate with the fewest CNOTs, each one cleaned first when
+    `cleanup` is set; the first wins ties: how the matrix baselines picked
+    their circuit when every candidate was built as gates."""
+    if cleanup:
+        candidates = map(cancel_pass, candidates)
+    return min(candidates, key=attrgetter("cnot_count"))
+
+
+def routed_oracle(a: BinaryMatrix, g: ConnectivityGraph, widths, cleanup: bool) -> Circuit:
+    """Reference matrix baseline: every width's elimination built as gates,
+    expanded by `expand_templates`, and picked by `_fewest_cnots`."""
+    return _fewest_cnots(
+        [Circuit(a.dim, expand_templates(pmh_at(a, w), g).gates) for w in widths], cleanup
+    )
 
 
 def all_gates_up_to(n):

@@ -359,7 +359,7 @@ def test_graph_builds_one_cnot_per_directed_edge(g):
     for (c, t), gate in arcs.items():
         assert gate == cnot(c, t)
         assert g.has_edge(c, t)
-    assert g._templates == {}
+    assert g._ladders is None
 
 
 def test_graph_text_roundtrip(demo6_graph):

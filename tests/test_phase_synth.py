@@ -19,7 +19,7 @@ from steinersynth import gf2, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
-from steinersynth.gf2 import invert, multiply
+from steinersynth.gf2 import _times_inverse, invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
@@ -104,8 +104,9 @@ def test_extract_rejects_h():
 
 
 def test_a_sum_over_paths_carries_the_inverse_of_its_linear_part():
-    # Extraction reads the inverse off the circuit's CNOTs, and the public
-    # constructor inverts once; both give the Gauss-Jordan inverse.
+    # Extraction inverts the linear part only when `linear_inv` is first
+    # read, and the public constructor inverts once; both give the inverse
+    # read off the circuit's CNOTs.
     rng = random.Random(31)
     probs = {"cnot": 0.6, "t": 0.2, "s": 0.1, "tdg": 0.1}
     circuits = [random_universal_circuit(n, rng.randrange(1, 6 * n), probs, rng.randrange(10**6))
@@ -114,8 +115,11 @@ def test_a_sum_over_paths_carries_the_inverse_of_its_linear_part():
     circuits.append(synthesize_cnot_rz(random_phase_instance(72, 72, 5), bristlecone)[0])
     for c in circuits:
         sop = extract_sum_over_paths(c)
-        want = invert(sop.linear)
+        assert "linear_inv" not in vars(sop)
+        want = _times_inverse(BinaryMatrix.identity(c.num_qubits), c.gates)
+        assert want == invert(sop.linear)
         assert sop.linear_inv == want, c.num_qubits
+        assert sop.linear_inv is sop.linear_inv
         built = SumOverPaths(sop.phase, sop.linear)
         assert built.linear_inv == want and built == sop, c.num_qubits
         assert "linear_inv" not in repr(built)

@@ -5,24 +5,35 @@ import pytest
 from click.testing import CliRunner
 
 from steinersynth import (
-    cnot_synth, emit_circuit, emit_matrix, optimizer, pipeline, random_invertible, universal,
+    cnot_synth, emit_circuit, emit_matrix, pipeline, random_invertible, universal,
 )
 from steinersynth.bench import baseline_pmh_templates, bench_sparseness, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cli import main
 from steinersynth.cnot_synth import (
     SynthesisReport,
+    _arc_gates,
+    _expand_ids,
+    _pmh_pairs,
     expand_templates,
+    section_widths,
     synthesize_constrained,
 )
 from steinersynth.gf2 import BinaryMatrix, SingularMatrixError, check_invertible
-from steinersynth.graphs import builtin_architecture, grid_graph, line_graph, random_connected_graph
+from steinersynth.graphs import (
+    ConnectivityGraph,
+    builtin_architecture,
+    complete_graph,
+    grid_graph,
+    line_graph,
+    random_connected_graph,
+)
 from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import certify, run
 from steinersynth.universal import merge_delete_h, partition_segments, route_universal
 from steinersynth.unitary import UNITARY_QUBIT_CAP
-from conftest import pmh_at
+from conftest import pmh_at, routed_oracle
 
 PROBS = {"cnot": 0.7, "t": 0.1, "s": 0.05, "sdg": 0.0, "tdg": 0.05, "h": 0.1}
 
@@ -253,7 +264,7 @@ def test_certify_rejects_a_non_edge_cnot_and_a_wrong_unitary():
 @pytest.fixture
 def faulty_cleanup(monkeypatch):
     """Make the pipeline's cleanup drop the last gate of every circuit."""
-    monkeypatch.setattr(optimizer, "cancel_pass", drop_last)
+    monkeypatch.setattr(pipeline, "cancel_pass", drop_last)
 
 
 def test_cli_exits_1_when_verification_fails(tmp_path, faulty_cleanup):
@@ -299,28 +310,79 @@ PMH_GRAPHS = [
 def test_pmh_candidates_are_the_expanded_elimination_at_every_width(g):
     # One candidate per section width 2 .. max(2, floor(log2 n)), each the
     # template expansion of partitioned elimination at that width, built
-    # from the graph's own edge gates.
+    # from the graph's own edge gates.  The baseline expands each width as
+    # pair ids (`_expand_ids`); `_arc_gates` reads them as those gates.
     n = g.node_count
     widths = list(range(2, max(2, n.bit_length() - 1) + 1))
+    assert list(section_widths(n)) == widths
     for seed in (1, 2):
         a = random_invertible(n, seed)
-        candidates, name = pipeline._candidates(a, g, "pmh")
-        candidates = list(candidates)
-        assert name == "baseline_pmh"
-        assert len(candidates) == len(widths)
-        for w, got in zip(widths, candidates):
+        assert pipeline._synthesize(a, g, "pmh", False)[1] == "baseline_pmh"
+        for w in widths:
+            got = _arc_gates(_expand_ids(_pmh_pairs(a, w), g), g)
             want = expand_templates(pmh_at(a, w), g)
-            assert got.num_qubits == n
-            assert got.gates == want.gates, w
-            assert all(gate is g._arcs[gate.qubits] for gate in got.gates), w
+            assert got == want.gates, w
+            assert all(gate is g._arcs[gate.qubits] for gate in got), w
         # The templates baseline is the same expansion of plain elimination.
-        candidates, name = pipeline._candidates(a, g, "templates")
-        (got,) = candidates
+        got, name = pipeline._synthesize(a, g, "templates", False)
         assert name == "baseline_templates"
         want = expand_templates(pmh_at(a, None), g)
         assert got.num_qubits == n
         assert got.gates == want.gates
         assert all(gate is g._arcs[gate.qubits] for gate in got.gates)
+
+
+def star_graph(n: int) -> ConnectivityGraph:
+    return ConnectivityGraph(n, frozenset((0, v) for v in range(1, n)), name=f"star({n})")
+
+
+ORACLE_GRAPHS = [
+    line_graph(1), line_graph(2), line_graph(7), grid_graph(3, 4), star_graph(9),
+    random_connected_graph(12, 0.3, 3), random_connected_graph(20, 0.1, 1), complete_graph(8),
+    builtin_architecture("tokyo20"), builtin_architecture("bristlecone72"),
+]
+
+
+def assert_same_circuit(got: Circuit, want: Circuit, g: ConnectivityGraph) -> None:
+    assert got == want
+    assert emit_circuit(got) == emit_circuit(want)
+    assert all(gate is g._arcs[gate.qubits] for gate in got.gates)
+
+
+@pytest.mark.parametrize("g", ORACLE_GRAPHS, ids=lambda g: f"{g.name}-{g.node_count}")
+def test_matrix_baselines_equal_the_gate_oracle(g):
+    # The matrix baselines clean and compare their candidates as int arrays
+    # and build gates for the winner alone; they emit exactly what cleaning
+    # and comparing every candidate as a gate circuit emits.
+    n = g.node_count
+    seeds = (1,) if n > 20 else (1, 2)
+    tasks = [BinaryMatrix.identity(n)] + [random_invertible(n, seed) for seed in seeds]
+    for a in tasks:
+        for cleanup in (True, False):
+            want = routed_oracle(a, g, section_widths(n), cleanup)
+            assert_same_circuit(baseline_pmh_templates(a, g, cleanup), want, g)
+            assert_same_circuit(run(a, g, "pmh", cleanup)[0], want, g)
+            want = routed_oracle(a, g, (None,), cleanup)
+            assert_same_circuit(run(a, g, "templates", cleanup)[0], want, g)
+
+
+# Two section widths whose routed candidates tie.  On line(9) at seed 16
+# both clean up to 201 CNOTs, from 279 and 231 before cleanup; on grid(3,3)
+# at seed 8 both clean up to 131 CNOTs, from 143 each.
+TIES = [(line_graph(9), 16, [201, 201], [279, 231]), (grid_graph(3, 3), 8, [131, 131], [143, 143])]
+
+
+@pytest.mark.parametrize("g,seed,cleaned,raw", TIES, ids=[f"{t[0].name}-{t[1]}" for t in TIES])
+def test_the_first_width_wins_a_tie(g, seed, cleaned, raw):
+    n = g.node_count
+    a = random_invertible(n, seed)
+    candidates = [expand_templates(pmh_at(a, w), g) for w in section_widths(n)]
+    assert [cancel_pass(c).cnot_count for c in candidates] == cleaned
+    assert [len(c) for c in candidates] == raw
+    assert cancel_pass(candidates[0]) != cancel_pass(candidates[1])
+    assert baseline_pmh_templates(a, g, True) == cancel_pass(candidates[0])
+    # Without cleanup the candidates are compared by expanded length.
+    assert baseline_pmh_templates(a, g, False) == candidates[raw.index(min(raw))]
 
 
 def test_run_pmh_rejects_a_singular_matrix():

@@ -6,13 +6,16 @@ import math
 
 import pytest
 
-from steinersynth import emit_circuit, random_invertible
-from steinersynth.bench import random_phase_instance, random_universal_circuit
+from steinersynth import cnot_synth, emit_circuit, random_invertible
+from steinersynth.bench import baseline_pmh_templates, random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Circuit, cnot, h
 from steinersynth.cnot_synth import (
+    _expanded_cnot_count,
+    _pmh_pairs,
     expand_templates,
     naive_swap_expand,
     pmh_synthesize,
+    section_widths,
     synthesize_constrained,
 )
 from steinersynth.gf2 import simulate_cnot_circuit
@@ -83,11 +86,40 @@ def test_memo_leaves_graph_identity_alone():
     before = (hash(g), repr(g))
     expand_templates(pmh_synthesize(random_invertible(20, 1)), g)
     # Edges come from `_arcs`; the memo holds the non-adjacent pairs only.
-    assert g._templates
-    assert not any(g.has_edge(*pair) for pair in g._templates)
+    assert g._ladders.gates
+    assert not any(g.has_edge(*pair) for pair in g._ladders.gates)
     assert (hash(g), repr(g)) == before
     assert g == builtin_architecture("tokyo20")
     assert hash(g) == hash(builtin_architecture("tokyo20"))
+
+
+def test_one_ladder_memo_serves_every_expansion(monkeypatch):
+    # The pmh baseline, `expand_templates` and the route's CNOT count read
+    # the same memo, made on first use: once the baseline has built the
+    # ladders of its elimination's pairs, the others find every one there.
+    g = builtin_architecture("tokyo20")
+    assert g._ladders is None
+    a = random_invertible(20, 3)
+    baseline = baseline_pmh_templates(a, g)
+    memo = g._ladders
+    pairs = memo_pairs(g)
+    assert pairs and not any(g.has_edge(*pair) for pair in pairs)
+    monkeypatch.setattr(cnot_synth, "shortest_path", None)  # no new ladder is built
+    for w in section_widths(20):
+        ops = _pmh_pairs(a, w)
+        assert len(expand_templates(pmh_at(a, w), g)) == _expanded_cnot_count(ops, g)
+    assert baseline_pmh_templates(a, g) == baseline
+    assert g._ladders is memo and memo_pairs(g) == pairs
+    for pair in pairs:
+        assert memo.gates[pair] == tuple(expand_templates(Circuit(20, (cnot(*pair),)), g).gates)
+    # The other way round: the baseline finds every ladder `expand_templates` built.
+    monkeypatch.undo()
+    fresh = builtin_architecture("tokyo20")
+    for w in section_widths(20):
+        expand_templates(pmh_at(a, w), fresh)
+    monkeypatch.setattr(cnot_synth, "shortest_path", None)
+    assert baseline_pmh_templates(a, fresh) == baseline
+    assert memo_pairs(fresh) == pairs
 
 
 def test_edge_legal_takes_either_orientation_and_rejects_non_edges():
@@ -103,6 +135,12 @@ def test_edge_legal_on_shared_gate_objects_and_a_late_bad_edge():
     assert edge_legal(Circuit(4, (legal,) * 1000 + (h(3), cnot(2, 1))), g)
     assert not edge_legal(Circuit(4, (legal,) * 1000 + (cnot(0, 3),)), g)
     assert not edge_legal(Circuit(4, (bad, legal, bad, legal)), g)
+
+
+def memo_pairs(g) -> set:
+    """The pairs in the graph's ladder memo; a graph that never needed a
+    ladder has no memo."""
+    return set(g._ladders.gates) if g._ladders is not None else set()
 
 
 def _cnots_are_the_graph_gates(c: Circuit, g) -> bool:
@@ -129,14 +167,14 @@ def test_every_synthesizer_emits_the_graph_edge_gates(g):
         for source in (pmh_synthesize(a), random_universal_circuit(n, 60, probs, seed)):
             assert _cnots_are_the_graph_gates(expand_templates(source, g), g)
             assert _cnots_are_the_graph_gates(naive_swap_expand(source, g), g)
-    assert not any(g.has_edge(*pair) for pair in g._templates)
+    assert not any(g.has_edge(*pair) for pair in memo_pairs(g))
 
 
 def test_parity_network_rejects_a_non_edge_even_with_its_ladder_memoized():
     # A memoized ladder is no edge gate: a CNOT off the graph is a KeyError.
     g = line_graph(3)
     expand_templates(Circuit(3, (cnot(0, 2),)), g)
-    assert (0, 2) in g._templates
+    assert (0, 2) in g._ladders.gates
     state = _NetworkState(3, [], g)
     state.add_cnot(0, 1)
     assert state.gates == [g._arcs[0, 1]]

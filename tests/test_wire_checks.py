@@ -3,7 +3,7 @@ where they are skipped.
 
 The public constructors and the parser check every wire and row; their
 messages are pinned in `test_formats.py`, `test_gf2.py` and below.
-Cleanup, the synthesizers, the matrix baselines' candidates, the parity
+Cleanup, the synthesizers, the matrix baselines' winner, the parity
 network and the route build their circuits with `Circuit._unchecked`,
 because each of their wires is in range by construction.  Transposes,
 products, inverses, simulations and the synthesizers' and the route's
@@ -20,12 +20,20 @@ import pytest
 from steinersynth import ConnectivityGraph, random_connected_graph, random_invertible, universal
 from steinersynth.bench import random_universal_circuit
 from steinersynth.circuits import Circuit, CircuitFormatError, cnot, parse_circuit
-from steinersynth.cnot_synth import _synthesize_rowcol, expand_templates, synthesize_constrained
+from steinersynth.cnot_synth import (
+    _arc_gates,
+    _expand_ids,
+    _pmh_pairs,
+    _synthesize_rowcol,
+    expand_templates,
+    section_widths,
+    synthesize_constrained,
+)
 from steinersynth.gf2 import BinaryMatrix, _times_inverse, invert, multiply, simulate_cnot_circuit
 from steinersynth.graphs import complete_graph, grid_graph, line_graph
 from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import _synthesize_up_to, extract_sum_over_paths, synthesize_cnot_rz
-from steinersynth.pipeline import _candidates, run
+from steinersynth.pipeline import run
 from steinersynth.universal import _route, merge_delete_h, partition_segments
 
 PROBS = {"cnot": 0.6, "t": 0.1, "s": 0.1, "sdg": 0.05, "tdg": 0.05, "h": 0.1}
@@ -70,8 +78,9 @@ def test_every_unchecked_output_survives_the_public_constructor(g):
                     key = (g.name, seed, type(task).__name__, method, cleanup)
                     assert cert[1], key
                     assert_rebuilds(out, key)
-        for candidate in _candidates(matrix, g, "pmh")[0]:
-            assert_rebuilds(candidate, (g.name, seed, "pmh candidate"))
+        for w in section_widths(n):
+            expanded = _arc_gates(_expand_ids(_pmh_pairs(matrix, w), g), g)
+            assert_rebuilds(Circuit._unchecked(n, expanded), (g.name, seed, "pmh candidate", w))
         reduced = merge_delete_h(circuit)
         assert_rebuilds(reduced, (g.name, seed, "merge_delete_h"))
         assert_rebuilds(cancel_pass(circuit), (g.name, seed, "cancel_pass"))

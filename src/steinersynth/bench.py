@@ -3,9 +3,10 @@ synthesize-then-route baseline.
 
 Both sides of every trial are `pipeline.run` calls, so each datapoint
 carries the same certificate: exact GF(2) or sum-over-paths equality, or
-for a routed circuit a dense unitary comparison up to UNITARY_QUBIT_CAP
-wires.  Failed trials are excluded from the means and tallied in the CSV
-footer.  All suites are deterministic given their arguments.
+for a routed circuit a path-sum proof at any width, with a dense unitary
+comparison up to UNITARY_QUBIT_CAP wires where the path sums do not
+prove it.  Failed trials are excluded from the means and tallied in the
+CSV footer.  All suites are deterministic given their arguments.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def _check_mode(mode: str) -> None:
 
 def _compare(task, g: ConnectivityGraph, cleanup: bool) -> tuple[int, int, str]:
     """Constrained and baseline CNOT counts for one task, and the verified
-    cell: "1" when both outputs are certified, "skip" when both passed an
-    edge-legality check only, "0" when either failed."""
+    cell: "1" when both outputs are certified, "skip" when both passed and
+    either was checked for edge legality only, "0" when either failed."""
     ours, _, cert = pipeline.run(task, g, cleanup=cleanup)
     baseline = "pmh" if isinstance(task, BinaryMatrix) else "templates"
     base, _, base_cert = pipeline.run(task, g, baseline, cleanup)
@@ -196,10 +197,11 @@ def bench_h_ratio(
     shares and CNOTs fill the rest, so every H share must lie in
     [0, 1 - rotation shares]; all are checked before any trial runs, and
     so is the graph, which needs two nodes for a CNOT.
-    Unitary verification runs up to UNITARY_QUBIT_CAP wires; larger
-    instances get only the edge-legality check, are marked "skip" in the
-    verified column and counted in an "# unverified_skip" footer, and still
-    enter the means."""
+    Each row is proven by path sum at any width, or, where the path sums
+    do not prove it, as dense unitaries up to UNITARY_QUBIT_CAP wires.  A
+    row neither proves gets only the edge-legality check: it is marked
+    "skip" in the verified column, counted in an "# unverified_skip"
+    footer, and still enters the means."""
     if gate_count < 0:
         raise ValueError("gate count must be >= 0")
     if graph.node_count < 2:

@@ -47,7 +47,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from operator import attrgetter
 
 import numpy as np
@@ -626,23 +626,15 @@ class _Ladders:
     first use and kept for the graph's lifetime; nothing here refers back
     to the graph.
 
-    `gates` maps each non-adjacent (control, target) pair met so far to
-    its ladder of the graph's arc gates (`_arcs`), built once (`_ladder`).
-    The matrix baselines read the same ladders as integers through an
-    index that `_expand_ids` makes on first use, with n*n entries for n
-    nodes: pair (c, t) has id c*n + t, and the routed ops of pair id p,
-    as pair ids, are ops[start[p]:start[p] + size[p]].  `ops` begins with
-    every pair id in order, so an arc's one op is itself, and a
-    non-adjacent pair has size 0 until its ladder is appended.
-    `arc_gates[p]` is the arc gate of pair id p.
+    Pair (c, t) of an n-node graph has id c*n + t (`_pair_ids`), and the
+    routed ops of pair id p, as pair ids, are ops[start[p]:start[p] +
+    size[p]].  `ops` begins with every pair id in order, so an arc's one
+    op is itself, and a non-adjacent pair has size 0 until `sizes` appends
+    its ladder, the `_path_ops` of its lowest-index shortest path.
+    `arc_gates[p]` is the arc gate (`g._arcs`) of arc pair id p.
     """
 
-    def __init__(self):
-        self.gates: dict[tuple[int, int], tuple[Gate, ...]] = {}
-        self.ops = self.start = self.size = self.arc_gates = None
-
-    def index(self, g: ConnectivityGraph) -> None:
-        """Make the pair-id index, with every arc and no ladder."""
+    def __init__(self, g: ConnectivityGraph):
         n = g.node_count
         arcs = [c * n + t for c, t in g._arcs]
         self.ops = np.arange(n * n, dtype=np.intc)
@@ -652,84 +644,67 @@ class _Ladders:
         self.arc_gates = np.empty(n * n, dtype=object)
         self.arc_gates[arcs] = list(g._arcs.values())
 
+    def sizes(self, ids: np.ndarray, g: ConnectivityGraph) -> np.ndarray:
+        """The routed op count of each of `g`'s pair ids, each missing
+        ladder appended once first."""
+        size = self.size[ids]
+        if not size.all():
+            n = g.node_count
+            new: list[int] = []
+            for p in sorted(set(ids[size == 0].tolist())):
+                ladder = [c * n + t for c, t in _path_ops(shortest_path(g, *divmod(p, n)))]
+                self.start[p] = len(self.ops) + len(new)
+                self.size[p] = len(ladder)
+                new += ladder
+            self.ops = np.concatenate((self.ops, np.array(new, dtype=np.intc)))
+            size = self.size[ids]
+        return size
+
+    def routed(self, ids: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """The routed ops of these pair ids, in order, given their `sizes`."""
+        ends = np.cumsum(size, dtype=np.intc)
+        total = int(ends[-1]) if len(ends) else 0
+        # Output op j, the k-th routed op of pair id p, is ops[start[p] + k],
+        # where k is j less the number of ops routed before p's.
+        at = np.repeat(self.start[ids] + size - ends, size) + np.arange(total, dtype=np.intc)
+        return self.ops[at]
+
 
 def _ladders(g: ConnectivityGraph) -> _Ladders:
-    """The graph's ladder memo, made on first use."""
-    memo = g._ladders
-    if memo is None:
-        memo = _Ladders()
-        object.__setattr__(g, "_ladders", memo)
-    return memo
+    """The graph's ladder table, made on first use."""
+    table = g._ladders
+    if table is None:
+        table = _Ladders(g)
+        object.__setattr__(g, "_ladders", table)
+    return table
 
 
-def _ladder(g: ConnectivityGraph, pair: tuple[int, int]) -> tuple[Gate, ...]:
-    """The ladder of `g._arcs` gates for a CNOT on a non-adjacent pair."""
-    memo = _ladders(g).gates
-    gates = memo.get(pair)
-    if gates is None:
-        arcs = g._arcs
-        gates = memo[pair] = tuple(arcs[op] for op in _path_ops(shortest_path(g, *pair)))
-    return gates
-
-
-def _expand_pairs(pairs, g: ConnectivityGraph) -> list[Gate]:
-    """The routed gates of CNOTs on the (control, target) `pairs`, in order.
-
-    A pair on an edge becomes the gate the graph built for that directed
-    edge (`g._arcs`); any other pair becomes its ladder of those edge
-    gates, from the graph's memo (`_ladder`).  This is the expansion rule
-    of `expand_templates`; `_expand_ids` applies it to pair ids.
-    """
-    arcs = g._arcs
-    memo = _ladders(g).gates
-    gates: list[Gate] = []
-    for pair in pairs:
-        edge = arcs.get(pair)
-        if edge is not None:
-            gates.append(edge)
-        else:
-            gates.extend(memo.get(pair) or _ladder(g, pair))
-    return gates
-
-
-def _expanded_cnot_count(pairs, g: ConnectivityGraph) -> int:
-    """The CNOT count of `_expand_pairs(pairs, g)`, without building its
-    gates: 1 per pair on an edge, and the length of its ladder, 4(l-1) at
-    distance l, from the graph's memo per other pair."""
-    arcs = g._arcs
-    memo = _ladders(g).gates
-    return sum(
-        1 if pair in arcs else len(memo.get(pair) or _ladder(g, pair)) for pair in pairs
-    )
+def _pair_ids(pairs, g: ConnectivityGraph) -> np.ndarray:
+    """The ids c*n + t of the (control, target) `pairs` of the n-node
+    graph `g`.  A wire that is no node of `g` raises ValueError: its id
+    would name another pair, or none."""
+    n = g.node_count
+    wires = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+    if len(wires) and not 0 <= wires.min() <= wires.max() < n:
+        bad = wires[(wires < 0) | (wires >= n)][0]
+        raise ValueError(f"wire {bad} is not a node of {g.name} ({n} nodes)")
+    return wires[0::2] * n + wires[1::2]
 
 
 def _expand_ids(pairs, g: ConnectivityGraph) -> np.ndarray:
     """The routed ops of CNOTs on the (control, target) `pairs`, in order,
-    as pair ids c*n + t (np.intc): `_expand_pairs`'s rule, gathered from
-    the graph's ladder memo with array indexing.  Ladders missing from
-    the memo's index are appended to it first."""
-    memo = _ladders(g)
-    if memo.ops is None:
-        memo.index(g)
-    n = g.node_count
-    wires = np.fromiter(chain.from_iterable(pairs), dtype=np.intc)
-    ids = wires[0::2] * n + wires[1::2]
-    size = memo.size[ids]
-    if not size.all():
-        new: list[int] = []
-        for p in np.unique(ids[size == 0]).tolist():
-            ladder = _ladder(g, divmod(p, n))
-            memo.start[p] = len(memo.ops) + len(new)
-            memo.size[p] = len(ladder)
-            new += (c * n + t for c, t in map(attrgetter("qubits"), ladder))
-        memo.ops = np.concatenate((memo.ops, np.array(new, dtype=np.intc)))
-        size = memo.size[ids]
-    ends = np.cumsum(size, dtype=np.intc)
-    total = int(ends[-1]) if len(ends) else 0
-    # Output op j, the k-th routed op of pair id p, is ops[start[p] + k],
-    # where k is j less the number of ops routed before p's.
-    at = np.repeat(memo.start[ids] + size - ends, size) + np.arange(total, dtype=np.intc)
-    return memo.ops[at]
+    as pair ids (np.intc): an arc is its own op, and any other pair its
+    ladder from the graph's table (`_Ladders`)."""
+    ids = _pair_ids(pairs, g)
+    table = _ladders(g)
+    return table.routed(ids, table.sizes(ids, g))
+
+
+def _expanded_cnot_count(pairs, g: ConnectivityGraph) -> int:
+    """The length of `_expand_ids(pairs, g)`, read off the ladder table's
+    sizes: 1 per pair on an edge and 4(l-1) per other pair at distance l."""
+    ids = _pair_ids(pairs, g)
+    return int(_ladders(g).sizes(ids, g).sum())
 
 
 def _arc_gates(ids: np.ndarray, g: ConnectivityGraph) -> tuple[Gate, ...]:
@@ -742,13 +717,21 @@ def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
 
     A CNOT at graph distance l becomes exactly 4*(l-1) adjacent CNOTs along
     the lowest-index shortest path, and a CNOT on an edge the gate the graph
-    built for that directed edge (`_expand_pairs`); other gates pass through
-    unchanged.  Ladders are built on first use and kept in the graph's
-    ladder memo for its lifetime (`_Ladders`).
+    built for that directed edge; other gates pass through unchanged.  The
+    routed gates of all the circuit's CNOTs are read off the graph's ladder
+    table in one gather, as `_expand_ids` reads them, and spliced between
+    the other gates; ladders are built on first use and kept for the
+    graph's lifetime (`_Ladders`).  A CNOT wire that is no node of the
+    graph raises ValueError.
     """
+    ids = _pair_ids((gate.qubits for gate in c.gates if gate.kind == "cnot"), g)
+    table = _ladders(g)
+    size = table.sizes(ids, g)
+    routed = iter(table.arc_gates[table.routed(ids, size)].tolist())
+    counts = iter(size.tolist())
     gates: list[Gate] = []
     for kind, run in groupby(c.gates, key=attrgetter("kind")):
-        gates += _expand_pairs(map(attrgetter("qubits"), run), g) if kind == "cnot" else run
+        gates += islice(routed, sum(next(counts) for _ in run)) if kind == "cnot" else run
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -41,8 +41,9 @@ class ConnectivityGraph:
     orientations of every edge, to its `cnot` gate, and the graph-aware
     synthesizers emit these gates and no other CNOTs.  One memo starts
     as None and lives exactly as long as the graph: `_ladders`, made on
-    first use (`cnot_synth._Ladders`), holds the relay ladder of each
-    non-adjacent ordered pair that template expansion has met.
+    first use (`cnot_synth._Ladders`), is the ladder table, n*n pair ids
+    that route every arc to itself and each non-adjacent ordered pair
+    that template expansion has met to its relay ladder of arcs.
     `_bfs_order` is kept from the connectivity check, and `_adj_masks`,
     the adjacency as bitmasks, and `_relabelled`, the elimination order
     of Steiner-Gauss synthesis, are computed on first use and kept.

@@ -189,7 +189,7 @@ def partition_segments(c: Circuit) -> list[Segment]:
 
 def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
     """The CNOT count of `expand_templates` on these gates, read off the
-    graph's ladder memo without building a gate."""
+    graph's ladder table without building a gate."""
     return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 

@@ -1,5 +1,6 @@
-"""Template expansion of long-range CNOTs, its per-graph memo, and the one
-shared CNOT per directed edge that every graph-aware synthesizer emits."""
+"""Template expansion of long-range CNOTs, its per-graph ladder table, and
+the one shared CNOT per directed edge that every graph-aware synthesizer
+emits."""
 
 import hashlib
 import math
@@ -10,7 +11,9 @@ from steinersynth import cnot_synth, emit_circuit, random_invertible
 from steinersynth.bench import baseline_pmh_templates, random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Circuit, cnot, h
 from steinersynth.cnot_synth import (
+    _arc_gates,
     _expanded_cnot_count,
+    _path_ops,
     _pmh_pairs,
     expand_templates,
     naive_swap_expand,
@@ -81,13 +84,39 @@ def test_expansion_repeats_on_the_same_and_an_equal_graph():
     assert expand_templates(c, fresh) == first
 
 
+def test_expansion_splices_ladders_around_other_gates():
+    # A gate-by-gate reference: an arc CNOT is its edge gate, any other its
+    # `_path_ops` ladder of edge gates, and RZ and H gates pass through.
+    g = builtin_architecture("tokyo20")
+    probs = {"cnot": 0.6, "t": 0.1, "s": 0.05, "sdg": 0.05, "tdg": 0.05, "h": 0.15}
+    circuits = [random_universal_circuit(20, 200, probs, seed) for seed in range(3)]
+    circuits += [Circuit(20), Circuit(20, (h(0), h(3))), Circuit(20, (h(1), cnot(0, 19), h(19)))]
+    for c in circuits:
+        want = []
+        for gate in c.gates:
+            if gate.kind != "cnot":
+                want.append(gate)
+            elif g.has_edge(*gate.qubits):
+                want.append(g._arcs[gate.qubits])
+            else:
+                want += (g._arcs[op] for op in _path_ops(shortest_path(g, *gate.qubits)))
+        got = expand_templates(c, g).gates
+        assert got == tuple(want)
+        assert all(a is b for a, b in zip(got, want))
+    kinds = [gate.kind for gate in circuits[0].gates]
+    assert sum(a != "cnot" == b for a, b in zip(kinds, kinds[1:])) > 10  # many CNOT runs
+
+
 def test_memo_leaves_graph_identity_alone():
     g = builtin_architecture("tokyo20")
     before = (hash(g), repr(g))
     expand_templates(pmh_synthesize(random_invertible(20, 1)), g)
-    # Edges come from `_arcs`; the memo holds the non-adjacent pairs only.
-    assert g._ladders.gates
-    assert not any(g.has_edge(*pair) for pair in g._ladders.gates)
+    # Edges come from `_arcs`; the table's ladders are of non-adjacent pairs only.
+    pairs = memo_pairs(g)
+    assert pairs
+    assert not any(g.has_edge(*pair) for pair in pairs)
+    for pair in g._arcs:  # an arc routes to its own id alone
+        assert ladder(g, pair) == (g._arcs[pair],)
     assert (hash(g), repr(g)) == before
     assert g == builtin_architecture("tokyo20")
     assert hash(g) == hash(builtin_architecture("tokyo20"))
@@ -95,8 +124,8 @@ def test_memo_leaves_graph_identity_alone():
 
 def test_one_ladder_memo_serves_every_expansion(monkeypatch):
     # The pmh baseline, `expand_templates` and the route's CNOT count read
-    # the same memo, made on first use: once the baseline has built the
-    # ladders of its elimination's pairs, the others find every one there.
+    # the same ladder table, made on first use: once the baseline has built
+    # the ladders of its elimination's pairs, the others find every one there.
     g = builtin_architecture("tokyo20")
     assert g._ladders is None
     a = random_invertible(20, 3)
@@ -111,7 +140,7 @@ def test_one_ladder_memo_serves_every_expansion(monkeypatch):
     assert baseline_pmh_templates(a, g) == baseline
     assert g._ladders is memo and memo_pairs(g) == pairs
     for pair in pairs:
-        assert memo.gates[pair] == tuple(expand_templates(Circuit(20, (cnot(*pair),)), g).gates)
+        assert ladder(g, pair) == expand_templates(Circuit(20, (cnot(*pair),)), g).gates
     # The other way round: the baseline finds every ladder `expand_templates` built.
     monkeypatch.undo()
     fresh = builtin_architecture("tokyo20")
@@ -138,9 +167,21 @@ def test_edge_legal_on_shared_gate_objects_and_a_late_bad_edge():
 
 
 def memo_pairs(g) -> set:
-    """The pairs in the graph's ladder memo; a graph that never needed a
-    ladder has no memo."""
-    return set(g._ladders.gates) if g._ladders is not None else set()
+    """The pairs whose ladder the graph's ladder table holds, those whose
+    ops lie past the table's n*n own ids; a graph that never expanded a
+    CNOT has no table."""
+    memo = g._ladders
+    if memo is None:
+        return set()
+    n = g.node_count
+    return {divmod(p, n) for p in range(n * n) if memo.start[p] >= n * n}
+
+
+def ladder(g, pair) -> tuple:
+    """The arc gates of the table's routed ops for this pair."""
+    memo, (c, t) = g._ladders, pair
+    p = c * g.node_count + t
+    return _arc_gates(memo.ops[memo.start[p]:memo.start[p] + memo.size[p]], g)
 
 
 def _cnots_are_the_graph_gates(c: Circuit, g) -> bool:
@@ -174,7 +215,7 @@ def test_parity_network_rejects_a_non_edge_even_with_its_ladder_memoized():
     # A memoized ladder is no edge gate: a CNOT off the graph is a KeyError.
     g = line_graph(3)
     expand_templates(Circuit(3, (cnot(0, 2),)), g)
-    assert (0, 2) in g._ladders.gates
+    assert (0, 2) in memo_pairs(g)
     state = _NetworkState(3, [], g)
     state.add_cnot(0, 1)
     assert state.gates == [g._arcs[0, 1]]

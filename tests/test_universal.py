@@ -316,7 +316,7 @@ def test_route_keeps_each_segments_cheaper_candidate_and_ties_go_to_resynthesis(
 
 
 def test_route_builds_a_template_candidate_only_when_it_wins(monkeypatch):
-    # The template candidate is counted off the graph's ladder memo; its
+    # The template candidate is counted off the graph's ladder table; its
     # gates are built only for the segments whose resynthesis it beats.
     real = universal.expand_templates
     built = []

@@ -19,13 +19,14 @@ import pytest
 
 from steinersynth import ConnectivityGraph, random_connected_graph, random_invertible, universal
 from steinersynth.bench import random_universal_circuit
-from steinersynth.circuits import Circuit, CircuitFormatError, cnot, parse_circuit
+from steinersynth.circuits import Circuit, CircuitFormatError, cnot, h, parse_circuit
 from steinersynth.cnot_synth import (
     _arc_gates,
     _expand_ids,
     _pmh_pairs,
     _synthesize_rowcol,
     expand_templates,
+    naive_column_cost,
     section_widths,
     synthesize_constrained,
 )
@@ -146,3 +147,14 @@ def test_template_expansion_still_checks_wires():
     g = ConnectivityGraph(5, frozenset({(0, 4), (1, 4), (2, 4), (3, 4)}))
     with pytest.raises(ValueError, match=r"^wire 4 out of range for 3 qubits$"):
         expand_templates(Circuit(3, (cnot(0, 2),)), g)
+
+
+@pytest.mark.parametrize("gate, wire", [(cnot(3, 4), 3), (cnot(0, 4), 4), (cnot(4, 1), 4)])
+def test_template_expansion_rejects_a_cnot_wire_off_the_graph(gate, wire):
+    # A wire past the graph would give a pair id naming another pair.
+    g = line_graph(3)
+    with pytest.raises(ValueError, match=rf"^wire {wire} is not a node of line\(3\) \(3 nodes\)$"):
+        expand_templates(Circuit(5, (h(4), gate)), g)
+    assert g._ladders is None
+    with pytest.raises(ValueError, match=r"^wire 3 is not a node of line\(3\) \(3 nodes\)$"):
+        naive_column_cost({1, 3}, 0, g)

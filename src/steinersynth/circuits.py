@@ -158,8 +158,9 @@ class Circuit:
     and the matrix baselines' winner (its CNOTs are arcs of a graph
     with one node per wire of the task, a width checked on entry), the
     parity network and its views, and the route's H-reduced input,
-    segments and output.  `expand_templates` keeps the check, since it
-    checks no width itself: a ladder can leave a narrower circuit's wires.
+    segments and output.  `expand_templates` skips it for a circuit at
+    least as wide as its graph, whose CNOT wires it checks as graph nodes,
+    and keeps it for a narrower one: a ladder can leave its wires.
     """
 
     num_qubits: int

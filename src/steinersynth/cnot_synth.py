@@ -723,6 +723,12 @@ def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
     the other gates; ladders are built on first use and kept for the
     graph's lifetime (`_Ladders`).  A CNOT wire that is no node of the
     graph raises ValueError.
+
+    A circuit at least as wide as the graph gets its result without the
+    wire check (`Circuit._unchecked`): every CNOT wire was just checked as
+    a graph node, every routed gate is an arc gate of the graph, and every
+    other gate comes from the checked input.  A narrower circuit keeps the
+    check, since a ladder's relay nodes can lie past its wires.
     """
     ids = _pair_ids((gate.qubits for gate in c.gates if gate.kind == "cnot"), g)
     table = _ladders(g)
@@ -732,6 +738,8 @@ def expand_templates(c: Circuit, g: ConnectivityGraph) -> Circuit:
     gates: list[Gate] = []
     for kind, run in groupby(c.gates, key=attrgetter("kind")):
         gates += islice(routed, sum(next(counts) for _ in run)) if kind == "cnot" else run
+    if c.num_qubits >= g.node_count:
+        return Circuit._unchecked(c.num_qubits, tuple(gates))
     return Circuit(c.num_qubits, tuple(gates))
 
 

@@ -7,8 +7,12 @@ the search restarts.  Two shortcuts give exactly the same trees for less
 work: waves that touch at once (two adjacent tree nodes) are joined by
 Kruskal merges over the sorted edges without any search, and each search
 stops after the first layer in which two waves meet, since every later
-meeting is longer.  An exact Dreyfus-Wagner solver is provided as a test
-oracle for small instances.
+meeting is longer.  The search hands over the tree it built in one pass:
+it records each tree edge and both ends' neighbours as it merges, sorts
+those short lists once, walks the tree from its root once, and fills the
+`SteinerTree` with all three (`SteinerTree._from_search`), whose
+`validate` then checks the edges the merges recorded.  An exact
+Dreyfus-Wagner solver is provided as a test oracle for small instances.
 
 All tie-breaking (BFS frontier order, collision choice, equal-length paths)
 prefers the lowest node index, so every result is deterministic.
@@ -136,6 +140,28 @@ class ConnectivityGraph:
         return sorted(self.edges)
 
 
+def _preorder(adj: dict[int, list[int]], root: int) -> tuple[tuple[int, int], ...]:
+    """The (parent, child) edges of a tree from `root`, each parent's edge
+    before its children's, children in the order of `adj`'s lists.
+
+    On edges that are not a tree, `seen` makes it walk a spanning tree of
+    the root's component, which `SteinerTree.validate` counts."""
+    seen = {root}
+    edges = []
+    stack = [(root, v) for v in reversed(adj[root])]
+    while stack:
+        edge = stack.pop()
+        u, v = edge
+        if v in seen:  # only on a cycle
+            continue
+        seen.add(v)
+        edges.append(edge)
+        for w in reversed(adj[v]):
+            if w != u:
+                stack.append((v, w))
+    return tuple(edges)
+
+
 def _check_width(width: int, g: ConnectivityGraph) -> None:
     """Raise ValueError unless a task on `width` qubits has one qubit per
     node of `g`: the one rule every synthesizer and `pipeline.run` share."""
@@ -150,11 +176,15 @@ class SteinerTree:
     Nodes of the tree that are not terminals are Steiner nodes; the root is
     a distinguished terminal (the elimination pivot).
 
-    Construction builds the adjacency once (`_adj`: each node to the
-    ascending list of its tree neighbours, which nothing may mutate), and
-    `preorder` walks it from the root once, on first read; `validate`,
-    `cnot_synth.plan_pre_transpose` and the synthesizers share that walk,
-    and `adjacency()` hands out a copy.  Neither takes part in equality,
+    The public constructor builds the adjacency once (`_adj`: each node to
+    the ascending list of its tree neighbours, which nothing may mutate),
+    and `preorder` walks it from the root once (`_preorder`), on first
+    read; `validate`, `cnot_synth.plan_pre_transpose` and the synthesizers
+    share that walk, and `adjacency()` hands out a copy.  `steiner_approx`
+    knows both before the tree exists, so it hands them over through
+    `_from_search`, which skips the edge sort, the rebuilt adjacency and the
+    second walk; `validate` still runs on the edges its merges recorded,
+    never on ones read back from the walk.  Neither takes part in equality,
     hashing or repr.
     """
 
@@ -197,28 +227,32 @@ class SteinerTree:
     def weight(self) -> int:
         return len(self.tree_edges)
 
+    @classmethod
+    def _from_search(
+        cls,
+        graph: ConnectivityGraph,
+        terminals: frozenset[int],
+        root: int,
+        tree_edges: frozenset[tuple[int, int]],
+        adj: dict[int, list[int]],
+        preorder: tuple[tuple[int, int], ...],
+    ) -> "SteinerTree":
+        """A tree whose adjacency (lists ascending) and walk from the root
+        (`_preorder`) its builder already made, filled in without
+        `__post_init__`; `validate` still checks it."""
+        tree = object.__new__(cls)
+        vars(tree).update(
+            graph=graph, terminals=terminals, root=root, tree_edges=tree_edges,
+            _adj=adj, preorder=preorder,
+        )
+        return tree
+
     @cached_property
     def preorder(self) -> tuple[tuple[int, int], ...]:
         """The (parent, child) edges of the tree rooted at `root`, each
-        parent's edge before its children's, children ascending.
-
-        On edges that are not a tree, `seen` makes it walk a spanning tree
-        of the root's component, which `validate` counts."""
-        adj = self._adj
-        seen = {self.root}
-        edges = []
-        stack = [(self.root, v) for v in reversed(adj[self.root])]
-        while stack:
-            edge = stack.pop()
-            u, v = edge
-            if v in seen:  # only on a cycle
-                continue
-            seen.add(v)
-            edges.append(edge)
-            for w in reversed(adj[v]):
-                if w != u:
-                    stack.append((v, w))
-        return tuple(edges)
+        parent's edge before its children's, children ascending
+        (`_preorder`)."""
+        return _preorder(self._adj, self.root)
 
     def validate(self) -> None:
         """Check the structural invariants; raises AssertionError on failure."""
@@ -328,7 +362,9 @@ def steiner_approx(
 
     The search never reads the root, so a tree's edges depend on its
     terminals and its allowed nodes alone, and allowing every node searches
-    as giving no mask does.
+    as giving no mask does.  Each merge records its edge and both ends'
+    neighbours, so the tree is handed over with its adjacency and its walk
+    from the root (`SteinerTree._from_search`), then validated.
     """
     term_set = frozenset(terminals)
     if not term_set:
@@ -348,19 +384,28 @@ def steiner_approx(
     adj = g._adj
     nodes = sorted(term_set)
     label = list(_start_labels(n, allowed))
+    members: dict[int, list[int]] = {}
+    nbrs: dict[int, list[int]] = {}  # each tree node's neighbours
     for t in nodes:
         if label[t] == _OUTSIDE:
             raise ValueError("a terminal lies outside the allowed nodes")
         label[t] = t
-    members = {t: [t] for t in nodes}
+        members[t] = [t]
+        nbrs[t] = []
     tree_edges: set[tuple[int, int]] = set()
 
-    def merge_adjacent(edges) -> None:
-        # Length-1 rounds, in the order the full rounds would take them.
-        for u, v in edges:
+    # Length-1 rounds, in the order the full rounds would take them: first
+    # the edges between terminals, after each search the meeting edge and
+    # then the edges at the new path nodes.
+    joins = [(u, v) for u in nodes for v in adj[u] if v > u and label[v] >= 0]
+    new_nodes: list[int] = []
+    while True:
+        for u, v in joins:
             a, b = label[u], label[v]
             if a != b:
                 tree_edges.add((u, v))
+                nbrs[u].append(v)
+                nbrs[v].append(u)
                 if len(members[a]) < len(members[b]):
                     a, b = b, a
                 moved = members.pop(b)
@@ -368,10 +413,16 @@ def steiner_approx(
                     label[x] = a
                 members[a] += moved
                 if len(members) == 1:
-                    return
+                    break
+        if len(members) == 1:
+            break
+        if new_nodes:
+            joins = sorted({
+                (x, y) if x < y else (y, x) for x in new_nodes for y in adj[x] if label[y] >= 0
+            })
+            new_nodes = []
+            continue
 
-    merge_adjacent([(u, v) for u in nodes for v in adj[u] if v > u and label[v] >= 0])
-    while len(members) > 1:
         # One BFS wave from every super-terminal simultaneously, layer by
         # layer, until the shortest collision between two distinct waves is
         # known.
@@ -404,25 +455,30 @@ def steiner_approx(
             depth += 1
         _, u, v = best
 
-        # Each new path node joins its own wave's super-terminal; the
-        # meeting edge (u, v) then merges the two like a length-1 round.
-        new_nodes = []
+        # Each new path node joins its own wave's super-terminal, its tree
+        # neighbours the path node walked before it (`child`) and its
+        # parent; the meeting edge (u, v) then merges the two like a
+        # length-1 round.
         for end in (u, v):
-            node, a = end, comp[end]
+            node, a, child = end, comp[end], -1
             while dist[node] > 0:
+                p = parent[node]
                 new_nodes.append(node)
                 label[node] = a
                 members[a].append(node)
-                tree_edges.add(_norm_edge(node, parent[node]))
-                node = parent[node]
+                tree_edges.add((node, p) if node < p else (p, node))
+                nbrs[node] = [p] if child < 0 else [child, p]
+                node, child = p, node
+            if child >= 0:
+                nbrs[node].append(child)
         nodes += new_nodes
-        merge_adjacent(((u, v),))
-        if len(members) > 1:
-            merge_adjacent(sorted({
-                _norm_edge(x, y) for x in new_nodes for y in adj[x] if label[y] >= 0
-            }))
+        joins = [(u, v)]
 
-    tree = SteinerTree(g, term_set, root, frozenset(tree_edges))
+    for ns in nbrs.values():
+        ns.sort()
+    tree = SteinerTree._from_search(
+        g, term_set, root, frozenset(tree_edges), nbrs, _preorder(nbrs, root)
+    )
     tree.validate()
     return tree
 

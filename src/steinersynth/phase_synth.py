@@ -294,6 +294,13 @@ def synth_parity_network_constrained(
     circuit and the linear transformation it applies, simulated from its
     CNOTs (`simulate_cnot_circuit`).  The recursion runs on an explicit
     stack, so a call leaves no reference cycle behind.
+
+    The split row is the candidate whose larger side holds the most live
+    columns, the lowest such row on ties.  Candidates are scanned in
+    ascending order, and the scan stops at the first perfect split (every
+    live column on one side, a score equal to their number): no row can
+    score more, and any later row that scores the same loses the tie, so
+    the row picked is the one a full scan picks.
     """
     n = s.num_qubits
     _check_width(n, g)
@@ -330,6 +337,8 @@ def synth_parity_network_constrained(
             score = max(ones, size - ones)
             if best is None or score > best[0]:
                 best = (score, j)
+                if score == size:  # a perfect split: no later row beats it
+                    break
         j = best[1]
         ones = rows[j] & cols
         rest = candidates - {j}

@@ -19,7 +19,8 @@ from steinersynth import (
 )
 from steinersynth.circuits import cnot
 from steinersynth.cnot_synth import plan_post_transpose, plan_pre_transpose, synthesize_constrained
-from steinersynth.graphs import SteinerTree, _norm_edge, grid_graph
+from steinersynth import graphs
+from steinersynth.graphs import SteinerTree, _norm_edge, _preorder, grid_graph
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
 
 
@@ -240,10 +241,11 @@ def test_tree_adjacency_is_ascending_whichever_way_edges_are_given():
     single.validate()
 
 
-def test_validate_keeps_its_messages():
+def bad_trees():
+    """(host, terminals, root, edges, the message `validate` raises)."""
     g = ConnectivityGraph(6, frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}))
     k5 = complete_graph(5)
-    cases = [
+    return [
         (g, frozenset({1, 2}), 0, {(0, 1), (1, 2)}, "root must be a terminal"),
         (g, frozenset({0, 2}), 0, {(0, 2)}, "tree edge not in host graph"),
         (g, frozenset({0, 5}), 0, {(0, 1), (1, 2)}, "terminal missing from tree"),
@@ -255,9 +257,68 @@ def test_validate_keeps_its_messages():
         (k5, frozenset({0, 2}), 0, {(0, 1), (2, 3), (3, 4), (2, 4)},
          "tree edges do not form a connected subgraph"),
     ]
-    for host, terminals, root, edges, message in cases:
+
+
+def test_validate_keeps_its_messages():
+    for host, terminals, root, edges, message in bad_trees():
         with pytest.raises(AssertionError, match=message.replace("|", r"\|")):
             SteinerTree(host, terminals, root, frozenset(edges)).validate()
+
+
+def test_a_handed_over_tree_fails_validate_as_the_public_one_does():
+    # The private constructor takes the adjacency and walk as given, so
+    # `validate` must still catch a cyclic, disconnected or off-graph edge
+    # set, with the message the public constructor's tree raises.
+    for host, terminals, root, edges, message in bad_trees():
+        adj = {root: []}
+        for u, v in sorted(edges):
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        for ns in adj.values():
+            ns.sort()
+        tree = SteinerTree._from_search(
+            host, terminals, root, frozenset(edges), adj, _preorder(adj, root))
+        assert tree.tree_edges == frozenset(edges) and tree._adj == adj
+        with pytest.raises(AssertionError, match=message.replace("|", r"\|")):
+            tree.validate()
+
+
+@pytest.mark.parametrize("g", oracle_graphs(), ids=lambda g: g.name)
+def test_the_search_hands_over_the_tree_the_public_constructor_builds(g):
+    # Seeded terminal sets, with no mask and with two random masks around
+    # the terminals (one holding an unmasked tree, so it connects them),
+    # each from a random root: the edges, the ascending neighbour lists and
+    # the walk equal those the public constructor builds from the edges.
+    n = g.node_count
+    rng = random.Random(3 * n + len(g.edges))
+    masked = 0
+    for terminals in random_terminal_sets(g, rng, 40):
+        spanned = sum(1 << v for v in steiner_approx(g, terminals).nodes)
+        terms = sum(1 << t for t in terminals)
+        for allowed in (None, spanned | rng.getrandbits(n), terms | rng.getrandbits(n) | rng.getrandbits(n)):
+            root = rng.choice(terminals)
+            try:
+                tree = steiner_approx(g, terminals, root, allowed)
+            except ValueError as exc:
+                assert allowed is not None and str(exc) == "the allowed nodes do not connect the terminals"
+                continue
+            masked += allowed is not None
+            want = SteinerTree(g, frozenset(terminals), root, tree.tree_edges)
+            want.validate()
+            key = (sorted(terminals), root, allowed)
+            assert tree == want, key
+            assert tree._adj == want._adj and tree.preorder == want.preorder, key
+    assert masked >= 40
+
+
+def test_validate_reads_the_searched_edges_not_the_walk(monkeypatch):
+    # With a walk that loses its last edge, the search's own edge set still
+    # has |nodes|-1 edges, so validate fails on connectivity, not on the
+    # edge count it would fail on if it counted the walk's edges.
+    walk = graphs._preorder
+    monkeypatch.setattr(graphs, "_preorder", lambda adj, root: walk(adj, root)[:-1])
+    with pytest.raises(AssertionError, match="^tree edges do not form a connected subgraph$"):
+        steiner_approx(grid_graph(3, 3), {0, 4, 8})
 
 
 def test_a_built_tree_keeps_the_walk_validate_took(grid12_graph):

@@ -15,7 +15,7 @@ from steinersynth import (
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
-from steinersynth import gf2, universal
+from steinersynth import gf2, phase_synth, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
@@ -383,6 +383,29 @@ def test_bit_sliced_network_matches_the_mask_reference():
                 assert (circ.gates, linear) == reference_parity_network(sop, g, fallbacks)
     # The candidates-exhausted branch was reached and matched as well.
     assert fallbacks
+
+
+def test_the_row_choice_stops_at_the_lowest_perfect_split(monkeypatch):
+    # Row 0 splits the three parities 1:2, rows 1 and 2 hold all three
+    # (two perfect splits) and row 3 one.  The scan stops at row 1, since
+    # under the lowest-row tie-break no later row can beat a perfect split,
+    # so the first fold pivots on row 1 over all three parities: not on
+    # row 2, and not on the zero side of a split at row 0.
+    terms = {0b0110: A(1), 0b0111: A(3), 0b1110: A(5)}
+    sop = SumOverPaths(PhasePolynomial(4, terms), BinaryMatrix.identity(4))
+    g = line_graph(4)
+    folds = []
+    fold = phase_synth._fold_rows
+
+    def recording(state, cols, pivot, graph):
+        folds.append((pivot, cols))
+        fold(state, cols, pivot, graph)
+
+    monkeypatch.setattr(phase_synth, "_fold_rows", recording)
+    circ, linear = synth_parity_network_constrained(sop, g)
+    assert folds[0] == (1, 0b111)
+    assert (circ.gates, linear) == reference_parity_network(sop, g, [])
+    assert extract_sum_over_paths(circ).phase == sop.phase
 
 
 def phase_free_graphs():

@@ -4,7 +4,8 @@ where they are skipped.
 The public constructors and the parser check every wire and row; their
 messages are pinned in `test_formats.py`, `test_gf2.py` and below.
 Cleanup, the synthesizers, the matrix baselines' winner, the parity
-network and the route build their circuits with `Circuit._unchecked`,
+network, the route and the template expansion of a circuit at least as
+wide as its graph build their circuits with `Circuit._unchecked`,
 because each of their wires is in range by construction.  Transposes,
 products, inverses, simulations and the synthesizers' and the route's
 matrices are built with `BinaryMatrix._unchecked` from checked ones.
@@ -36,6 +37,7 @@ from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import _synthesize_up_to, extract_sum_over_paths, synthesize_cnot_rz
 from steinersynth.pipeline import run
 from steinersynth.universal import _route, merge_delete_h, partition_segments
+from steinersynth.verify import edge_legal
 
 PROBS = {"cnot": 0.6, "t": 0.1, "s": 0.1, "sdg": 0.05, "tdg": 0.05, "h": 0.1}
 GRIDS = {2: (1, 2), 4: (2, 2), 6: (2, 3), 9: (3, 3), 12: (3, 4), 16: (4, 4), 20: (4, 5)}
@@ -147,6 +149,33 @@ def test_template_expansion_still_checks_wires():
     g = ConnectivityGraph(5, frozenset({(0, 4), (1, 4), (2, 4), (3, 4)}))
     with pytest.raises(ValueError, match=r"^wire 4 out of range for 3 qubits$"):
         expand_templates(Circuit(3, (cnot(0, 2),)), g)
+
+
+def test_template_expansion_checks_wires_only_below_the_graph_width(monkeypatch):
+    # A circuit at least as wide as the graph has every CNOT wire checked
+    # as a graph node and every routed gate on an arc, so its expansion
+    # skips the wire check; a narrower one keeps it, and raises when a
+    # ladder's relay node lies past its wires.
+    star = ConnectivityGraph(5, frozenset({(0, 4), (1, 4), (2, 4), (3, 4)}), name="star5")
+    g = grid_graph(3, 3)
+    wide = [random_universal_circuit(9, 80, PROBS, seed) for seed in range(3)]
+    wide += [Circuit(12, c.gates + (h(11),)) for c in wide]  # an H past the graph
+    cases = [(c, g) for c in wide] + [(Circuit(5, (cnot(0, 2), h(3))), star)]
+    cases.append((Circuit(7, (cnot(0, 2), h(6), cnot(6, 1), cnot(3, 5))), g))  # ladders below 7
+    checked = []
+    check = Circuit.__post_init__
+    monkeypatch.setattr(Circuit, "__post_init__", lambda c: (checked.append(c.num_qubits), check(c)))
+    outs = []
+    for c, graph in cases:
+        outs.append(expand_templates(c, graph))
+        assert checked == ([7] if c.num_qubits < graph.node_count else []), c.num_qubits
+        checked.clear()
+    assert outs[-1].cnot_count == 4 + 8 + 4
+    for out, (c, graph) in zip(outs, cases):
+        assert edge_legal(out, graph)
+        assert_rebuilds(out, c.num_qubits)
+    with pytest.raises(ValueError, match=r"^wire 4 out of range for 3 qubits$"):
+        expand_templates(Circuit(3, (cnot(0, 2),)), star)
 
 
 @pytest.mark.parametrize("gate, wire", [(cnot(3, 4), 3), (cnot(0, 4), 4), (cnot(4, 1), 4)])

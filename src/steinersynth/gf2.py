@@ -130,18 +130,13 @@ class BinaryMatrix:
         )
 
 
-def simulate_cnot_circuit(c: Circuit, start: BinaryMatrix | None = None) -> BinaryMatrix:
-    """Fold the circuit's CNOTs as row ops starting from the identity, or
-    from `start`, which gives the product C·start for the circuit's matrix C.
+def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
+    """Fold the circuit's CNOTs as row ops starting from the identity.
 
     CNOT(control, target) is the row op row[target] ^= row[control]: the
-    target wire's parity picks up the control wire's parity.  A `start`
-    whose dimension is not the circuit's width raises ValueError.
+    target wire's parity picks up the control wire's parity.
     """
-    if start is not None and start.dim != c.num_qubits:
-        raise ValueError(
-            f"start matrix has dimension {start.dim}, circuit has {c.num_qubits} qubits")
-    rows = [1 << i for i in range(c.num_qubits)] if start is None else list(start.rows)
+    rows = [1 << i for i in range(c.num_qubits)]
     for g in c.gates:
         if g.kind != "cnot":
             raise ValueError(f"non-CNOT gate {g.kind!r} in linear simulation")

@@ -176,44 +176,34 @@ class SteinerTree:
     Nodes of the tree that are not terminals are Steiner nodes; the root is
     a distinguished terminal (the elimination pivot).
 
-    The public constructor builds the adjacency once (`_adj`: each node to
-    the ascending list of its tree neighbours, which nothing may mutate),
-    and `preorder` walks it from the root once (`_preorder`), on first
+    The adjacency (`_adj`: each node to the ascending list of its tree
+    neighbours, which nothing may mutate) is built from the edges, and
+    `preorder` walks it from the root (`_preorder`), each once, on first
     read; `validate`, `cnot_synth.plan_pre_transpose` and the synthesizers
     share that walk, and `adjacency()` hands out a copy.  `steiner_approx`
     knows both before the tree exists, so it hands them over through
-    `_from_search`, which skips the edge sort, the rebuilt adjacency and the
-    second walk; `validate` still runs on the edges its merges recorded,
-    never on ones read back from the walk.  Neither takes part in equality,
-    hashing or repr.
+    `_from_search`, which skips the rebuilt adjacency and the second walk;
+    `validate` still runs on the edges its merges recorded, never on ones
+    read back from the walk.  Neither takes part in equality, hashing or
+    repr.
     """
 
     graph: ConnectivityGraph
     terminals: frozenset[int]
     root: int
     tree_edges: frozenset[tuple[int, int]]
-    _adj: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # Over sorted (smaller, larger) edges, a node's smaller neighbours
-        # arrive first (edges (w, n), by w) and its larger ones after (edges
-        # (n, w), by w), so every list comes out ascending.
+    @cached_property
+    def _adj(self) -> dict[int, list[int]]:
+        """Each tree node's neighbours, ascending; `{root: []}` when there
+        is no edge."""
         adj: dict[int, list[int]] = {} if self.tree_edges else {self.root: []}
-        for u, v in sorted(self.tree_edges):
-            if u in adj:
-                adj[u].append(v)
-            else:
-                adj[u] = [v]
-            if v in adj:
-                adj[v].append(u)
-            else:
-                adj[v] = [u]
         for u, v in self.tree_edges:
-            if u > v:  # an edge given as (larger, smaller)
-                for ns in adj.values():
-                    ns.sort()
-                break
-        object.__setattr__(self, "_adj", adj)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        for ns in adj.values():
+            ns.sort()
+        return adj
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -238,8 +228,8 @@ class SteinerTree:
         preorder: tuple[tuple[int, int], ...],
     ) -> "SteinerTree":
         """A tree whose adjacency (lists ascending) and walk from the root
-        (`_preorder`) its builder already made, filled in without
-        `__post_init__`; `validate` still checks it."""
+        (`_preorder`) its builder already made, filled in rather than built
+        on first read; `validate` still checks it."""
         tree = object.__new__(cls)
         vars(tree).update(
             graph=graph, terminals=terminals, root=root, tree_edges=tree_edges,
@@ -255,13 +245,20 @@ class SteinerTree:
         return _preorder(self._adj, self.root)
 
     def validate(self) -> None:
-        """Check the structural invariants; raises AssertionError on failure."""
-        assert self.root in self.terminals, "root must be a terminal"
-        assert self.tree_edges <= self.graph.edges, "tree edge not in host graph"
+        """Check the structural invariants, in order, each only once the
+        ones before it hold; raises AssertionError on the first failure,
+        also under `python -O`."""
+        if self.root not in self.terminals:
+            raise AssertionError("root must be a terminal")
+        if not self.tree_edges <= self.graph.edges:
+            raise AssertionError("tree edge not in host graph")
         adj = self._adj
-        assert self.terminals.issubset(adj), "terminal missing from tree"
-        assert len(self.tree_edges) == len(adj) - 1, "edge count is not |nodes|-1"
-        assert len(self.preorder) == len(adj) - 1, "tree edges do not form a connected subgraph"
+        if not self.terminals.issubset(adj):
+            raise AssertionError("terminal missing from tree")
+        if len(self.tree_edges) != len(adj) - 1:
+            raise AssertionError("edge count is not |nodes|-1")
+        if len(self.preorder) != len(adj) - 1:
+            raise AssertionError("tree edges do not form a connected subgraph")
 
     def adjacency(self) -> dict[int, list[int]]:
         """Each node's tree neighbours in ascending order, as a fresh copy."""

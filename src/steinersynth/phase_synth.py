@@ -42,7 +42,7 @@ from .gf2 import (
     _bits,
     _times_inverse,
     invert,
-    simulate_cnot_circuit,
+    multiply,
 )
 from .graphs import ConnectivityGraph, _check_width, steiner_approx
 
@@ -209,7 +209,9 @@ class _NetworkState:
     placed columns stay in the rows but are always masked off by `pending`.
 
     Every CNOT lies on an edge of the graph `g` and is the gate the graph
-    built for that directed edge (`arcs`).
+    built for that directed edge (`arcs`).  `wires[q]` is the parity of the
+    inputs that wire `q` holds after the CNOTs so far, starting at `1 << q`:
+    row `q` of the linear map the network applies.
     """
 
     def __init__(self, n: int, columns: list[tuple[int, Angle]], g: ConnectivityGraph):
@@ -222,6 +224,7 @@ class _NetworkState:
                     self.rows[q] |= 1 << cid
         self.pending = (1 << len(columns)) - 1
         self.gates: list[Gate] = []
+        self.wires = [1 << q for q in range(n)]
 
     def emit_ready(self) -> None:
         """Place rotations for every pending parity now sitting on a wire,
@@ -247,6 +250,7 @@ class _NetworkState:
         distinct, so at most one column becomes ready.
         """
         self.gates.append(self.arcs[control, target])
+        self.wires[target] ^= self.wires[control]
         rows = self.rows
         ready = rows[control] & rows[target] & self.pending
         rows[control] ^= rows[target]
@@ -291,9 +295,9 @@ def synth_parity_network_constrained(
     the most extreme 0/1 split, recurse on the zero side, fold the one side
     together along a Steiner tree, recurse on the rest.  Each rotation is
     emitted the first moment its parity is realized on a wire.  Returns the
-    circuit and the linear transformation it applies, simulated from its
-    CNOTs (`simulate_cnot_circuit`).  The recursion runs on an explicit
-    stack, so a call leaves no reference cycle behind.
+    circuit and the linear transformation it applies, which the network
+    keeps as it emits each CNOT (`_NetworkState.wires`).  The recursion
+    runs on an explicit stack, so a call leaves no reference cycle behind.
 
     The split row is the candidate whose larger side holds the most live
     columns, the lowest such row on ties.  Candidates are scanned in
@@ -348,8 +352,7 @@ def synth_parity_network_constrained(
 
     assert not state.pending, "some parities were never realized"
     circuit = Circuit._unchecked(n, tuple(state.gates))
-    cnots = Circuit._unchecked(n, tuple(gate for gate in state.gates if gate.kind == "cnot"))
-    return circuit, simulate_cnot_circuit(cnots)
+    return circuit, BinaryMatrix._unchecked(n, tuple(state.wires))
 
 
 def _synthesize_up_to(
@@ -361,22 +364,20 @@ def _synthesize_up_to(
     and otherwise a map that holds each stop qubit alone on one wire
     (`_synthesize_rowcol`).
 
-    The network applies some linear map C, so the fixup target is A·C⁻¹,
-    read off the network's CNOTs (`_times_inverse`), and its inverse is
-    C·A⁻¹, the network's CNOTs run on the rows of `s.linear_inv`: neither
-    takes a Gauss-Jordan pass.  An instance with no phase terms skips the
-    network, which would emit no gate and apply C = I: the target is A
-    itself.
+    The network applies some linear map C, which it hands over, so the
+    fixup target is A·C⁻¹, read off the network's CNOTs (`_times_inverse`),
+    and its inverse is C·A⁻¹, the network's map times `s.linear_inv`:
+    neither takes a Gauss-Jordan pass.  An instance with no phase terms
+    skips the network, which would emit no gate and apply C = I: the target
+    is A itself.
     """
     if not s.phase.terms:
         return _synthesize_rowcol(s.linear, s.linear_inv, g, stop)
-    n = s.num_qubits
-    network, _ = synth_parity_network_constrained(s, g)
-    cnots = Circuit._unchecked(n, tuple(gate for gate in network.gates if gate.kind == "cnot"))
-    target = _times_inverse(s.linear, cnots.gates)
-    target_inv = simulate_cnot_circuit(cnots, s.linear_inv)
+    network, c = synth_parity_network_constrained(s, g)
+    target = _times_inverse(s.linear, network.gates)
+    target_inv = multiply(c, s.linear_inv)
     fixup, residual, residual_inv = _synthesize_rowcol(target, target_inv, g, stop)
-    circuit = Circuit._unchecked(n, network.gates + fixup.gates)
+    circuit = Circuit._unchecked(s.num_qubits, network.gates + fixup.gates)
     return circuit, residual, residual_inv
 
 

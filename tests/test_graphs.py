@@ -1,9 +1,14 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
+import steinersynth
 from steinersynth import (
     ConnectivityGraph,
     builtin_architecture,
@@ -263,6 +268,29 @@ def test_validate_keeps_its_messages():
     for host, terminals, root, edges, message in bad_trees():
         with pytest.raises(AssertionError, match=message.replace("|", r"\|")):
             SteinerTree(host, terminals, root, frozenset(edges)).validate()
+
+
+def test_validate_checks_under_optimized_python():
+    # `python -O` strips assert statements; validate must still raise, and
+    # on this tree (|nodes|-1 edges, a cycle through the root and a
+    # split-off edge) only the walk catches the fault.
+    script = (
+        "from steinersynth.graphs import SteinerTree, complete_graph\n"
+        "edges = frozenset({(0, 1), (1, 2), (0, 2), (3, 4)})\n"
+        "tree = SteinerTree(complete_graph(5), frozenset({0, 3}), 0, edges)\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    tree.validate()\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(steinersynth.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\ntree edges do not form a connected subgraph\n"
 
 
 def test_a_handed_over_tree_fails_validate_as_the_public_one_does():

@@ -34,7 +34,12 @@ from steinersynth.cnot_synth import (
 from steinersynth.gf2 import BinaryMatrix, _times_inverse, invert, multiply, simulate_cnot_circuit
 from steinersynth.graphs import complete_graph, grid_graph, line_graph
 from steinersynth.optimizer import cancel_pass
-from steinersynth.phase_synth import _synthesize_up_to, extract_sum_over_paths, synthesize_cnot_rz
+from steinersynth.phase_synth import (
+    _synthesize_up_to,
+    extract_sum_over_paths,
+    synth_parity_network_constrained,
+    synthesize_cnot_rz,
+)
 from steinersynth.pipeline import run
 from steinersynth.universal import _route, merge_delete_h, partition_segments
 from steinersynth.verify import edge_legal
@@ -113,7 +118,7 @@ def test_every_unchecked_matrix_survives_the_public_constructor(g, monkeypatch):
         built = [
             matrix.transpose(), multiply(matrix, inverse), inverse,
             _times_inverse(matrix, synthesized.gates), simulate_cnot_circuit(synthesized),
-            simulate_cnot_circuit(synthesized, inverse), phase.linear, phase.linear_inv,
+            synth_parity_network_constrained(phase, g)[1], phase.linear, phase.linear_inv,
             back.linear, back.linear_inv,
         ]
         for stop in (None, frozenset(range(0, n, 2))):

@@ -465,36 +465,48 @@ def _synthesize_rowcol(
     tree of vertex i's step (`_rowcol_step`) lies inside them.
 
     With a stop set, only the stop columns are eliminated, each onto a
-    pivot wire of its own, so each stop q ends alone on its pivot w in M:
-    row q of M is e_w and column w is e_q, with the w distinct.  The steps
-    run on aᵀ in the graph's own labels, and each row op (c, t) there is
-    the gate (t, c), in order: the ops multiply a on the right, and M is
-    what is left.  A wire may go next when it is no cut vertex of the
-    unfinished wires, so that they stay connected, or on the last step,
-    since no step follows it.  Each stop column q has one candidate pivot,
-    a wire that may go next and is a terminal of both of the step's trees
-    (a one in column q of the working aᵀ and in row q of its inverse): q
-    itself when it is one, else the lowest-labelled one.  Each step takes
-    the candidate whose step (`_rowcol_step` with w and q) emits the
-    fewest ops, trial-run on copies, ties to the lowest column.  Only when
-    no column has a candidate are all pairs of a stop column and a wire
-    that may go next tried.  A full stop set leaves M a permutation
-    matrix.  The steps keep the working matrix's inverse transposed, so
-    no path inverts a matrix: with no stop set they start from `a_inv`ᵀ,
-    relabelled like `a`; with one, from `a_inv`, the transpose of aᵀ's
-    inverse.  The caller checks that `a` has one row per graph node.
+    pivot wire of its own (`_rowcol_up_to`, on aᵀ).  The steps keep the
+    working matrix's inverse transposed, from `a_inv`ᵀ relabelled like
+    `a`, so no path inverts a matrix.  The caller checks that `a` has one
+    row per graph node.
     """
+    if stop is not None:
+        return _rowcol_up_to(a.transpose(), a_inv, g, stop)
     n = a.dim
-    if stop is None:
-        rows, h, arcs = _in_elimination_labels(a, g)
-        inv_t, _, _ = _in_elimination_labels(a_inv.transpose(), g)
-        full = (1 << n) - 1
-        ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
-        assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
-        identity = BinaryMatrix.identity(n)
-        return Circuit._unchecked(n, tuple(arcs[op] for op in reversed(ops))), identity, identity
+    rows, h, arcs = _in_elimination_labels(a, g)
+    inv_t, _, _ = _in_elimination_labels(a_inv.transpose(), g)
+    full = (1 << n) - 1
+    ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
+    assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
+    identity = BinaryMatrix.identity(n)
+    return Circuit._unchecked(n, tuple(arcs[op] for op in reversed(ops))), identity, identity
 
-    rows = list(a.transpose().rows)
+
+def _rowcol_up_to(
+    a_t: BinaryMatrix, a_inv: BinaryMatrix, g: ConnectivityGraph, stop: frozenset[int]
+) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
+    """`_synthesize_rowcol` of a matrix a up to a stop set, given aᵀ and
+    a⁻¹: the fixup F, the residual M with M·F = a and M⁻¹.
+
+    Only the stop columns are eliminated, each onto a pivot wire of its
+    own, so each stop q ends alone on its pivot w in M: row q of M is e_w
+    and column w is e_q, with the w distinct.  The steps run on aᵀ in the
+    graph's own labels, and each row op (c, t) there is the gate (t, c),
+    in order: the ops multiply a on the right, and M is what is left.  A
+    wire may go next when it is no cut vertex of the unfinished wires, so
+    that they stay connected, or on the last step, since no step follows
+    it.  Each stop column q has one candidate pivot, a wire that may go
+    next and is a terminal of both of the step's trees (a one in column q
+    of the working aᵀ and in row q of its inverse): q itself when it is
+    one, else the lowest-labelled one.  Each step takes the candidate
+    whose step (`_rowcol_step` with w and q) emits the fewest ops,
+    trial-run on copies, ties to the lowest column.  Only when no column
+    has a candidate are all pairs of a stop column and a wire that may go
+    next tried.  A full stop set leaves M a permutation matrix.  The
+    inverse of aᵀ, kept transposed, is `a_inv` itself.
+    """
+    n = a_t.dim
+    rows = list(a_t.rows)
     inv_t = list(a_inv.rows)
     adj_masks = g._adj_masks
     unfinished = (1 << n) - 1
@@ -511,13 +523,13 @@ def _synthesize_rowcol(
         cut.clear()
         pairs = []
         for q in todo:
-            both = [w for w in _bits(unfinished) if (rows[w] >> q) & 1 and (inv_t[w] >> q) & 1]
+            both = [w for w in _members(unfinished) if (rows[w] >> q) & 1 and (inv_t[w] >> q) & 1]
             both.sort(key=lambda w: w != q)  # q first, then the lowest label
             w = next(filter(may_go, both), None)
             if w is not None:
                 pairs.append((q, w))
         if not pairs:
-            pairs = [(q, w) for q in todo for w in filter(may_go, _bits(unfinished))]
+            pairs = [(q, w) for q in todo for w in filter(may_go, _members(unfinished))]
         best = None
         for q, w in pairs:  # a free step cannot be beaten
             trial_rows, trial_inv_t = rows[:], inv_t[:]

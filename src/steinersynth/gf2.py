@@ -147,15 +147,21 @@ def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
 
 def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
     """R·B⁻¹ for the linear map B of the CNOTs among `gates`, with no
-    Gauss-Jordan pass: B⁻¹ is the CNOTs E_1, ..., E_m in order as the
-    product E_1···E_m, so (R·B⁻¹)ᵀ = E_mᵀ···E_1ᵀ·Rᵀ, and the transpose of
-    CNOT (c, t)'s row op is the row op (t, c)."""
+    Gauss-Jordan pass (`_transposed_times_inverse`)."""
+    return _transposed_times_inverse(r, gates).transpose()
+
+
+def _transposed_times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
+    """(R·B⁻¹)ᵀ for the linear map B of the CNOTs among `gates`: B⁻¹ is the
+    CNOTs E_1, ..., E_m in order as the product E_1···E_m, so
+    (R·B⁻¹)ᵀ = E_mᵀ···E_1ᵀ·Rᵀ, and the transpose of CNOT (c, t)'s row op
+    is the row op (t, c)."""
     cols = list(r.transpose().rows)
     for gate in gates:
         if gate.kind == "cnot":
             c, t = gate.qubits
             cols[c] ^= cols[t]
-    return BinaryMatrix._unchecked(r.dim, tuple(cols)).transpose()
+    return BinaryMatrix._unchecked(r.dim, tuple(cols))
 
 
 def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:

@@ -33,6 +33,7 @@ from .circuits import Angle, Circuit, Gate, content_lines, rz
 from .cnot_synth import (
     SynthesisReport,
     _report,
+    _rowcol_up_to,
     _synthesize_rowcol,
     plan_pre_transpose,
 )
@@ -41,6 +42,7 @@ from .gf2 import (
     SingularMatrixError,
     _bits,
     _times_inverse,
+    _transposed_times_inverse,
     invert,
     multiply,
 )
@@ -367,16 +369,22 @@ def _synthesize_up_to(
     The network applies some linear map C, which it hands over, so the
     fixup target is A·C⁻¹, read off the network's CNOTs (`_times_inverse`),
     and its inverse is C·A⁻¹, the network's map times `s.linear_inv`:
-    neither takes a Gauss-Jordan pass.  An instance with no phase terms
-    skips the network, which would emit no gate and apply C = I: the target
-    is A itself.
+    neither takes a Gauss-Jordan pass.  With a stop set the fixup runs on
+    the target's transpose, which is what the CNOTs are read into
+    (`_transposed_times_inverse`), so it is handed over as it is.  An
+    instance with no phase terms skips the network, which would emit no
+    gate and apply C = I: the target is A itself.
     """
     if not s.phase.terms:
         return _synthesize_rowcol(s.linear, s.linear_inv, g, stop)
     network, c = synth_parity_network_constrained(s, g)
-    target = _times_inverse(s.linear, network.gates)
     target_inv = multiply(c, s.linear_inv)
-    fixup, residual, residual_inv = _synthesize_rowcol(target, target_inv, g, stop)
+    if stop is None:
+        target = _times_inverse(s.linear, network.gates)
+        fixup, residual, residual_inv = _synthesize_rowcol(target, target_inv, g)
+    else:
+        target_t = _transposed_times_inverse(s.linear, network.gates)
+        fixup, residual, residual_inv = _rowcol_up_to(target_t, target_inv, g, stop)
     circuit = Circuit._unchecked(s.num_qubits, network.gates + fixup.gates)
     return circuit, residual, residual_inv
 

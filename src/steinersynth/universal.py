@@ -3,12 +3,17 @@
 Hadamard gates break the phase-polynomial picture, so the circuit is cut
 into alternating H-only and CNOT+RZ segments.  A two-pass commutation
 heuristic grows the CNOT+RZ segments as large as possible, and the H gates
-need no routing.  The route carries a pending linear residual across the
-H runs: each CNOT+RZ segment is resynthesized in the frame the gates
-emitted so far leave, and its fixup only frees each qubit of the next H
-run, alone on a wire of the fixup's choosing, where its H runs; the next
-segment takes over the rest, and the last segment's fixup clears every
-wire, so both ends keep the identity layout; no fixup inverts a matrix.
+need no routing.  It settles each block a moving gate reaches with one
+wire-mask test (`partition_segments`), exact by two invariants: in the
+forward pass no gate lands at the front of a block before all of that
+block's own movers are processed, and after it every block is in uid
+order, so backward moves append after all of a block's original gates.
+The route carries a pending linear residual across the H runs: each
+CNOT+RZ segment is resynthesized in the frame the gates emitted so far
+leave, and its fixup only frees each qubit of the next H run, alone on a
+wire of the fixup's choosing, where its H runs; the next segment takes
+over the rest, and the last segment's fixup clears every wire, so both
+ends keep the identity layout; no fixup inverts a matrix.
 When that route has more CNOTs before cleanup than the template expansion
 of the H-reduced input, the route that carries nothing is returned
 instead: its every segment implements its full linear map as its
@@ -103,85 +108,157 @@ def partition_segments(c: Circuit) -> list[Segment]:
     After the naive cut, every CNOT+RZ gate is commuted forward as far as
     possible and dropped into the largest reachable segment (ties go to the
     earlier one); a second pass repeats the process commuting backward.
-    Each mover scans only until its first non-commuting gate, so the cost
-    is the total length of those scans rather than quadratic in the circuit.
 
-    The scans run on plain integers.  Each gate is read once into a pair of
-    wires: a CNOT as (control, target), an RZ on q as (q, -1) and an H on q
-    as (q, q).  A mover (a, b), always a CNOT or an RZ, then fails to
-    commute with a gate (x, y) exactly when x == b or y == a, which is the
-    rule of the reference commutation test (`commutes` in
-    `tests/conftest.py`) for every such pair: a CNOT (c, t) is blocked by a
-    CNOT with control t or target c, by an RZ on t and by an H on c or t; an
-    RZ on q by a CNOT with target q and by an H on q.
+    The tests run on plain integers.  On n wires, each gate is read once
+    into a pair of wires: a CNOT as (control, target), an RZ on q as (q, n),
+    with n a wire no gate touches, and an H on q as (q, q).  A mover (a, b),
+    always a CNOT or an RZ, then fails to commute with a gate (x, y) exactly
+    when x == b or y == a, which is the rule of the reference commutation
+    test (`commutes` in `tests/conftest.py`) for every such pair: a CNOT
+    (c, t) is blocked by a CNOT with control t or target c, by an RZ on t
+    and by an H on c or t; an RZ on q by a CNOT with target q and by an H
+    on q.
+
+    So a set of gates has a wire mask, bit x for each gate's x and bit
+    n + 1 + y for each y, and it blocks the mover exactly when the mask
+    shares a bit with the mover's probe, bits b and n + 1 + a.  One mask
+    test settles a block:
+
+    - Own block.  Movers go in reverse order forward and in order
+      backward, and each pass keeps, per block, the mask of the movers it
+      has processed there that stayed.  Those are exactly the gates the
+      mover must pass in its own block, by two invariants.  In the forward
+      pass a gate moves to the front of a later block, whose own movers
+      all come later and so were processed already: no gate lands at the
+      front of a block before all of that block's own movers are
+      processed.  So every block is in uid order after the forward pass,
+      and a backward move appends to an earlier block, after all of that
+      block's original gates.
+    - Later blocks.  A block whose mask misses the probe is passed.  One
+      that hits it ends the scan, and its head in scan order decides
+      whether it counts first.  In the forward pass no gate leaves a block
+      once a mover from an earlier block can reach it, so a CNOT+RZ
+      block's mask is the one of its movers that stayed plus the gates
+      that arrived.  In the backward pass gates also leave blocks already
+      passed; per-wire counts, kept for a block from the first time a gate
+      leaves it, clear a bit when its last gate goes.  They take one dict
+      entry per bit set, so memory stays linear in the gates.  H blocks
+      never change.
+
     `tests/test_universal.py` checks the result against a reference pass
-    that calls that oracle.
+    that calls the commutation oracle gate by gate.
     """
     gates = c.gates
+    n = c.num_qubits
+    m = n + 1  # bit m + y of a mask stands for y
     # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
     kinds: list[str] = []
     blocks: list[list[int]] = []
     where: list[int] = []  # uid -> index of the block holding it
     first: list[int] = []  # uid -> x of its wire pair (x, y)
     second: list[int] = []  # uid -> y
-    for g in gates:
+    for uid, g in enumerate(gates):
         first.append(g.qubits[0])
-        second.append(-1 if g.kind == "rz" else g.qubits[-1])
+        second.append(n if g.kind == "rz" else g.qubits[-1])
         kind = "h_block" if g.kind == "h" else "cnot_block"
         if not kinds or kinds[-1] != kind:
+            bi = len(blocks)
             kinds.append(kind)
             blocks.append([])
-        blocks[-1].append(len(where))
-        where.append(len(blocks) - 1)
+        blocks[bi].append(uid)
+        where.append(bi)
+    movers = [uid for kind, blk in zip(kinds, blocks) if kind == "cnot_block" for uid in blk]
 
-    def destination(uid: int, bi: int, gi: int, forward: bool) -> int:
-        """Largest CNOT block the mover reaches before its first blocker.
+    # Per block: the wire mask of the gates the pass has accounted for, and
+    # the size of a CNOT+RZ block; an H block has size -1, so it is never a
+    # destination.
+    masks = [0] * len(blocks)
+    sizes = [-1] * len(blocks)
+    for bi, blk in enumerate(blocks):
+        if kinds[bi] == "cnot_block":
+            sizes[bi] = len(blk)
+            continue
+        for uid in blk:
+            masks[bi] |= 1 << first[uid]
+        masks[bi] |= masks[bi] << m
+
+    def destination(a: int, b: int, probe: int, bi: int, forward: bool) -> int:
+        """Largest CNOT block the mover (a, b), which passes its own block,
+        reaches before its first blocker.
 
         A block counts once its first gate in scan order has been passed, so
         empty blocks never count and the blocker's block only with a
-        commuting gate ahead of the blocker.  Ties go to the earlier block.
+        commuting gate ahead of the blocker.  Ties go to the earlier block,
+        which a backward scan reaches later.
         """
-        a, b = first[uid], second[uid]
-        own = blocks[bi]
-        for u in own[gi + 1 :] if forward else own[:gi]:
-            if first[u] == b or second[u] == a:
-                return bi
-        best, best_key = bi, (len(own), -bi)
+        # A block beats `best` when its size exceeds `bar`: strictly larger
+        # forward, at least as large backward, as ties go to the earlier block.
+        best, bar = bi, sizes[bi] - (not forward)
         for ob in range(bi + 1, len(blocks)) if forward else range(bi - 1, -1, -1):
-            blk = blocks[ob]
-            if not blk:
-                continue
-            head = blk[0] if forward else blk[-1]
-            if first[head] == b or second[head] == a:
-                return best
-            if kinds[ob] == "cnot_block" and (len(blk), -ob) > best_key:
-                best, best_key = ob, (len(blk), -ob)
-            # Past the head, only whether any gate blocks matters.
-            for u in blk:
-                if first[u] == b or second[u] == a:
+            if masks[ob] & probe:
+                head = blocks[ob][0 if forward else -1]
+                if first[head] == b or second[head] == a or sizes[ob] <= bar:
                     return best
+                return ob
+            if sizes[ob] > bar:
+                best, bar = ob, sizes[ob] - (not forward)
         return best
 
-    def relocate(movers: list[int], forward: bool) -> None:
-        for uid in movers:
-            bi = where[uid]
-            gi = blocks[bi].index(uid)
-            best = destination(uid, bi, gi, forward)
-            if best == bi:
-                continue
-            del blocks[bi][gi]
-            if forward:
-                blocks[best].insert(0, uid)
-            else:
-                blocks[best].append(uid)
-            where[uid] = best
+    def move(uid: int, bi: int, best: int, forward: bool) -> None:
+        blocks[bi].remove(uid)
+        if forward:
+            blocks[best].insert(0, uid)
+        else:
+            blocks[best].append(uid)
+        where[uid] = best
+        sizes[bi] -= 1
+        sizes[best] += 1
 
-    movers = [uid for uid, g in enumerate(gates) if g.kind != "h"]
-    relocate(movers[::-1], forward=True)
-    relocate(movers, forward=False)
+    # Forward: a CNOT+RZ block's mask starts empty and gains each mover
+    # that stays there or arrives, so its own movers read it as the mask of
+    # the ones that stayed.
+    for uid in reversed(movers):
+        bi, a, b = where[uid], first[uid], second[uid]
+        probe = 1 << b | 1 << m + a
+        best = bi if masks[bi] & probe else destination(a, b, probe, bi, True)
+        masks[best] |= 1 << a | 1 << m + b
+        if best != bi:
+            move(uid, bi, best, True)
+
+    # Backward: the masks hold whole blocks, and gates now also leave blocks
+    # that later movers scan, so a block's counts (mask bit -> its gates
+    # setting it) are taken when a gate first leaves it and kept from then.
+    stayed = [0] * len(blocks)
+    counts: list[dict[int, int] | None] = [None] * len(blocks)
+    for uid in movers:
+        bi, a, b = where[uid], first[uid], second[uid]
+        probe = 1 << b | 1 << m + a
+        best = bi if stayed[bi] & probe else destination(a, b, probe, bi, False)
+        if best == bi:
+            stayed[bi] |= 1 << a | 1 << m + b
+            continue
+        move(uid, bi, best, False)
+        masks[best] |= 1 << a | 1 << m + b
+        cnt = counts[best]
+        if cnt is not None:
+            for bit in a, m + b:
+                cnt[bit] = cnt.get(bit, 0) + 1
+        cnt = counts[bi]
+        if cnt is None:
+            cnt = counts[bi] = {}
+            for u in blocks[bi]:
+                for bit in first[u], m + second[u]:
+                    cnt[bit] = cnt.get(bit, 0) + 1
+            masks[bi] = sum(1 << bit for bit in cnt)
+            continue
+        for bit in a, m + b:
+            cnt[bit] -= 1
+            if not cnt[bit]:
+                del cnt[bit]
+                masks[bi] ^= 1 << bit
 
     return [
-        Segment(kind, tuple(gates[uid] for uid in blk))
+        Segment(kind, tuple(map(gates.__getitem__, blk)))
         for kind, blk in zip(kinds, blocks)
         if blk
     ]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,14 +514,28 @@ PARTITION_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("p_h,seed,count,digest", PARTITION_GOLDEN)
-def test_partition_golden_digest(p_h, seed, count, digest):
+def _mixed_circuit(n: int, count: int, p_h: float, seed: int) -> Circuit:
     probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
-    c = random_universal_circuit(16, 2000, probs, seed)
-    segs = partition_segments(c)
-    text = "".join(s.kind + "\n" + emit_circuit(Circuit(16, s.gates)) for s in segs)
+    return random_universal_circuit(n, count, probs, seed)
+
+
+def _assert_partition_digest(n: int, p_h: float, seed: int, count: int, digest: str) -> None:
+    segs = partition_segments(_mixed_circuit(n, 2000, p_h, seed))
+    text = "".join(s.kind + "\n" + emit_circuit(Circuit(n, s.gates)) for s in segs)
     assert len(segs) == count
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p_h,seed,count,digest", PARTITION_GOLDEN)
+def test_partition_golden_digest(p_h, seed, count, digest):
+    _assert_partition_digest(16, p_h, seed, count, digest)
+
+
+def test_partition_golden_digest_at_72_wires():
+    # Each wire mask spans several machine words here.  Recorded with the
+    # gate-by-gate blocker scans, before the mask tests.
+    _assert_partition_digest(
+        72, 0.3, 4, 516, "de0987409d419a437a8d7652e9705d90b2a2139e9a5ee6b3e2c7b074b5df6c16")
 
 
 def _blocks(segs):
@@ -726,5 +741,55 @@ def test_partition_matches_reference_on_random_small_circuits():
 
 @pytest.mark.parametrize("p_h,seed", [(0.02, 11), (0.1, 12)])
 def test_partition_matches_reference_at_route16_size(p_h, seed):
-    probs = {"s": 0.02, "t": 0.02, "sdg": 0.01, "tdg": 0.01, "h": p_h, "cnot": 0.94 - p_h}
-    _assert_partition_matches_reference(random_universal_circuit(16, 2000, probs, seed))
+    _assert_partition_matches_reference(_mixed_circuit(16, 2000, p_h, seed))
+
+
+@pytest.mark.parametrize("n,count,p_h,seed", [
+    (72, 3000, 0.1, 21), (80, 3000, 0.3, 22), (16, 10000, 0.3, 23), (72, 10000, 0.3, 24),
+])
+def test_partition_matches_reference_when_wide_or_long(n, count, p_h, seed):
+    # Above 64 wires a mask spans several machine words; long circuits at a
+    # high H share have many small blocks that gates leave and enter.
+    _assert_partition_matches_reference(_mixed_circuit(n, count, p_h, seed))
+
+
+def test_partition_forgets_a_blocker_that_has_left_a_block():
+    # In the backward pass rz(1) and then cnot(2, 3) leave the middle CNOT
+    # block for the first one.  cnot(2, 3) would have blocked rz(3), which
+    # comes later: it now crosses the middle block into the first, the
+    # largest.  A block mask that kept the wires of the gates that left
+    # would stop rz(3) in the middle block.
+    c = Circuit(4, (
+        cnot(1, 0), cnot(2, 1), cnot(0, 3), rz(_T, 3), h(0),
+        rz(_T, 0), cnot(1, 0), rz(_T, 1), cnot(2, 3), h(0),
+        rz(_T, 2), rz(_T, 3),
+    ))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (
+            cnot(1, 0), cnot(2, 1), cnot(0, 3), rz(_T, 3), rz(_T, 1), cnot(2, 3),
+            rz(_T, 2), rz(_T, 3),
+        )),
+        ("h_block", (h(0),)),
+        ("cnot_block", (rz(_T, 0), cnot(1, 0))),
+        ("h_block", (h(0),)),
+    ]
+    _assert_partition_matches_reference(c)
+
+
+# tracemalloc peak of the gate-by-gate scans, before the mask tests, on
+# the circuit below (Python 3.11).
+_PARTITION_PEAK_BEFORE_MASKS = 3_583_928
+
+
+def test_partition_memory_stays_linear_in_the_gates():
+    # The per-wire counts take one dict entry per mask bit set in a block,
+    # not one per wire in every block: the peak stays within 1.5 times the
+    # scans' on 20,000 gates over 72 wires with many small blocks.
+    c = _mixed_circuit(72, 20000, 0.3, 7)
+    tracemalloc.start()
+    try:
+        partition_segments(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * _PARTITION_PEAK_BEFORE_MASKS, peak

@@ -31,7 +31,14 @@ from steinersynth.cnot_synth import (
     section_widths,
     synthesize_constrained,
 )
-from steinersynth.gf2 import BinaryMatrix, _times_inverse, invert, multiply, simulate_cnot_circuit
+from steinersynth.gf2 import (
+    BinaryMatrix,
+    _times_inverse,
+    _transposed_times_inverse,
+    invert,
+    multiply,
+    simulate_cnot_circuit,
+)
 from steinersynth.graphs import complete_graph, grid_graph, line_graph
 from steinersynth.optimizer import cancel_pass
 from steinersynth.phase_synth import (
@@ -118,6 +125,7 @@ def test_every_unchecked_matrix_survives_the_public_constructor(g, monkeypatch):
         built = [
             matrix.transpose(), multiply(matrix, inverse), inverse,
             _times_inverse(matrix, synthesized.gates), simulate_cnot_circuit(synthesized),
+            _transposed_times_inverse(matrix, synthesized.gates),
             synth_parity_network_constrained(phase, g)[1], phase.linear, phase.linear_inv,
             back.linear, back.linear_inv,
         ]

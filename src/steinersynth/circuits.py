@@ -74,11 +74,7 @@ NAMED_ANGLES = {
 }
 
 
-# Kind codes packed into `Gate._code`.
-_CNOT, _RZ, _H = 0, 1, 2
-_KIND_CODES = {"cnot": _CNOT, "rz": _RZ, "h": _H}
-_WIRE_BITS = 31  # bits per wire in `Gate._code`: the wires an np.intc holds
-_WIRE_LIMIT = 1 << _WIRE_BITS
+_WIRE_LIMIT = 1 << 31  # the wires an np.intc holds, as `Gate._code` packs them
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,12 @@ class Gate:
     gate hashes.
 
     Construction also packs what a cleanup scan reads into one int,
-    `_code`: the kind code (CNOT 0, RZ 1, H 2) in bits 0-1, the last wire
-    (the target) in the next 31 bits, and the first wire (the control of
-    a CNOT, else the target again) above them.  A gate with a wire outside
-    [0, 2**31) gets -1, which no decode accepts.  `_code` takes no part in
-    equality, hashing or repr.
+    `_code`: the gate's wire pair (x, y), x in bits 32 and up and y as a
+    32-bit two's complement below.  The pair is (control, target) for a
+    CNOT, (q, q) for an H on q and (q, -1) for an RZ on q, so it alone
+    identifies the kind: only an H has x == y and only an RZ has y == -1.
+    A gate with a wire outside [0, 2**31) gets -1, which no decode
+    accepts.  `_code` takes no part in equality, hashing or repr.
     """
 
     kind: str
@@ -116,9 +113,9 @@ class Gate:
                 raise ValueError("h needs exactly one wire")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        first, last = self.qubits[0], self.qubits[-1]
-        if 0 <= first < _WIRE_LIMIT and 0 <= last < _WIRE_LIMIT:
-            code = _KIND_CODES[self.kind] | last << 2 | first << (2 + _WIRE_BITS)
+        x, y = self.qubits[0], self.qubits[-1]
+        if 0 <= x < _WIRE_LIMIT and 0 <= y < _WIRE_LIMIT:
+            code = x << 32 | (0xFFFFFFFF if self.kind == "rz" else y)
         else:
             code = -1
         object.__setattr__(self, "_code", code)

@@ -10,7 +10,7 @@ gate in the range its last scan examined was removed, or when it absorbed
 an RZ merge itself; every other gate would repeat a no-op, so the result
 equals rescanning every gate every round.  A rescan resumes where the last
 scan stopped.  Gates are only ever removed, or merged in place as RZs of
-the same kind and wire, so the survivors that scan passed still neither
+the same wire pair, so the survivors that scan passed still neither
 block nor match the gate: they only count toward its window.
 
 The first round is settled with arrays.  Nothing has been removed when it
@@ -22,29 +22,36 @@ it stops at a cancel or merge.  Only those event gates are queued for the
 first round; the scan loop in `_survivors`, the only scan implementation,
 runs on them and on whatever a removal requeues.
 
-The scans run on plain integers.  Each gate packs its kind code (CNOT 0,
-RZ 1, H 2) and its first and last wire (control and target of a CNOT, the
-one wire otherwise) into `Gate._code` when it is built; `_decode` unpacks
-the codes of the whole circuit with array shifts.  `cancel_pass` is
-`_decode`, then `_survivors` on those arrays, then the surviving gates.
-The matrix baselines (`pipeline._routed_elimination`) build the arrays of
+The scans run on plain integers.  Each gate packs its wire pair (x, y)
+into `Gate._code` when it is built: (control, target) for a CNOT, (q, q)
+for an H on q and (q, -1) for an RZ on q.  The pair alone identifies the
+gate, since only an H has x == y and only an RZ has y == -1, and `_decode`
+unpacks the pairs of the whole circuit with array shifts.  `cancel_pass`
+is `_decode`, then `_survivors` on those arrays, then the surviving gates.
+The matrix baselines (`pipeline._routed_elimination`) build the pairs of
 each candidate straight from elimination's ops and call `_survivors`
-themselves, so only the winner's gates are ever built.  There is one scan
-loop per kind of scanned gate, with the rules of the reference
-commutation test (`commutes` in `tests/conftest.py`) written out as
-integer comparisons:
+themselves, so only the winner's gates are ever built.
 
-- CNOT (c, t): an identical CNOT cancels; a CNOT with control t or target c
-  blocks, any other CNOT commutes; an RZ or H on t blocks, and so does an H
-  on c; any other gate commutes.
-- H on a: an H on a cancels; any other gate touching a blocks.
-- RZ on a: an RZ on a merges; an H on a or a CNOT with target a blocks; any
-  other gate commutes.
+One rule on the pairs serves every kind of gate.  A scan from (a, b)
+cancels an equal pair, or merges it when b == -1 (an RZ), and stops at
+the first (x, y) with x == b or y == a; every other gate commutes.  That
+is the rule of the reference commutation test (`commutes` in
+`tests/conftest.py`) for every pair of kinds:
 
-These equal that oracle: `test_inlined_rules_match_commutes_on_three_wires`
-in `tests/test_optimizer.py` checks them on every pair of gates on three
-wires, against a reference pass that calls it.  `_meets` writes the
-same rules as array expressions for the first round.
+- CNOT (c, t): an identical CNOT cancels; a CNOT with control t or target
+  c blocks, and so do an RZ on t (x == t) and an H on c or t (x == y).
+- H on a: an H on a cancels; every other gate touching a blocks, as a
+  CNOT's control or an RZ's wire (x == a) or a CNOT's target (y == a).
+- RZ on a: an RZ on a merges; a CNOT with target a or an H on a blocks
+  (y == a); an RZ on another wire has x != -1 and y == -1 != a, so it
+  commutes, and so does a CNOT with control a.
+
+`partition_segments` in `universal` grows its segments by the same rule,
+with its spare wire n in place of the -1.
+`test_inlined_rules_match_commutes_on_three_wires` in
+`tests/test_optimizer.py` checks the scan on every pair of gates on three
+wires, against a reference pass that calls `commutes`.  `_meets` writes
+the same rule as array expressions for the first round.
 """
 
 from __future__ import annotations
@@ -55,47 +62,39 @@ from operator import attrgetter
 
 import numpy as np
 
-from .circuits import _CNOT, _H, _RZ, _WIRE_BITS, Circuit, rz
+from .circuits import Circuit, rz
 
 DEFAULT_WINDOW = 32
-_WIRE_MASK = (1 << _WIRE_BITS) - 1
 _CHUNK = 1 << 12  # window offsets held at once: keeps the first round's temporaries small
 
 
-def _decode(gates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kind code, first wire and last wire of every gate, unpacked with
-    shifts from the `Gate._code` each gate packed when it was built.  A
-    gate with a wire outside [0, 2**31) raises OverflowError."""
+def _decode(gates) -> tuple[np.ndarray, np.ndarray]:
+    """The wire pairs (x, y) of the gates, as two np.intc arrays, unpacked
+    with shifts from the `Gate._code` each gate packed when it was built:
+    x from the high bits, y from the low 32 bits read as signed, so an RZ's
+    -1 comes back.  A gate with a wire outside [0, 2**31) raises
+    OverflowError."""
     codes = np.fromiter(map(attrgetter("_code"), gates), np.uint64, len(gates))
-    kind = (codes & 3).astype(np.uint8)
-    last = ((codes >> 2) & _WIRE_MASK).astype(np.intc)
-    first = (codes >> (2 + _WIRE_BITS)).astype(np.intc)
-    return kind, first, last
+    return (codes >> 32).astype(np.intc), codes.astype(np.uint32).view(np.intc)
 
 
-def _meets(k, a, b, j, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Whether a scan of gate (k, a, b) stops at gate (j, x, y), and whether
-    it stops there with a cancel or merge: the scan loop's rules, broadcast."""
-    match = (j == k) & (x == a) & (y == b)
-    on_a = y == a
-    stops = match | np.where(
-        k == _CNOT,
-        np.where(j == _CNOT, (x == b) | on_a, (y == b) | (on_a & (j == _H))),
-        on_a | ((k == _H) & (x == a)),
-    )
-    return stops, match
+def _meets(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Whether a scan of gate (a, b) stops at gate (x, y), and whether it
+    stops there with a cancel or merge: the scan loop's rule, broadcast."""
+    match = (x == a) & (y == b)
+    return match | (x == b) | (y == a), match
 
 
-def _first_round(kind, first, last, window: int) -> tuple[np.ndarray, np.ndarray]:
+def _first_round(first, last, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Every gate's first scan on the unmodified circuit: the last position
     it examines, and whether it ends in a cancel or merge there."""
-    n = len(kind)
+    n = len(first)
     pos = np.arange(n, dtype=np.intc)
     stop = np.minimum(pos + min(max(window, 0), n), n - 1)  # met nothing in its window
     event = np.zeros(n, dtype=bool)
     if window < 1 or n < 2:
         return stop, event
-    hit, event[:-1] = _meets(kind[:-1], first[:-1], last[:-1], kind[1:], first[1:], last[1:])
+    hit, event[:-1] = _meets(first[:-1], last[:-1], first[1:], last[1:])
     stop[:-1][hit] = pos[1:][hit]
     rest = np.flatnonzero(~hit)
     offsets = np.arange(2, min(window, n - 1) + 1)
@@ -107,7 +106,7 @@ def _first_round(kind, first, last, window: int) -> tuple[np.ndarray, np.ndarray
         # Offsets past the end read the last gate again, which each row
         # already meets or passes at its own offset, so argmax never picks one.
         j = np.minimum(r[:, None] + offsets, n - 1)
-        hit, match = _meets(kind[r, None], first[r, None], last[r, None], kind[j], first[j], last[j])
+        hit, match = _meets(first[r, None], last[r, None], first[j], last[j])
         at = hit.argmax(axis=1)
         found = np.flatnonzero(hit[np.arange(len(r)), at])
         at = at[found]
@@ -124,12 +123,12 @@ def cancel_pass(c: Circuit, window: int = DEFAULT_WINDOW) -> Circuit:
     return Circuit._unchecked(c.num_qubits, tuple(compress(gates, alive)))
 
 
-def _survivors(kinds, firsts, lasts, window: int, gates) -> bytearray:
-    """The cleanup of the gates whose kind codes and first and last wires
-    are `kinds` (np.uint8) and `firsts` and `lasts` (np.intc): a mask of
-    the surviving positions, 1 for a survivor.  An RZ that absorbs merges
-    is rewritten in `gates[i]`, the only read of the gates themselves, so a
-    CNOT-only scan may pass None for them.
+def _survivors(firsts, lasts, window: int, gates) -> bytearray:
+    """The cleanup of the gates whose wire pairs (x, y) are `firsts` and
+    `lasts` (np.intc, as `_decode` gives them): a mask of the surviving
+    positions, 1 for a survivor.  An RZ that absorbs merges is rewritten in
+    `gates[i]`, the only read of the gates themselves, so a scan with no RZ
+    may pass None for them.
 
     A scan from gate i walks forward over at most `window` surviving gates
     (merged RZs count), stopping at the first gate it cannot commute past.
@@ -174,19 +173,21 @@ def _survivors(kinds, firsts, lasts, window: int, gates) -> bytearray:
     the successor gives the scan from the successor: the check only skips
     the counting there.
 
-    Scans read only the kind code and the first and last wire of each
-    gate (see the module docstring for the rules per kind).
+    Scans read only the wire pair of each gate, and one loop serves every
+    kind, by the module docstring's rule: a scan from (a, b) cancels an
+    equal pair, or merges it when b == -1 (an RZ), and stops at the first
+    (x, y) with x == b or y == a.
     """
-    n = len(kinds)  # also the "no next gate" mark
-    stops, events = _first_round(kinds, firsts, lasts, window)
-    kind, first, last = kinds.tobytes(), array("i", firsts.tobytes()), array("i", lasts.tobytes())
+    n = len(firsts)  # also the "no next gate" mark
+    stops, events = _first_round(firsts, lasts, window)
+    first, last = array("i", firsts.tobytes()), array("i", lasts.tobytes())
     after = np.arange(1, n + 1, dtype=np.intc)
     nxt = array("i", after.tobytes())
     prv = array("i", (after - 2).tobytes())
     stop = array("i", stops.tobytes())
     far = bytearray((stops > after).tobytes())
     queue = bytearray(events.tobytes())  # this round
-    del kinds, firsts, lasts, stops, events, after  # free before the loop allocates
+    del firsts, lasts, stops, events, after  # free before the loop allocates
     alive = bytearray(b"\x01") * n
     later = bytearray(n)  # next round
     reach = window  # stop[k] - k <= reach for every far k
@@ -222,7 +223,7 @@ def _survivors(kinds, firsts, lasts, window: int, gates) -> bytearray:
     i = queue.find(1)
     while i >= 0:
         if alive[i]:
-            k, a, b = kind[i], first[i], last[i]
+            a, b = first[i], last[i]
             j, seen, steps = nxt[i], i, 0
             succ, s = j, stop[i]
             if s > j:  # resume at the recorded stop; the survivors before it pass
@@ -230,46 +231,25 @@ def _survivors(kinds, firsts, lasts, window: int, gates) -> bytearray:
                 j = alive.find(1, s)
                 if j < 0:
                     j, seen = n, alive.rfind(1, i, s)
-            if k == _CNOT:  # control a, target b
-                while j < n and steps < window:
-                    seen = j
-                    steps += 1
-                    x, y = first[j], last[j]
-                    if kind[j] == _CNOT:
-                        if x == a and y == b:
-                            remove(i, i)
-                            remove(j, i, i)
-                            break
-                        if x == b or y == a:  # control on b or target on a
-                            break
-                    elif y == b or (y == a and kind[j] == _H):  # RZ or H on b, H on a
+            while j < n and steps < window:
+                seen = j
+                steps += 1
+                x, y = first[j], last[j]
+                if x == a and y == b:
+                    if b >= 0:  # a CNOT or an H: the pair cancels
+                        remove(i, i)
+                        remove(j, i, i)
                         break
-                    j = nxt[j]
-            elif k == _H:
-                while j < n and steps < window:
-                    seen = j
-                    steps += 1
-                    if first[j] == a or last[j] == a:
-                        if kind[j] == _H:
-                            remove(i, i)
-                            remove(j, i, i)
+                    merged = gates[i].angle + gates[j].angle
+                    remove(j, i)
+                    if merged.is_zero:
+                        remove(i, i)
                         break
-                    j = nxt[j]
-            else:  # RZ on a
-                while j < n and steps < window:
-                    seen = j
-                    steps += 1
-                    if last[j] == a:
-                        if kind[j] != _RZ:  # H on a or CNOT with target a
-                            break
-                        merged = gates[i].angle + gates[j].angle
-                        remove(j, i)
-                        if merged.is_zero:
-                            remove(i, i)
-                            break
-                        gates[i] = rz(merged, a)
-                        later[i] = 1
-                    j = nxt[j]
+                    gates[i] = rz(merged, a)
+                    later[i] = 1
+                elif x == b or y == a:
+                    break
+                j = nxt[j]
             stop[i] = seen
             if seen > succ and alive[i]:
                 far[i] = 1

@@ -90,12 +90,14 @@ def _routed_elimination(a: BinaryMatrix, g: ConnectivityGraph, widths, cleanup: 
     width wins ties.
 
     No candidate is built as gates.  Each width's elimination ops expand
-    straight into the pair ids of their routed CNOTs (`_expand_ids`), the
-    cleanup scan runs on those ints (`optimizer._survivors`), and the
-    candidates are compared by survivor count, or by expanded length
-    without cleanup.  Only the winner's survivors become gates, the
-    graph's own arc gates: the circuit `cancel_pass` would keep from the
-    same expansion as gates."""
+    straight into the pair ids of their routed CNOTs (`_expand_ids`).  An
+    id c·n+t splits into (c, t), the wire pair the cleanup reads for a
+    CNOT, so the cleanup scan (`optimizer._survivors`) runs on those two
+    arrays without gates: only an RZ merge reads a gate.  The candidates
+    are compared by survivor count, or by expanded length without
+    cleanup.  Only the winner's survivors become gates, the graph's own
+    arc gates: the circuit `cancel_pass` would keep from the same
+    expansion as gates."""
     n = a.dim
     best = None
     for w in widths:
@@ -103,8 +105,7 @@ def _routed_elimination(a: BinaryMatrix, g: ConnectivityGraph, widths, cleanup: 
         alive = None
         if cleanup:
             controls, targets = np.divmod(ids, n)
-            kinds = np.zeros(len(ids), dtype=np.uint8)  # all CNOTs
-            alive = np.frombuffer(_survivors(kinds, controls, targets, DEFAULT_WINDOW, None), bool)
+            alive = np.frombuffer(_survivors(controls, targets, DEFAULT_WINDOW, None), bool)
         count = len(ids) if alive is None else np.count_nonzero(alive)
         if best is None or count < best[0]:
             best = count, ids, alive

@@ -117,7 +117,10 @@ def partition_segments(c: Circuit) -> list[Segment]:
     test (`commutes` in `tests/conftest.py`) for every such pair: a CNOT
     (c, t) is blocked by a CNOT with control t or target c, by an RZ on t
     and by an H on c or t; an RZ on q by a CNOT with target q and by an H
-    on q.
+    on q.  The commute-and-cancel cleanup (`optimizer`) scans by the same
+    rule on the same pairs, with -1 where this reading puts n; this one
+    keeps its own reading, because the mask arithmetic below needs a
+    non-negative wire for an RZ's y.
 
     So a set of gates has a wire mask, bit x for each gate's x and bit
     n + 1 + y for each y, and it blocks the mover exactly when the mask

@@ -392,16 +392,16 @@ def test_code_round_trips_through_decode_for_every_kind():
     gates, want = [], []
     for a in wires:
         gates += [h(a), rz(Angle(1, 8), a)]
-        want += [(2, a, a), (1, a, a)]
+        want += [(a, a), (a, -1)]
         for b in wires:
             if a != b:
                 gates.append(cnot(a, b))
-                want.append((0, a, b))
-    kind, first, last = _decode(gates)
-    assert list(zip(kind.tolist(), first.tolist(), last.tolist())) == want
-    assert (kind.dtype, first.dtype, last.dtype) == (np.uint8, np.intc, np.intc)
+                want.append((a, b))
+    first, last = _decode(gates)
+    assert list(zip(first.tolist(), last.tolist())) == want
+    assert (first.dtype, last.dtype) == (np.intc, np.intc)
     empty = _decode([])
-    assert [len(x) for x in empty] == [0, 0, 0]
+    assert [len(x) for x in empty] == [0, 0]
 
 
 @pytest.mark.parametrize("gate", [h(-1), cnot(0, -3), cnot(2**31, 0), rz(Angle(1, 4), 2**31), h(2**40)])

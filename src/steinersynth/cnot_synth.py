@@ -14,14 +14,15 @@ column cost.  Each tree is walked once from its root, on first use
 (`SteinerTree.preorder`), and fill-and-clear in both passes and the
 restoring plan all read that one walk.
 
-The CNOT+RZ linear fixup, and a phase-free instance's linear part, use
-RowCol elimination instead (`_synthesize_rowcol`, Wu et al.,
+The CNOT+RZ linear fixup, all a phase-free instance needs, uses RowCol
+elimination instead (`_synthesize_rowcol`, Wu et al.,
 arXiv:1910.14478): in the same label order, each vertex has its column and
 then its row cleared along two trees inside the unfinished rows, with no
 transpose pass and no ladder plan.  A `route` fixup that precedes an H run
 frees only that run's qubits, each alone on a pivot wire of its choosing,
-and leaves a residual for the next segment (`_synthesize_rowcol` with a
-stop set).  Matrix tasks keep the paper's two-pass Steiner-Gauss
+and leaves a residual for the next segment (`_rowcol_up_to`, the same
+steps on the target's transpose, stopped at that run's qubits).  Matrix
+tasks keep the paper's two-pass Steiner-Gauss
 (`synthesize_constrained`): the acceptance suite's criterion 3 pins the
 paper's crossover, where the full-connectivity baseline wins on dense
 graphs, and RowCol beats that baseline at
@@ -449,44 +450,33 @@ def _separates(adj_masks: tuple[int, ...], nodes: int, v: int) -> bool:
     return reach != rest
 
 
-def _synthesize_rowcol(
-    a: BinaryMatrix,
-    a_inv: BinaryMatrix,
-    g: ConnectivityGraph,
-    stop: frozenset[int] | None = None,
-) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
-    """An edge-legal CNOT circuit F for the matrix `a`, given its inverse
-    `a_inv`, by RowCol elimination (Wu et al., arXiv:1910.14478), the
-    residual M with M·F = a (F followed by M applies `a`) and M⁻¹.
+def _synthesize_rowcol(a: BinaryMatrix, a_inv: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
+    """An edge-legal CNOT circuit for the matrix `a`, given its inverse
+    `a_inv`, by RowCol elimination (Wu et al., arXiv:1910.14478).
 
-    With no stop set, M is the identity.  Vertices are eliminated in the
-    graph's elimination labels (`_in_elimination_labels`), so the
-    unfinished rows i..n-1 always induce a connected subgraph and every
-    tree of vertex i's step (`_rowcol_step`) lies inside them.
-
-    With a stop set, only the stop columns are eliminated, each onto a
-    pivot wire of its own (`_rowcol_up_to`, on aᵀ).  The steps keep the
-    working matrix's inverse transposed, from `a_inv`ᵀ relabelled like
-    `a`, so no path inverts a matrix.  The caller checks that `a` has one
-    row per graph node.
+    Vertices are eliminated in the graph's elimination labels
+    (`_in_elimination_labels`), so the unfinished rows i..n-1 always
+    induce a connected subgraph and every tree of vertex i's step
+    (`_rowcol_step`) lies inside them.  The steps keep the working
+    matrix's inverse transposed, from `a_inv`ᵀ relabelled like `a`, so no
+    path inverts a matrix.  The caller checks that `a` has one row per
+    graph node.
     """
-    if stop is not None:
-        return _rowcol_up_to(a.transpose(), a_inv, g, stop)
     n = a.dim
     rows, h, arcs = _in_elimination_labels(a, g)
     inv_t, _, _ = _in_elimination_labels(a_inv.transpose(), g)
     full = (1 << n) - 1
     ops = [op for i in range(n) for op in _rowcol_step(rows, inv_t, i, i, full >> i << i, h)]
     assert all(r == 1 << i for i, r in enumerate(rows)), "elimination did not finish"
-    identity = BinaryMatrix.identity(n)
-    return Circuit._unchecked(n, tuple(arcs[op] for op in reversed(ops))), identity, identity
+    return Circuit._unchecked(n, tuple(arcs[op] for op in reversed(ops)))
 
 
 def _rowcol_up_to(
     a_t: BinaryMatrix, a_inv: BinaryMatrix, g: ConnectivityGraph, stop: frozenset[int]
 ) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
-    """`_synthesize_rowcol` of a matrix a up to a stop set, given aᵀ and
-    a⁻¹: the fixup F, the residual M with M·F = a and M⁻¹.
+    """RowCol elimination of a matrix a up to a stop set, given aᵀ and
+    a⁻¹: the fixup F, the residual M with M·F = a (F followed by M applies
+    a) and M⁻¹.
 
     Only the stop columns are eliminated, each onto a pivot wire of its
     own, so each stop q ends alone on its pivot w in M: row q of M is e_w

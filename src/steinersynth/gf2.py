@@ -145,12 +145,6 @@ def simulate_cnot_circuit(c: Circuit) -> BinaryMatrix:
     return BinaryMatrix._unchecked(c.num_qubits, tuple(rows))
 
 
-def _times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
-    """R·B⁻¹ for the linear map B of the CNOTs among `gates`, with no
-    Gauss-Jordan pass (`_transposed_times_inverse`)."""
-    return _transposed_times_inverse(r, gates).transpose()
-
-
 def _transposed_times_inverse(r: BinaryMatrix, gates) -> BinaryMatrix:
     """(R·B⁻¹)ᵀ for the linear map B of the CNOTs among `gates`: B⁻¹ is the
     CNOTs E_1, ..., E_m in order as the product E_1···E_m, so

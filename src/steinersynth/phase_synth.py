@@ -5,9 +5,10 @@ transformation): tracking each wire as a parity of the inputs, every RZ
 contributes its angle to the coefficient of the parity it acts on.  Synthesis
 inverts this: build a circuit in which every support parity appears on some
 wire (placing the rotations as they appear), then append a CNOT circuit for
-the leftover linear correction.  That fixup, like the linear part of a
-phase-free instance, is synthesized by RowCol elimination
-(`cnot_synth._synthesize_rowcol`).  Matrix tasks keep the paper's two-pass
+the leftover linear correction.  That fixup is synthesized by RowCol
+elimination (`cnot_synth._synthesize_rowcol`, or `_rowcol_up_to` up to a
+stop set) in one flow (`_synthesize_up_to`): a phase-free instance takes
+it too, with no network gates.  Matrix tasks keep the paper's two-pass
 Steiner-Gauss, because the acceptance suite's criterion 3 pins its
 crossover against the full-connectivity baseline.
 
@@ -41,7 +42,6 @@ from .gf2 import (
     BinaryMatrix,
     SingularMatrixError,
     _bits,
-    _times_inverse,
     _transposed_times_inverse,
     invert,
     multiply,
@@ -140,8 +140,8 @@ def _frame(
 ) -> SumOverPaths:
     """A `SumOverPaths` whose linear part is a product of CNOTs, built
     without `__post_init__`'s Gauss-Jordan pass: with the inverse the
-    caller read off the same CNOTs (`_times_inverse`), or with none, to be
-    computed when first read."""
+    caller read off the same CNOTs (`_transposed_times_inverse`, transposed
+    back), or with none, to be computed when first read."""
     frame = object.__new__(SumOverPaths)
     object.__setattr__(frame, "phase", phase)
     object.__setattr__(frame, "linear", linear)
@@ -362,31 +362,30 @@ def _synthesize_up_to(
 ) -> tuple[Circuit, BinaryMatrix, BinaryMatrix]:
     """The one CNOT+RZ body: the parity network, then the RowCol fixup up
     to the stop set.  Returns the circuit, the residual M that must follow
-    it to apply `s` exactly, and M⁻¹: M is the identity with no stop set,
-    and otherwise a map that holds each stop qubit alone on one wire
-    (`_synthesize_rowcol`).
+    it to apply `s` exactly, and M⁻¹: M is the identity with no stop set
+    (`cnot_synth._synthesize_rowcol`), and otherwise a map that holds each
+    stop qubit alone on one wire (`cnot_synth._rowcol_up_to`).
 
     The network applies some linear map C, which it hands over, so the
-    fixup target is A·C⁻¹, read off the network's CNOTs (`_times_inverse`),
-    and its inverse is C·A⁻¹, the network's map times `s.linear_inv`:
-    neither takes a Gauss-Jordan pass.  With a stop set the fixup runs on
-    the target's transpose, which is what the CNOTs are read into
-    (`_transposed_times_inverse`), so it is handed over as it is.  An
-    instance with no phase terms skips the network, which would emit no
-    gate and apply C = I: the target is A itself.
+    fixup target is A·C⁻¹, read transposed off the network's CNOTs
+    (`_transposed_times_inverse`), and its inverse is C·A⁻¹, the network's
+    map times `s.linear_inv`: neither takes a Gauss-Jordan pass.  An
+    instance with no phase terms runs no network, which would emit no gate
+    and apply C = I, so its target is A and its target's inverse
+    `s.linear_inv`.  A stop-set fixup runs on the target's transpose as it
+    is; a full one transposes it back.
     """
-    if not s.phase.terms:
-        return _synthesize_rowcol(s.linear, s.linear_inv, g, stop)
-    network, c = synth_parity_network_constrained(s, g)
-    target_inv = multiply(c, s.linear_inv)
+    gates, target_inv = (), s.linear_inv
+    if s.phase.terms:
+        network, c = synth_parity_network_constrained(s, g)
+        gates, target_inv = network.gates, multiply(c, s.linear_inv)
+    target_t = _transposed_times_inverse(s.linear, gates)
     if stop is None:
-        target = _times_inverse(s.linear, network.gates)
-        fixup, residual, residual_inv = _synthesize_rowcol(target, target_inv, g)
+        residual = residual_inv = BinaryMatrix.identity(s.num_qubits)
+        fixup = _synthesize_rowcol(target_t.transpose(), target_inv, g)
     else:
-        target_t = _transposed_times_inverse(s.linear, network.gates)
         fixup, residual, residual_inv = _rowcol_up_to(target_t, target_inv, g, stop)
-    circuit = Circuit._unchecked(s.num_qubits, network.gates + fixup.gates)
-    return circuit, residual, residual_inv
+    return Circuit._unchecked(s.num_qubits, gates + fixup.gates), residual, residual_inv
 
 
 def synthesize_cnot_rz(
@@ -402,9 +401,9 @@ def synthesize_cnot_rz(
     vertex's column and a second clears its row, both inside the
     unfinished vertices, so no transpose pass and no ladder is needed.  The
     fixup is invertible by construction, so it needs no invertibility
-    check.  An instance with no phase terms skips the network, which would
-    emit no gate and apply C = I: its circuit is the RowCol synthesis of A.
-    This is `_synthesize_up_to` with no stop set.  Raises ValueError
+    check.  An instance with no phase terms takes the same flow with no
+    network gates: its circuit is the RowCol synthesis of A.  This is
+    `_synthesize_up_to` with no stop set.  Raises ValueError
     unless `s` has one qubit per graph node, the one check `pipeline.run`
     makes of a sum-over-paths task.
     """

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .circuits import Angle, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
-from .gf2 import BinaryMatrix, _times_inverse
+from .gf2 import BinaryMatrix, _transposed_times_inverse
 from .graphs import ConnectivityGraph, _check_width
 from .phase_synth import PhasePolynomial, _frame, _read_path_sum, _synthesize_up_to
 
@@ -284,7 +284,8 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     start as the rows of R⁻¹, so each parity p of its phase polynomial
     becomes p·R⁻¹ and its linear part B becomes B·R⁻¹.  Its frame
     (`_frame`) carries that product of CNOTs with its inverse R·B⁻¹, read
-    off the same CNOTs (`_times_inverse`), so no fixup inverts a matrix.
+    transposed off the same CNOTs (`_transposed_times_inverse`) and
+    transposed back, so no fixup inverts a matrix.
 
     Its synthesis (`_synthesize_up_to`) ends with a fixup up to its stop
     set and returns the new R⁻¹ and R.  With `carry`, a segment followed by
@@ -318,7 +319,7 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
         wires = list(r_inv.rows)
         terms, _ = _read_path_sum(seg.gates, wires)
         frame = _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)),
-                       _times_inverse(r, seg.gates))
+                       _transposed_times_inverse(r, seg.gates).transpose())
         circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
         if not stops and _ladder_cnots(seg.gates, g) < circuit.cnot_count:
             circuit = expand_templates(Circuit._unchecked(n, seg.gates), g)

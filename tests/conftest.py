@@ -91,9 +91,10 @@ def commutes(a, b) -> bool:
     Rules: disjoint supports always commute; CNOTs sharing a control or
     sharing a target commute; an RZ commutes with anything diagonal on its
     wire and with a CNOT through the CNOT's control; H commutes only on
-    disjoint wires.  `optimizer.cancel_pass` writes these rules out inline
-    as integer comparisons and `universal.partition_segments` as wire-mask
-    tests, and their tests pin each against this oracle.
+    disjoint wires.  `optimizer.cancel_pass` scans by one rule on each
+    gate's wire pair that stands for these, and
+    `universal.partition_segments` by wire-mask tests, and their tests pin
+    each against this oracle.
     """
     aq, bq = a.qubits, b.qubits
     if aq[0] not in bq and aq[-1] not in bq:

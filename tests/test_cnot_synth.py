@@ -5,6 +5,8 @@ import pytest
 from steinersynth import (
     BinaryMatrix,
     ConnectivityGraph,
+    PhasePolynomial,
+    SumOverPaths,
     builtin_architecture,
     eliminate_column_cost,
     expand_templates,
@@ -20,10 +22,12 @@ from steinersynth import (
     synthesize_constrained,
 )
 from steinersynth import cnot_synth
+from steinersynth.bench import random_phase_instance
 from steinersynth.circuits import Circuit, cnot
 from steinersynth.cnot_synth import _path_ops
 from steinersynth.graphs import SteinerTree, complete_graph, grid_graph, line_graph
 from steinersynth.gf2 import SingularMatrixError, invert, is_invertible
+from steinersynth.phase_synth import _synthesize_up_to
 from steinersynth.verify import edge_legal
 from conftest import oracle_graphs, pmh_at, random_terminal_sets
 
@@ -703,7 +707,7 @@ def rowcol_ops(a, g):
     them with, in execution order, both in the graph's elimination labels."""
     rows, _, arcs = cnot_synth._in_elimination_labels(a, g)
     arc_of = {gate: arc for arc, gate in arcs.items()}
-    circ, _, _ = cnot_synth._synthesize_rowcol(a, invert(a), g)
+    circ = cnot_synth._synthesize_rowcol(a, invert(a), g)
     return rows, [arc_of[gate] for gate in reversed(circ.gates)]
 
 
@@ -727,8 +731,11 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
         n = g.node_count
         for seed in range(4 if n < 72 else 1):
             a = random_invertible(n, 17 * n + seed)
-            circ, residual, residual_inv = cnot_synth._synthesize_rowcol(a, invert(a), g)
-            assert residual == residual_inv == BinaryMatrix.identity(n)
+            circ = cnot_synth._synthesize_rowcol(a, invert(a), g)
+            phased = random_phase_instance(n, n, seed).phase
+            for s in (SumOverPaths(phased, a), SumOverPaths(PhasePolynomial(n, {}), a)):
+                _, residual, residual_inv = _synthesize_up_to(s, g)
+                assert residual == residual_inv == BinaryMatrix.identity(n), (g.name, seed)
             assert simulate_cnot_circuit(circ) == a, (g.name, seed)
             assert edge_legal(circ, g), (g.name, seed)
             assert all(gate is g._arcs[gate.qubits] for gate in circ.gates)
@@ -737,7 +744,7 @@ def test_rowcol_is_exact_and_edge_legal_in_either_labelling():
 def test_rowcol_identity_emits_no_gate():
     for g in rowcol_graphs():
         identity = BinaryMatrix.identity(g.node_count)
-        assert cnot_synth._synthesize_rowcol(identity, identity, g)[0].gates == ()
+        assert cnot_synth._synthesize_rowcol(identity, identity, g).gates == ()
 
 
 def test_rowcol_repairs_zero_pivots_inside_the_tree():
@@ -751,7 +758,7 @@ def test_rowcol_repairs_zero_pivots_inside_the_tree():
         for a in zero_pivot_matrices(n, rng):
             rows, _, _ = cnot_synth._in_elimination_labels(a, g)
             assert not any((r >> i) & 1 for i, r in enumerate(rows)), g.name
-            circ, _, _ = cnot_synth._synthesize_rowcol(a, invert(a), g)
+            circ = cnot_synth._synthesize_rowcol(a, invert(a), g)
             assert simulate_cnot_circuit(circ) == a and edge_legal(circ, g), g.name
 
 

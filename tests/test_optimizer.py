@@ -130,9 +130,10 @@ def test_matches_full_rescan_reference(window):
 
 @pytest.mark.parametrize("window", [1, 2, 32])
 def test_inlined_rules_match_commutes_on_three_wires(window):
-    # cancel_pass writes the reference `commutes` out per kind of scanned gate;
-    # every (g, o) pair on three wires, then g or its inverse, takes each
-    # rule: cancel or merge through o, block at o, or stop without a match.
+    # cancel_pass scans by one wire-pair rule that stands for the reference
+    # `commutes`; every (g, o) pair on three wires, then g or its inverse,
+    # takes each outcome: cancel or merge through o, block at o, or stop
+    # without a match.
     gates = all_gates_up_to(3)
     for g in gates:
         for o in gates:

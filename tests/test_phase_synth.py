@@ -20,7 +20,7 @@ from steinersynth import gf2, phase_synth, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
-from steinersynth.gf2 import _times_inverse, invert, multiply
+from steinersynth.gf2 import _transposed_times_inverse, invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
@@ -117,7 +117,7 @@ def test_a_sum_over_paths_carries_the_inverse_of_its_linear_part():
     for c in circuits:
         sop = extract_sum_over_paths(c)
         assert "linear_inv" not in vars(sop)
-        want = _times_inverse(BinaryMatrix.identity(c.num_qubits), c.gates)
+        want = _transposed_times_inverse(BinaryMatrix.identity(c.num_qubits), c.gates).transpose()
         assert want == invert(sop.linear)
         assert sop.linear_inv == want, c.num_qubits
         assert sop.linear_inv is sop.linear_inv
@@ -439,7 +439,7 @@ def test_phase_free_instance_skips_the_network_and_keeps_its_gates(g):
         # The path through the parity network, written out.
         network, c_matrix = synth_parity_network_constrained(sop, g)
         target = multiply(sop.linear, invert(c_matrix))
-        fixup, _, _ = _synthesize_rowcol(target, invert(target), g)
+        fixup = _synthesize_rowcol(target, invert(target), g)
         want = network.extended(fixup.gates)
         got, _ = synthesize_cnot_rz(sop, g)
         assert got == want and got.gates == want.gates

@@ -21,9 +21,16 @@ from steinersynth import (
 )
 from steinersynth.bench import prefix_subgraph, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, emit_circuit, h, rz
-from steinersynth.cnot_synth import _synthesize_rowcol, expand_templates
+from steinersynth.cnot_synth import _rowcol_up_to, _synthesize_rowcol, expand_templates
 from steinersynth.graphs import complete_graph, grid_graph, line_graph
-from steinersynth.phase_synth import _read_path_sum, extract_sum_over_paths, synthesize_cnot_rz
+from steinersynth.phase_synth import (
+    PhasePolynomial,
+    SumOverPaths,
+    _read_path_sum,
+    _synthesize_up_to,
+    extract_sum_over_paths,
+    synthesize_cnot_rz,
+)
 from steinersynth.unitary import circuit_unitary
 from steinersynth import universal
 from steinersynth.universal import Segment
@@ -396,14 +403,14 @@ def test_each_h_of_a_carry_route_reads_the_parity_it_reads_in_the_input():
 
 
 def assert_partial_fixup(a: BinaryMatrix, g, stop: frozenset) -> int:
-    """Check `_synthesize_rowcol(a, a⁻¹, g, stop)`: the fixup F is edge-legal,
+    """Check `_rowcol_up_to(aᵀ, a⁻¹, g, stop)`: the fixup F is edge-legal,
     F followed by the residual M applies `a`, and each stop qubit q sits
     alone on a wire w of its own in M (row q is e_w, column w is e_q, the
     w distinct), so an H on wire w commutes with M as an H on q; a full
     stop set leaves M a permutation matrix.  Returns how many stop qubits
     were freed on another wire than their own.  The residual's inverse
     comes back too, with no Gauss-Jordan pass."""
-    fixup, residual, residual_inv = _synthesize_rowcol(a, invert(a), g, stop)
+    fixup, residual, residual_inv = _rowcol_up_to(a.transpose(), invert(a), g, stop)
     key = (g.name, sorted(stop))
     assert edge_legal(fixup, g), key
     assert multiply(residual, simulate_cnot_circuit(fixup)) == a, key
@@ -435,6 +442,25 @@ def test_a_partial_fixup_leaves_the_stop_wires_unit_in_the_residual():
             a = random_invertible(n, 31 * n + seed)
             moved += assert_partial_fixup(a, g, frozenset(rng.sample(range(n), rng.randint(1, n))))
     assert moved, "every stop qubit was freed on its own wire"
+
+
+def test_a_phase_free_segment_takes_the_fixup_alone():
+    # With no phase terms no network runs: the CNOT+RZ body's output is the
+    # fixup of the linear part itself, up to the stop set or in full.
+    rng = random.Random(47)
+    graphs = [*structured_graphs(), random_connected_graph(9, 0.3, 4), random_connected_graph(14, 0.2, 6)]
+    for g in graphs:
+        n = g.node_count
+        for seed in range(3):
+            a = random_invertible(n, 37 * n + seed)
+            s = SumOverPaths(PhasePolynomial(n, {}), a)
+            stop = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            got = _synthesize_up_to(s, g, stop)
+            want = _rowcol_up_to(a.transpose(), invert(a), g, stop)
+            assert got[0].gates == want[0].gates and got[1:] == want[1:], (g.name, seed)
+            circuit, residual, residual_inv = _synthesize_up_to(s, g)
+            assert circuit.gates == _synthesize_rowcol(a, invert(a), g).gates, (g.name, seed)
+            assert residual == residual_inv == BinaryMatrix.identity(n), (g.name, seed)
 
 
 def test_a_partial_fixup_with_only_cut_vertex_stop_wires_on_a_line_is_exact():

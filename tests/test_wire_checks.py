@@ -25,7 +25,7 @@ from steinersynth.cnot_synth import (
     _arc_gates,
     _expand_ids,
     _pmh_pairs,
-    _synthesize_rowcol,
+    _rowcol_up_to,
     expand_templates,
     naive_column_cost,
     section_widths,
@@ -33,7 +33,6 @@ from steinersynth.cnot_synth import (
 )
 from steinersynth.gf2 import (
     BinaryMatrix,
-    _times_inverse,
     _transposed_times_inverse,
     invert,
     multiply,
@@ -124,13 +123,14 @@ def test_every_unchecked_matrix_survives_the_public_constructor(g, monkeypatch):
         back = extract_sum_over_paths(phased)
         built = [
             matrix.transpose(), multiply(matrix, inverse), inverse,
-            _times_inverse(matrix, synthesized.gates), simulate_cnot_circuit(synthesized),
+            simulate_cnot_circuit(synthesized),
             _transposed_times_inverse(matrix, synthesized.gates),
             synth_parity_network_constrained(phase, g)[1], phase.linear, phase.linear_inv,
             back.linear, back.linear_inv,
         ]
-        for stop in (None, frozenset(range(0, n, 2))):
-            built += _synthesize_rowcol(matrix, inverse, g, stop)[1:]
+        evens = frozenset(range(0, n, 2))
+        built += _rowcol_up_to(matrix.transpose(), inverse, g, evens)[1:]
+        for stop in (None, evens):
             built += _synthesize_up_to(phase, g, stop)[1:]
         for carry in (True, False):
             _route(partition_segments(merge_delete_h(circuit)), g, carry)

@@ -14,13 +14,10 @@ leave, and its fixup only frees each qubit of the next H run, alone on a
 wire of the fixup's choosing, where its H runs; the next segment takes
 over the rest, and the last segment's fixup clears every wire, so both
 ends keep the identity layout; no fixup inverts a matrix.
-When that route has more CNOTs before cleanup than the template expansion
-of the H-reduced input, the route that carries nothing is returned
-instead: its every segment implements its full linear map as its
-resynthesis, or as its own gates with every long-range CNOT expanded into
-a ladder of 4(l-1) edge CNOTs when that has strictly fewer CNOTs.  The
-segments hold exactly the H-reduced input's gates, so that route never has
-more CNOTs than the expansion, and no route has more CNOTs before cleanup
+There is one route and one rule: when the route has more CNOTs before
+cleanup than the template expansion of the H-reduced input, with every
+long-range CNOT expanded into a ladder of 4(l-1) edge CNOTs, that
+expansion is returned instead.  So no route has more CNOTs before cleanup
 than the template expansion of its H-reduced input.
 """
 
@@ -273,10 +270,10 @@ def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
     return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 
-def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circuit:
-    """The one route loop: each H runs on the wire its qubit sits alone on,
-    and each CNOT+RZ segment is resynthesized in the frame the gates
-    emitted so far leave.
+def _route(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
+    """The route: each H runs on the wire its qubit sits alone on, and each
+    CNOT+RZ segment is resynthesized in the frame the gates emitted so far
+    leave.
 
     The gates emitted so far equal a pending linear residual R applied
     after the input's prefix; R starts as the identity, and both R and R⁻¹
@@ -288,29 +285,20 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
     transposed back, so no fixup inverts a matrix.
 
     Its synthesis (`_synthesize_up_to`) ends with a fixup up to its stop
-    set and returns the new R⁻¹ and R.  With `carry`, a segment followed by
-    another CNOT+RZ segment stops at the qubits of every H block between
-    them: its fixup frees only those, each qubit q alone on a wire w, so
-    row q of R⁻¹ is e_w and column w is e_q.  So each H of q runs on wire
-    w, the one set bit of row q of R⁻¹, where it commutes with R as an H
-    on q and meets the parity it meets in the input.  The last fixup is
-    full, so R ends as the identity and the output applies exactly the
-    input, with no output permutation.
-
-    With no stop set at all (no `carry`, or one CNOT+RZ segment), every
-    fixup is full, so R stays the identity, each H runs on its own wire,
-    and each segment's frame is the map its own gates implement.  So each
-    segment becomes its resynthesis unless its own gates with each
-    long-range CNOT expanded into a 4(l-1) ladder (`expand_templates`)
-    have strictly fewer CNOTs; that expansion is built only when it wins,
-    and such a route never has more CNOTs than the template expansion of
-    its segments.
+    set and returns the new R⁻¹ and R.  A segment followed by another
+    CNOT+RZ segment stops at the qubits of every H block between them: its
+    fixup frees only those, each qubit q alone on a wire w, so row q of
+    R⁻¹ is e_w and column w is e_q.  So each H of q runs on wire w, the one
+    set bit of row q of R⁻¹, where it commutes with R as an H on q and
+    meets the parity it meets in the input.  The last fixup is full, so R
+    ends as the identity and the output applies exactly the input, with
+    no output permutation.
     """
     n = g.node_count
     r = r_inv = BinaryMatrix.identity(n)
     cnot_at = [k for k, seg in enumerate(segments) if seg.kind == "cnot_block"]
     stops = {k: frozenset(gate.target for block in segments[k + 1:j] for gate in block.gates)
-             for k, j in zip(cnot_at, cnot_at[1:])} if carry else {}
+             for k, j in zip(cnot_at, cnot_at[1:])}
     gates: list[Gate] = []
     for k, seg in enumerate(segments):
         if seg.kind == "h_block":
@@ -321,8 +309,6 @@ def _route(segments: list[Segment], g: ConnectivityGraph, carry: bool) -> Circui
         frame = _frame(PhasePolynomial(n, terms), BinaryMatrix._unchecked(n, tuple(wires)),
                        _transposed_times_inverse(r, seg.gates).transpose())
         circuit, r_inv, r = _synthesize_up_to(frame, g, stops.get(k))
-        if not stops and _ladder_cnots(seg.gates, g) < circuit.cnot_count:
-            circuit = expand_templates(Circuit._unchecked(n, seg.gates), g)
         gates.extend(circuit.gates)
     return Circuit._unchecked(n, tuple(gates))
 
@@ -333,22 +319,20 @@ def route_universal(
     """Route a {CNOT, RZ, H} circuit onto the coupling graph.
 
     Every CNOT+RZ segment is resynthesized with the linear residual
-    carried across the H runs (`_route` with `carry`): each segment's
-    fixup frees only the qubits of the next H run, each on a wire of its
-    choosing where its H runs, and the last one clears every wire.  When
-    that route has more CNOTs than the template expansion of the
-    H-reduced input, the route that carries nothing (`_route` without
-    `carry`) is returned instead, which never has more.  So a route never
-    has more CNOTs before cleanup than the template expansion of its
-    H-reduced input.  Wire numbering is the identity map at both ends.
-    Raises ValueError unless `c` has one wire per graph node, the one
-    check `pipeline.run` makes of a circuit task under its Steiner method.
+    carried across the H runs (`_route`): each segment's fixup frees only
+    the qubits of the next H run, each on a wire of its choosing where its
+    H runs, and the last one clears every wire.  When that route has more
+    CNOTs than the template expansion of the H-reduced input, the
+    expansion is returned instead, so a route never has more CNOTs before
+    cleanup than that expansion.  Wire numbering is the identity map at
+    both ends.  Raises ValueError unless `c` has one wire per graph node,
+    the one check `pipeline.run` makes of a circuit task under its Steiner
+    method.
     """
     t0 = time.perf_counter()
     _check_width(c.num_qubits, g)
     reduced = merge_delete_h(c)
-    segments = partition_segments(reduced)
-    circuit = _route(segments, g, carry=True)
+    circuit = _route(partition_segments(reduced), g)
     if circuit.cnot_count > _ladder_cnots(reduced.gates, g):
-        circuit = _route(segments, g, carry=False)
+        circuit = expand_templates(reduced, g)
     return circuit, _report("route", g.name, circuit, t0)

@@ -142,10 +142,10 @@ def test_no_synthesizer_or_route_inverts_a_matrix(monkeypatch):
     probs = {"cnot": 0.8, "s": 0.04, "t": 0.03, "tdg": 0.03, "h": 0.1}
     carried = random_universal_circuit(9, 120, probs, 1), grid_graph(3, 3)
     fallback = random_universal_circuit(8, 60, probs, 2), complete_graph(8)
-    # On K8 the carry route has more CNOTs than the templates, so the route
-    # that carries nothing is returned.
+    # On K8 the carry route has more CNOTs than the templates, so the
+    # template expansion is returned in its place.
     reduced = universal.merge_delete_h(fallback[0])
-    carry = universal._route(universal.partition_segments(reduced), fallback[1], carry=True)
+    carry = universal._route(universal.partition_segments(reduced), fallback[1])
     assert carry.cnot_count > universal._ladder_cnots(reduced.gates, fallback[1])
 
     def outputs():

@@ -430,9 +430,9 @@ def test_each_matrix_task_is_checked_once_and_no_fixup_is(invertibility_checks):
 
 
 def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monkeypatch):
-    # Each CNOT+RZ segment of the no-carry route is one full synthesis of
-    # its own sum-over-paths, and `run` names its method after the report
-    # of the synthesizer it called.
+    # Each CNOT+RZ segment of a route is one synthesis of its sum over
+    # paths in the emitted frame, and `run` names its method after the
+    # report of the synthesizer it called.
     calls = []
     real = universal._synthesize_up_to
 
@@ -446,13 +446,13 @@ def test_a_route_resynthesizes_each_segment_through_the_public_synthesizer(monke
     segments = [seg for seg in partition_segments(merge_delete_h(c)) if seg.kind == "cnot_block"]
     _, report, cert = run(c, g)
     assert cert.ok and report.method == "route"
-    # The route that carries no residual across an H, the fallback of
-    # `route_universal`, resynthesizes each segment on the original wires
-    # with no stop set.
+    # The first segment is read on the original wires, as its own sum over
+    # paths; every fixup but the last stops at the next H run's qubits.
     calls.clear()
-    universal._route(partition_segments(merge_delete_h(c)), g, carry=False)
+    universal._route(partition_segments(merge_delete_h(c)), g)
     assert len(calls) == len(segments) > 1
-    assert calls == [(extract_sum_over_paths(Circuit(6, seg.gates)), None) for seg in segments]
+    assert calls[0][0] == extract_sum_over_paths(Circuit(6, segments[0].gates))
+    assert [stop is None for _, stop in calls] == [False] * (len(segments) - 1) + [True]
 
 
     def renamed(task, graph):

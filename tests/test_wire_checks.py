@@ -100,8 +100,7 @@ def test_every_unchecked_output_survives_the_public_constructor(g):
         assert_rebuilds(cancel_pass(circuit), (g.name, seed, "cancel_pass"))
         assert_rebuilds(cancel_pass(reduced), (g.name, seed, "cancel_pass of merged"))
         segments = partition_segments(reduced)
-        for carry in (True, False):
-            assert_rebuilds(_route(segments, g, carry), (g.name, seed, "route", carry))
+        assert_rebuilds(_route(segments, g), (g.name, seed, "route"))
 
 
 @pytest.mark.parametrize("g", list(graphs()), ids=lambda g: g.name)
@@ -132,8 +131,7 @@ def test_every_unchecked_matrix_survives_the_public_constructor(g, monkeypatch):
         built += _rowcol_up_to(matrix.transpose(), inverse, g, evens)[1:]
         for stop in (None, evens):
             built += _synthesize_up_to(phase, g, stop)[1:]
-        for carry in (True, False):
-            _route(partition_segments(merge_delete_h(circuit)), g, carry)
+        _route(partition_segments(merge_delete_h(circuit)), g)
         assert routed
         for k, m in enumerate(built + routed):
             assert m.dim == n and BinaryMatrix(m.dim, m.rows) == m, (g.name, seed, k)

@@ -9,10 +9,10 @@ fill-and-clear walk clears every column and no finished row is borrowed.  The se
 fill-and-clear where its tree allows it and clean ladders
 (`plan_post_transpose`) otherwise.  `plan_pre_transpose`, the restoring
 plan that adds a root row into any tree's terminal rows and leaves every
-other row untouched, serves the parity-network folds and the grouped
-column cost.  Each tree is walked once from its root, on first use
-(`SteinerTree.preorder`), and fill-and-clear in both passes and the
-restoring plan all read that one walk.
+other row untouched, serves the grouped column cost.  Each tree is walked
+once from its root, on first use (`SteinerTree.preorder`), and
+fill-and-clear in both passes and the restoring plan all read that one
+walk.
 
 The CNOT+RZ linear fixup, all a phase-free instance needs, uses RowCol
 elimination instead (`_synthesize_rowcol`, Wu et al.,

@@ -15,13 +15,10 @@ crossover against the full-connectivity baseline.
 Parities are packed into integers (bit q set = input q participates).  All
 angle arithmetic is exact.
 
-The parity network holds its table bit-sliced: one int per input row, whose
-bit k is set when the k-th support parity, as the CNOTs so far have moved
-it, contains that input.  Scoring a split row is one AND and a popcount,
-splitting the columns is two ANDs, and a CNOT is one row XOR.  A column
-becomes ready (a single input, so it sits on a wire) only when a CNOT clears
-one of its last two inputs, so each CNOT checks only the columns that hold
-both of its wires, not the whole table.
+The parity network is lazy (`synth_parity_network_constrained`): each
+pending parity is kept as the set of wires whose XOR it is, the one with
+the smallest set is folded onto a single wire along a Steiner tree and
+rotated there, and no fold is undone.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .cnot_synth import (
     _report,
     _rowcol_up_to,
     _synthesize_rowcol,
-    plan_pre_transpose,
 )
 from .gf2 import (
     BinaryMatrix,
@@ -200,161 +196,63 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
     return sorted(s.phase.support(), key=lambda m: parity_to_bits(m, n))
 
 
-class _NetworkState:
-    """Mutable synthesis state shared across the recursion: a bit-sliced
-    parity table.
-
-    Columns are the pending parities, numbered by their position in
-    `build_parity_matrix`.  `rows[q]` is an int over column ids whose bit
-    `cid` is set when parity `cid`, in the moving frame, still contains input
-    `q`; `pending` holds the ids whose rotation is not yet placed.  Bits of
-    placed columns stay in the rows but are always masked off by `pending`.
-
-    Every CNOT lies on an edge of the graph `g` and is the gate the graph
-    built for that directed edge (`arcs`).  `wires[q]` is the parity of the
-    inputs that wire `q` holds after the CNOTs so far, starting at `1 << q`:
-    row `q` of the linear map the network applies.
-    """
-
-    def __init__(self, n: int, columns: list[tuple[int, Angle]], g: ConnectivityGraph):
-        self.arcs = g._arcs
-        self.angles = [angle for _, angle in columns]
-        self.rows = [0] * n
-        for cid, (mask, _) in enumerate(columns):
-            for q in range(n):
-                if (mask >> q) & 1:
-                    self.rows[q] |= 1 << cid
-        self.pending = (1 << len(columns)) - 1
-        self.gates: list[Gate] = []
-        self.wires = [1 << q for q in range(n)]
-
-    def emit_ready(self) -> None:
-        """Place rotations for every pending parity now sitting on a wire,
-        in column order."""
-        once = twice = 0
-        for row in self.rows:
-            twice |= once & row
-            once |= row
-        ready = once & ~twice & self.pending
-        self.pending &= ~ready
-        for cid in _bits(ready):
-            wire = next(q for q, row in enumerate(self.rows) if (row >> cid) & 1)
-            self.gates.append(rz(self.angles[cid], wire))
-
-    def add_cnot(self, control: int, target: int) -> None:
-        """Apply CNOT(control, target) and place the rotations it readies.
-
-        In the moving frame the CNOT adds row `target` into row `control`
-        of the table.  No pending parity sits on a wire between calls, so a
-        column becomes ready only if it held exactly the two inputs
-        `control` and `target`: it loses `control` and is left on wire
-        `target`.  Columns are distinct parities and a CNOT keeps them
-        distinct, so at most one column becomes ready.
-        """
-        self.gates.append(self.arcs[control, target])
-        self.wires[target] ^= self.wires[control]
-        rows = self.rows
-        ready = rows[control] & rows[target] & self.pending
-        rows[control] ^= rows[target]
-        if not ready:
-            return
-        for q, row in enumerate(rows):
-            if q != target and ready & row:
-                ready &= ~row
-                if not ready:
-                    return
-        self.pending ^= ready
-        self.gates.append(rz(self.angles[ready.bit_length() - 1], target))
-
-
-def _fold_rows(state: _NetworkState, cols: int, pivot: int, g: ConnectivityGraph) -> None:
-    """Clear every all-ones row of the pivot's one-block via one Steiner plan.
-
-    Rows that equal one across all the given columns (a column-id mask) are
-    terminals; the plan adds the pivot row into each of them (in the parity
-    table), which zeroes them there.  Row ops on the table map to reversed
-    CNOTs on the circuit.
-    """
-    live = cols & state.pending
-    if not live:
-        return
-    terms = {q for q, row in enumerate(state.rows) if row & live == live and q != pivot}
-    if not terms:
-        return
-    tree = steiner_approx(g, terms | {pivot}, root=pivot)
-    for control, target in plan_pre_transpose(tree):
-        # Table row op "row target ^= row control" is the circuit CNOT with
-        # the roles swapped.
-        state.add_cnot(target, control)
-
-
 def synth_parity_network_constrained(
     s: SumOverPaths, g: ConnectivityGraph
 ) -> tuple[Circuit, BinaryMatrix]:
     """Build an edge-legal circuit realizing every support parity.
 
-    Follows the cofactor recursion over the parity table: pick the row with
-    the most extreme 0/1 split, recurse on the zero side, fold the one side
-    together along a Steiner tree, recurse on the rest.  Each rotation is
-    emitted the first moment its parity is realized on a wire.  Returns the
-    circuit and the linear transformation it applies, which the network
-    keeps as it emits each CNOT (`_NetworkState.wires`).  The recursion
-    runs on an explicit stack, so a call leaves no reference cycle behind.
+    Lazy synthesis (Martiel & Goubault de Brugière, arXiv:2012.09663, with
+    terms taken greedily as in Vandaele, Martiel & Perdrix,
+    arXiv:2104.00934): each parity is folded onto one wire along a Steiner
+    tree, its rotation is placed there, and the fold is never undone.
 
-    The split row is the candidate whose larger side holds the most live
-    columns, the lowest such row on ties.  Candidates are scanned in
-    ascending order, and the scan stops at the first perfect split (every
-    live column on one side, a score equal to their number): no row can
-    score more, and any later row that scores the same loses the tie, so
-    the row picked is the one a full scan picks.
+    `wires[q]` is the parity of the inputs wire q holds, starting at
+    `1 << q`: row q of the linear map the network applies, which it
+    returns with the circuit.  Each pending term keeps its support, the
+    wires whose XOR is its parity, starting at its mask; `sup` lists them
+    in `build_parity_matrix` order.  A CNOT(c, t) XORs `wires[c]` into
+    `wires[t]`, so every pending support that holds t toggles c.
+
+    Each step takes the pending term with the fewest wires in its support,
+    the earliest on ties, and roots a Steiner tree over its support at the
+    lowest of them.  Walking the tree child-first, each child that holds
+    the term folds into its parent: a CNOT(parent, child) first puts the
+    term on a parent that does not hold it, then CNOT(child, parent) takes
+    it off the child.  The term ends on the root alone, where its rotation
+    goes.
     """
     n = s.num_qubits
     _check_width(n, g)
-    columns = [(mask, s.phase.terms[mask]) for mask in build_parity_matrix(s)]
-    state = _NetworkState(n, columns, g)
-    state.emit_ready()
-    rows = state.rows
+    arcs = g._arcs
+    masks = build_parity_matrix(s)
+    angles = [s.phase.terms[m] for m in masks]
+    sup = list(masks)
+    wires = [1 << q for q in range(n)]
+    gates: list[Gate] = []
 
-    # The recursion, on an explicit stack of (columns, candidate rows, fold
-    # pivot) tasks: a task with a pivot first folds its columns along it.
-    # The zero side is pushed last, so it runs before the fold of the one
-    # side, as in the recursive order.
-    stack = [(state.pending, frozenset(range(n)), -1)]
-    while stack:
-        cols, candidates, pivot = stack.pop()
-        if pivot >= 0:
-            _fold_rows(state, cols, pivot, g)
-        cols &= state.pending
-        if not cols:
-            continue
-        if not candidates:
-            # Candidates exhausted with work left: fold each column onto its
-            # lowest participating wire directly.
-            for cid in _bits(cols):
-                bit = 1 << cid
-                if state.pending & bit:
-                    low = next(q for q, row in enumerate(rows) if row & bit)
-                    _fold_rows(state, bit, low, g)
-            continue
-        size = cols.bit_count()
-        best = None
-        for j in sorted(candidates):
-            ones = (rows[j] & cols).bit_count()
-            score = max(ones, size - ones)
-            if best is None or score > best[0]:
-                best = (score, j)
-                if score == size:  # a perfect split: no later row beats it
-                    break
-        j = best[1]
-        ones = rows[j] & cols
-        rest = candidates - {j}
-        if ones:
-            stack.append((ones, rest, j))
-        stack.append((cols & ~ones, rest, -1))
+    def add_cnot(c: int, t: int) -> None:
+        gates.append(arcs[c, t])
+        wires[t] ^= wires[c]
+        t_bit, c_bit = 1 << t, 1 << c
+        sup[:] = [m ^ c_bit if m & t_bit else m for m in sup]
 
-    assert not state.pending, "some parities were never realized"
-    circuit = Circuit._unchecked(n, tuple(state.gates))
-    return circuit, BinaryMatrix._unchecked(n, tuple(state.wires))
+    while sup:
+        sizes = [m.bit_count() for m in sup]
+        k = sizes.index(min(sizes))
+        low = sup[k] & -sup[k]
+        root = low.bit_length() - 1
+        if sup[k] != low:
+            tree = steiner_approx(g, _bits(sup[k]), root=root)
+            for parent, child in reversed(tree.preorder):
+                if sup[k] >> child & 1:
+                    if not sup[k] >> parent & 1:
+                        add_cnot(parent, child)
+                    add_cnot(child, parent)
+        del sup[k]
+        gates.append(rz(angles.pop(k), root))
+
+    circuit = Circuit._unchecked(n, tuple(gates))
+    return circuit, BinaryMatrix._unchecked(n, tuple(wires))
 
 
 def _synthesize_up_to(

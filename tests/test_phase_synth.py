@@ -16,17 +16,16 @@ from steinersynth import (
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
-from steinersynth import gf2, phase_synth, universal
+from steinersynth import gf2, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import _synthesize_rowcol, plan_pre_transpose
+from steinersynth.cnot_synth import _synthesize_rowcol
 from steinersynth.gf2 import _transposed_times_inverse, invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
     grid_graph,
     line_graph,
-    steiner_approx,
 )
 from steinersynth.phase_synth import _synthesize_up_to, parity_from_bits, parity_to_bits
 from steinersynth.pipeline import run
@@ -207,23 +206,47 @@ def test_single_pair_parity_on_line2():
     assert linear == simulate_cnot_circuit(Circuit(2, (circ.gates[0],)))
 
 
+def lazy_network_graphs():
+    """Lines, grids, complete and random graphs of 2 to 20 nodes, and
+    bristlecone72."""
+    graphs = [line_graph(n) for n in (2, 3, 7, 20)]
+    graphs += [grid_graph(r, c) for r, c in ((1, 2), (2, 3), (3, 4), (5, 4))]
+    graphs += [complete_graph(n) for n in (2, 5, 9, 20)]
+    graphs += [random_connected_graph(n, p, n) for n in (4, 11, 20) for p in (0.15, 0.5)]
+    return graphs + [builtin_architecture("bristlecone72")]
+
+
+def lazy_network_cases():
+    """Phase tasks of 1 to 3n terms on each of `lazy_network_graphs`."""
+    for g in lazy_network_graphs():
+        n = g.node_count
+        for seed, num_terms in enumerate((1, n // 2 + 1, 2 * n, 3 * n)):
+            yield g, random_phase_instance(n, num_terms, 31 * n + seed)
+
+
 def test_parity_coverage_replay():
-    # Every support parity must appear on the wire carrying its rotation.
+    # Every support parity must appear, by exactly one rotation, on the
+    # wire carrying it, and the map handed over is the one the network's
+    # CNOTs apply.
     rng = random.Random(9)
+    cases = []
     for trial in range(40):
         n = rng.randint(2, 8)
         g = random_connected_graph(n, rng.uniform(0.3, 1.0), trial)
-        sop = random_phase_instance(n, rng.randint(1, 2 * n), trial)
-        circ, _ = synth_parity_network_constrained(sop, g)
+        cases.append((g, random_phase_instance(n, rng.randint(1, 2 * n), trial)))
+    for g, sop in cases + list(lazy_network_cases()):
+        n = g.node_count
+        circ, linear = synth_parity_network_constrained(sop, g)
         wires = [1 << q for q in range(n)]
-        seen = {}
+        placed = []
         for gate in circ.gates:
             if gate.kind == "cnot":
                 wires[gate.target] ^= wires[gate.control]
             else:
-                seen[wires[gate.target]] = seen.get(wires[gate.target], Angle(0)) + gate.angle
-        seen = {m: a for m, a in seen.items() if not a.is_zero}
-        assert seen == sop.phase.terms
+                placed.append((wires[gate.target], gate.angle))
+        assert dict(placed) == sop.phase.terms and len(placed) == len(sop.phase.terms)
+        cnots = Circuit(n, tuple(gate for gate in circ.gates if gate.kind == "cnot"))
+        assert linear == simulate_cnot_circuit(cnots)
         assert edge_legal(circ, g)
 
 
@@ -247,10 +270,12 @@ def test_reference_roundtrip_on_line():
 
 def test_roundtrip_random_instances():
     rng = random.Random(21)
+    cases = []
     for trial in range(60):
         n = rng.randint(2, 12)
         g = random_connected_graph(n, rng.uniform(0.15, 1.0), trial + 7)
-        sop = random_phase_instance(n, rng.randint(0, 2 * n), trial)
+        cases.append((g, random_phase_instance(n, rng.randint(0, 2 * n), trial)))
+    for g, sop in cases + list(lazy_network_cases()):
         circ, _ = synthesize_cnot_rz(sop, g)
         back = extract_sum_over_paths(circ)
         assert back.phase == sop.phase
@@ -276,149 +301,32 @@ def test_full_connectivity_matches_complete_graph():
     assert back.phase == sop.phase and back.linear == sop.linear
 
 
-# The parity network as it was written before the table was bit-sliced: one
-# mask per column, its code kept verbatim (docstrings dropped) as an oracle.
-# The only changes are the `fallbacks` counter in the candidates-exhausted
-# branch, and `add_cnot` taking its gate from the graph's `_arcs`, now the
-# only source of edge gates.
-class _ReferenceState:
-    def __init__(self, n, columns, g):
-        self.n = n
-        self.g = g
-        # column id -> current mask (in the moving frame); angles fixed.
-        self.masks = {cid: mask for cid, (mask, _) in columns.items()}
-        self.angles = {cid: angle for cid, (_, angle) in columns.items()}
-        self.pending = set(columns)
-        self.wires = [1 << q for q in range(n)]  # physical wire parities
-        self.gates = []
-
-    def emit_ready(self):
-        self._emit(cid for cid in self.pending if self.masks[cid] & (self.masks[cid] - 1) == 0)
-
-    def _emit(self, ready):
-        for cid in sorted(ready):
-            wire = self.masks[cid].bit_length() - 1
-            self.gates.append(rz(self.angles[cid], wire))
-            self.pending.discard(cid)
-
-    def add_cnot(self, control, target):
-        self.gates.append(self.g._arcs[control, target])
-        self.wires[target] ^= self.wires[control]
-        # In the moving frame a CNOT adds the *target* row into the *control*
-        # row of the parity table.
-        masks = self.masks
-        bit = 1 << control
-        ready = []
-        for cid in self.pending:
-            mask = masks[cid]
-            if (mask >> target) & 1:
-                mask ^= bit
-                masks[cid] = mask
-                if mask & (mask - 1) == 0:
-                    ready.append(cid)
-        if ready:
-            self._emit(ready)
-
-
-def _reference_fold_rows(state, cols, pivot, g):
-    live = [c for c in cols if c in state.pending]
-    if not live:
-        return
-    ones = None
-    for cid in live:
-        ones = state.masks[cid] if ones is None else ones & state.masks[cid]
-    terms = {q for q in range(state.n) if (ones >> q) & 1 and q != pivot}
-    if not terms:
-        return
-    tree = steiner_approx(g, terms | {pivot}, root=pivot)
-    for control, target in plan_pre_transpose(tree):
-        state.add_cnot(target, control)
-
-
-def reference_parity_network(s, g, fallbacks):
-    """Gates and linear map of the mask-per-column network; appends one
-    entry to `fallbacks` each time the candidates run out."""
-    n = s.num_qubits
-    columns = {
-        cid: (mask, s.phase.terms[mask]) for cid, mask in enumerate(build_parity_matrix(s))
-    }
-    state = _ReferenceState(n, columns, g)
-    state.emit_ready()
-
-    def recurse(cols, candidates):
-        cols = [c for c in cols if c in state.pending]
-        if not cols:
-            return
-        if not candidates:
-            fallbacks.append(len(cols))
-            for cid in list(cols):
-                if cid not in state.pending:
-                    continue
-                pivot = (state.masks[cid] & -state.masks[cid]).bit_length() - 1
-                _reference_fold_rows(state, [cid], pivot, g)
-            return
-        best = None
-        for j in sorted(candidates):
-            ones = sum((state.masks[c] >> j) & 1 for c in cols)
-            score = max(ones, len(cols) - ones)
-            if best is None or score > best[0]:
-                best = (score, j)
-        j = best[1]
-        zeros = [c for c in cols if not (state.masks[c] >> j) & 1]
-        ones = [c for c in cols if (state.masks[c] >> j) & 1]
-        recurse(zeros, candidates - {j})
-        if ones:
-            _reference_fold_rows(state, ones, j, g)
-            recurse(ones, candidates - {j})
-
-    recurse(sorted(columns), set(range(n)))
-    assert not state.pending
-    return tuple(state.gates), BinaryMatrix(n, tuple(state.wires))
-
-
-def test_bit_sliced_network_matches_the_mask_reference():
-    graphs = [
-        line_graph(2),
-        line_graph(7),
-        grid_graph(4, 4),
-        builtin_architecture("tokyo20"),
-        builtin_architecture("bristlecone72"),
-        complete_graph(5),
-        complete_graph(9),
-    ] + [random_connected_graph(n, p, n) for n in (4, 8, 12) for p in (0.15, 0.5, 1.0)]
-    fallbacks = []
-    for gi, g in enumerate(graphs):
-        n = g.node_count
-        for num_terms in (0, 1, n, 3 * n):
-            for seed in (gi, gi + 100):
-                sop = random_phase_instance(n, num_terms, seed)
-                circ, linear = synth_parity_network_constrained(sop, g)
-                assert (circ.gates, linear) == reference_parity_network(sop, g, fallbacks)
-    # The candidates-exhausted branch was reached and matched as well.
-    assert fallbacks
-
-
-def test_the_row_choice_stops_at_the_lowest_perfect_split(monkeypatch):
-    # Row 0 splits the three parities 1:2, rows 1 and 2 hold all three
-    # (two perfect splits) and row 3 one.  The scan stops at row 1, since
-    # under the lowest-row tie-break no later row can beat a perfect split,
-    # so the first fold pivots on row 1 over all three parities: not on
-    # row 2, and not on the zero side of a split at row 0.
-    terms = {0b0110: A(1), 0b0111: A(3), 0b1110: A(5)}
+def test_lazy_network_takes_the_smallest_support_first():
+    # On line(4), x1+x2+x3 comes before x0+x3 in input order, but x0+x3
+    # spans fewer wires, so it is folded first, through the Steiner nodes
+    # 1 and 2.  Each CNOT moves the other term's support: folding x0+x3
+    # leaves x1+x2+x3 on wires 1, 2 and 3 (sup {1, 2, 3}), whose fold is
+    # then two CNOTs.
+    terms = {0b1110: A(1), 0b1001: A(3)}
     sop = SumOverPaths(PhasePolynomial(4, terms), BinaryMatrix.identity(4))
-    g = line_graph(4)
-    folds = []
-    fold = phase_synth._fold_rows
-
-    def recording(state, cols, pivot, graph):
-        folds.append((pivot, cols))
-        fold(state, cols, pivot, graph)
-
-    monkeypatch.setattr(phase_synth, "_fold_rows", recording)
-    circ, linear = synth_parity_network_constrained(sop, g)
-    assert folds[0] == (1, 0b111)
-    assert (circ.gates, linear) == reference_parity_network(sop, g, [])
+    assert build_parity_matrix(sop) == [0b1110, 0b1001]
+    circ, _ = synth_parity_network_constrained(sop, line_graph(4))
+    assert circ.gates == (
+        cnot(2, 3), cnot(3, 2), cnot(1, 2), cnot(2, 1), cnot(1, 0), rz(A(3), 0),
+        cnot(3, 2), cnot(2, 1), rz(A(1), 1),
+    )
     assert extract_sum_over_paths(circ).phase == sop.phase
+
+
+def test_lazy_network_breaks_support_ties_by_input_order():
+    # x0+x1 and x2+x3 on line(4) both span two wires: x2+x3, bitstring
+    # 0011, comes first in input order and goes first, though its mask is
+    # the larger.
+    terms = {0b0011: A(1), 0b1100: A(5)}
+    sop = SumOverPaths(PhasePolynomial(4, terms), BinaryMatrix.identity(4))
+    assert build_parity_matrix(sop) == [0b1100, 0b0011]
+    circ, _ = synth_parity_network_constrained(sop, line_graph(4))
+    assert circ.gates == (cnot(3, 2), rz(A(5), 2), cnot(1, 0), rz(A(1), 0))
 
 
 def phase_free_graphs():

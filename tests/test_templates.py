@@ -7,9 +7,9 @@ import math
 
 import pytest
 
-from steinersynth import cnot_synth, emit_circuit, random_invertible
+from steinersynth import cnot_synth, emit_circuit, phase_synth, random_invertible
 from steinersynth.bench import baseline_pmh_templates, random_phase_instance, random_universal_circuit
-from steinersynth.circuits import Circuit, cnot, h
+from steinersynth.circuits import Angle, Circuit, cnot, h
 from steinersynth.cnot_synth import (
     _arc_gates,
     _expanded_cnot_count,
@@ -21,7 +21,7 @@ from steinersynth.cnot_synth import (
     section_widths,
     synthesize_constrained,
 )
-from steinersynth.gf2 import simulate_cnot_circuit
+from steinersynth.gf2 import BinaryMatrix, simulate_cnot_circuit
 from steinersynth.graphs import (
     builtin_architecture,
     complete_graph,
@@ -29,8 +29,14 @@ from steinersynth.graphs import (
     line_graph,
     random_connected_graph,
     shortest_path,
+    steiner_approx,
 )
-from steinersynth.phase_synth import _NetworkState, synthesize_cnot_rz
+from steinersynth.phase_synth import (
+    PhasePolynomial,
+    SumOverPaths,
+    synth_parity_network_constrained,
+    synthesize_cnot_rz,
+)
 from steinersynth.verify import edge_legal
 from conftest import pmh_at
 
@@ -211,13 +217,22 @@ def test_every_synthesizer_emits_the_graph_edge_gates(g):
     assert not any(g.has_edge(*pair) for pair in memo_pairs(g))
 
 
-def test_parity_network_rejects_a_non_edge_even_with_its_ladder_memoized():
+def test_parity_network_rejects_a_non_edge_even_with_its_ladder_memoized(monkeypatch):
     # A memoized ladder is no edge gate: a CNOT off the graph is a KeyError.
+    # The network folds x0 + x1 with the graph's gate for edge (1, 0); a
+    # fold of x0 + x2 along a tree with the non-edge between 0 and 2 looks
+    # up CNOT(2, 0), whose ladder is memoized, and finds no gate for it.
     g = line_graph(3)
-    expand_templates(Circuit(3, (cnot(0, 2),)), g)
-    assert (0, 2) in memo_pairs(g)
-    state = _NetworkState(3, [], g)
-    state.add_cnot(0, 1)
-    assert state.gates == [g._arcs[0, 1]]
+    expand_templates(Circuit(3, (cnot(2, 0),)), g)
+    assert (2, 0) in memo_pairs(g)
+
+    def network(mask):
+        sop = SumOverPaths(PhasePolynomial(3, {mask: Angle(1, 8)}), BinaryMatrix.identity(3))
+        return synth_parity_network_constrained(sop, g)[0]
+
+    assert network(0b011).gates[:-1] == (g._arcs[1, 0],)
+    k3 = complete_graph(3)
+    monkeypatch.setattr(phase_synth, "steiner_approx",
+                        lambda _, terms, root: steiner_approx(k3, terms, root=root))
     with pytest.raises(KeyError):
-        state.add_cnot(0, 2)
+        network(0b101)

@@ -462,14 +462,14 @@ def test_structured_routes_need_no_more_cnots_than_template_expansion():
 
 
 def test_structured_routes_after_cleanup_keep_their_cnot_counts():
-    # Goldens: CNOTs after cancel_pass on each of structured_graphs().  Six
-    # of the nine cells (QAOA on the first two graphs, the Toffoli chain on
-    # all three, the adder on tokyo20's prefix) return the template
+    # Goldens: CNOTs after cancel_pass on each of structured_graphs().  Five
+    # of the nine cells (QAOA, the Toffoli chain and the adder on tokyo20's
+    # prefix, QAOA and the adder on grid(4,4)) return the template
     # expansion; a candidate that lowers a cell re-records it.
     want = {
-        "qaoa": [440, 520, 1439],
-        "toffoli_chain": [1448, 2082, 5390],
-        "cuccaro_adder": [321, 372, 201],
+        "qaoa": [440, 520, 1277],
+        "toffoli_chain": [1448, 1938, 3087],
+        "cuccaro_adder": [321, 446, 226],
     }
     for name, c in (("qaoa", qaoa(16, 24, 2, 1)), ("toffoli_chain", toffoli_chain(16, 48, 1)),
                     ("cuccaro_adder", cuccaro_adder(7))):
@@ -478,16 +478,18 @@ def test_structured_routes_after_cleanup_keep_their_cnot_counts():
 
 
 def test_a_route_runs_once_and_one_over_the_template_bound_returns_the_expansion(monkeypatch):
-    # On K8 and for a Toffoli chain, whose segments are short, carrying the
-    # residual costs more than the ladders do: the route is built once and
-    # the template expansion of the H-reduced input is returned in its
-    # place, byte for byte.
+    # On K8, and for structured circuits on tokyo20's prefix and grid(4,4),
+    # whose segments are short, carrying the residual costs more than the
+    # ladders do: the route is built once and the template expansion of the
+    # H-reduced input is returned in its place, byte for byte.
     real = universal._route
     routes = []
     monkeypatch.setattr(universal, "_route", lambda *args: routes.append(real(*args)) or routes[-1])
     probs = {"cnot": 0.8, "s": 0.04, "t": 0.03, "tdg": 0.03, "h": 0.1}
-    cases = [(random_universal_circuit(8, 60, probs, 2), complete_graph(8))]
-    cases += [(toffoli_chain(16, 48, 1), g) for g in structured_graphs()]
+    tokyo16, grid, _ = structured_graphs()
+    cases = [(random_universal_circuit(8, 60, probs, 2), complete_graph(8)),
+             (toffoli_chain(16, 48, 1), tokyo16)]
+    cases += [(c, g) for c in (qaoa(16, 24, 2, 1), cuccaro_adder(7)) for g in (tokyo16, grid)]
     for c, g in cases:
         routes.clear()
         routed = route_universal(c, g)[0]

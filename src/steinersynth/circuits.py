@@ -146,10 +146,10 @@ def h(target: int) -> Gate:
 class Circuit:
     """An ordered gate list on a fixed number of wires.
 
-    The public constructor checks every gate's wires against
-    `num_qubits`, and `parse_circuit` checks each line's, so every circuit
-    that enters from outside the program is checked.  Builders whose
-    wires are in range by construction skip the re-check with
+    The public constructor checks that `num_qubits` is positive and every
+    gate's wires against it, and `parse_circuit` checks each line's, so
+    every circuit that enters from outside the program is checked.
+    Builders whose wires are in range by construction skip the re-check with
     `_unchecked`: `parse_circuit` once its lines are checked, cleanup (its
     survivors and merged RZs sit on its input's wires), the synthesizers
     and the matrix baselines' winner (its CNOTs are arcs of a graph
@@ -164,6 +164,8 @@ class Circuit:
     gates: tuple[Gate, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        if self.num_qubits < 1:
+            raise ValueError(f"qubit count must be positive, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         # Each distinct wire tuple is checked once, in first-occurrence order,
         # so the error names the first bad wire: CNOTs on one edge repeat it.

@@ -1,13 +1,12 @@
 """Routing pipeline for circuits over {CNOT, RZ, H}.
 
 Hadamard gates break the phase-polynomial picture, so the circuit is cut
-into alternating H-only and CNOT+RZ segments.  A two-pass commutation
-heuristic grows the CNOT+RZ segments as large as possible, and the H gates
-need no routing.  It settles each block a moving gate reaches with one
-wire-mask test (`partition_segments`), exact by two invariants: in the
-forward pass no gate lands at the front of a block before all of that
-block's own movers are processed, and after it every block is in uid
-order, so backward moves append after all of a block's original gates.
+into alternating H-only and CNOT+RZ segments.  A commutation heuristic
+grows the CNOT+RZ segments as large as possible, one pass backward and
+then one forward, and the H gates need no routing.  Each pass visits the
+gates in their current block order (last gate first forward), so every
+block a moving gate reaches has been visited whole, and one wire-mask
+test settles it (`partition_segments`).
 The route carries a pending linear residual across the H runs: each
 CNOT+RZ segment is resynthesized in the frame the gates emitted so far
 leave, and its fixup only frees each qubit of the next H run, alone on a
@@ -102,9 +101,11 @@ class Segment:
 def partition_segments(c: Circuit) -> list[Segment]:
     """Cut into alternating H / CNOT+RZ segments, grown by commutation.
 
-    After the naive cut, every CNOT+RZ gate is commuted forward as far as
+    After the naive cut, every CNOT+RZ gate is commuted backward as far as
     possible and dropped into the largest reachable segment (ties go to the
-    earlier one); a second pass repeats the process commuting backward.
+    earlier one); a second pass repeats the process commuting forward.  Each
+    pass visits the CNOT+RZ gates in the block order it starts from, last
+    gate first forward.
 
     The tests run on plain integers.  On n wires, each gate is read once
     into a pair of wires: a CNOT as (control, target), an RZ on q as (q, n),
@@ -121,29 +122,22 @@ def partition_segments(c: Circuit) -> list[Segment]:
 
     So a set of gates has a wire mask, bit x for each gate's x and bit
     n + 1 + y for each y, and it blocks the mover exactly when the mask
-    shares a bit with the mover's probe, bits b and n + 1 + a.  One mask
-    test settles a block:
+    shares a bit with the mover's probe, bits b and n + 1 + a.  Each pass
+    starts every CNOT+RZ block's mask empty and adds to it each gate it
+    visits that stays there and each that arrives, so one mask test settles
+    a block:
 
-    - Own block.  Movers go in reverse order forward and in order
-      backward, and each pass keeps, per block, the mask of the movers it
-      has processed there that stayed.  Those are exactly the gates the
-      mover must pass in its own block, by two invariants.  In the forward
-      pass a gate moves to the front of a later block, whose own movers
-      all come later and so were processed already: no gate lands at the
-      front of a block before all of that block's own movers are
-      processed.  So every block is in uid order after the forward pass,
-      and a backward move appends to an earlier block, after all of that
-      block's original gates.
-    - Later blocks.  A block whose mask misses the probe is passed.  One
+    - Own block.  The gates a mover must pass in its own block are those
+      the pass visited there before it, less those that left.  None has
+      arrived yet: a pass visits the blocks against the direction its
+      gates move, so a gate arrives only from a block visited later.  So
+      the mask holds exactly them.
+    - Later blocks.  Every block a mover scans was visited whole before
+      it, and no gate leaves a visited block, so a CNOT+RZ block's mask is
+      that of the gates that stayed plus those that arrived; H blocks
+      never change.  A block whose mask misses the probe is passed.  One
       that hits it ends the scan, and its head in scan order decides
-      whether it counts first.  In the forward pass no gate leaves a block
-      once a mover from an earlier block can reach it, so a CNOT+RZ
-      block's mask is the one of its movers that stayed plus the gates
-      that arrived.  In the backward pass gates also leave blocks already
-      passed; per-wire counts, kept for a block from the first time a gate
-      leaves it, clear a bit when its last gate goes.  They take one dict
-      entry per bit set, so memory stays linear in the gates.  H blocks
-      never change.
+      whether it counts first.
 
     `tests/test_universal.py` checks the result against a reference pass
     that calls the commutation oracle gate by gate.
@@ -167,20 +161,18 @@ def partition_segments(c: Circuit) -> list[Segment]:
             blocks.append([])
         blocks[bi].append(uid)
         where.append(bi)
-    movers = [uid for kind, blk in zip(kinds, blocks) if kind == "cnot_block" for uid in blk]
-
-    # Per block: the wire mask of the gates the pass has accounted for, and
-    # the size of a CNOT+RZ block; an H block has size -1, so it is never a
+    # Per block: the wire mask of an H block, which never changes, and the
+    # size of a CNOT+RZ block; an H block has size -1, so it is never a
     # destination.
-    masks = [0] * len(blocks)
+    h_masks = [0] * len(blocks)
     sizes = [-1] * len(blocks)
     for bi, blk in enumerate(blocks):
         if kinds[bi] == "cnot_block":
             sizes[bi] = len(blk)
             continue
         for uid in blk:
-            masks[bi] |= 1 << first[uid]
-        masks[bi] |= masks[bi] << m
+            h_masks[bi] |= 1 << first[uid]
+        h_masks[bi] |= h_masks[bi] << m
 
     def destination(a: int, b: int, probe: int, bi: int, forward: bool) -> int:
         """Largest CNOT block the mover (a, b), which passes its own block,
@@ -214,48 +206,19 @@ def partition_segments(c: Circuit) -> list[Segment]:
         sizes[bi] -= 1
         sizes[best] += 1
 
-    # Forward: a CNOT+RZ block's mask starts empty and gains each mover
-    # that stays there or arrives, so its own movers read it as the mask of
-    # the ones that stayed.
-    for uid in reversed(movers):
-        bi, a, b = where[uid], first[uid], second[uid]
-        probe = 1 << b | 1 << m + a
-        best = bi if masks[bi] & probe else destination(a, b, probe, bi, True)
-        masks[best] |= 1 << a | 1 << m + b
-        if best != bi:
-            move(uid, bi, best, True)
-
-    # Backward: the masks hold whole blocks, and gates now also leave blocks
-    # that later movers scan, so a block's counts (mask bit -> its gates
-    # setting it) are taken when a gate first leaves it and kept from then.
-    stayed = [0] * len(blocks)
-    counts: list[dict[int, int] | None] = [None] * len(blocks)
-    for uid in movers:
-        bi, a, b = where[uid], first[uid], second[uid]
-        probe = 1 << b | 1 << m + a
-        best = bi if stayed[bi] & probe else destination(a, b, probe, bi, False)
-        if best == bi:
-            stayed[bi] |= 1 << a | 1 << m + b
-            continue
-        move(uid, bi, best, False)
-        masks[best] |= 1 << a | 1 << m + b
-        cnt = counts[best]
-        if cnt is not None:
-            for bit in a, m + b:
-                cnt[bit] = cnt.get(bit, 0) + 1
-        cnt = counts[bi]
-        if cnt is None:
-            cnt = counts[bi] = {}
-            for u in blocks[bi]:
-                for bit in first[u], m + second[u]:
-                    cnt[bit] = cnt.get(bit, 0) + 1
-            masks[bi] = sum(1 << bit for bit in cnt)
-            continue
-        for bit in a, m + b:
-            cnt[bit] -= 1
-            if not cnt[bit]:
-                del cnt[bit]
-                masks[bi] ^= 1 << bit
+    # Each pass starts every CNOT+RZ block's mask empty and adds each mover
+    # that stays there or arrives, visiting gates in block order (last gate
+    # first forward), so every block a mover reads was visited whole.
+    for forward in False, True:
+        movers = [uid for kind, blk in zip(kinds, blocks) if kind == "cnot_block" for uid in blk]
+        masks = h_masks.copy()
+        for uid in reversed(movers) if forward else movers:
+            bi, a, b = where[uid], first[uid], second[uid]
+            probe = 1 << b | 1 << m + a
+            best = bi if masks[bi] & probe else destination(a, b, probe, bi, forward)
+            masks[best] |= 1 << a | 1 << m + b
+            if best != bi:
+                move(uid, bi, best, forward)
 
     return [
         Segment(kind, tuple(map(gates.__getitem__, blk)))

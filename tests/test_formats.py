@@ -311,6 +311,14 @@ def test_circuit_rejects_negative_and_out_of_range_wires():
             Circuit(3, (cnot(0, 1), gate))
 
 
+def test_circuit_rejects_a_non_positive_qubit_count():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^qubit count must be positive, got {n}$"):
+            Circuit(n)
+        with pytest.raises(ValueError, match=rf"^qubit count must be positive, got {n}$"):
+            Circuit(n, (h(0),))
+
+
 def test_count_and_cnot_only_match_a_reference():
     rng = random.Random(41)
     probs = {"cnot": 0.5, "s": 0.1, "t": 0.1, "h": 0.3}

@@ -462,14 +462,14 @@ def test_structured_routes_need_no_more_cnots_than_template_expansion():
 
 
 def test_structured_routes_after_cleanup_keep_their_cnot_counts():
-    # Goldens: CNOTs after cancel_pass on each of structured_graphs().  Five
-    # of the nine cells (QAOA, the Toffoli chain and the adder on tokyo20's
-    # prefix, QAOA and the adder on grid(4,4)) return the template
-    # expansion; a candidate that lowers a cell re-records it.
+    # Goldens: CNOTs after cancel_pass on each of structured_graphs().  Four
+    # of the nine cells (QAOA and the adder on tokyo20's prefix and on
+    # grid(4,4)) return the template expansion; a candidate that lowers a
+    # cell re-records it.
     want = {
         "qaoa": [440, 520, 1277],
-        "toffoli_chain": [1448, 1938, 3087],
-        "cuccaro_adder": [321, 446, 226],
+        "toffoli_chain": [1328, 1804, 3281],
+        "cuccaro_adder": [321, 446, 237],
     }
     for name, c in (("qaoa", qaoa(16, 24, 2, 1)), ("toffoli_chain", toffoli_chain(16, 48, 1)),
                     ("cuccaro_adder", cuccaro_adder(7))):
@@ -488,7 +488,7 @@ def test_a_route_runs_once_and_one_over_the_template_bound_returns_the_expansion
     probs = {"cnot": 0.8, "s": 0.04, "t": 0.03, "tdg": 0.03, "h": 0.1}
     tokyo16, grid, _ = structured_graphs()
     cases = [(random_universal_circuit(8, 60, probs, 2), complete_graph(8)),
-             (toffoli_chain(16, 48, 1), tokyo16)]
+             (toffoli_chain(16, 48, 2), tokyo16)]
     cases += [(c, g) for c in (qaoa(16, 24, 2, 1), cuccaro_adder(7)) for g in (tokyo16, grid)]
     for c, g in cases:
         routes.clear()
@@ -524,9 +524,9 @@ def test_unitary_oracle_agrees_with_gf2():
 # Digests of partition_segments output on fixed seeds: any change to how the
 # scan is done must reproduce them byte for byte.
 PARTITION_GOLDEN = [
-    (0.02, 1, 69, "68ce2138a7aab931fe3740c42195002dbb0ebf9bacccba802e147580e375ebd3"),
-    (0.1, 2, 308, "9146aad22d6122804f2df48f4f73d266245222b2c4df9bb652c302236f3c2ff7"),
-    (0.1, 3, 313, "b262f1fbb222809429bda5187e5e7765e090b45cb46ba71df6e1fa3b6097ddaf"),
+    (0.02, 1, 70, "2117f9d217ad339a6a105d54b8dbbd228cdb66b8fbd30587f52a47bc1a393159"),
+    (0.1, 2, 309, "8fc29c11ba268da7e97840ed9f38389915e3468f4afaf4fc521da3a513d826f3"),
+    (0.1, 3, 317, "05743ffeed10dd51d9329d6510730e53ba07efb7b04da6de16fc179bb6fc8986"),
 ]
 
 
@@ -548,10 +548,9 @@ def test_partition_golden_digest(p_h, seed, count, digest):
 
 
 def test_partition_golden_digest_at_72_wires():
-    # Each wire mask spans several machine words here.  Recorded with the
-    # gate-by-gate blocker scans, before the mask tests.
+    # Each wire mask spans several machine words here.
     _assert_partition_digest(
-        72, 0.3, 4, 516, "de0987409d419a437a8d7652e9705d90b2a2139e9a5ee6b3e2c7b074b5df6c16")
+        72, 0.3, 4, 522, "987fde47214c7897dd29f8cfc7092d0dfa68f02202b804291cc4ba7572ce466a")
 
 
 def _blocks(segs):
@@ -627,7 +626,7 @@ def test_partition_tie_goes_to_earlier_block_backward():
 
 
 def test_partition_crosses_emptied_block():
-    # The forward pass empties the first CNOT block; the backward pass then
+    # The backward pass empties the last CNOT block; the forward pass then
     # walks across it without treating it as a destination.
     c = Circuit(3, (cnot(0, 1), h(2), cnot(0, 1), rz(_T, 0), h(2), cnot(0, 1)))
     segs = partition_segments(c)
@@ -637,6 +636,21 @@ def test_partition_crosses_emptied_block():
         ("cnot_block", (cnot(0, 1), cnot(0, 1), rz(_T, 0), cnot(0, 1))),
         ("h_block", (h(2),)),
     ]
+
+
+def test_partition_grows_backward_first():
+    # Backward first, rz(2) and then rz(3) join cnot(2, 3) in the first
+    # block, which is then the largest, so the forward pass moves nothing.
+    # Forward first, cnot(2, 3) and rz(2) would cross h(0) and h(1) into the
+    # last block.
+    c = Circuit(4, (cnot(2, 3), h(0), rz(_T, 2), h(1), cnot(3, 0), rz(_T, 3)))
+    assert _blocks(partition_segments(c)) == [
+        ("cnot_block", (cnot(2, 3), rz(_T, 2), rz(_T, 3))),
+        ("h_block", (h(0),)),
+        ("h_block", (h(1),)),
+        ("cnot_block", (cnot(3, 0),)),
+    ]
+    _assert_partition_matches_reference(c)
 
 
 def _commutes_by_sets(a, b):
@@ -662,7 +676,9 @@ def test_commutes_matches_set_rule_exhaustively():
 
 def reference_partition_segments(c):
     """The `commutes`-based partition_segments the integer scans replaced,
-    kept verbatim as the oracle."""
+    kept verbatim as the oracle but for its visiting order: backward over
+    the current order, then forward over the order that pass leaves,
+    reversed."""
     gates = c.gates
     # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
     kinds: list[str] = []
@@ -711,8 +727,8 @@ def reference_partition_segments(c):
             where[uid] = best
 
     movers = [uid for uid, g in enumerate(gates) if g.kind != "h"]
-    relocate(movers[::-1], forward=True)
     relocate(movers, forward=False)
+    relocate([uid for blk in blocks for uid in blk if gates[uid].kind != "h"][::-1], forward=True)
 
     return [
         Segment(kind, tuple(gates[uid] for uid in blk))
@@ -773,8 +789,8 @@ def test_partition_forgets_a_blocker_that_has_left_a_block():
     # In the backward pass rz(1) and then cnot(2, 3) leave the middle CNOT
     # block for the first one.  cnot(2, 3) would have blocked rz(3), which
     # comes later: it now crosses the middle block into the first, the
-    # largest.  A block mask that kept the wires of the gates that left
-    # would stop rz(3) in the middle block.
+    # largest.  A mask of the middle block's gates before the pass would
+    # stop rz(3) there; the pass's mask holds only the gates that stayed.
     c = Circuit(4, (
         cnot(1, 0), cnot(2, 1), cnot(0, 3), rz(_T, 3), h(0),
         rz(_T, 0), cnot(1, 0), rz(_T, 1), cnot(2, 3), h(0),
@@ -798,9 +814,9 @@ _PARTITION_PEAK_BEFORE_MASKS = 3_583_928
 
 
 def test_partition_memory_stays_linear_in_the_gates():
-    # The per-wire counts take one dict entry per mask bit set in a block,
-    # not one per wire in every block: the peak stays within 1.5 times the
-    # scans' on 20,000 gates over 72 wires with many small blocks.
+    # Each pass keeps one mask per block and one list of the gates it
+    # visits: the peak stays within 1.5 times the scans' on 20,000 gates
+    # over 72 wires with many small blocks.
     c = _mixed_circuit(72, 20000, 0.3, 7)
     tracemalloc.start()
     try:

@@ -59,6 +59,7 @@ from .graphs import (
     ConnectivityGraph,
     SteinerTree,
     _check_width,
+    _components,
     distances_from,
     shortest_path,
     steiner_approx,
@@ -436,20 +437,6 @@ def _rowcol_step(
     return ops
 
 
-def _separates(adj_masks: tuple[int, ...], nodes: int, v: int) -> bool:
-    """True when removing node v disconnects the subgraph on `nodes` (a
-    node bitmask holding v): v is one of its cut vertices."""
-    rest = nodes & ~(1 << v)
-    reach = frontier = rest & -rest
-    while frontier:
-        grow = 0
-        for u in _bits(frontier):
-            grow |= adj_masks[u]
-        frontier = grow & rest & ~reach
-        reach |= frontier
-    return reach != rest
-
-
 def _synthesize_rowcol(a: BinaryMatrix, a_inv: BinaryMatrix, g: ConnectivityGraph) -> Circuit:
     """An edge-legal CNOT circuit for the matrix `a`, given its inverse
     `a_inv`, by RowCol elimination (Wu et al., arXiv:1910.14478).
@@ -506,7 +493,7 @@ def _rowcol_up_to(
 
     def may_go(w: int) -> bool:
         if w not in cut:  # asked on demand: most steps ask about few wires
-            cut[w] = len(todo) > 1 and _separates(adj_masks, unfinished, w)
+            cut[w] = len(todo) > 1 and _components(adj_masks, unfinished & ~(1 << w), 1) > 1
         return not cut[w]
 
     while todo:

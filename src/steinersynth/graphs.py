@@ -169,6 +169,29 @@ def _check_width(width: int, g: ConnectivityGraph) -> None:
         raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
 
 
+def _components(adj_masks: tuple[int, ...], nodes: int, cap: int) -> int:
+    """The number of connected components of the subgraph induced on
+    `nodes` (a node bitmask), or cap + 1 once more than `cap` are found.
+
+    Each component is flooded from its lowest node over `adj_masks`
+    (`ConnectivityGraph._adj_masks`), every reached node's neighbours
+    taken once, and leaves `nodes` as it is reached."""
+    parts = 0
+    while nodes:
+        if parts == cap:
+            return cap + 1
+        parts += 1
+        todo = nodes & -nodes
+        nodes ^= todo
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            grow = adj_masks[low.bit_length() - 1] & nodes
+            nodes ^= grow
+            todo |= grow
+    return parts
+
+
 @dataclass(frozen=True)
 class SteinerTree:
     """A tree inside a host graph spanning a terminal set.

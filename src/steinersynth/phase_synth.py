@@ -16,9 +16,12 @@ Parities are packed into integers (bit q set = input q participates).  All
 angle arithmetic is exact.
 
 The parity network is lazy (`synth_parity_network_constrained`): each
-pending parity is kept as the set of wires whose XOR it is, the one with
-the smallest set is folded onto a single wire along a Steiner tree and
-rotated there, and no fold is undone.
+pending parity is kept as the set of wires S whose XOR it is, the one whose
+fold looks cheapest is folded onto a single wire along a Steiner tree and
+rotated there, and no fold is undone.  A fold's cost is estimated without
+building a tree, as |S| - 1 + 2·(c(S) - 1) CNOTs, c(S) the connected
+components of the subgraph induced on S: exact when S is connected, where
+the fold needs no Steiner node (`_next_term`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .gf2 import (
     invert,
     multiply,
 )
-from .graphs import ConnectivityGraph, _check_width, steiner_approx
+from .graphs import ConnectivityGraph, _check_width, _components, steiner_approx
 
 
 def parity_to_bits(mask: int, n: int) -> str:
@@ -196,6 +199,33 @@ def build_parity_matrix(s: SumOverPaths) -> list[int]:
     return sorted(s.phase.support(), key=lambda m: parity_to_bits(m, n))
 
 
+def _next_term(sup: list[int], adj_masks: tuple[int, ...]) -> int:
+    """The position in `sup` of the pending term to fold next: the lowest
+    fold-cost estimate |S| - 1 + 2·(c(S) - 1), where S is the term's
+    support and c(S) the number of connected components of the subgraph
+    induced on S, then the smallest support, then the earliest position.
+
+    A fold along a tree with T terminals and k Steiner nodes emits
+    T - 1 + 2k CNOTs, so the estimate is exact when S is connected, and it
+    counts one Steiner node per gap between components otherwise.  Terms
+    are visited by (support size, position), so a later term wins only
+    with a strictly lower estimate: the scan stops at the first support
+    with |S| - 1 >= the best estimate, and a term's components are counted
+    only while it can still win, at most `cap` of them.
+    """
+    sizes = [m.bit_count() for m in sup]
+    best = 3 * len(adj_masks)  # above every estimate, 3·(|S| - 1) at most
+    for k in sorted(range(len(sup)), key=sizes.__getitem__):  # stable: ties by position
+        size = sizes[k]
+        if size - 1 >= best:
+            break
+        cap = (best - size) // 2 + 1
+        parts = _components(adj_masks, sup[k], cap)
+        if parts <= cap:
+            best, best_k = size - 1 + 2 * (parts - 1), k
+    return best_k
+
+
 def synth_parity_network_constrained(
     s: SumOverPaths, g: ConnectivityGraph
 ) -> tuple[Circuit, BinaryMatrix]:
@@ -213,17 +243,23 @@ def synth_parity_network_constrained(
     in `build_parity_matrix` order.  A CNOT(c, t) XORs `wires[c]` into
     `wires[t]`, so every pending support that holds t toggles c.
 
-    Each step takes the pending term with the fewest wires in its support,
-    the earliest on ties, and roots a Steiner tree over its support at the
-    lowest of them.  Walking the tree child-first, each child that holds
-    the term folds into its parent: a CNOT(parent, child) first puts the
-    term on a parent that does not hold it, then CNOT(child, parent) takes
-    it off the child.  The term ends on the root alone, where its rotation
-    goes.
+    Each step takes the pending term with the lowest fold-cost estimate
+    (`_next_term`), |S| - 1 + 2·(c(S) - 1) for a support S whose induced
+    subgraph has c(S) connected components, then the smallest support,
+    then the earliest.  The estimate is the tree fold's own cost,
+    T - 1 + 2k CNOTs for T terminals and k Steiner nodes, with one Steiner
+    node per gap between components, so it is exact for a connected
+    support; the scan stops once no later support can beat it, and counts
+    a term's components only while it still can.  The step then roots a
+    Steiner tree over the support at its lowest wire, the only tree it
+    builds.  Walking the tree child-first, each child that holds the term
+    folds into its parent: a CNOT(parent, child) first puts the term on a
+    parent that does not hold it, then CNOT(child, parent) takes it off
+    the child.  The term ends on the root alone, where its rotation goes.
     """
     n = s.num_qubits
     _check_width(n, g)
-    arcs = g._arcs
+    arcs, adj_masks = g._arcs, g._adj_masks
     masks = build_parity_matrix(s)
     angles = [s.phase.terms[m] for m in masks]
     sup = list(masks)
@@ -237,8 +273,7 @@ def synth_parity_network_constrained(
         sup[:] = [m ^ c_bit if m & t_bit else m for m in sup]
 
     while sup:
-        sizes = [m.bit_count() for m in sup]
-        k = sizes.index(min(sizes))
+        k = _next_term(sup, adj_masks)
         low = sup[k] & -sup[k]
         root = low.bit_length() - 1
         if sup[k] != low:

@@ -16,7 +16,7 @@ from steinersynth import (
     synth_parity_network_constrained,
     synthesize_cnot_rz,
 )
-from steinersynth import gf2, universal
+from steinersynth import gf2, phase_synth, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
 from steinersynth.cnot_synth import _synthesize_rowcol
@@ -301,19 +301,20 @@ def test_full_connectivity_matches_complete_graph():
     assert back.phase == sop.phase and back.linear == sop.linear
 
 
-def test_lazy_network_takes_the_smallest_support_first():
-    # On line(4), x1+x2+x3 comes before x0+x3 in input order, but x0+x3
-    # spans fewer wires, so it is folded first, through the Steiner nodes
-    # 1 and 2.  Each CNOT moves the other term's support: folding x0+x3
-    # leaves x1+x2+x3 on wires 1, 2 and 3 (sup {1, 2, 3}), whose fold is
-    # then two CNOTs.
+def test_lazy_network_takes_the_cheapest_estimated_fold_first():
+    # On line(4), x1+x2+x3 spans more wires than x0+x3, but its wires are
+    # connected, so its estimate, 2, is its fold's cost; x0+x3 spans two
+    # components, so its estimate is 1 + 2 = 3, for the Steiner nodes 1 and
+    # 2.  x1+x2+x3 goes first, onto wire 1.  Its CNOTs target wires 2 and
+    # 1, which x0+x3's support does not hold, so that support stays {0, 3}
+    # and x0+x3 is then folded through wires 2 and 1 onto wire 0.
     terms = {0b1110: A(1), 0b1001: A(3)}
     sop = SumOverPaths(PhasePolynomial(4, terms), BinaryMatrix.identity(4))
     assert build_parity_matrix(sop) == [0b1110, 0b1001]
     circ, _ = synth_parity_network_constrained(sop, line_graph(4))
     assert circ.gates == (
-        cnot(2, 3), cnot(3, 2), cnot(1, 2), cnot(2, 1), cnot(1, 0), rz(A(3), 0),
         cnot(3, 2), cnot(2, 1), rz(A(1), 1),
+        cnot(2, 3), cnot(3, 2), cnot(1, 2), cnot(2, 1), cnot(1, 0), rz(A(3), 0),
     )
     assert extract_sum_over_paths(circ).phase == sop.phase
 
@@ -327,6 +328,70 @@ def test_lazy_network_breaks_support_ties_by_input_order():
     assert build_parity_matrix(sop) == [0b1100, 0b0011]
     circ, _ = synth_parity_network_constrained(sop, line_graph(4))
     assert circ.gates == (cnot(3, 2), rz(A(5), 2), cnot(1, 0), rz(A(1), 0))
+
+
+def fold_estimate(g, support: int) -> int:
+    """|S| - 1 + 2·(c(S) - 1) for the wires S of `support`, with c(S), the
+    connected components of the subgraph induced on S, found by a plain
+    depth-first search over `g.neighbors`."""
+    wires = {q for q in range(g.node_count) if support >> q & 1}
+    seen: set[int] = set()
+    parts = 0
+    for q in wires:
+        if q in seen:
+            continue
+        parts += 1
+        seen.add(q)
+        stack = [q]
+        while stack:
+            for v in g.neighbors(stack.pop()):
+                if v in wires and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return len(wires) - 1 + 2 * (parts - 1)
+
+
+def test_pruned_scan_picks_the_full_argmin(monkeypatch):
+    # At every step of the network, the pruned scan picks the term a full
+    # argmin by (estimate, support size, position) picks, on random 2- to
+    # 12-wire instances on lines, grids and random graphs.  A connected
+    # support's fold emits exactly its estimate in CNOTs, and every output
+    # is exact and edge-legal.
+    real = phase_synth._next_term
+    graph, picks = [], []  # picks: (cost key, smallest support size)
+
+    def checked(sup, adj_masks):
+        k = real(sup, adj_masks)
+        keys = [(fold_estimate(graph[-1], m), m.bit_count(), j) for j, m in enumerate(sup)]
+        assert keys[k] == min(keys)
+        picks.append((keys[k], min(m.bit_count() for m in sup)))
+        return k
+
+    monkeypatch.setattr(phase_synth, "_next_term", checked)
+    rng = random.Random(43)
+    steps = not_smallest = 0
+    for trial in range(120):
+        n = rng.randint(2, 12)
+        rows = rng.choice([r for r in range(1, n + 1) if n % r == 0])
+        g = [line_graph(n), grid_graph(rows, n // rows),
+             random_connected_graph(n, rng.uniform(0.15, 0.6), trial)][trial % 3]
+        sop = random_phase_instance(n, rng.randint(1, 3 * n), 700 + trial)
+        graph.append(g)
+        picks.clear()
+        network, _ = synth_parity_network_constrained(sop, g)
+        # Each step's CNOTs, as the run of "c"s before its RZ's "r".
+        folds = "".join(gate.kind[0] for gate in network.gates).split("r")[:-1]
+        assert len(folds) == len(picks)
+        for ((estimate, size, _), smallest), fold in zip(picks, folds):
+            if estimate == size - 1:
+                assert len(fold) == estimate, (g.name, trial)
+            not_smallest += size > smallest
+        steps += len(picks)
+        circ, _ = synthesize_cnot_rz(sop, g)
+        back = extract_sum_over_paths(circ)
+        assert back.phase == sop.phase and back.linear == sop.linear, (g.name, trial)
+        assert edge_legal(circ, g), (g.name, trial)
+    assert steps > 1000 and not_smallest > 100, (steps, not_smallest)
 
 
 def phase_free_graphs():

@@ -21,7 +21,7 @@ class CircuitFormatError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Angle:
     """Exact rotation angle as a reduced fraction of a full turn in [0, 1)."""
 
@@ -83,13 +83,15 @@ class Gate:
 
     For CNOT, qubits = (control, target); otherwise a single target wire.
     Any other sequence given for `qubits` is stored as a tuple, so every
-    gate hashes.
+    gate hashes.  Only an RZ takes an angle.
 
-    Construction also packs what a cleanup scan reads into one int,
-    `_code`: the gate's wire pair (x, y), x in bits 32 and up and y as a
-    32-bit two's complement below.  The pair is (control, target) for a
-    CNOT, (q, q) for an H on q and (q, -1) for an RZ on q, so it alone
-    identifies the kind: only an H has x == y and only an RZ has y == -1.
+    Construction also packs the gate's wire pair (x, y) into one int,
+    `_code`, x in bits 32 and up and y as a 32-bit two's complement below.
+    The pair is (control, target) for a CNOT, (q, q) for an H on q and
+    (q, -1) for an RZ on q, so it alone identifies the kind: only an H has
+    x == y and only an RZ has y == -1.  It is all that the commutation rule
+    reads, and `optimizer._decode` unpacks it for both of the rule's users,
+    the cleanup scan and segment growth (`universal.partition_segments`).
     A gate with a wire outside [0, 2**31) gets -1, which no decode
     accepts.  `_code` takes no part in equality, hashing or repr.
     """
@@ -113,6 +115,8 @@ class Gate:
                 raise ValueError("h needs exactly one wire")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.kind != "rz" and self.angle is not None:
+            raise ValueError(f"{self.kind} takes no angle")
         x, y = self.qubits[0], self.qubits[-1]
         if 0 <= x < _WIRE_LIMIT and 0 <= y < _WIRE_LIMIT:
             code = x << 32 | (0xFFFFFFFF if self.kind == "rz" else y)

@@ -46,8 +46,8 @@ is the rule of the reference commutation test (`commutes` in
   (y == a); an RZ on another wire has x != -1 and y == -1 != a, so it
   commutes, and so does a CNOT with control a.
 
-`partition_segments` in `universal` grows its segments by the same rule,
-with its spare wire n in place of the -1.
+`partition_segments` in `universal` grows its segments by the same rule
+on the same pairs, which it also reads with `_decode`.
 `test_inlined_rules_match_commutes_on_three_wires` in
 `tests/test_optimizer.py` checks the scan on every pair of gates on three
 wires, against a reference pass that calls `commutes`.  `_meets` writes

@@ -25,14 +25,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .circuits import Angle, Circuit, Gate, h, rz
+from .circuits import NAMED_ANGLES, Circuit, Gate, h, rz
 from .cnot_synth import SynthesisReport, _expanded_cnot_count, _report, expand_templates
 from .gf2 import BinaryMatrix, _transposed_times_inverse
 from .graphs import ConnectivityGraph, _check_width
+from .optimizer import _decode
 from .phase_synth import PhasePolynomial, _frame, _read_path_sum, _synthesize_up_to
 
-_S = Angle(1, 4)
-_SDG = Angle(3, 4)
+_S, _SDG = NAMED_ANGLES["s"], NAMED_ANGLES["sdg"]
 
 
 def merge_delete_h(c: Circuit) -> Circuit:
@@ -79,23 +79,12 @@ def merge_delete_h(c: Circuit) -> Circuit:
     return Circuit._unchecked(c.num_qubits, tuple(filter(None, gates)))
 
 
-_SEGMENT_KINDS = {"h_block": ("h",), "cnot_block": ("cnot", "rz")}
-
-
 @dataclass(frozen=True)
 class Segment:
     """One alternation block: kind is "h_block" or "cnot_block"."""
 
     kind: str
     gates: tuple[Gate, ...]
-
-    def __post_init__(self):
-        want = _SEGMENT_KINDS.get(self.kind)
-        if want is None:
-            raise ValueError(f"unknown segment kind {self.kind!r}")
-        for g in self.gates:
-            if g.kind not in want:
-                raise ValueError(f"{g.kind} gate inside a {self.kind}")
 
 
 def partition_segments(c: Circuit) -> list[Segment]:
@@ -107,25 +96,26 @@ def partition_segments(c: Circuit) -> list[Segment]:
     pass visits the CNOT+RZ gates in the block order it starts from, last
     gate first forward.
 
-    The tests run on plain integers.  On n wires, each gate is read once
-    into a pair of wires: a CNOT as (control, target), an RZ on q as (q, n),
-    with n a wire no gate touches, and an H on q as (q, q).  A mover (a, b),
-    always a CNOT or an RZ, then fails to commute with a gate (x, y) exactly
-    when x == b or y == a, which is the rule of the reference commutation
-    test (`commutes` in `tests/conftest.py`) for every such pair: a CNOT
-    (c, t) is blocked by a CNOT with control t or target c, by an RZ on t
-    and by an H on c or t; an RZ on q by a CNOT with target q and by an H
-    on q.  The commute-and-cancel cleanup (`optimizer`) scans by the same
-    rule on the same pairs, with -1 where this reading puts n; this one
-    keeps its own reading, because the mask arithmetic below needs a
-    non-negative wire for an RZ's y.
+    The tests run on plain integers: the wire pairs (x, y) the
+    commute-and-cancel cleanup (`optimizer`) scans, unpacked by its
+    `_decode` from each gate's `Gate._code`.  A CNOT reads as (control,
+    target), an RZ on q as (q, -1) and an H on q as (q, q), so only an H has
+    x == y, and that tells the blocks apart.  A mover (a, b), always a CNOT
+    or an RZ, fails to commute with a gate (x, y) exactly when x == b or
+    y == a, which is the rule of the reference commutation test (`commutes`
+    in `tests/conftest.py`) for every such pair: a CNOT (c, t) is blocked by
+    a CNOT with control t or target c, by an RZ on t and by an H on c or t;
+    an RZ on q by a CNOT with target q and by an H on q.  The cleanup scans
+    by the same rule on the same pairs.  Like the cleanup, this raises
+    OverflowError for a gate on a wire at or above 2**31.
 
-    So a set of gates has a wire mask, bit x for each gate's x and bit
-    n + 1 + y for each y, and it blocks the mover exactly when the mask
-    shares a bit with the mover's probe, bits b and n + 1 + a.  Each pass
-    starts every CNOT+RZ block's mask empty and adds to it each gate it
-    visits that stays there and each that arrives, so one mask test settles
-    a block:
+    So a set of gates on n wires has a wire mask, bit x + 1 for each gate's
+    x and bit m + y for each y, with m = n + 2, and it blocks the mover
+    exactly when the mask shares a bit with the mover's probe, bits b + 1
+    and m + a.  An RZ's y = -1 takes bit n + 1, which no x takes, and an RZ
+    mover probes bit 0, which no gate sets.  Each pass starts every CNOT+RZ
+    block's mask empty and adds to it each gate it visits that stays there
+    and each that arrives, so one mask test settles a block:
 
     - Own block.  The gates a mover must pass in its own block are those
       the pass visited there before it, less those that left.  None has
@@ -143,18 +133,15 @@ def partition_segments(c: Circuit) -> list[Segment]:
     that calls the commutation oracle gate by gate.
     """
     gates = c.gates
-    n = c.num_qubits
-    m = n + 1  # bit m + y of a mask stands for y
+    xs, ys = _decode(gates)
+    first, second = xs.tolist(), ys.tolist()  # uid -> its wire pair (x, y)
+    m = c.num_qubits + 2  # bit m + y of a mask stands for y, bit x + 1 for x
     # blocks[i] holds gate uids; kinds[i] alternates between block kinds.
     kinds: list[str] = []
     blocks: list[list[int]] = []
     where: list[int] = []  # uid -> index of the block holding it
-    first: list[int] = []  # uid -> x of its wire pair (x, y)
-    second: list[int] = []  # uid -> y
-    for uid, g in enumerate(gates):
-        first.append(g.qubits[0])
-        second.append(n if g.kind == "rz" else g.qubits[-1])
-        kind = "h_block" if g.kind == "h" else "cnot_block"
+    for uid, (x, y) in enumerate(zip(first, second)):
+        kind = "h_block" if x == y else "cnot_block"
         if not kinds or kinds[-1] != kind:
             bi = len(blocks)
             kinds.append(kind)
@@ -172,7 +159,7 @@ def partition_segments(c: Circuit) -> list[Segment]:
             continue
         for uid in blk:
             h_masks[bi] |= 1 << first[uid]
-        h_masks[bi] |= h_masks[bi] << m
+        h_masks[bi] = h_masks[bi] << 1 | h_masks[bi] << m
 
     def destination(a: int, b: int, probe: int, bi: int, forward: bool) -> int:
         """Largest CNOT block the mover (a, b), which passes its own block,
@@ -214,9 +201,9 @@ def partition_segments(c: Circuit) -> list[Segment]:
         masks = h_masks.copy()
         for uid in reversed(movers) if forward else movers:
             bi, a, b = where[uid], first[uid], second[uid]
-            probe = 1 << b | 1 << m + a
+            probe = 1 << b + 1 | 1 << m + a
             best = bi if masks[bi] & probe else destination(a, b, probe, bi, forward)
-            masks[best] |= 1 << a | 1 << m + b
+            masks[best] |= 1 << a + 1 | 1 << m + b
             if best != bi:
                 move(uid, bi, best, forward)
 
@@ -225,12 +212,6 @@ def partition_segments(c: Circuit) -> list[Segment]:
         for kind, blk in zip(kinds, blocks)
         if blk
     ]
-
-
-def _ladder_cnots(gates, g: ConnectivityGraph) -> int:
-    """The CNOT count of `expand_templates` on these gates, read off the
-    graph's ladder table without building a gate."""
-    return _expanded_cnot_count((gate.qubits for gate in gates if gate.kind == "cnot"), g)
 
 
 def _route(segments: list[Segment], g: ConnectivityGraph) -> Circuit:
@@ -296,6 +277,7 @@ def route_universal(
     _check_width(c.num_qubits, g)
     reduced = merge_delete_h(c)
     circuit = _route(partition_segments(reduced), g)
-    if circuit.cnot_count > _ladder_cnots(reduced.gates, g):
+    cnots = (gate.qubits for gate in reduced.gates if gate.kind == "cnot")
+    if circuit.cnot_count > _expanded_cnot_count(cnots, g):
         circuit = expand_templates(reduced, g)
     return circuit, _report("route", g.name, circuit, t0)

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple
 
-from .circuits import Angle, Circuit
+from .circuits import NAMED_ANGLES, Circuit
 from .gf2 import _bits, simulate_cnot_circuit
 from .graphs import ConnectivityGraph
 from .phase_synth import SumOverPaths, _read_path_sum, extract_sum_over_paths
 from .unitary import UNITARY_QUBIT_CAP, circuit_unitary, phase_aligned_deviation
 
 UNITARY_TOL = 1e-9
-_QUARTERS = (Angle(1, 4), Angle(3, 4))  # S and Sdg
+_QUARTERS = (NAMED_ANGLES["s"], NAMED_ANGLES["sdg"])
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,15 @@ def test_angle_rejects_a_zero_denominator():
     assert err.value.lineno == 2
 
 
+def test_angles_have_no_order():
+    # A dataclass order would compare (numerator, denominator) tuples and
+    # put 1/4 above 1/2.
+    with pytest.raises(TypeError):
+        Angle(1, 4) < Angle(1, 2)
+    with pytest.raises(TypeError):
+        sorted([Angle(1, 2), Angle(1, 4), Angle(3, 8)])
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(CircuitFormatError) as err:
         parse_circuit("qubits 2\ncnot 0 5\n")
@@ -270,6 +279,15 @@ def test_gate_stores_list_wires_as_a_tuple():
     assert len(expanded) == 4
     assert edge_legal(Circuit(4, (Gate("cnot", [1, 2]),)), line_graph(4))
     assert Gate("h", [3]).qubits == (3,)
+
+
+def test_gate_rejects_an_angle_on_a_cnot_or_an_h():
+    # Such a gate would emit and cancel as the gate without the angle, yet
+    # compare unequal to it.
+    for kind, qubits in (("cnot", (0, 1)), ("h", (0,))):
+        with pytest.raises(ValueError, match=rf"^{kind} takes no angle$"):
+            Gate(kind, qubits, Angle(1, 8))
+    assert Gate("rz", (0,), Angle(1, 8)) == rz(Angle(1, 8), 0)
 
 
 def test_circuit_names_the_first_bad_wire_in_circuit_order():

@@ -1,55 +1,22 @@
 """Golden digests of the CLI synthesis commands, the bench suites and the
-two synthesizers.
+two synthesizers: any change that moves an emitted byte fails here.
 
-Each case pins the sha256 of the `--out` circuit text and of the `--report`
-JSON with its `elapsed_ms` line removed (the only field that varies between
-runs), or of a small bench CSV.  They were recorded before the commands and
-suites were routed through one pipeline, and pin that the routing changed
-no output byte.  The synthesizer digests pin the emitted circuits of
-`synthesize_constrained` and `synthesize_cnot_rz` on every oracle graph;
-they were recorded before the Steiner-Gauss column loop dropped its
-per-operation objects.  The report digests were re-recorded when the
-never-set `seed` field left the report, and the 7-wire h-ratio CSV when
-7- and 8-wire routes came to be checked as dense unitaries (its `skip` rows
-read `1`); no circuit digest moved.  The two `route` digests were
-re-recorded when each CNOT+RZ segment came to keep its own gates, expanded
-into ladders, whenever that needs fewer CNOTs than its resynthesis: the
-line(6) route went from 301 to 300 CNOTs and the tokyo20 one from 629 to
-456.  The tokyo20 synth-cnot and synth-phase digests, the sparseness and
-arch bench CSVs and the synthesizer digests of every graph but line(20)
-and the complete random graphs were re-recorded when the first elimination
-pass came to keep each Steiner tree inside the unfinished rows, in a label
-order whose every suffix is connected: the tokyo20 synth-cnot went from
-330 to 320 CNOTs (334 to 322 uncleaned) and its synth-phase from 961 to
-955.  The line and complete graph circuits did not move, and
-`ORDER_FREE_GOLDEN` pins that on more of them.  The synth-phase and route
-digests, the CNOT+RZ and h-ratio bench CSVs and every CNOT+RZ digest were
-re-recorded when the CNOT+RZ linear fixup moved to RowCol elimination: the
-tokyo20 synth-phase went from 955 to 876 CNOTs and its route from 456 to
-409, the line(6) synth-phase from 82 to 70 and its route from 300 to 289.
-No matrix digest moved.  The two `route` digests and the h-ratio CSVs were
-re-recorded when routes came to carry the linear residual across H runs,
-each segment's fixup clearing only the next H run's wires: the line(6)
-route went from 289 to 212 CNOTs and the tokyo20 one from 409 to 402.
-They were re-recorded again when a partial fixup came to free each qubit
-of the next H run on a pivot wire of its choosing, and each H to run on
-that wire: the line(6) route went from 212 to 218 CNOTs, the tokyo20 one
-stayed at 402, and the h-ratio mean at p_h 0.1 went from 36.5 to 38.5 on
-5 wires and from 95.5 to 93.0 on 7.  The synth-phase and route digests,
-the CNOT+RZ and h-ratio bench CSVs and every CNOT+RZ digest were
-re-recorded when the parity network became lazy Steiner folds: the
-tokyo20 synth-phase went from 876 to 704 CNOTs and its route from 402 to
-407, the line(6) synth-phase from 70 to 81 and its route from 218 to 176.
-No matrix digest moved.  The tokyo20 route's circuit digest was
-re-recorded when segment growth came to run backward first and then
-forward, each pass over the current block order: its gates moved, its
-report (407 CNOTs, depth 203) did not.  The tokyo20 synth-phase and
-route digests, the CNOT+RZ sparseness and arch CSVs and the CNOT+RZ
-digests of every graph but the complete ones were re-recorded when the
-parity network came to fold the term with the lowest fold-cost estimate
-first: the tokyo20 synth-phase went from 704 to 672 CNOTs and its route
-from 407 to 398.  The line(6) circuits, the complete graph circuits and
-every matrix digest did not move.
+- `CLI_GOLDEN`: on line(6) and tokyo20, for synth-cnot (Steiner, its pmh
+  and templates baselines, and with no cleanup), synth-phase and route,
+  the sha256 of the `--out` circuit text and of the `--report` JSON with
+  its `elapsed_ms` line removed (the only field that varies between runs).
+  Their seeded inputs come from `write_inputs`.
+- `BENCH_GOLDEN`: the CSV of small runs of the bench suites, sparseness
+  and arch in both modes and h-ratio on line(5) and line(7).
+- `SYNTH_GOLDEN`: the circuits `synthesize_constrained` emits for three
+  seeded matrices and `synthesize_cnot_rz` for two seeded phase instances,
+  on every oracle graph.
+- `ORDER_FREE_GOLDEN`: the same two synthesizers on more seeded tasks,
+  on line and complete graphs, where no first-pass Steiner tree leaves
+  the unfinished rows, so their matrix circuits predate that rule.
+
+A change that alters circuits on purpose re-records the digests it moves
+and says in CHANGES.md which moved and why; CHANGES.md keeps that history.
 """
 
 import hashlib

@@ -19,7 +19,7 @@ from steinersynth import (
 from steinersynth import gf2, phase_synth, universal
 from steinersynth.bench import random_phase_instance, random_universal_circuit
 from steinersynth.circuits import Angle, Circuit, cnot, h, rz
-from steinersynth.cnot_synth import _synthesize_rowcol
+from steinersynth.cnot_synth import _expanded_cnot_count, _synthesize_rowcol
 from steinersynth.gf2 import _transposed_times_inverse, invert, multiply
 from steinersynth.graphs import (
     builtin_architecture,
@@ -145,7 +145,8 @@ def test_no_synthesizer_or_route_inverts_a_matrix(monkeypatch):
     # template expansion is returned in its place.
     reduced = universal.merge_delete_h(fallback[0])
     carry = universal._route(universal.partition_segments(reduced), fallback[1])
-    assert carry.cnot_count > universal._ladder_cnots(reduced.gates, fallback[1])
+    cnots = (gate.qubits for gate in reduced.gates if gate.kind == "cnot")
+    assert carry.cnot_count > _expanded_cnot_count(cnots, fallback[1])
 
     def outputs():
         return [

@@ -204,13 +204,6 @@ def test_partition_preserves_gates_and_unitary():
                 assert kinds <= {"cnot", "rz"}
 
 
-def test_segment_kind_validation():
-    with pytest.raises(ValueError):
-        Segment("h_block", (cnot(0, 1),))
-    with pytest.raises(ValueError, match="unknown segment kind 'foo'"):
-        Segment("foo", (cnot(0, 1),))
-
-
 def test_route_h_free_reduces_to_phase_synthesis():
     g = line_graph(4)
     c = Circuit(4, (cnot(0, 3), rz(Angle(1, 8), 2)))
@@ -806,6 +799,18 @@ def test_partition_forgets_a_blocker_that_has_left_a_block():
         ("h_block", (h(0),)),
     ]
     _assert_partition_matches_reference(c)
+
+
+def test_partition_rejects_a_wire_the_cleanup_cannot_read():
+    # Segment growth reads the cleanup's wire pairs, which hold wires below
+    # 2**31 only, so it fails on a larger wire as the cleanup does, before
+    # any mask is built.
+    for gate in (h(2**31), cnot(2**31, 0), cnot(0, 2**31), rz(_T, 2**31)):
+        c = Circuit(2**31 + 1, (cnot(0, 1), gate))
+        with pytest.raises(OverflowError):
+            cancel_pass(c)
+        with pytest.raises(OverflowError):
+            partition_segments(c)
 
 
 # tracemalloc peak of the gate-by-gate scans, before the mask tests, on

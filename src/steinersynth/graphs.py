@@ -169,6 +169,13 @@ def _check_width(width: int, g: ConnectivityGraph) -> None:
         raise ValueError(f"task has {width} qubits but graph has {g.node_count} nodes")
 
 
+def _check_node(g: ConnectivityGraph, v: int, role: str) -> None:
+    """Raise ValueError unless `v` is a node of `g`: a negative `v` would
+    index a per-node list from its end, and a large one past it."""
+    if not 0 <= v < g.node_count:
+        raise ValueError(f"{role} {v} is not a node of {g.name} ({g.node_count} nodes)")
+
+
 def _components(adj_masks: tuple[int, ...], nodes: int, cap: int) -> int:
     """The number of connected components of the subgraph induced on
     `nodes` (a node bitmask), or cap + 1 once more than `cap` are found.
@@ -290,6 +297,8 @@ class SteinerTree:
 
 def shortest_path(g: ConnectivityGraph, a: int, b: int) -> list[int]:
     """Minimum-edge-count path from a to b inclusive, lowest-index tie-break."""
+    _check_node(g, a, "path end")
+    _check_node(g, b, "path end")
     if a == b:
         return [a]
     parent = {a: a}
@@ -312,6 +321,7 @@ def shortest_path(g: ConnectivityGraph, a: int, b: int) -> list[int]:
 
 def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
     """BFS distances from node a to every node."""
+    _check_node(g, a, "source")
     dist = [-1] * g.node_count
     dist[a] = 0
     queue = [a]
@@ -513,6 +523,8 @@ def steiner_exact(
     term_list = sorted(set(terminals))
     if not term_list:
         raise ValueError("terminal set is empty")
+    for t in (term_list[0], term_list[-1]):
+        _check_node(g, t, "terminal")
     if g.node_count > 14 and len(term_list) > 6:
         raise ValueError(
             f"instance too large for the exact solver "

@@ -302,11 +302,14 @@ def _synthesize_up_to(
     The network applies some linear map C, which it hands over, so the
     fixup target is A·C⁻¹, read transposed off the network's CNOTs
     (`_transposed_times_inverse`), and its inverse is C·A⁻¹, the network's
-    map times `s.linear_inv`: neither takes a Gauss-Jordan pass.  An
-    instance with no phase terms runs no network, which would emit no gate
-    and apply C = I, so its target is A and its target's inverse
-    `s.linear_inv`.  A stop-set fixup runs on the target's transpose as it
-    is; a full one transposes it back.
+    map times `s.linear_inv`: neither takes a Gauss-Jordan pass of its own.
+    `s.linear_inv` was given or computed when `s` was built, except for a
+    task extracted from a circuit, whose one Gauss-Jordan pass is deferred
+    to this, its first read (`extract_sum_over_paths`).  An instance with
+    no phase terms runs no network, which would emit no gate and apply
+    C = I, so its target is A and its target's inverse `s.linear_inv`.  A
+    stop-set fixup runs on the target's transpose as it is; a full one
+    transposes it back.
     """
     gates, target_inv = (), s.linear_inv
     if s.phase.terms:

@@ -22,8 +22,13 @@ from steinersynth import (
     steiner_approx,
     steiner_exact,
 )
-from steinersynth.circuits import cnot
-from steinersynth.cnot_synth import plan_post_transpose, plan_pre_transpose, synthesize_constrained
+from steinersynth.circuits import Circuit, cnot
+from steinersynth.cnot_synth import (
+    naive_swap_expand,
+    plan_post_transpose,
+    plan_pre_transpose,
+    synthesize_constrained,
+)
 from steinersynth import graphs
 from steinersynth.graphs import SteinerTree, _norm_edge, _preorder, grid_graph
 from conftest import brute_force_steiner_weight, oracle_graphs, random_terminal_sets
@@ -388,6 +393,24 @@ def test_steiner_rejects_empty_terminals(demo6_graph):
 def test_steiner_rejects_out_of_range_terminals(terminals, bad):
     with pytest.raises(ValueError, match=f"terminal {bad} out of range"):
         steiner_approx(line_graph(3), terminals)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: shortest_path(g, -1, 0), "path end -1"),
+    (lambda g: shortest_path(g, 7, 0), "path end 7"),
+    (lambda g: shortest_path(g, 0, 7), "path end 7"),
+    (lambda g: shortest_path(g, -1, -1), "path end -1"),
+    (lambda g: graphs.distances_from(g, -1), "source -1"),
+    (lambda g: graphs.distances_from(g, 3), "source 3"),
+    (lambda g: steiner_exact(g, {0, 3}), "terminal 3"),
+    (lambda g: steiner_exact(g, {-1, 0}), "terminal -1"),
+    (lambda g: naive_swap_expand(Circuit(4, (cnot(3, 0),)), g), "path end 3"),
+], ids=["path-from-neg", "path-from-past", "path-to-past", "path-neg-to-itself", "dist-neg",
+        "dist-past", "exact-past", "exact-neg", "swap-expand-past"])
+def test_a_node_outside_the_graph_is_a_value_error(call, message):
+    # Not a Python index: -1 would read the last node, 7 an IndexError.
+    with pytest.raises(ValueError, match=rf"^{message} is not a node of line\(3\) \(3 nodes\)$"):
+        call(line_graph(3))
 
 
 @pytest.mark.parametrize(

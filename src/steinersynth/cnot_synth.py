@@ -58,9 +58,10 @@ from .gf2 import BinaryMatrix, SingularMatrixError, _bits, check_invertible
 from .graphs import (
     ConnectivityGraph,
     SteinerTree,
+    _check_node,
     _check_width,
     _components,
-    distances_from,
+    _layers,
     shortest_path,
     steiner_approx,
 )
@@ -322,11 +323,12 @@ def synthesize_constrained(
     In the first pass each column's tree is allowed the labels >= its
     pivot (`steiner_approx(..., allowed=...)`), so it lies inside the
     unfinished rows i..n-1, and fill-and-clear clears every column.  A zero
-    pivot is first repaired by a clean ladder from the nearest row holding
-    a one.  The transposed pass builds unrestricted trees and uses
-    fill-and-clear where every child exceeds its parent,
-    `plan_post_transpose` otherwise.  Row ops are kept as (control, target)
-    int pairs throughout.
+    pivot is first repaired by a clean ladder from the nearest row below it
+    holding a one, the smallest such row in the first breadth-first layer
+    from the pivot (`graphs._layers`) that holds any.  The transposed pass
+    builds unrestricted trees and uses fill-and-clear where every child
+    exceeds its parent, `plan_post_transpose` otherwise.  Row ops are kept
+    as (control, target) int pairs throughout.
     """
     t0 = time.perf_counter()
     _check_width(a.dim, g)
@@ -343,9 +345,10 @@ def synthesize_constrained(
     ops_a: list[tuple[int, int]] = []
     for i in range(n):
         if not (rows[i] >> i) & 1:
-            candidates = [j for j in range(i + 1, n) if (rows[j] >> i) & 1]
-            dist = distances_from(g, i)
-            j = min(candidates, key=lambda x: (dist[x], x))
+            for layer in _layers(g._adj, i, {}):
+                if candidates := [j for j in layer if j > i and (rows[j] >> i) & 1]:
+                    break
+            j = min(candidates)
             repair = _path_ops(shortest_path(g, j, i))
             apply_ops(repair)
             ops_a.extend(repair)
@@ -675,8 +678,7 @@ def _pair_ids(pairs, g: ConnectivityGraph) -> np.ndarray:
     n = g.node_count
     wires = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
     if len(wires) and not 0 <= wires.min() <= wires.max() < n:
-        bad = wires[(wires < 0) | (wires >= n)][0]
-        raise ValueError(f"wire {bad} is not a node of {g.name} ({n} nodes)")
+        _check_node(g, int(wires[(wires < 0) | (wires >= n)][0]), "wire")
     return wires[0::2] * n + wires[1::2]
 
 

@@ -15,7 +15,9 @@ those short lists once, walks the tree from its root once, and fills the
 Dreyfus-Wagner solver is provided as a test oracle for small instances.
 
 All tie-breaking (BFS frontier order, collision choice, equal-length paths)
-prefers the lowest node index, so every result is deterministic.
+prefers the lowest node index, so every result is deterministic: every
+plain breadth-first search is one walk, `_layers`, which reads neighbours
+ascending and keeps each node's first discoverer.
 """
 
 from __future__ import annotations
@@ -84,16 +86,9 @@ class ConnectivityGraph:
 
     @cached_property
     def _bfs_order(self) -> list[int]:
-        """The nodes reachable from node 0 in breadth-first order,
-        neighbours ascending: every node exactly when the graph is
-        connected."""
-        order, seen = [0], {0}
-        for u in order:
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-        return order
+        """The nodes reachable from node 0 in breadth-first order
+        (`_layers`): every node exactly when the graph is connected."""
+        return [v for layer in _layers(self._adj, 0, {}) for v in layer]
 
     @cached_property
     def _adj_masks(self) -> tuple[int, ...]:
@@ -138,6 +133,23 @@ class ConnectivityGraph:
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
+
+
+def _layers(adj, source: int, parent: dict[int, int]):
+    """Yield the breadth-first layers from `source`, `[source]` first,
+    reading each node's neighbours in `adj`'s order and recording each
+    node reached in `parent` with its first discoverer (`source` itself)."""
+    parent[source] = source
+    layer = [source]
+    while layer:
+        yield layer
+        next_layer = []
+        for u in layer:
+            for v in adj[u]:
+                if v not in parent:
+                    parent[v] = u
+                    next_layer.append(v)
+        layer = next_layer
 
 
 def _preorder(adj: dict[int, list[int]], root: int) -> tuple[tuple[int, int], ...]:
@@ -296,43 +308,27 @@ class SteinerTree:
 
 
 def shortest_path(g: ConnectivityGraph, a: int, b: int) -> list[int]:
-    """Minimum-edge-count path from a to b inclusive, lowest-index tie-break."""
+    """Minimum-edge-count path from a to b inclusive, lowest-index
+    tie-break: the walk from a (`_layers`) up to b's layer, walked back."""
     _check_node(g, a, "path end")
     _check_node(g, b, "path end")
-    if a == b:
-        return [a]
-    parent = {a: a}
-    queue = [a]
-    while queue:
-        next_queue = []
-        for u in queue:
-            for v in g.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    if v == b:
-                        path = [b]
-                        while path[-1] != a:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    next_queue.append(v)
-        queue = next_queue
-    raise ValueError(f"no path between {a} and {b}")
+    parent: dict[int, int] = {}
+    for _ in _layers(g._adj, a, parent):
+        if b in parent:
+            break
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def distances_from(g: ConnectivityGraph, a: int) -> list[int]:
-    """BFS distances from node a to every node."""
+    """BFS distances from node a to every node: its layer in `_layers`."""
     _check_node(g, a, "source")
     dist = [-1] * g.node_count
-    dist[a] = 0
-    queue = [a]
-    while queue:
-        next_queue = []
-        for u in queue:
-            for v in g.neighbors(u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    next_queue.append(v)
-        queue = next_queue
+    for d, layer in enumerate(_layers(g._adj, a, {})):
+        for v in layer:
+            dist[v] = d
     return dist
 
 
@@ -400,10 +396,9 @@ def steiner_approx(
     if not term_set:
         raise ValueError("terminal set is empty")
     n = g.node_count
-    lo, hi = min(term_set), max(term_set)
-    for t in (lo, hi):
-        if not 0 <= t < n:
-            raise ValueError(f"terminal {t} out of range")
+    lo = min(term_set)
+    for t in (lo, max(term_set)):
+        _check_node(g, t, "terminal")
     if root is None:
         root = lo
     if root not in term_set:
@@ -538,8 +533,8 @@ def steiner_exact(
         return SteinerTree(g, frozenset(term_list), root, frozenset())
 
     n = g.node_count
-    dist = [distances_from(g, v) for v in range(n)]
     t0, rest = term_list[0], term_list[1:]
+    dist = {t: distances_from(g, t) for t in rest}
     k = len(rest)
     full = (1 << k) - 1
     INF = float("inf")
@@ -601,22 +596,16 @@ def steiner_exact(
 
     expand(full, t0)
 
-    # The reconstruction may overlap on ties; keep a spanning tree of it.
-    nodes = {t0} | {n for e in edges for n in e}
-    adj: dict[int, list[int]] = {u: [] for u in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    tree_edges: set[tuple[int, int]] = set()
-    seen = {t0}
-    queue = [t0]
-    while queue:
-        u = queue.pop(0)
-        for v in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                tree_edges.add(_norm_edge(u, v))
-                queue.append(v)
+    # The reconstruction may overlap on ties; keep the breadth-first
+    # spanning tree of it from t0.
+    adj: dict[int, list[int]] = {t0: []}
+    for u, v in sorted(edges):  # so each list ascends
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    parent: dict[int, int] = {}
+    for _ in _layers(adj, t0, parent):
+        pass
+    tree_edges = {_norm_edge(u, p) for u, p in parent.items() if u != p}
 
     weight = dp[full][t0]
     assert len(tree_edges) <= weight, "reconstruction exceeded the DP optimum"

@@ -315,6 +315,28 @@ def test_cli_synth_phase_rejects_a_circuit_with_phase_or_matrix_files(tmp_path):
         assert res.output == "error: --circuit cannot be combined with --phase or --matrix\n"
 
 
+def test_cli_synthesis_needs_one_graph_and_one_task_form(tmp_path):
+    # Neither or both of --graph and --arch, and a phase file without its
+    # matrix or no task at all, are input errors: exit 2 with one error line.
+    m3, p3, g3 = (tmp_path / name for name in ("m3.txt", "p3.txt", "g3.txt"))
+    m3.write_text(emit_matrix(random_invertible(3, 1)))
+    p3.write_text("110 1/8\n")
+    g3.write_text(emit_graph(line_graph(3)))
+    one_graph = "error: provide exactly one of --graph or --arch\n"
+    one_task = "error: provide --circuit or both --phase and --matrix\n"
+    cases = [
+        (["synth-cnot", "--matrix", str(m3)], one_graph),
+        (["synth-cnot", "--matrix", str(m3), "--graph", str(g3), "--arch", "line(3)"], one_graph),
+        (["synth-phase", "--phase", str(p3), "--arch", "line(3)"], one_task),
+        (["synth-phase", "--arch", "line(3)"], one_task),
+    ]
+    for args, message in cases:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert isinstance(res.exception, SystemExit), args
+        assert res.output == message, args
+
+
 def test_cli_route_and_arch(tmp_path):
     runner = CliRunner()
     circ = tmp_path / "c.txt"

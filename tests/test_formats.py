@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -45,6 +46,21 @@ def test_angle_rejects_a_zero_denominator():
     assert err.value.lineno == 2
 
 
+@pytest.mark.parametrize("kind, qubits, message", [
+    ("cnot", (1, 1), "bad cnot wires (1, 1)"),
+    ("rz", (0,), "rz needs one wire and an angle"),
+    ("h", (0, 1), "h needs exactly one wire"),
+    ("swap", (0, 1), "unknown gate kind 'swap'"),
+], ids=["cnot-equal-wires", "rz-no-angle", "h-two-wires", "unknown-kind"])
+def test_gate_rejects_a_malformed_gate(kind, qubits, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Gate(kind, qubits)
+
+
+def test_angle_parses_an_integer_as_whole_turns():
+    assert Angle.parse("3") == Angle(3) == Angle(0)
+
+
 def test_angles_have_no_order():
     # A dataclass order would compare (numerator, denominator) tuples and
     # put 1/4 above 1/2.
@@ -62,6 +78,17 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("cnot 0 1\n")
     with pytest.raises(CircuitFormatError):
         parse_circuit("qubits 2\nfoo 0\n")
+
+
+@pytest.mark.parametrize("text, lineno, reason", [
+    ("qubits 2\nqubits 2\n", 2, "duplicate qubits header"),
+    ("qubits 0\n", 1, "qubit count must be positive"),
+    ("", 0, "empty input: missing 'qubits n' header"),
+], ids=["duplicate", "zero-qubits", "empty"])
+def test_parse_rejects_a_repeated_empty_or_missing_header(text, lineno, reason):
+    with pytest.raises(CircuitFormatError, match=f"^line {lineno}: {reason}$") as err:
+        parse_circuit(text)
+    assert err.value.lineno == lineno
 
 
 @pytest.mark.parametrize("text", [

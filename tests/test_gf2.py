@@ -98,6 +98,23 @@ def test_from_rows_rejects_ragged_rows():
     assert BinaryMatrix.from_rows([[1, 0], [1, 1]]).rows == (0b01, 0b11)
 
 
+@pytest.mark.parametrize("dim, rows, message", [
+    (0, (), "dimension must be positive"),
+    (2, (1,), "row count does not match dimension"),
+    (2, (1, 0b100), "row has bits outside the matrix width"),
+], ids=["dim-0", "row-count", "wide-row"])
+def test_binary_matrix_rejects_a_bad_shape(dim, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BinaryMatrix(dim, rows)
+
+
+def test_multiply_and_random_invertible_reject_a_bad_dimension():
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        multiply(BinaryMatrix.identity(2), BinaryMatrix.identity(3))
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        random_invertible(0, 1)
+
+
 def test_rank_and_singularity():
     singular = BinaryMatrix.from_rows([[1, 1], [1, 1]])
     assert rank(singular) == 1
@@ -124,6 +141,10 @@ def test_parse_matrix_rejects_bad_input():
         parse_matrix("2\n01\n0")
     with pytest.raises(ValueError):
         parse_matrix("2\n01\n02\n")
+    with pytest.raises(ValueError, match="^empty matrix file$"):
+        parse_matrix("")
+    with pytest.raises(ValueError, match="^expected 2 rows, got 1$"):
+        parse_matrix("2\n01\n")
 
 
 def test_transpose_involution():

@@ -389,10 +389,28 @@ def test_steiner_rejects_empty_terminals(demo6_graph):
         steiner_approx(demo6_graph, set())
 
 
-@pytest.mark.parametrize("terminals, bad", [([-1, 1], -1), ([0, 7], 7)])
-def test_steiner_rejects_out_of_range_terminals(terminals, bad):
-    with pytest.raises(ValueError, match=f"terminal {bad} out of range"):
-        steiner_approx(line_graph(3), terminals)
+def test_steiner_solvers_check_their_terminals_and_root():
+    g = line_graph(4)
+    with pytest.raises(ValueError, match="^root must be a terminal$"):
+        steiner_approx(g, {1, 3}, root=2)
+    with pytest.raises(ValueError, match="^terminal set is empty$"):
+        steiner_exact(g, set())
+    with pytest.raises(ValueError, match="^root must be a terminal$"):
+        steiner_exact(g, {1, 3}, root=2)
+    single = steiner_exact(g, {2})
+    assert (single.weight, single.nodes, single.root) == (0, {2}, 2)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: line_graph(0), "line needs at least one node"),
+    (lambda: grid_graph(0, 2), "grid needs positive dimensions"),
+    (lambda: parse_graph(""), "empty graph file"),
+    (lambda: random_connected_graph(5, 0, 1), r"sparseness must lie in \(0, 1\]"),
+    (lambda: random_connected_graph(5, 1.5, 1), r"sparseness must lie in \(0, 1\]"),
+], ids=["line-0", "grid-0-rows", "empty-text", "sparseness-0", "sparseness-1.5"])
+def test_graph_constructors_reject_an_empty_or_unreachable_shape(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize("call, message", [
@@ -404,9 +422,11 @@ def test_steiner_rejects_out_of_range_terminals(terminals, bad):
     (lambda g: graphs.distances_from(g, 3), "source 3"),
     (lambda g: steiner_exact(g, {0, 3}), "terminal 3"),
     (lambda g: steiner_exact(g, {-1, 0}), "terminal -1"),
+    (lambda g: steiner_approx(g, [-1, 1]), "terminal -1"),
+    (lambda g: steiner_approx(g, [0, 7]), "terminal 7"),
     (lambda g: naive_swap_expand(Circuit(4, (cnot(3, 0),)), g), "path end 3"),
 ], ids=["path-from-neg", "path-from-past", "path-to-past", "path-neg-to-itself", "dist-neg",
-        "dist-past", "exact-past", "exact-neg", "swap-expand-past"])
+        "dist-past", "exact-past", "exact-neg", "approx-neg", "approx-past", "swap-expand-past"])
 def test_a_node_outside_the_graph_is_a_value_error(call, message):
     # Not a Python index: -1 would read the last node, 7 an IndexError.
     with pytest.raises(ValueError, match=rf"^{message} is not a node of line\(3\) \(3 nodes\)$"):

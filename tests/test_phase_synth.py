@@ -98,6 +98,15 @@ def test_phase_polynomial_equality_compares_fields_and_is_unhashable():
         hash(p)
 
 
+def test_phase_polynomial_and_sum_over_paths_reject_a_bad_shape():
+    with pytest.raises(ValueError, match="^zero parity cannot carry a phase term$"):
+        PhasePolynomial(2, {0: Angle(1, 8)})
+    with pytest.raises(ValueError, match="^parity 0x4 wider than 2 qubits$"):
+        PhasePolynomial(2, {0b100: Angle(1, 8)})
+    with pytest.raises(ValueError, match="^phase and linear part disagree on qubit count$"):
+        SumOverPaths(PhasePolynomial(2), BinaryMatrix.identity(3))
+
+
 def test_extract_rejects_h():
     with pytest.raises(ValueError):
         extract_sum_over_paths(Circuit(1, (h(0),)))
